@@ -38,7 +38,7 @@ runs = [
 
 for name, body, psi, k, h in runs:
     report = cg.verify_ibp(
-        body, psi, np.asarray(k), {"samples": 400_000, "seed": 11, "h": np.asarray(h)}
+        body, psi, np.asarray(k), budget={"samples": 400_000}, seed=11, h=np.asarray(h)
     )
     print(name)
     print(

@@ -48,7 +48,6 @@ from .graphs import (
     section_interval,
 )
 from .ibp import (
-    IbpConfig,
     VerificationReport,
     constant,
     coordinate,
@@ -63,6 +62,7 @@ from .ibp import (
     verify_ibp,
 )
 from .space import (
+    EstimateWithError,
     GaussianModel,
     TestFunction,
     adjoint_derivative,
@@ -76,7 +76,6 @@ from .space import (
 )
 from .surface import (
     Budget,
-    EstimateWithError,
     area_formula_integral,
     epigraph_perimeter,
     graph_surface_integral,

@@ -23,6 +23,7 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
+from .space import EstimateWithError, brownian_kl_profile
 
 DEFAULT_GAUGE_TOL = 1e-10
 UNBOUNDED_REACH = 50.0
@@ -40,6 +41,7 @@ __all__ = [
     "load_body_spec",
     "kl_ellipsoid",
     "random_polytope",
+    "bisect",
     "minkowski_functional",
     "minkowski_gradient_fd",
     "lebesgue_density",
@@ -160,8 +162,8 @@ def ellipsoid(semiaxes) -> ConvexBody:
     inv2 = 1.0 / (s * s)
     contains = lambda x: np.sum(np.square(np.asarray(x, float)) * inv2, axis=-1) < 1.0
 
-    def distance(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def distance(x0):
+        x = np.atleast_2d(np.asarray(x0, dtype=float))
         out = np.zeros(x.shape[0])
         outside = np.sum(np.square(x) * inv2, axis=-1) > 1.0
         if outside.any():
@@ -174,15 +176,11 @@ def ellipsoid(semiaxes) -> ConvexBody:
             ) - 1.0
             while np.any(fx(hi) > 0):
                 hi = np.where(fx(hi) > 0, hi * 2.0, hi)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                pos = fx(mid) > 0
-                lo = np.where(pos, mid, lo)
-                hi = np.where(pos, hi, mid)
+            lo, hi = bisect(lambda lam: fx(lam) > 0, lo, hi, steps=200)
             lam = 0.5 * (lo + hi)
             w = s * s * xo / (s * s + lam[:, None])
             out[outside] = np.linalg.norm(xo - w, axis=-1)
-        return out if out.shape[0] > 1 else float(out[0])
+        return out if np.ndim(x0) > 1 else float(out[0])
 
     return _recenter(
         contains,
@@ -282,10 +280,10 @@ def polytope(faces) -> ConvexBody:
 
     contains = lambda x: np.all(np.asarray(x, float) @ A.T < c, axis=-1)
 
-    def distance(x):
+    def distance(x0):
         # Dykstra alternating projections onto the face halfspaces; vertex
         # projections converge geometrically, so iterate per-row to rest.
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x0, dtype=float))
         z = x.copy()
         corr = np.zeros((len(c),) + x.shape)
         active = np.any(x @ A.T >= c, axis=-1)
@@ -303,7 +301,7 @@ def polytope(faces) -> ConvexBody:
             active[idx[moved < 1e-13]] = False
         out = np.linalg.norm(x - z, axis=-1)
         out[contains(x)] = 0.0
-        return out if out.shape[0] > 1 else float(out[0])
+        return out if np.ndim(x0) > 1 else float(out[0])
 
     spec = {
         "shape": "polytope",
@@ -464,8 +462,6 @@ def kl_ellipsoid(dim: int, scale: float = 1.0) -> ConvexBody:
     """Demo ellipsoid whose whitened semiaxes grow like the inverse square
     roots of the Brownian covariance eigenvalues: the image of a fixed
     function-space ball under the spectral embedding."""
-    from .space import brownian_kl_profile
-
     profile = np.asarray(brownian_kl_profile(dim))
     body = ellipsoid(scale / np.sqrt(profile))
     return replace(body, spec={"shape": "kl_ellipsoid", "scale": float(scale)})
@@ -492,6 +488,43 @@ def random_polytope(
         faces.append({"normal": e, "offset": 2.0 * hi})
         faces.append({"normal": -e, "offset": 2.0 * hi})
     return polytope(faces)
+
+
+def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+    """Vectorized bisection of per-row brackets whose t_in end passes the
+    membership test inside_at (parameters (N,) -> bools (N,)) and whose t_out
+    end fails it. Returns the shrunken (t_in, t_out).
+
+    With `tol`, a row stops once |t_out - t_in| <= tol (times max(1, t_in)
+    when `relative`), and the loop runs at most
+    min(130, max(10, ceil(log2(widest gap / tol)) + 2)) steps; without it,
+    exactly `steps` steps. Only `active` rows move (default: rows not yet
+    within tolerance); the others are probed at their midpoint and left
+    unchanged.
+    """
+    t_in = np.asarray(t_in, dtype=float)
+    t_out = np.asarray(t_out, dtype=float)
+
+    def unresolved(a, b):
+        return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
+
+    if tol is not None:
+        gap0 = float(np.max(np.abs(t_out - t_in))) if t_in.size else 0.0
+        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
+        if active is None:
+            active = unresolved(t_in, t_out)
+    if active is None:
+        active = np.ones(t_in.shape, dtype=bool)
+    for _ in range(steps):
+        if not active.any():
+            break
+        mid = 0.5 * (t_in + t_out)
+        inside = inside_at(mid)
+        t_in = np.where(active & inside, mid, t_in)
+        t_out = np.where(active & ~inside, mid, t_out)
+        if tol is not None:
+            active = active & unresolved(t_in, t_out)
+    return t_in, t_out
 
 
 def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
@@ -524,17 +557,13 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
             lo = norms[act] / body.outer_radius * (1.0 - 1e-12)
         else:
             lo = np.zeros_like(hi)
-        gap0 = float(np.max(hi - lo))
-        iters = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
-        for _ in range(iters):
-            done = (hi - lo) <= tol * np.maximum(1.0, hi)
-            if done.all():
-                break
-            mid = np.where(done, hi, np.maximum(0.5 * (hi + lo), 1e-250))
-            inside = body.contains(Xa / mid[:, None])
-            upd = ~done
-            hi = np.where(upd & inside, mid, hi)
-            lo = np.where(upd & ~inside, mid, lo)
+        hi, lo = bisect(
+            lambda lam: body.contains(Xa / np.maximum(lam, 1e-250)[:, None]),
+            hi,
+            lo,
+            tol=tol,
+            relative=True,
+        )
         p[act] = 0.5 * (hi + lo)
         # points essentially in the recession cone have gauge 0
         p[act] = np.where(hi <= tol, 0.0, p[act])
@@ -583,8 +612,6 @@ def lebesgue_density(
 
     Returns an EstimateWithError (monte_carlo method).
     """
-    from .surface import EstimateWithError  # local import to avoid a cycle
-
     if radius <= 0:
         raise ParameterError("radius must be positive")
     if samples < 1000:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,18 +27,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bodies import ConvexBody, load_body_spec
-from .errors import ConvexGaussError, ParameterError
+from .bodies import ConvexBody, kl_ellipsoid, lebesgue_density, load_body_spec
+from .errors import ConvexGaussError, DegeneracyError, DomainError, ParameterError
 from .graphs import choose_direction, decompose, default_direction_candidates, ray_cast_boundary
 from .ibp import (
-    IbpConfig,
     VerificationReport,
     gradient_formula_check,
     lhs_volume_integral,
     psi_from_spec,
     verify_ibp,
 )
-from .bodies import lebesgue_density
 from .space import GaussianModel, as_direction, brownian_kl_profile
 from .surface import (
     Budget,
@@ -46,7 +44,6 @@ from .surface import (
     subspace_hausdorff,
     total_boundary_measure,
 )
-from .errors import DegeneracyError, DomainError
 
 SUBCOMMANDS = (
     "perimeter",
@@ -115,9 +112,7 @@ class RunConfig:
             ]
         budget = Budget.from_any(cfg.get("budgets"))
         if threads_override is not None:
-            from dataclasses import replace as _replace
-
-            budget = _replace(budget, threads=threads_override)
+            budget = replace(budget, threads=threads_override)
         psi_spec = cfg.get("psi")
         if psi_spec is not None:
             psi = psi_from_spec(psi_spec)
@@ -128,6 +123,29 @@ class RunConfig:
                     f"config.psi is inconsistent with model.dim={model.dim}: {exc}"
                 ) from exc
         load_body_spec(cfg["body"], dim=model.dim)  # validate early
+        density = cfg.get("density", {})
+        if "points" in density:
+            try:
+                shape = np.asarray(density["points"], dtype=float).shape
+            except (TypeError, ValueError):
+                shape = None
+            if shape is None or len(shape) != 2 or shape[1] != model.dim:
+                raise ParameterError(
+                    f"config.density.points must be a list of points with "
+                    f"model.dim={model.dim} coordinates each: {density['points']!r}"
+                )
+        subspaces = cfg.get("subspaces", [])
+        if not isinstance(subspaces, list):
+            raise ParameterError(f"config.subspaces must be a list of axis lists: {subspaces!r}")
+        for i, axes in enumerate(subspaces):
+            valid = isinstance(axes, list) and all(
+                type(a) is int and 0 <= a < model.dim for a in axes
+            )
+            if not valid or not axes or len(set(axes)) != len(axes):
+                raise ParameterError(
+                    f"config.subspaces[{i}] must list distinct integer axes in "
+                    f"[0, {model.dim}): {axes!r}"
+                )
         return RunConfig(
             model=model,
             body_spec=cfg["body"],
@@ -139,8 +157,8 @@ class RunConfig:
             budget=budget,
             outputs=cfg.get("outputs", {}),
             grid=cfg.get("grid", {}),
-            density=cfg.get("density", {}),
-            subspaces=cfg.get("subspaces", []),
+            density=density,
+            subspaces=subspaces,
             tolerances=cfg.get("tolerances", {}),
             raw=cfg,
         )
@@ -205,13 +223,7 @@ def _run_perimeter(config: RunConfig):
     h = _pinned_direction(config, body)
     pair = decompose(body, h, seed=config.seed)
     graph_est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
-    content_est = minkowski_content_perimeter(
-        body,
-        epsilons=config.budget.epsilons,
-        samples=config.budget.samples,
-        seed=config.seed,
-        threads=config.budget.threads,
-    )
+    content_est = minkowski_content_perimeter(body, budget=config.budget, seed=config.seed)
     rel_tol = config.tolerances.get("perimeter_relative", 0.02)
     tol = max(
         3.0 * (graph_est.std_error + content_est.std_error),
@@ -240,16 +252,16 @@ def _run_ibp(config: RunConfig):
     psi = psi_from_spec(config.psi_spec)
     records = []
     for i, k in enumerate(config.k_list):
-        cfg = IbpConfig(
-            samples=config.budget.samples,
-            seed=config.seed,
+        report = verify_ibp(
+            body,
+            psi,
+            k,
             budget=config.budget,
+            seed=config.seed,
             h=config.h,
             candidates=config.candidates,
-            threads=config.budget.threads,
-            configured_tol=config.tolerances.get("ibp"),
+            tol=config.tolerances.get("ibp"),
         )
-        report = verify_ibp(body, psi, k, cfg)
         records.append(
             _record_from_report(f"ibp[k{i}]", report, extra={"k": report.metadata["k"]})
         )
@@ -379,8 +391,6 @@ def convergence_study(config: RunConfig, axis: str):
         scale = float(config.grid.get("scale", 1.0))
         prev = None
         for d in dims:
-            from .bodies import kl_ellipsoid
-
             body = kl_ellipsoid(int(d), scale)
             h = np.eye(int(d))[0]
             t0 = time.perf_counter()
@@ -427,7 +437,7 @@ def convergence_study(config: RunConfig, axis: str):
         for n_s in grid:
             t0 = time.perf_counter()
             est = lhs_volume_integral(
-                body, psi, k, samples=int(n_s), seed=config.seed, threads=config.budget.threads
+                body, psi, k, budget=replace(config.budget, samples=int(n_s)), seed=config.seed
             )
             wall = time.perf_counter() - t0
             rows.append(
@@ -448,11 +458,7 @@ def convergence_study(config: RunConfig, axis: str):
         eps = config.grid.get("epsilons", list(config.budget.epsilons))
         t0 = time.perf_counter()
         est = minkowski_content_perimeter(
-            body,
-            epsilons=eps,
-            samples=config.budget.samples,
-            seed=config.seed,
-            threads=config.budget.threads,
+            body, budget=replace(config.budget, epsilons=tuple(eps)), seed=config.seed
         )
         wall = time.perf_counter() - t0
         for e, rate, se in zip(
@@ -536,12 +542,7 @@ def run(
             writer.writeheader()
             writer.writerows(rows)
 
-    verdicts = [r["verdict"] for r in records]
-    if any(v == "fail" for v in verdicts):
-        return 1
-    if any(v == "inconclusive" for v in verdicts):
-        return 2
-    return 0
+    return exit_code_for_verdicts([r["verdict"] for r in records])
 
 
 def exit_code_for_verdicts(verdicts) -> int:

@@ -17,7 +17,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, minkowski_functional, minkowski_gradient_fd, orthonormal_complement
+from .bodies import (
+    ConvexBody,
+    bisect,
+    minkowski_functional,
+    minkowski_gradient_fd,
+    orthonormal_complement,
+)
 from .errors import (
     DegenerateDirectionError,
     DomainError,
@@ -25,7 +31,7 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
-from .space import as_direction
+from .space import EstimateWithError, as_direction
 
 DEFAULT_SECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -85,19 +91,9 @@ def _bisect_endpoint(body, Y, h, t_in, direction, tol):
         raise OracleIntegrityError(
             "membership oracle reports an inside point beyond the certified outer radius"
         )
-    lo = t_in.copy()  # inside
-    hi = far.copy()  # outside (or reach bound)
-    gap0 = float(np.max(np.abs(hi - lo))) if len(lo) else 0.0
-    iters = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
-    active = ~inside_far
-    for _ in range(iters):
-        if not active.any():
-            break
-        mid = np.where(active, 0.5 * (hi + lo), hi)
-        inside = body.contains(Y + mid[:, None] * h)
-        lo = np.where(active & inside, mid, lo)
-        hi = np.where(active & ~inside, mid, hi)
-        active = active & (np.abs(hi - lo) > tol)
+    lo, hi = bisect(
+        lambda t: body.contains(Y + t[:, None] * h), t_in, far, tol=tol, active=~inside_far
+    )
     out = 0.5 * (hi + lo)
     out[inside_far] = direction * np.inf
     return out
@@ -379,42 +375,49 @@ def graph_value_and_gradient(
     if pair.analytic_f_gradient is not None and which == "upper":
         grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
     else:
-        grads = _fd_graph_gradient(pair, evaluate, Y, fd_step)
+        grads, ok = _stencil_gradient(pair.basis, lambda pts, _: evaluate(pts), Y, fd_step)
+        if not ok.all():
+            raise MarginError(
+                f"{int((~ok).sum())} stencil point(s) exit the projected domain even "
+                "at the smallest step; move y inward or shrink fd_step"
+            )
     if scalar:
         return float(vals[0]), grads[0]
     return vals, grads
 
 
-def _fd_graph_gradient(pair, evaluate, Y, fd_step, shrink: int = 6):
-    """Central differences within the hyperplane, shrinking the step on rows
-    whose stencil exits the domain; MarginError when the smallest step fails."""
-    B = pair.basis  # (d, n)
-    N, d = Y.shape[0], B.shape[0]
+def _stencil_gradient(basis, evaluate, Y, steps, t_hint=None):
+    """In-plane central-difference gradients of a graph at hyperplane points Y.
+
+    evaluate(points, hint) returns graph values, non-finite outside the
+    domain; hint is t_hint repeated over each row's stencil, or None. A row
+    whose stencil leaves the domain retries with its step divided by 8, for
+    up to 7 tries while the step stays >= 1e-10. Returns (ambient gradients
+    (N, n), ok mask); rows that never fit are nan and flagged False.
+    """
+    N, d = Y.shape[0], basis.shape[0]
     grads_c = np.full((N, d), np.nan)
-    step = np.full(N, float(fd_step))
+    step = np.asarray(steps, dtype=float) * np.ones(N)
     todo = np.ones(N, dtype=bool)
-    for _ in range(shrink):
+    offsets = np.stack([basis, -basis], axis=0)  # (2, d, n)
+    for _ in range(7):
         if not todo.any():
             break
         idx = np.flatnonzero(todo)
         stencil = (
-            Y[idx][:, None, None, :]
-            + np.stack([B, -B], axis=0)[None, :, :, :] * step[idx, None, None, None]
-        )  # (m, 2, d, n)
-        flat = stencil.reshape(-1, Y.shape[1])
-        vals = evaluate(flat).reshape(len(idx), 2, d)
+            Y[idx][:, None, None, :] + offsets[None, :, :, :] * step[idx, None, None, None]
+        ).reshape(-1, Y.shape[1])
+        hint = None if t_hint is None else np.repeat(t_hint[idx], 2 * d)
+        vals = evaluate(stencil, hint).reshape(len(idx), 2, d)
         good = np.isfinite(vals).all(axis=(1, 2))
         if good.any():
             g = (vals[good, 0, :] - vals[good, 1, :]) / (2.0 * step[idx[good], None])
             grads_c[idx[good]] = g
             todo[idx[good]] = False
         step[todo] /= 8.0
-    if todo.any():
-        raise MarginError(
-            f"{int(todo.sum())} stencil point(s) exit the projected domain even at "
-            f"step {float(step.min()):g}; move y inward or shrink fd_step"
-        )
-    return grads_c @ B  # ambient gradients, orthogonal to h by construction
+        if float(step[todo].max(initial=0.0)) < 1e-10:
+            break
+    return grads_c @ basis, ~todo  # ambient gradients, orthogonal to h
 
 
 def boundary_classify(
@@ -496,8 +499,6 @@ def choose_direction(
     Returns (direction, vertical_mass EstimateWithError). Raises
     DegenerateDirectionError when every candidate exceeds mass 0.5.
     """
-    from .surface import EstimateWithError
-
     candidates = [as_direction(np.asarray(c, dtype=float), dim=body.dim) for c in candidates]
     if not candidates:
         raise ParameterError("candidates must be nonempty")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,18 +33,11 @@ from .graphs import (
     default_direction_candidates,
     graph_value_and_gradient,
 )
-from .space import (
-    GaussianModel,
-    TestFunction,
-    adjoint_derivative,
-    as_direction,
-    map_chunks,
-)
-from .surface import Budget, EstimateWithError, graph_surface_integral
+from .space import TestFunction, adjoint_derivative, as_direction, map_chunks
+from .surface import Budget, EstimateWithError, _check_vertical_mass, graph_surface_integral
 
 __all__ = [
     "VerificationReport",
-    "IbpConfig",
     "lhs_volume_integral",
     "rhs_surface_integral",
     "verify_ibp",
@@ -179,7 +172,8 @@ class VerificationReport:
 
     verdict: 'pass' when |lhs-rhs| <= tolerance, 'fail' otherwise, and
     'inconclusive' when the tolerance itself dwarfs the signal
-    (tolerance > 0.25 * max(|lhs|, |rhs|, 0.01)).
+    (tolerance > 0.25 * max(|lhs|, |rhs|, 0.01)). The tolerance is the
+    configured one, else three times the summed standard errors.
     """
 
     lhs: EstimateWithError
@@ -193,7 +187,6 @@ class VerificationReport:
     def from_estimates(
         lhs: EstimateWithError,
         rhs: EstimateWithError,
-        tol_factor: float = 3.0,
         configured_tol: Optional[float] = None,
         metadata: Optional[dict] = None,
     ) -> "VerificationReport":
@@ -201,7 +194,7 @@ class VerificationReport:
         tol = (
             configured_tol
             if configured_tol is not None
-            else tol_factor * (lhs.std_error + rhs.std_error)
+            else 3.0 * (lhs.std_error + rhs.std_error)
         )
         noise_floor = 0.25 * max(abs(lhs.value), abs(rhs.value), 0.01)
         if tol > noise_floor:
@@ -220,20 +213,6 @@ class VerificationReport:
         )
 
 
-@dataclass(frozen=True)
-class IbpConfig:
-    samples: int = 200_000
-    seed: int = 0
-    budget: Budget = field(default_factory=Budget)
-    h: Optional[np.ndarray] = None
-    candidates: Optional[Sequence] = None
-    tol_factor: float = 3.0
-    configured_tol: Optional[float] = None
-    threads: int = 1
-    fd_step: float = 1e-5
-    check_vertical: bool = True
-
-
 # ----------------------------------------------------------------- integrals
 
 
@@ -241,18 +220,18 @@ def lhs_volume_integral(
     body: ConvexBody,
     psi: TestFunction,
     k,
-    model: Optional[GaussianModel] = None,
-    samples: int = 200_000,
+    budget=None,
     seed: int = 0,
-    threads: int = 1,
-    fd_step: float = 1e-5,
 ) -> EstimateWithError:
     """Monte Carlo estimate of the volume integral of the adjoint derivative
-    of psi along k over the body, against the ambient Gaussian.
+    of psi along k over the body, against the ambient Gaussian, from
+    budget.samples draws on budget.threads workers (central differences of
+    step budget.fd_step when psi has no analytic gradient).
 
     Uses the indicator estimator E[1_body * (d_k psi - psi <k, x>)]; the
     acceptance rate is pre-flighted and MassError raised below 1e-3.
     """
+    budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
     rng = np.random.default_rng([seed, 999983])
     pre = rng.standard_normal((PREFLIGHT_SAMPLES, body.dim))
@@ -266,11 +245,11 @@ def lhs_volume_integral(
     def chunk(idx, size):
         crng = np.random.default_rng([seed, idx])
         x = crng.standard_normal((size, body.dim))
-        vals = adjoint_derivative(psi, k, x, fd_step=fd_step)
+        vals = adjoint_derivative(psi, k, x, fd_step=budget.fd_step)
         vals = np.where(body.contains(x), vals, 0.0)
         return np.array([np.sum(vals), np.sum(vals * vals), size])
 
-    stats = np.sum(map_chunks(chunk, samples, threads=threads), axis=0)
+    stats = np.sum(map_chunks(chunk, budget.samples, threads=budget.threads), axis=0)
     total, total_sq, n = stats
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
@@ -285,18 +264,6 @@ def lhs_volume_integral(
     )
 
 
-def _vertical_mass_guard(body, pair, budget, seed, max_vertical_mass):
-    _, vmass = choose_direction(
-        body, [pair.direction], boundary_samples=budget.boundary_samples, seed=seed
-    )
-    if vmass.value - 3.0 * vmass.std_error > max_vertical_mass:
-        raise DirectionError(
-            f"vertical boundary mass {vmass.value:.3f} exceeds {max_vertical_mass}; "
-            "re-run with a transverse direction"
-        )
-    return vmass
-
-
 def rhs_surface_integral(
     body: ConvexBody,
     pair: GraphPair,
@@ -305,7 +272,6 @@ def rhs_surface_integral(
     budget=None,
     seed: int = 0,
     check_vertical: bool = True,
-    max_vertical_mass: float = 0.01,
 ) -> EstimateWithError:
     """Boundary integral of psi * (d_k p)/|grad p| via the graph normals:
     the upper-graph term carries +<nu_upper, k>, the lower-graph term
@@ -317,7 +283,7 @@ def rhs_surface_integral(
             "no finite graph along this direction; pick a transverse one"
         )
     if check_vertical:
-        _vertical_mass_guard(body, pair, budget, seed, max_vertical_mass)
+        _check_vertical_mass(body, pair.direction, budget, seed)
     total = None
     for which, sign, finite in (
         ("upper", +1.0, pair.f_finite),
@@ -336,41 +302,41 @@ def rhs_surface_integral(
     return total
 
 
-def verify_ibp(body: ConvexBody, psi: TestFunction, k, config=None) -> VerificationReport:
+def verify_ibp(
+    body: ConvexBody,
+    psi: TestFunction,
+    k,
+    budget=None,
+    seed: int = 0,
+    h=None,
+    candidates=None,
+    tol: Optional[float] = None,
+) -> VerificationReport:
     """Run both sides of the boundary integration-by-parts identity and
-    compare them at the configured tolerance."""
-    cfg = config if isinstance(config, IbpConfig) else IbpConfig(**(config or {}))
+    compare them at tolerance `tol` (default: three summed standard errors).
+
+    Without `h` the graph direction is chosen among `candidates` (default:
+    the coordinate axes plus random directions) by least vertical mass.
+    """
+    budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
-    if cfg.h is not None:
-        h = as_direction(np.asarray(cfg.h, dtype=float), dim=body.dim)
+    if h is not None:
+        h = as_direction(np.asarray(h, dtype=float), dim=body.dim)
         vertical_mass = None
     else:
-        cands = (
-            cfg.candidates
-            if cfg.candidates is not None
-            else default_direction_candidates(body.dim, seed=cfg.seed)
-        )
+        if candidates is None:
+            candidates = default_direction_candidates(body.dim, seed=seed)
         h, vertical_mass = choose_direction(
-            body, cands, boundary_samples=cfg.budget.boundary_samples, seed=cfg.seed
+            body, candidates, boundary_samples=budget.boundary_samples, seed=seed
         )
-    pair = decompose(body, h, seed=cfg.seed)
-    lhs = lhs_volume_integral(
-        body,
-        psi,
-        k,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        fd_step=cfg.fd_step,
-    )
+    pair = decompose(body, h, seed=seed)
+    lhs = lhs_volume_integral(body, psi, k, budget=budget, seed=seed)
+    # a chosen direction already carries its vertical-mass estimate; a given
+    # one is checked by the right side after its finite-graph check
+    if vertical_mass is not None:
+        _check_vertical_mass(body, h, budget, seed, vertical_mass)
     rhs = rhs_surface_integral(
-        body,
-        pair,
-        psi,
-        k,
-        budget=cfg.budget,
-        seed=cfg.seed,
-        check_vertical=cfg.check_vertical,
+        body, pair, psi, k, budget=budget, seed=seed, check_vertical=vertical_mass is None
     )
     metadata = {
         "body": body.spec or {"shape": body.shape_tag},
@@ -378,15 +344,13 @@ def verify_ibp(body: ConvexBody, psi: TestFunction, k, config=None) -> Verificat
         "k": [float(v) for v in k],
         "h": [float(v) for v in h],
         "dim": body.dim,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
+        "seed": seed,
+        "samples": budget.samples,
         "case": pair.case_tag,
     }
     if vertical_mass is not None:
         metadata["vertical_mass"] = vertical_mass.value
-    return VerificationReport.from_estimates(
-        lhs, rhs, tol_factor=cfg.tol_factor, configured_tol=cfg.configured_tol, metadata=metadata
-    )
+    return VerificationReport.from_estimates(lhs, rhs, configured_tol=tol, metadata=metadata)
 
 
 def gradient_formula_check(
@@ -449,9 +413,6 @@ def vector_measure_check(
     k,
     budget=None,
     seed: int = 0,
-    samples: int = 200_000,
-    tol_factor: float = 3.0,
-    threads: int = 1,
 ) -> VerificationReport:
     """Check the signed-measure representation of the indicator's weak
     gradient: the volume integral of the adjoint derivative of phi equals
@@ -459,9 +420,7 @@ def vector_measure_check(
     own graph normal."""
     budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
-    lhs = lhs_volume_integral(
-        body, phi, k, samples=samples, seed=seed, threads=threads
-    )
+    lhs = lhs_volume_integral(body, phi, k, budget=budget, seed=seed)
     zero = EstimateWithError(0.0, 0.0, 0, seed, "closed_form")
     upper = (
         graph_surface_integral(
@@ -487,4 +446,4 @@ def vector_measure_check(
         "lower_term": lower.value,
         "case": pair.case_tag,
     }
-    return VerificationReport.from_estimates(lhs, rhs, tol_factor=tol_factor, metadata=metadata)
+    return VerificationReport.from_estimates(lhs, rhs, metadata=metadata)

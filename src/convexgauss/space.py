@@ -19,8 +19,10 @@ from .errors import DomainError, ParameterError
 
 SAMPLE_CHUNK = 1 << 16
 DEFAULT_FD_STEP = 1e-5
+DETERMINISTIC_METHODS = ("gauss_hermite", "polar", "closed_form")
 
 __all__ = [
+    "EstimateWithError",
     "GaussianModel",
     "TestFunction",
     "as_direction",
@@ -63,6 +65,50 @@ class GaussianModel:
             if any(b > a for a, b in zip(prof, prof[1:])):
                 raise ParameterError("spectral_profile must be non-increasing")
             object.__setattr__(self, "spectral_profile", prof)
+
+
+@dataclass(frozen=True)
+class EstimateWithError:
+    """A numerical estimate with its uncertainty and reproducibility data."""
+
+    value: float
+    std_error: float
+    n_samples: int
+    seed: int
+    method: str
+    details: Optional[dict] = None
+
+    def __post_init__(self):
+        if self.std_error < 0:
+            raise ParameterError("std_error must be nonnegative")
+        if self.method in DETERMINISTIC_METHODS and self.std_error != 0.0:
+            raise ParameterError(f"method {self.method} must report std_error 0")
+        if self.method not in DETERMINISTIC_METHODS and self.method != "monte_carlo":
+            raise ParameterError(f"unknown method {self.method!r}")
+
+    def __add__(self, other: "EstimateWithError") -> "EstimateWithError":
+        method = (
+            "monte_carlo"
+            if "monte_carlo" in (self.method, other.method)
+            else ("polar" if "polar" in (self.method, other.method) else self.method)
+        )
+        return EstimateWithError(
+            value=self.value + other.value,
+            std_error=math.hypot(self.std_error, other.std_error),
+            n_samples=max(self.n_samples, other.n_samples),
+            seed=self.seed,
+            method=method,
+        )
+
+    def scaled(self, factor: float) -> "EstimateWithError":
+        return EstimateWithError(
+            value=factor * self.value,
+            std_error=abs(factor) * self.std_error,
+            n_samples=self.n_samples,
+            seed=self.seed,
+            method=self.method,
+            details=self.details,
+        )
 
 
 def brownian_kl_profile(n: int) -> tuple:

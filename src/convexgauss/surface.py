@@ -18,14 +18,16 @@ Minkowski-content perimeter oracle.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .bodies import ConvexBody
+from . import space
+from .bodies import ConvexBody, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -33,11 +35,17 @@ from .errors import (
     ParameterError,
     UnsupportedOrderError,
 )
-from .graphs import GraphPair, _golden_min_gauge, _section_endpoints
-from .space import GaussianModel, gaussian_density, map_chunks, sample_gaussian
+from .graphs import (
+    GraphPair,
+    _golden_min_gauge,
+    _section_endpoints,
+    _stencil_gradient,
+    choose_direction,
+)
+from .space import EstimateWithError, gaussian_density, map_chunks, sample_gaussian
 
-DETERMINISTIC_METHODS = ("gauss_hermite", "polar", "closed_form")
 DOMAIN_TRUNCATION_RADIUS = 12.0  # Gaussian tail mass beyond is < 1e-30
+MAX_VERTICAL_MASS = 0.01  # boundary share a graph route may leave unparameterized
 
 __all__ = [
     "EstimateWithError",
@@ -52,52 +60,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EstimateWithError:
-    """A numerical estimate with its uncertainty and reproducibility data."""
-
-    value: float
-    std_error: float
-    n_samples: int
-    seed: int
-    method: str
-    details: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ParameterError("std_error must be nonnegative")
-        if self.method in DETERMINISTIC_METHODS and self.std_error != 0.0:
-            raise ParameterError(f"method {self.method} must report std_error 0")
-        if self.method not in DETERMINISTIC_METHODS and self.method != "monte_carlo":
-            raise ParameterError(f"unknown method {self.method!r}")
-
-    def __add__(self, other: "EstimateWithError") -> "EstimateWithError":
-        method = (
-            "monte_carlo"
-            if "monte_carlo" in (self.method, other.method)
-            else ("polar" if "polar" in (self.method, other.method) else self.method)
-        )
-        return EstimateWithError(
-            value=self.value + other.value,
-            std_error=math.hypot(self.std_error, other.std_error),
-            n_samples=max(self.n_samples, other.n_samples),
-            seed=self.seed,
-            method=method,
-        )
-
-    def scaled(self, factor: float) -> "EstimateWithError":
-        return EstimateWithError(
-            value=factor * self.value,
-            std_error=abs(factor) * self.std_error,
-            n_samples=self.n_samples,
-            seed=self.seed,
-            method=self.method,
-            details=self.details,
-        )
-
-
-@dataclass(frozen=True)
 class Budget:
-    """Resolution knobs for the estimators; any field may come from a dict."""
+    """Resolution knobs for the estimators; any field may come from a dict.
+
+    Counts and grid sizes must be positive integers, fd_step a positive
+    number; a bad field raises ParameterError naming it.
+    """
 
     samples: int = 200_000
     quadrature_order: int = 64
@@ -112,6 +80,28 @@ class Budget:
     fd_step: float = 1e-5
     threads: int = 1
 
+    def __post_init__(self):
+        counts = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
+        for name in ("sphere_grid", "inner_sphere_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (tuple, list)) or len(grid) != 2:
+                raise ParameterError(
+                    f"budget.{name} must be a pair of positive integers, got {grid!r}"
+                )
+            counts += [(name, value) for value in grid]
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ParameterError(
+                    f"budget.{name} must be a positive integer, got {value!r}"
+                )
+        eps = self.epsilons
+        if not isinstance(eps, (tuple, list)) or not all(isinstance(e, numbers.Real) for e in eps):
+            raise ParameterError(f"budget.epsilons must be a list of numbers, got {eps!r}")
+        if not (isinstance(self.fd_step, numbers.Real) and 0 < self.fd_step < math.inf):
+            raise ParameterError(
+                f"budget.fd_step must be a positive number, got {self.fd_step!r}"
+            )
+
     @staticmethod
     def from_any(budget) -> "Budget":
         if budget is None:
@@ -125,7 +115,7 @@ class Budget:
                 raise ParameterError(f"unknown budget fields: {sorted(bad)}")
             clean = dict(budget)
             for key in ("epsilons", "sphere_grid", "inner_sphere_grid"):
-                if key in clean:
+                if np.ndim(clean.get(key)) == 1:
                     clean[key] = tuple(clean[key])
             return Budget(**clean)
         raise ParameterError(f"budget must be a Budget or dict, got {type(budget)}")
@@ -188,42 +178,6 @@ def _body_graph_values(pair, which, Y, t_hint=None):
     return vals, nonempty
 
 
-def _body_graph_gradients(pair, which, Y, fd_steps, t_hint=None):
-    """In-plane central-difference gradients of the section endpoint.
-
-    Returns (ambient gradients (N, n), ok mask); rows where even the smallest
-    shrunken stencil leaves the domain are flagged instead of raised so
-    integrators can drop their (negligible-weight) nodes.
-    """
-    B = pair.basis
-    N, d = Y.shape[0], B.shape[0]
-    grads_c = np.full((N, d), np.nan)
-    step = np.asarray(fd_steps, dtype=float) * np.ones(N)
-    todo = np.ones(N, dtype=bool)
-    for _ in range(7):
-        if not todo.any():
-            break
-        idx = np.flatnonzero(todo)
-        offsets = np.stack([B, -B], axis=0)  # (2, d, n)
-        stencil = (
-            Y[idx][:, None, None, :] + offsets[None, :, :, :] * step[idx, None, None, None]
-        ).reshape(-1, Y.shape[1])
-        hint = None
-        if t_hint is not None:
-            hint = np.repeat(t_hint[idx], 2 * d)
-        vals, ok = _body_graph_values(pair, which, stencil, t_hint=hint)
-        vals = vals.reshape(len(idx), 2, d)
-        good = np.isfinite(vals).all(axis=(1, 2))
-        if good.any():
-            g = (vals[good, 0, :] - vals[good, 1, :]) / (2.0 * step[idx[good], None])
-            grads_c[idx[good]] = g
-            todo[idx[good]] = False
-        step[todo] /= 8.0
-        if float(step[todo].max(initial=0.0)) < 1e-10:
-            break
-    return grads_c @ B, ~todo
-
-
 def _function_graph_values_gradients(pair, Y, fd_step):
     """Values/gradients for analytically-given graphs (upper only)."""
     vals = pair.f_eval(Y)
@@ -261,20 +215,18 @@ def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, t_hint=None):
         gok = np.zeros(Y.shape[0], dtype=bool)
         if finite.any():
             idx = np.flatnonzero(finite)
-            g, ok2 = _body_graph_gradients(
-                pair,
-                which,
+            g, ok2 = _stencil_gradient(
+                pair.basis,
+                lambda pts, hint: _body_graph_values(pair, which, pts, t_hint=hint)[0],
                 Y[idx],
-                np.asarray(fd_steps)[idx] if np.ndim(fd_steps) else fd_steps,
+                fd_steps[idx],
                 t_hint=_inside_hint(pair, Y[idx], which, vals[idx], t_hint, idx),
             )
             grads[idx] = np.where(np.isfinite(g), g, 0.0)
             gok[idx] = ok2
         usable = finite & gok
     else:
-        vals, grads, usable = _function_graph_values_gradients(
-            pair, Y, float(np.min(fd_steps)) if np.ndim(fd_steps) else fd_steps
-        )
+        vals, grads, usable = _function_graph_values_gradients(pair, Y, float(np.min(fd_steps)))
     out = np.zeros(Y.shape[0])
     if usable.any():
         idx = np.flatnonzero(usable)
@@ -352,10 +304,10 @@ def _polar_graph_estimate(pair, which, integrand2, budget: Budget, seed: int):
 
 
 def _gh_graph_estimate(pair, which, integrand2, budget: Budget, seed: int):
-    from .space import gauss_hermite_nodes
-
     d = pair.basis.shape[0]
-    nodes_c, w = gauss_hermite_nodes(budget.quadrature_order, d)
+    # looked up on the module at call time, so a wrapper installed there
+    # (the benchmark's tracer) sees the call
+    nodes_c, w = space.gauss_hermite_nodes(budget.quadrature_order, d)
     Y = nodes_c @ pair.basis
     fd = np.full(Y.shape[0], budget.fd_step)
     contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd)
@@ -395,7 +347,6 @@ def graph_surface_integral(
     pair: GraphPair,
     which: str,
     integrand2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    model: Optional[GaussianModel] = None,
     budget=None,
     seed: int = 0,
 ) -> EstimateWithError:
@@ -419,7 +370,6 @@ def area_formula_integral(
     pair: GraphPair,
     which: str,
     integrand: Optional[Callable[[np.ndarray], np.ndarray]],
-    model: Optional[GaussianModel] = None,
     budget=None,
     seed: int = 0,
 ) -> EstimateWithError:
@@ -430,12 +380,11 @@ def area_formula_integral(
         fn = lambda x, nu: np.ones(x.shape[0])
     else:
         fn = lambda x, nu: np.asarray(integrand(x), dtype=float)
-    return graph_surface_integral(pair, which, fn, model=model, budget=budget, seed=seed)
+    return graph_surface_integral(pair, which, fn, budget=budget, seed=seed)
 
 
 def epigraph_perimeter(
     graph,
-    model: Optional[GaussianModel] = None,
     budget=None,
     seed: int = 0,
     which: str = "upper",
@@ -443,7 +392,7 @@ def epigraph_perimeter(
     """Gaussian perimeter of the region above a graph, inside its cylinder:
     the area-formula integral with integrand 1. `graph` is a GraphPair (use
     function_graph for an analytically given function)."""
-    return area_formula_integral(graph, which, None, model=model, budget=budget, seed=seed)
+    return area_formula_integral(graph, which, None, budget=budget, seed=seed)
 
 
 def _inner_center(body, F, Ys, z0, reach):
@@ -461,16 +410,13 @@ def _inner_center(body, F, Ys, z0, reach):
     return z
 
 
-def _section_dir_bisect(body, X, u, reach, iters=60):
+def _section_dir_bisect(body, X, u, reach):
     """Distance from inside points X to the boundary along +u (clipped)."""
-    lo = np.zeros(X.shape[0])
     hi = np.full(X.shape[0], reach)
     far_inside = body.contains(X + hi[:, None] * u)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        inside = body.contains(X + mid[:, None] * u)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+    lo, hi = bisect(
+        lambda t: body.contains(X + t[:, None] * u), np.zeros(X.shape[0]), hi, steps=60
+    )
     out = 0.5 * (lo + hi)
     out[far_inside] = reach
     return out
@@ -483,7 +429,6 @@ def subspace_hausdorff(
     budget=None,
     seed: int = 0,
     h=None,
-    samples: Optional[int] = None,
 ) -> EstimateWithError:
     """Boundary measure through an m-dimensional subspace F (orthonormal rows,
     1 <= m <= 3): outer Monte Carlo over the complementary Gaussian, inner
@@ -514,7 +459,7 @@ def subspace_hausdorff(
         Ys = np.zeros((1, n))
         n_samples = 1
     else:
-        n_samples = samples if samples is not None else budget.subspace_samples
+        n_samples = budget.subspace_samples
         X = sample_gaussian(n, n_samples, seed, threads=budget.threads)
         Ys = X - (X @ F.T) @ F
 
@@ -558,7 +503,7 @@ def subspace_hausdorff(
             for endpoint in (up, lo):
                 zpts = endpoint[:, None] * F[0]
                 finite = np.abs(endpoint - z_in) < reach * (1 - 1e-9)
-                weight = _gm(m, endpoint[:, None])
+                weight = gaussian_density(m, endpoint[:, None])
                 if region is not None:
                     weight = weight * np.asarray(
                         region(Ys[act] + zpts), dtype=float
@@ -584,10 +529,6 @@ def subspace_hausdorff(
     )
 
 
-def _gm(m, z):
-    return gaussian_density(m, z)
-
-
 def _inner_polar_boundary(body, F, Ys, zc, region, budget: Budget, reach):
     """Inner boundary integral of G_m over each section, polar around zc."""
     m = F.shape[0]
@@ -606,7 +547,7 @@ def _inner_polar_boundary(body, F, Ys, zc, region, budget: Budget, reach):
         r = _section_dir_bisect(body, centers, dirs, reach).reshape(nb, K)
         # unreached rays (unbounded section): the Gaussian factor kills them
         zbnd = zb[:, None, :] + r[:, :, None] * U[None, :, :]
-        gm = _gm(m, zbnd.reshape(-1, m)).reshape(nb, K)
+        gm = gaussian_density(m, zbnd.reshape(-1, m)).reshape(nb, K)
         if region is not None:
             amb = centers + r.reshape(-1)[:, None] * dirs
             gm = gm * np.asarray(region(amb), dtype=float).reshape(nb, K)
@@ -639,12 +580,27 @@ def _periodic_gradient(r, dx):
     return (np.roll(r, -1, axis=-1) - np.roll(r, 1, axis=-1)) / (2.0 * dx)
 
 
+def _check_vertical_mass(body, h, budget: Budget, seed: int, vmass=None):
+    """Raise DirectionError when the boundary set vertical to h carries more
+    than MAX_VERTICAL_MASS of the surface measure beyond three standard
+    errors. vmass, when given, is choose_direction's estimate for h and is
+    used instead of ray-casting the boundary again."""
+    if vmass is None:
+        _, vmass = choose_direction(
+            body, [h], boundary_samples=budget.boundary_samples, seed=seed
+        )
+    if vmass.value - 3.0 * vmass.std_error > MAX_VERTICAL_MASS:
+        raise DirectionError(
+            f"vertical boundary mass {vmass.value:.3f} exceeds {MAX_VERTICAL_MASS}; "
+            "choose a transverse direction"
+        )
+
+
 def total_boundary_measure(
     body: ConvexBody,
     pair: GraphPair,
     budget=None,
     seed: int = 0,
-    max_vertical_mass: float = 0.01,
     check_vertical: bool = True,
 ) -> EstimateWithError:
     """Total Gaussian surface measure of the boundary: the sum of the
@@ -661,16 +617,7 @@ def total_boundary_measure(
             "pick a transverse direction"
         )
     if check_vertical and body.bounded:
-        from .graphs import choose_direction
-
-        _, vmass = choose_direction(
-            body, [pair.direction], boundary_samples=budget.boundary_samples, seed=seed
-        )
-        if vmass.value - 3.0 * vmass.std_error > max_vertical_mass:
-            raise DirectionError(
-                f"vertical boundary mass {vmass.value:.3f} exceeds {max_vertical_mass}; "
-                "choose a different direction"
-            )
+        _check_vertical_mass(body, pair.direction, budget, seed)
     total = None
     for which, finite in (("upper", pair.f_finite), ("lower", pair.g_finite)):
         if not finite:
@@ -681,20 +628,19 @@ def total_boundary_measure(
 
 
 def minkowski_content_perimeter(
-    body: ConvexBody,
-    epsilons: Sequence[float] = (0.08, 0.05, 0.03, 0.02),
-    samples: int = 400_000,
-    seed: int = 0,
-    threads: int = 1,
+    body: ConvexBody, budget=None, seed: int = 0
 ) -> EstimateWithError:
     """Independent perimeter oracle: Gaussian content of epsilon-shells
     (gamma(body_eps) - gamma(body))/eps extrapolated to eps -> 0, with common
-    random numbers across the epsilon grid.
+    random numbers across the epsilon grid. The shells are budget.epsilons,
+    sampled with budget.samples draws on budget.threads workers.
 
     Requires an exact Euclidean distance oracle on the body (all shipped
     shapes provide one).
     """
-    eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
+    budget = Budget.from_any(budget)
+    samples = budget.samples
+    eps = np.asarray(sorted(budget.epsilons, reverse=True), dtype=float)
     if len(eps) < 3:
         raise ParameterError("need at least 3 epsilon values")
     if np.any(eps <= 0) or np.any(eps > 0.1):
@@ -712,7 +658,7 @@ def minkowski_content_perimeter(
         d = np.asarray(body.distance_outside(x))
         return np.array([np.sum((d > 0) & (d < e)) for e in eps])
 
-    counts = np.sum(map_chunks(chunk_stats, samples, threads=threads), axis=0)
+    counts = np.sum(map_chunks(chunk_stats, samples, threads=budget.threads), axis=0)
     p_shell = counts / samples
     m = p_shell / eps
     se_m = np.sqrt(np.maximum(p_shell * (1 - p_shell), 1.0 / samples) / samples) / eps

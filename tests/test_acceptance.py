@@ -36,7 +36,7 @@ def test_criterion_1_halfspace_ibp():
     checks = []
     for psi, k, target in cases:
         rep = cg.verify_ibp(
-            body, psi, k, {"samples": 1_000_000, "seed": 2024, "h": E1_3}
+            body, psi, k, budget={"samples": 1_000_000}, seed=2024, h=E1_3
         )
         ok = rep.abs_diff <= 3.0 * (rep.lhs.std_error + rep.rhs.std_error) + 1e-9
         if target is not None:
@@ -55,7 +55,7 @@ def test_criterion_2_ball_perimeter():
     disk = cg.ball(1.0, 2)
     pair = cg.decompose(disk, E2_2)
     graph = cg.total_boundary_measure(disk, pair, seed=7)
-    content = cg.minkowski_content_perimeter(disk, samples=400_000, seed=7)
+    content = cg.minkowski_content_perimeter(disk, budget={"samples": 400_000}, seed=7)
     elapsed = time.perf_counter() - t0
     ok_graph = abs(graph.value - DISK_PERIM) <= 0.01 * DISK_PERIM
     ok_content = abs(content.value - DISK_PERIM) <= 0.02 * DISK_PERIM
@@ -183,7 +183,7 @@ def test_criterion_7_oracle_cross_agreement():
                 body, pair, budget=budget, seed=700 + dim, check_vertical=False
             )
             content = cg.minkowski_content_perimeter(
-                body, samples=300_000, seed=701 + dim
+                body, budget={"samples": 300_000}, seed=701 + dim
             )
             tol = max(
                 3.0 * (graph.std_error + content.std_error),
@@ -202,7 +202,7 @@ def test_criterion_8_vector_measure_signs():
     slab = cg.slab([1.0, 0.0], 1.0)
     pair = cg.decompose(slab, E1_2)
     report = cg.vector_measure_check(
-        slab, pair, cg.constant(1.0), E1_2, seed=80, samples=400_000
+        slab, pair, cg.constant(1.0), E1_2, seed=80, budget={"samples": 400_000}
     )
     combined = 3.0 * (report.lhs.std_error + report.rhs.std_error)
     ok = abs(report.lhs.value) <= combined and abs(report.rhs.value) <= 1e-9

@@ -255,6 +255,27 @@ def test_loader_rejects_unknown_shape_and_bad_fields():
         cg.load_body_spec({"shape": "ellipsoid", "semiaxes": [1.0, -2.0]}, dim=2)
 
 
+def test_distance_oracles_keep_batch_shape_for_one_row():
+    shipped = [
+        cg.ball(1.0, 2),
+        cg.ellipsoid([1.0, 0.6]),
+        cg.halfspace([1.0, 0.0], 1.0),
+        cg.slab([1.0, 0.0], 1.0),
+        cg.polytope([{"normal": e, "offset": 1.0} for e in np.vstack([np.eye(2), -np.eye(2)])]),
+        cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]),
+        cg.translate(cg.ball(1.0, 2), [0.5, 0.0]),
+        cg.kl_ellipsoid(3),
+        cg.random_polytope(3, 8, 0),
+    ]
+    for body in shipped:
+        far = np.full((1, body.dim), 10.0)
+        d = body.distance_outside(far)
+        assert isinstance(d, np.ndarray) and d.shape == (1,), body.shape_tag
+        assert d[0] > 0.0
+        assert d[0] == body.distance_outside(np.vstack([far, far]))[0]
+        assert np.ndim(body.distance_outside(far[0])) == 0
+
+
 def test_distance_oracles_match_projection():
     rng = np.random.default_rng(21)
     x = rng.uniform(-3, 3, size=(40, 2))

@@ -67,6 +67,25 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
     assert "face list" in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, overrides, field",
+    [
+        ("density", {"density": {"points": [[0.9, 0.0, 0.0]]}}, "density.points"),
+        ("surface", {"subspaces": [[0], [0, 2]]}, "subspaces[1]"),
+        ("perimeter", {"budgets": {"samples": "many"}}, "budget.samples"),
+    ],
+    ids=["density_point_dim", "subspace_axis_range", "budget_count"],
+)
+def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
+    cfg = _load("perimeter_ball.json", **overrides)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     cfg = _load("perimeter_ball.json")
     del cfg["seed"]

@@ -22,13 +22,17 @@ E1_3, E2_3 = np.eye(3)[0], np.eye(3)[1]
 
 
 def test_lhs_halfspace_constant(halfspace3):
-    est = cg.lhs_volume_integral(halfspace3, cg.constant(1.0), E1_3, samples=400_000, seed=1)
+    est = cg.lhs_volume_integral(
+        halfspace3, cg.constant(1.0), E1_3, budget={"samples": 400_000}, seed=1
+    )
     # oracle: -int_{-inf}^{1} t phi(t) dt = phi(1)
     assert abs(est.value - G1_AT_1) <= 3 * est.std_error
 
 
 def test_lhs_ball_constant_odd_symmetry(ball3):
-    est = cg.lhs_volume_integral(ball3, cg.constant(1.0), E1_3, samples=200_000, seed=2)
+    est = cg.lhs_volume_integral(
+        ball3, cg.constant(1.0), E1_3, budget={"samples": 200_000}, seed=2
+    )
     assert abs(est.value) <= 3 * est.std_error
 
 
@@ -38,14 +42,16 @@ def test_lhs_halfspace_coordinate(halfspace3):
     c = 1.0
     oracle = stats.norm.cdf(c) - (stats.norm.cdf(c) - c * stats.norm.pdf(c))
     assert oracle == pytest.approx(G1_AT_1, abs=1e-12)
-    est = cg.lhs_volume_integral(halfspace3, cg.coordinate(0), E1_3, samples=400_000, seed=3)
+    est = cg.lhs_volume_integral(
+        halfspace3, cg.coordinate(0), E1_3, budget={"samples": 400_000}, seed=3
+    )
     assert abs(est.value - oracle) <= 3 * est.std_error
 
 
 def test_lhs_rejects_negligible_mass():
     tiny = cg.ball(0.02, 2)
     with pytest.raises(MassError):
-        cg.lhs_volume_integral(tiny, cg.constant(1.0), E1_2, samples=10_000, seed=4)
+        cg.lhs_volume_integral(tiny, cg.constant(1.0), E1_2, budget={"samples": 10_000}, seed=4)
 
 
 # ----------------------------------------------------------- surface integral
@@ -78,7 +84,9 @@ def test_verify_halfspace_closed_form(halfspace3):
         halfspace3,
         cg.constant(1.0),
         E1_3,
-        {"samples": 400_000, "seed": 8, "h": E1_3},
+        budget={"samples": 400_000},
+        seed=8,
+        h=E1_3,
     )
     assert report.verdict == "pass"
     assert abs(report.lhs.value - G1_AT_1) <= 3 * report.lhs.std_error
@@ -90,7 +98,9 @@ def test_verify_ball3_tanh(ball3):
         ball3,
         cg.tanh_of([1.0, 1.0, 0.0]),
         E2_3,
-        {"samples": 400_000, "seed": 9, "h": np.array([0.0, 0.0, 1.0])},
+        budget={"samples": 400_000},
+        seed=9,
+        h=np.array([0.0, 0.0, 1.0]),
     )
     assert report.verdict == "pass"
 
@@ -101,7 +111,9 @@ def test_verify_direction_invariance(disk):
             disk,
             cg.tanh_of([0.5, -1.0]),
             E1_2,
-            {"samples": 300_000, "seed": 10, "h": h},
+            budget={"samples": 300_000},
+            seed=10,
+            h=h,
         )
         for h in (E1_2, E2_2, cg.normalize_direction([1.0, 1.0]))
     ]
@@ -121,9 +133,9 @@ def test_verify_level_set_matches_shape_spec():
         outer_radius=2.0,
     )
     psi = cg.coordinate(1)  # nonzero two-sided value ~0.21
-    cfgs = {"samples": 200_000, "seed": 11, "h": E2_2}
-    ra = cg.verify_ibp(spec_body, psi, E2_2, cfgs)
-    rb = cg.verify_ibp(level_body, psi, E2_2, cfgs)
+    cfgs = {"budget": {"samples": 200_000}, "seed": 11, "h": E2_2}
+    ra = cg.verify_ibp(spec_body, psi, E2_2, **cfgs)
+    rb = cg.verify_ibp(level_body, psi, E2_2, **cfgs)
     assert ra.verdict == "pass" and rb.verdict == "pass"
     assert ra.rhs.value == pytest.approx(rb.rhs.value, abs=1e-6)
     assert ra.lhs.value == pytest.approx(rb.lhs.value, abs=1e-12)
@@ -131,16 +143,34 @@ def test_verify_level_set_matches_shape_spec():
 
 def test_verify_auto_direction(disk):
     report = cg.verify_ibp(
-        disk, cg.tanh_of([1.0, 0.0]), E1_2, {"samples": 150_000, "seed": 12}
+        disk, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 150_000}, seed=12
     )
     assert report.verdict == "pass"
     assert "vertical_mass" in report.metadata
 
 
+def test_verify_auto_direction_ray_casts_once(disk, monkeypatch):
+    calls = []
+    original = cg.graphs.ray_cast_boundary
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cg.graphs, "ray_cast_boundary", counting)
+    report = cg.verify_ibp(
+        disk, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 20_000}, seed=12
+    )
+    assert "vertical_mass" in report.metadata
+    assert len(calls) == 1
+
+
 def test_verify_zero_identity_is_inconclusive_not_fail(disk):
     # psi == 1, k = e1 on a centered ball: both sides are 0 by symmetry, so
     # the noise-dominance rule must flag the run instead of passing on luck
-    report = cg.verify_ibp(disk, cg.constant(1.0), E1_2, {"samples": 50_000, "seed": 12, "h": E2_2})
+    report = cg.verify_ibp(
+        disk, cg.constant(1.0), E1_2, budget={"samples": 50_000}, seed=12, h=E2_2
+    )
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
     assert abs(report.rhs.value) <= 1e-8
     assert report.verdict == "inconclusive"
@@ -236,7 +266,7 @@ def test_two_rhs_routes_agree_pointwise(disk):
 def test_vector_measure_slab_cancellation(slab2):
     pair = cg.decompose(slab2, E1_2)
     report = cg.vector_measure_check(
-        slab2, pair, cg.constant(1.0), E1_2, seed=13, samples=200_000
+        slab2, pair, cg.constant(1.0), E1_2, seed=13, budget={"samples": 200_000}
     )
     # both graph terms equal G1(1) and cancel in the signed assembly
     assert report.metadata["upper_term"] == pytest.approx(G1_AT_1, rel=1e-9)
@@ -248,7 +278,7 @@ def test_vector_measure_slab_cancellation(slab2):
 def test_vector_measure_orthogonal_direction(halfspace3):
     pair = cg.decompose(halfspace3, E1_3)
     report = cg.vector_measure_check(
-        halfspace3, pair, cg.constant(1.0), E2_3, seed=14, samples=100_000
+        halfspace3, pair, cg.constant(1.0), E2_3, seed=14, budget={"samples": 100_000}
     )
     assert abs(report.rhs.value) <= 1e-9
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
@@ -257,7 +287,7 @@ def test_vector_measure_orthogonal_direction(halfspace3):
 def test_vector_measure_ball_coordinate(disk):
     pair = cg.decompose(disk, E2_2)
     report = cg.vector_measure_check(
-        disk, pair, cg.coordinate(1), E2_2, seed=15, samples=400_000
+        disk, pair, cg.coordinate(1), E2_2, seed=15, budget={"samples": 400_000}
     )
     assert report.verdict == "pass"
     assert report.rhs.value == pytest.approx(HALF_PERIM, rel=1e-3)

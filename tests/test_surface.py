@@ -233,25 +233,25 @@ def test_graph_integrals_finite_for_all_shapes():
 
 def test_minkowski_content_halfspace():
     hs = cg.halfspace([1.0, 0.0, 0.0], 1.0)
-    est = cg.minkowski_content_perimeter(hs, samples=300_000, seed=4)
+    est = cg.minkowski_content_perimeter(hs, budget={"samples": 300_000}, seed=4)
     assert abs(est.value - G1_AT_1) <= max(3 * est.std_error, 0.02 * G1_AT_1)
 
 
 def test_minkowski_content_disk(disk):
-    est = cg.minkowski_content_perimeter(disk, samples=300_000, seed=5)
+    est = cg.minkowski_content_perimeter(disk, budget={"samples": 300_000}, seed=5)
     assert abs(est.value - DISK_PERIM) <= max(3 * est.std_error, 0.02 * DISK_PERIM)
 
 
 def test_minkowski_content_slab(slab2):
-    est = cg.minkowski_content_perimeter(slab2, samples=300_000, seed=6)
+    est = cg.minkowski_content_perimeter(slab2, budget={"samples": 300_000}, seed=6)
     assert abs(est.value - 2 * G1_AT_1) <= max(3 * est.std_error, 0.04 * G1_AT_1)
 
 
 def test_minkowski_content_validates_epsilons(disk):
     with pytest.raises(ParameterError):
-        cg.minkowski_content_perimeter(disk, epsilons=(0.5, 0.2, 0.1))
+        cg.minkowski_content_perimeter(disk, budget={"epsilons": (0.5, 0.2, 0.1)})
     with pytest.raises(ParameterError):
-        cg.minkowski_content_perimeter(disk, epsilons=(0.05, 0.03))
+        cg.minkowski_content_perimeter(disk, budget={"epsilons": (0.05, 0.03)})
 
 
 def test_estimate_invariant_deterministic_methods_have_zero_se():
