@@ -188,16 +188,17 @@ def section_interval(
 class GraphPair:
     """Upper/lower boundary functions along a direction.
 
-    f_eval/g_eval act on batches of ambient points in the hyperplane
-    orthogonal to h and return values with +/-inf for missing graphs and nan
-    outside the projected domain. basis rows span that hyperplane.
+    values(which, Y, t_hint=None) acts on a batch Y of ambient points in the
+    hyperplane orthogonal to h and returns f ("upper") or g ("lower"), with
+    +/-inf for a missing graph and nan outside the projected domain; t_hint,
+    per-row section parameters that may lie inside the body, only speeds up
+    the section search. basis rows span that hyperplane.
     """
 
     direction: np.ndarray
     basis: np.ndarray
     case_tag: str
-    f_eval: Callable[[np.ndarray], np.ndarray]
-    g_eval: Callable[[np.ndarray], np.ndarray]
+    values: Callable[..., np.ndarray]
     domain_membership: Callable[[np.ndarray], np.ndarray]
     body: Optional[ConvexBody] = None
     section_tol: float = DEFAULT_SECTION_TOL
@@ -210,6 +211,12 @@ class GraphPair:
     @property
     def g_finite(self) -> bool:
         return self.case_tag in (CASE_BOTH_FINITE, CASE_G_FINITE_ONLY)
+
+    def f_eval(self, Y) -> np.ndarray:
+        return self.values("upper", Y)
+
+    def g_eval(self, Y) -> np.ndarray:
+        return self.values("lower", Y)
 
 
 def _sample_domain_points(body: ConvexBody, h: np.ndarray, count: int, seed: int):
@@ -275,17 +282,12 @@ def decompose(
     tag = classify_case(body, h, probes=probes, seed=seed, tol=tol)
     basis = orthonormal_complement(h)
 
-    def f_eval(Y):
+    def values(which, Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        _, upper, nonempty = _section_endpoints(body, h, Y, tol, want_lower=False)
-        upper[~nonempty] = np.nan
-        return upper
-
-    def g_eval(Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        lower, _, nonempty = _section_endpoints(body, h, Y, tol, want_upper=False)
-        lower[~nonempty] = np.nan
-        return lower
+        lower, upper, nonempty = _section_endpoints(
+            body, h, Y, tol, t_hint=t_hint, want_lower=which == "lower", want_upper=which == "upper"
+        )
+        return np.where(nonempty, upper if which == "upper" else lower, np.nan)
 
     def domain_membership(Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -296,8 +298,7 @@ def decompose(
         direction=h,
         basis=basis,
         case_tag=tag,
-        f_eval=f_eval,
-        g_eval=g_eval,
+        values=values,
         domain_membership=domain_membership,
         body=body,
         section_tol=tol,
@@ -319,16 +320,15 @@ def function_graph(
     h = as_direction(h)
     basis = orthonormal_complement(h)
 
-    def f_eval(Y):
+    def values(which, Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        vals = np.asarray(f(Y), dtype=float)
+        if which == "upper":
+            vals = np.asarray(f(Y), dtype=float)
+        else:
+            vals = np.full(Y.shape[0], -np.inf)
         if domain is not None:
             vals = np.where(np.asarray(domain(Y), bool), vals, np.nan)
         return vals
-
-    def g_eval(Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return np.full(Y.shape[0], -np.inf)
 
     def domain_membership(Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -340,8 +340,7 @@ def function_graph(
         direction=h,
         basis=basis,
         case_tag=CASE_F_FINITE_ONLY,
-        f_eval=f_eval,
-        g_eval=g_eval,
+        values=values,
         domain_membership=domain_membership,
         body=None,
         analytic_f_gradient=gradient,
@@ -367,15 +366,14 @@ def graph_value_and_gradient(
     Y = np.asarray(y, dtype=float)
     scalar = Y.ndim == 1
     Y = np.atleast_2d(Y)
-    evaluate = pair.f_eval if which == "upper" else pair.g_eval
-    vals = evaluate(Y)
+    vals = pair.values(which, Y)
     if np.any(~np.isfinite(vals)):
         raise MarginError("graph is infinite or y is outside the projected domain")
 
     if pair.analytic_f_gradient is not None and which == "upper":
         grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
     else:
-        grads, ok = _stencil_gradient(pair.basis, lambda pts, _: evaluate(pts), Y, fd_step)
+        grads, ok = _stencil_gradient(pair, which, Y, fd_step)
         if not ok.all():
             raise MarginError(
                 f"{int((~ok).sum())} stencil point(s) exit the projected domain even "
@@ -386,15 +384,17 @@ def graph_value_and_gradient(
     return vals, grads
 
 
-def _stencil_gradient(basis, evaluate, Y, steps, t_hint=None):
-    """In-plane central-difference gradients of a graph at hyperplane points Y.
+def _stencil_gradient(pair, which, Y, steps, t_hint=None):
+    """In-plane central-difference gradients of one graph of a pair at
+    hyperplane points Y.
 
-    evaluate(points, hint) returns graph values, non-finite outside the
-    domain; hint is t_hint repeated over each row's stencil, or None. A row
-    whose stencil leaves the domain retries with its step divided by 8, for
-    up to 7 tries while the step stays >= 1e-10. Returns (ambient gradients
-    (N, n), ok mask); rows that never fit are nan and flagged False.
+    Stencil values come from pair.values with t_hint repeated over each
+    row's stencil. A row whose stencil leaves the domain retries with its
+    step divided by 8, for up to 7 tries while the step stays >= 1e-10.
+    Returns (ambient gradients (N, n), ok mask); rows that never fit are nan
+    and flagged False.
     """
+    basis = pair.basis
     N, d = Y.shape[0], basis.shape[0]
     grads_c = np.full((N, d), np.nan)
     step = np.asarray(steps, dtype=float) * np.ones(N)
@@ -408,7 +408,7 @@ def _stencil_gradient(basis, evaluate, Y, steps, t_hint=None):
             Y[idx][:, None, None, :] + offsets[None, :, :, :] * step[idx, None, None, None]
         ).reshape(-1, Y.shape[1])
         hint = None if t_hint is None else np.repeat(t_hint[idx], 2 * d)
-        vals = evaluate(stencil, hint).reshape(len(idx), 2, d)
+        vals = pair.values(which, stencil, hint).reshape(len(idx), 2, d)
         good = np.isfinite(vals).all(axis=(1, 2))
         if good.any():
             g = (vals[good, 0, :] - vals[good, 1, :]) / (2.0 * step[idx[good], None])
@@ -422,28 +422,27 @@ def _stencil_gradient(basis, evaluate, Y, steps, t_hint=None):
 
 def boundary_classify(
     body: ConvexBody, pair: GraphPair, x, tol: float = 1e-10
-) -> str:
-    """Classify a boundary point as upper_graph / lower_graph / vertical.
+):
+    """Classify boundary points as upper_graph / lower_graph / vertical.
 
-    Precondition: |gauge(x) - 1| <= 10*tol. The match tolerance is 100*tol.
+    x: one point (n,), giving one label, or a batch (N, n), giving a list of
+    N labels. Precondition: |gauge(x) - 1| <= 10*tol at every point, else
+    DomainError. The match tolerance is 100*tol.
     """
-    x = np.asarray(x, dtype=float)
-    p = minkowski_functional(body, x, tol=tol)
-    if abs(p - 1.0) > 10.0 * tol:
-        raise DomainError(f"x is not near the boundary: gauge(x) = {p}")
+    X = np.asarray(x, dtype=float)
+    scalar = X.ndim == 1
+    X = np.atleast_2d(X)
+    p = minkowski_functional(body, X, tol=tol)
+    off = np.abs(p - 1.0) > 10.0 * tol
+    if off.any():
+        raise DomainError(f"x is not near the boundary: gauge(x) = {float(p[off][0])}")
     h = pair.direction
-    t = float(x @ h)
-    y = x - t * h
-    atol = 100.0 * tol
-    lower, upper, nonempty = _section_endpoints(body, h, y[None, :], pair.section_tol)
-    if not nonempty[0]:
-        return "vertical"
-    fv, gv = upper[0], lower[0]
-    if np.isfinite(fv) and abs(t - fv) <= atol:
-        return "upper_graph"
-    if np.isfinite(gv) and abs(t - gv) <= atol:
-        return "lower_graph"
-    return "vertical"
+    t = X @ h
+    lower, upper, _ = _section_endpoints(body, h, X - np.outer(t, h), pair.section_tol)
+    # empty sections give nan endpoints and missing graphs +/-inf: neither is near
+    near = lambda end: np.abs(t - end) <= 100.0 * tol
+    labels = np.where(near(upper), "upper_graph", np.where(near(lower), "lower_graph", "vertical"))
+    return str(labels[0]) if scalar else labels.tolist()
 
 
 def ray_cast_boundary(

@@ -359,51 +359,62 @@ def gradient_formula_check(
     x,
     tol: float = 1e-10,
     fd_step: float = 1e-5,
-) -> float:
+):
     """Relative deviation between the graph-based gauge gradient formula and
-    the central-difference gauge gradient at a boundary point x.
+    the central-difference gauge gradient at boundary points x.
 
     On the upper graph the formula is (-grad f(y) + h) / (f(y) - <grad f, y>);
     on the lower graph (grad g(y) - h) / (<grad g, y> - g(y)). Also enforces
     that the normalized formula equals the (signed) graph normal to 1e-6.
-    Raises DomainError at vertical points, DegeneracyError when the scaling
-    denominator vanishes.
+    x: one point (n,), giving a float, or a batch (N, n), giving (N,)
+    deviations. A batch holds nan at vertical points and where a scaling
+    denominator vanishes; a single point raises DomainError or
+    DegeneracyError there instead. OracleIntegrityError and MarginError
+    raise for the whole batch.
     """
-    x = np.asarray(x, dtype=float)
-    cls = boundary_classify(body, pair, x, tol=tol)
-    if cls == "vertical":
+    X = np.asarray(x, dtype=float)
+    scalar = X.ndim == 1
+    X = np.atleast_2d(X)
+    labels = np.asarray(boundary_classify(body, pair, X, tol=tol))
+    if scalar and labels[0] == "vertical":
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
-    t = float(x @ h)
-    y = x - t * h
-    which = "upper" if cls == "upper_graph" else "lower"
-    val, grad = graph_value_and_gradient(pair, which, y, fd_step=fd_step)
-    if which == "upper":
-        den = val - float(grad @ y)
-        formula = (h - grad) / den
-    else:
-        den = float(grad @ y) - val
-        formula = (grad - h) / den
-    if abs(den) < 1e-8:
-        raise DegeneracyError(f"gauge-formula denominator {den:.2e} is numerically zero")
-    if den < 0:
-        raise OracleIntegrityError(
-            "gauge-formula denominator must be positive on boundary graphs"
-        )
-    # normalized formula must reproduce the (signed) graph normal
-    root = math.sqrt(1.0 + float(grad @ grad))
-    nu = (h - grad) / root
-    normalized = formula / np.linalg.norm(formula)
-    target = nu if which == "upper" else -nu
-    if np.linalg.norm(normalized - target) > 1e-6:
-        raise OracleIntegrityError(
-            "normalized gauge-gradient formula deviates from the graph normal"
-        )
-    fd_grad = minkowski_gradient_fd(body, x, tol=tol)
-    denom = np.linalg.norm(fd_grad)
-    if denom == 0:
-        raise DegeneracyError("finite-difference gauge gradient vanished")
-    return float(np.linalg.norm(formula - fd_grad) / denom)
+    Y = X - np.outer(X @ h, h)
+    formula = np.full(X.shape, np.nan)
+    graph = np.zeros(X.shape[0], dtype=bool)  # rows with a usable formula
+    for which, sign in (("upper", 1.0), ("lower", -1.0)):
+        rows = np.flatnonzero(labels == f"{which}_graph")
+        if not rows.size:
+            continue
+        val, grad = graph_value_and_gradient(pair, which, Y[rows], fd_step=fd_step)
+        den = sign * (val - np.einsum("ij,ij->i", grad, Y[rows]))
+        degenerate = np.abs(den) < 1e-8
+        if scalar and degenerate[0]:
+            raise DegeneracyError(f"gauge-formula denominator {den[0]:.2e} is numerically zero")
+        rows, den, grad = rows[~degenerate], den[~degenerate], grad[~degenerate]
+        if np.any(den < 0):
+            raise OracleIntegrityError(
+                "gauge-formula denominator must be positive on boundary graphs"
+            )
+        formula[rows] = sign * (h - grad) / den[:, None]
+        graph[rows] = True
+        # normalized formula must reproduce the (signed) graph normal
+        nu = (h - grad) / np.sqrt(1.0 + np.sum(grad * grad, axis=1))[:, None]
+        normalized = formula[rows] / np.linalg.norm(formula[rows], axis=1, keepdims=True)
+        if np.any(np.linalg.norm(normalized - sign * nu, axis=1) > 1e-6):
+            raise OracleIntegrityError(
+                "normalized gauge-gradient formula deviates from the graph normal"
+            )
+    errs = np.full(X.shape[0], np.nan)
+    rows = np.flatnonzero(graph)
+    if rows.size:
+        fd_grad = minkowski_gradient_fd(body, X[rows], tol=tol)
+        denom = np.linalg.norm(fd_grad, axis=1)
+        if scalar and denom[0] == 0:
+            raise DegeneracyError("finite-difference gauge gradient vanished")
+        ok = denom > 0
+        errs[rows[ok]] = np.linalg.norm(formula[rows[ok]] - fd_grad[ok], axis=1) / denom[ok]
+    return float(errs[0]) if scalar else errs
 
 
 def vector_measure_check(

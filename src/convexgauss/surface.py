@@ -38,7 +38,7 @@ from .errors import (
 from .graphs import (
     GraphPair,
     _golden_min_gauge,
-    _section_endpoints,
+    _section_endpoints,  # noqa: F401  (patched by the benchmark tracer)
     _stencil_gradient,
     choose_direction,
 )
@@ -161,42 +161,6 @@ def _select_graph(pair: GraphPair, which: str):
         raise CaseError(f"the {which} graph is infinite (case {pair.case_tag})")
 
 
-def _body_graph_values(pair, which, Y, t_hint=None):
-    """Section-based f/g values at hyperplane points Y, with optional hints."""
-    body = pair.body
-    lower, upper, nonempty = _section_endpoints(
-        body,
-        pair.direction,
-        Y,
-        pair.section_tol,
-        t_hint=t_hint,
-        want_lower=which == "lower",
-        want_upper=which == "upper",
-    )
-    vals = upper if which == "upper" else lower
-    vals = np.where(nonempty, vals, np.nan)
-    return vals, nonempty
-
-
-def _function_graph_values_gradients(pair, Y, fd_step):
-    """Values/gradients for analytically-given graphs (upper only)."""
-    vals = pair.f_eval(Y)
-    ok = np.isfinite(vals)
-    if pair.analytic_f_gradient is not None:
-        grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
-        return vals, grads, ok
-    B = pair.basis
-    d = B.shape[0]
-    grads_c = np.full((Y.shape[0], d), np.nan)
-    plus = pair.f_eval((Y[:, None, :] + fd_step * B[None, :, :]).reshape(-1, Y.shape[1]))
-    minus = pair.f_eval((Y[:, None, :] - fd_step * B[None, :, :]).reshape(-1, Y.shape[1]))
-    plus = plus.reshape(-1, d)
-    minus = minus.reshape(-1, d)
-    stencil_ok = np.isfinite(plus).all(axis=1) & np.isfinite(minus).all(axis=1)
-    grads_c[stencil_ok] = (plus[stencil_ok] - minus[stencil_ok]) / (2.0 * fd_step)
-    return vals, grads_c @ B, ok & stencil_ok
-
-
 def _graph_normal(grads: np.ndarray, h: np.ndarray):
     """Unit vector (-grad + h)/sqrt(1+|grad|^2) field of a graph."""
     sq = 1.0 + np.sum(np.square(grads), axis=-1)
@@ -208,25 +172,21 @@ def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, t_hint=None):
     """Common node evaluation: returns per-node surface integrand
     phi(x, nu) * G1(val) * sqrt(1+|grad|^2) with a validity mask."""
     h = pair.direction
-    if pair.body is not None:
-        vals, ok = _body_graph_values(pair, which, Y, t_hint=t_hint)
-        finite = ok & np.isfinite(vals)
-        grads = np.zeros_like(Y)
-        gok = np.zeros(Y.shape[0], dtype=bool)
-        if finite.any():
-            idx = np.flatnonzero(finite)
-            g, ok2 = _stencil_gradient(
-                pair.basis,
-                lambda pts, hint: _body_graph_values(pair, which, pts, t_hint=hint)[0],
+    vals = pair.values(which, Y, t_hint)
+    usable = np.isfinite(vals)
+    if which == "upper" and pair.analytic_f_gradient is not None:
+        grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
+    else:
+        grads = np.full_like(Y, np.nan)
+        idx = np.flatnonzero(usable)
+        if idx.size:
+            grads[idx], usable[idx] = _stencil_gradient(
+                pair,
+                which,
                 Y[idx],
                 fd_steps[idx],
                 t_hint=_inside_hint(pair, Y[idx], which, vals[idx], t_hint, idx),
             )
-            grads[idx] = np.where(np.isfinite(g), g, 0.0)
-            gok[idx] = ok2
-        usable = finite & gok
-    else:
-        vals, grads, usable = _function_graph_values_gradients(pair, Y, float(np.min(fd_steps)))
     out = np.zeros(Y.shape[0])
     if usable.any():
         idx = np.flatnonzero(usable)
@@ -246,7 +206,7 @@ def _inside_hint(pair, Y, which, vals, t_hint, idx):
     if not other_finite:
         # the section is a ray: one unit inward is always inside
         return vals + (-1.0 if which == "upper" else 1.0)
-    other = pair.g_eval(Y) if which == "upper" else pair.f_eval(Y)
+    other = pair.values("lower" if which == "upper" else "upper", Y)
     both = np.isfinite(other)
     return np.where(
         both,

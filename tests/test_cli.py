@@ -73,8 +73,26 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("density", {"density": {"points": [[0.9, 0.0, 0.0]]}}, "density.points"),
         ("surface", {"subspaces": [[0], [0, 2]]}, "subspaces[1]"),
         ("perimeter", {"budgets": {"samples": "many"}}, "budget.samples"),
+        ("density", {"density": {"samples": "many"}}, "density.samples"),
+        ("density", {"density": {"samples": 999}}, "density.samples"),
+        ("density", {"density": {"radius": -0.1}}, "density.radius"),
+        ("density", {"density": {"boundary_points": 0}}, "density.boundary_points"),
+        ("perimeter", {"tolerances": {"perimeter_relative": "x"}}, "tolerances.perimeter_relative"),
+        ("ibp", {"tolerances": {"ibp": -0.01}}, "tolerances.ibp"),
+        ("gradcheck", {"tolerances": {"gradcheck_median": None}}, "tolerances.gradcheck_median"),
     ],
-    ids=["density_point_dim", "subspace_axis_range", "budget_count"],
+    ids=[
+        "density_point_dim",
+        "subspace_axis_range",
+        "budget_count",
+        "density_samples_type",
+        "density_samples_min",
+        "density_radius",
+        "density_boundary_points",
+        "tolerance_type",
+        "tolerance_negative",
+        "tolerance_null",
+    ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
     cfg = _load("perimeter_ball.json", **overrides)

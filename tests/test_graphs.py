@@ -194,6 +194,6 @@ def test_classification_coverage_ball(ball3):
     from convexgauss.graphs import ray_cast_boundary
 
     pts, _, _ = ray_cast_boundary(ball3, 300, seed=10)
-    labels = [cg.boundary_classify(ball3, pair, x) for x in pts]
+    labels = cg.boundary_classify(ball3, pair, pts)
     frac = np.mean([lab in ("upper_graph", "lower_graph") for lab in labels])
     assert frac >= 0.99

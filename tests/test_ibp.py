@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from convexgauss.errors import (
     MassError,
     OracleIntegrityError,
 )
+from convexgauss.graphs import ray_cast_boundary
 
 from conftest import G1_AT_1, HALF_PERIM
 
@@ -204,17 +208,59 @@ def test_gradient_formula_polytope_median():
     body = cg.random_polytope(3, 8, seed=23)
     h = cg.normalize_direction([0.23, -0.44, 0.87])
     pair = cg.decompose(body, h)
-    from convexgauss.graphs import ray_cast_boundary
-
     pts, _, _ = ray_cast_boundary(body, 100, seed=24)
-    errs = []
-    for x in pts:
-        try:
-            errs.append(cg.gradient_formula_check(body, pair, x))
-        except (DomainError, DegeneracyError):
-            pass
+    errs = cg.gradient_formula_check(body, pair, pts)
+    errs = errs[~np.isnan(errs)]
     assert len(errs) >= 90
     assert float(np.median(errs)) <= 1e-3
+
+
+def _benchmark_gradcheck_bodies():
+    """(body, h, points) of the benchmark's fixed gradient checks and of
+    acceptance criterion 4."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up there
+    spec.loader.exec_module(workloads)
+    cases = []
+    for call in workloads._gradchecks():
+        cfg = call.config
+        body = cg.load_body_spec(cfg["body"], dim=cfg["model"]["dim"])
+        count = cfg["budgets"]["boundary_samples"]
+        pts, _, _ = ray_cast_boundary(body, count, cfg["seed"])
+        cases.append((body, cg.normalize_direction(cfg["directions"]["h"]), pts))
+    body = cg.random_polytope(3, 8, seed=40)
+    pts, _, _ = ray_cast_boundary(body, 100, seed=41)
+    cases.append((body, cg.normalize_direction([0.23, -0.44, 0.87]), pts))
+    return cases
+
+
+def test_gradient_formula_batch_matches_single_points():
+    for body, h, pts in _benchmark_gradcheck_bodies():
+        pair = cg.decompose(body, h)
+        labels = cg.boundary_classify(body, pair, pts)
+        assert labels == [cg.boundary_classify(body, pair, x) for x in pts]
+        errs = cg.gradient_formula_check(body, pair, pts)
+        for x, err in zip(pts, errs):
+            try:
+                single = cg.gradient_formula_check(body, pair, x)
+            except (DomainError, DegeneracyError):
+                assert np.isnan(err)
+            else:
+                assert err == pytest.approx(single, rel=1e-8)
+
+
+def test_gradient_formula_batch_gives_nan_at_vertical_point(cyl3):
+    # along e1 the cylinder's boundary points (0, +-1, z) are vertical
+    pair = cg.decompose(cyl3, np.array([1.0, 0.0, 0.0]))
+    pts = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.3]])
+    errs = cg.gradient_formula_check(cyl3, pair, pts)
+    assert errs.shape == (2,)
+    assert errs[0] <= 1e-6 and np.isnan(errs[1])
+    assert errs[0] == pytest.approx(cg.gradient_formula_check(cyl3, pair, pts[0]), rel=1e-8)
+    with pytest.raises(DomainError):
+        cg.gradient_formula_check(cyl3, pair, pts[1])
 
 
 def test_alfred_denominator_positive_on_upper_graph():

@@ -6,6 +6,7 @@ from scipy import integrate
 
 import convexgauss as cg
 from convexgauss.errors import CaseError, DirectionError, ParameterError, UnsupportedOrderError
+from convexgauss.surface import _eval_surface_nodes
 
 from conftest import DISK_PERIM, G1_AT_1, HALF_PERIM, INV_SQRT_2PI
 
@@ -131,6 +132,24 @@ def test_epigraph_shifted_vee():
     # a kink off the symmetry axis limits Gauss-Hermite to ~1e-3 relative
     est = cg.epigraph_perimeter(pair, budget={"quadrature_order": 256}, seed=0)
     assert est.value == pytest.approx(oracle, rel=5e-3)
+
+
+def test_function_graph_stencil_shrinks_at_domain_edge():
+    # f(y) = y1/2 on |y1| < 1: the 1e-5 stencil at a node 5e-6 inside the
+    # domain edge leaves the domain, so the step shrinks instead of the node
+    # being dropped; the node outside the domain stays unusable
+    pair = cg.function_graph(
+        E2_2,
+        lambda y: 0.5 * np.atleast_2d(y)[:, 0],
+        domain=lambda y: np.abs(np.atleast_2d(y)[:, 0]) < 1.0,
+    )
+    Y = np.array([[0.0, 0.0], [1.0 - 5e-6, 0.0], [1.5, 0.0]])
+    contrib, usable = _eval_surface_nodes(
+        pair, "upper", Y, lambda x, nu: nu[:, 0], np.full(3, 1e-5)
+    )
+    assert usable.tolist() == [True, True, False]
+    # nu_1 * sqrt(1 + |grad f|^2) = -1/2, times the Gaussian factor G1(f)
+    assert contrib[1] == pytest.approx(-0.5 * G1(0.5 * (1.0 - 5e-6)), rel=1e-8)
 
 
 # ------------------------------------------------------- subspace measures
