@@ -411,15 +411,50 @@ def from_oracle(
     )
 
 
+# spec fields read as numbers, by shape (polytope faces are checked face by face)
+_NUMERIC_FIELDS = {
+    "ball": ("radius",),
+    "ellipsoid": ("semiaxes",),
+    "halfspace": ("normal", "offset"),
+    "slab": ("normal", "half_width"),
+    "kl_ellipsoid": ("scale",),
+    "random_polytope": ("faces", "seed"),
+    "cylinder": ("axis",),
+}
+
+
 def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
     """Build a body from the structured-text schema.
 
     Shapes: ball, ellipsoid, halfspace, slab, polytope, cylinder; optional
-    "translate" applies last. Raises BodySpecError naming the offending field.
+    "translate" applies last. Raises BodySpecError naming the offending field,
+    also for a missing field or a numeric field that holds no number.
     """
     if not isinstance(spec, dict) or "shape" not in spec:
         raise BodySpecError(f"body spec must be a mapping with a 'shape' field: {spec!r}")
     shape = spec["shape"]
+    if not isinstance(shape, str):
+        raise BodySpecError(f"body.shape: unknown shape {shape!r}")
+    numeric = [
+        (f"body.{shape}.{key}", spec[key])
+        for key in _NUMERIC_FIELDS.get(shape, ())
+        if key in spec
+    ]
+    if shape == "polytope" and isinstance(spec.get("faces"), list):
+        numeric += [
+            (f"body.polytope.faces[{i}].{key}", face[key])
+            for i, face in enumerate(spec["faces"])
+            if isinstance(face, dict)
+            for key in ("normal", "offset")
+            if key in face
+        ]
+    if "translate" in spec:
+        numeric.append(("body.translate", spec["translate"]))
+    for name, value in numeric:
+        try:
+            np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BodySpecError(f"{name} must be numeric, got {value!r}") from exc
     try:
         if shape == "ball":
             if dim is None:
@@ -500,7 +535,11 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
     min(130, max(10, ceil(log2(widest gap / tol)) + 2)) steps; without it,
     exactly `steps` steps. Only `active` rows move (default: rows not yet
     within tolerance); the others are probed at their midpoint and left
-    unchanged.
+    unchanged. In both modes a row also stops after a step whose midpoint
+    equalled one of its ends: after that step's update its midpoint is one
+    of its ends again, so for a predicate that gives the same answer at the
+    same point, further steps cannot move it and the result equals running
+    every step.
     """
     t_in = np.asarray(t_in, dtype=float)
     t_out = np.asarray(t_out, dtype=float)
@@ -520,8 +559,10 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
             break
         mid = 0.5 * (t_in + t_out)
         inside = inside_at(mid)
+        fixed = (mid == t_in) | (mid == t_out)
         t_in = np.where(active & inside, mid, t_in)
         t_out = np.where(active & ~inside, mid, t_out)
+        active = active & ~fixed
         if tol is not None:
             active = active & unresolved(t_in, t_out)
     return t_in, t_out

@@ -89,6 +89,8 @@ class RunConfig:
             raise ParameterError("config must be a JSON object")
         if "seed" not in cfg:
             raise ParameterError("config.seed is required (no wall-clock seeding)")
+        if not (_is_number(cfg["seed"], integer=True) and cfg["seed"] >= 0):
+            raise ParameterError(f"config.seed must be an integer >= 0, got {cfg['seed']!r}")
         model_cfg = cfg.get("model")
         if not isinstance(model_cfg, dict) or "dim" not in model_cfg:
             raise ParameterError("config.model.dim is required")
@@ -99,18 +101,20 @@ class RunConfig:
         if "body" not in cfg:
             raise ParameterError("config.body is required")
         directions = cfg.get("directions", {})
+        if not isinstance(directions, dict):
+            raise ParameterError(f"config.directions must be a JSON object: {directions!r}")
         k_list = [
-            as_direction(np.asarray(k, dtype=float), dim=model.dim)
-            for k in directions.get("k", [])
+            _direction(f"directions.k[{i}]", k, model.dim)
+            for i, k in enumerate(_vector_list("directions.k", directions.get("k", [])))
         ]
         h = directions.get("h")
         if h is not None:
-            h = as_direction(np.asarray(h, dtype=float), dim=model.dim)
+            h = _direction("directions.h", h, model.dim)
         candidates = directions.get("candidates")
         if candidates is not None:
             candidates = [
-                as_direction(np.asarray(c, dtype=float), dim=model.dim)
-                for c in candidates
+                _direction(f"directions.candidates[{i}]", c, model.dim)
+                for i, c in enumerate(_vector_list("directions.candidates", candidates))
             ]
         budget = Budget.from_any(cfg.get("budgets"))
         if threads_override is not None:
@@ -187,6 +191,21 @@ def _is_number(value, integer: bool = False) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def _vector_list(name: str, value):
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"config.{name} must be a list of vectors, got {value!r}")
+    return value
+
+
+def _direction(name: str, value, dim: int) -> np.ndarray:
+    """A config direction: numbers only, unit norm, model dim."""
+    if not (
+        isinstance(value, (list, tuple, np.ndarray)) and all(_is_number(x) for x in value)
+    ):
+        raise ParameterError(f"config.{name} must be a list of numbers, got {value!r}")
+    return as_direction(np.asarray(value, dtype=float), dim=dim)
 
 
 def _canonical(obj) -> str:

@@ -12,7 +12,7 @@ the surface mass their vertical set carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +35,7 @@ from .space import EstimateWithError, as_direction
 
 DEFAULT_SECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 80  # fixed golden-section steps of the rim search
 
 CASE_BOTH_INFINITE = "both_infinite"
 CASE_F_FINITE_ONLY = "f_finite_only"
@@ -54,28 +55,37 @@ __all__ = [
 ]
 
 
-def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, iters: int = 80):
-    """Vectorized golden-section minimization of t -> gauge(y + t h).
+def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
+    """Vectorized golden-section minimization of t -> gauge(y + t h), run for
+    GOLDEN_STEPS steps.
 
     Returns (t_min, q_min) per row. The map is convex in t, so golden section
-    is valid; it is the membership-only fallback for thin sections.
+    is valid; it is the membership-only fallback for thin sections. Each step
+    gauges both probes c and d of every row in one stacked call; a row's gauge
+    depends only on that row, so the values are those of two separate calls.
     """
+    N = Y.shape[0]
     T = body.reach * (1.0 + 1e-9)
-    a = np.full(Y.shape[0], -T)
-    b = np.full(Y.shape[0], T)
-    gauge = lambda t: minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
+    a = np.full(N, -T)
+    b = np.full(N, T)
+    Y2 = np.concatenate([Y, Y])
+
+    def gauge_pair(c, d):
+        q = minkowski_functional(body, Y2 + np.concatenate([c, d])[:, None] * h, tol=1e-12)
+        return q[:N], q[N:]
+
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = gauge(c), gauge(d)
-    for _ in range(iters):
+    fc, fd = gauge_pair(c, d)
+    for _ in range(GOLDEN_STEPS):
         left = fc < fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
-        fc, fd = gauge(c), gauge(d)
+        fc, fd = gauge_pair(c, d)
     t = 0.5 * (a + b)
-    return t, gauge(t)
+    return t, minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
 
 
 def _bisect_endpoint(body, Y, h, t_in, direction, tol):
@@ -192,7 +202,9 @@ class GraphPair:
     hyperplane orthogonal to h and returns f ("upper") or g ("lower"), with
     +/-inf for a missing graph and nan outside the projected domain; t_hint,
     per-row section parameters that may lie inside the body, only speeds up
-    the section search. basis rows span that hyperplane.
+    the section search. basis rows span that hyperplane. _rims holds the
+    projected rim the polar integrator found per angular rule, so the upper
+    and lower graph of one pair search it once.
     """
 
     direction: np.ndarray
@@ -203,6 +215,7 @@ class GraphPair:
     body: Optional[ConvexBody] = None
     section_tol: float = DEFAULT_SECTION_TOL
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _rims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def f_finite(self) -> bool:

@@ -226,8 +226,10 @@ def _polar_graph_estimate(pair, which, integrand2, budget: Budget, seed: int):
     if d > 3:
         raise UnsupportedOrderError("polar graph integration supports dim <= 3")
     U_c, w_ang = _angular_rule(d, budget)
-    U = U_c @ B
-    t_at_min, q = _golden_min_gauge(body, U, h)
+    rule = (budget.angles, tuple(budget.sphere_grid))
+    if rule not in pair._rims:
+        pair._rims[rule] = _golden_min_gauge(body, U_c @ B, h)
+    t_at_min, q = pair._rims[rule]
     if np.any(q <= 0.0):
         raise OracleIntegrityError("projected gauge vanished for a bounded body")
     rho = 1.0 / q

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import convexgauss as cg
+from convexgauss.bodies import bisect
 from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError, ParameterError
 
 TOL = 1e-10
@@ -326,3 +327,73 @@ def test_cylinder_membership_and_distance():
     assert not bool(cyl.contains(np.array([1.5, 0.0, -2.0])))
     d = np.atleast_1d(cyl.distance_outside(np.array([[2.0, 0.0, 11.0]])))
     assert d[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _bisect_every_step(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+    """bisect without the fixed-point stop: every step of the step count."""
+    t_in = np.asarray(t_in, dtype=float)
+    t_out = np.asarray(t_out, dtype=float)
+
+    def unresolved(a, b):
+        return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
+
+    if tol is not None:
+        gap0 = float(np.max(np.abs(t_out - t_in)))
+        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
+        if active is None:
+            active = unresolved(t_in, t_out)
+    if active is None:
+        active = np.ones(t_in.shape, dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (t_in + t_out)
+        inside = inside_at(mid)
+        t_in = np.where(active & inside, mid, t_in)
+        t_out = np.where(active & ~inside, mid, t_out)
+        if tol is not None:
+            active = active & unresolved(t_in, t_out)
+    return t_in, t_out
+
+
+def _far_end(t_in, end):
+    """A bracket's t_out: a float, or ("ulps", k) for k ulps beyond t_in."""
+    if not isinstance(end, tuple):
+        return end
+    t = t_in
+    for _ in range(abs(end[1])):
+        t = float(np.nextafter(t, math.copysign(math.inf, end[1])))
+    return t
+
+
+_BRACKET = st.tuples(
+    st.floats(-8.0, 8.0),
+    st.one_of(st.floats(-8.0, 8.0), st.tuples(st.just("ulps"), st.integers(-3, 3))),
+    st.floats(-8.0, 8.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(_BRACKET, min_size=1, max_size=6),
+    predicate=st.sampled_from(["below", "never", "always", "wiggle"]),
+    mode=st.sampled_from(["steps", "absolute", "relative"]),
+    steps=st.integers(0, 140),
+    tol=st.sampled_from([1e-2, 1e-9, 1e-15, 1e-300]),
+    masked=st.booleans(),
+)
+def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, mode, steps, tol, masked):
+    t_in = np.array([r[0] for r in rows])
+    t_out = np.array([_far_end(r[0], r[1]) for r in rows])
+    cut = np.array([r[2] for r in rows])
+    inside_at = {
+        "below": lambda t: t < cut,  # false at t_in when cut <= t_in
+        "never": lambda t: np.zeros(t.shape, dtype=bool),
+        "always": lambda t: np.ones(t.shape, dtype=bool),
+        "wiggle": lambda t: np.sin(37.0 * t + cut) > 0.0,
+    }[predicate]
+    kwargs = {"steps": steps} if mode == "steps" else {"tol": tol, "relative": mode == "relative"}
+    if masked:
+        kwargs["active"] = np.array([r[3] for r in rows])
+    got = bisect(inside_at, t_in, t_out, **kwargs)
+    want = _bisect_every_step(inside_at, t_in, t_out, **kwargs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -80,6 +80,20 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"tolerances": {"perimeter_relative": "x"}}, "tolerances.perimeter_relative"),
         ("ibp", {"tolerances": {"ibp": -0.01}}, "tolerances.ibp"),
         ("gradcheck", {"tolerances": {"gradcheck_median": None}}, "tolerances.gradcheck_median"),
+        ("perimeter", {"body": {"shape": "ball", "radius": "a"}}, "body.ball.radius"),
+        ("perimeter", {"body": {"shape": "ellipsoid", "semiaxes": "abc"}}, "body.ellipsoid.semiaxes"),
+        ("ibp", {"body": {"shape": "halfspace", "normal": [0, 1], "offset": "a"}}, "body.halfspace.offset"),
+        (
+            "perimeter",
+            {"body": {"shape": "polytope", "faces": [{"normal": [1, "x"], "offset": 1}]}},
+            "body.polytope.faces[0].normal",
+        ),
+        ("ibp", {"body": {"shape": "slab", "normal": [0, 1], "half_width": "a"}}, "body.slab.half_width"),
+        ("perimeter", {"directions": {"h": [0.0, "one"]}}, "directions.h"),
+        ("ibp", {"directions": {"k": [[0.0, "one"]]}}, "directions.k"),
+        ("perimeter", {"seed": -1}, "seed"),
+        ("perimeter", {"seed": 1.7}, "seed"),
+        ("perimeter", {"seed": True}, "seed"),
     ],
     ids=[
         "density_point_dim",
@@ -92,6 +106,16 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "tolerance_type",
         "tolerance_negative",
         "tolerance_null",
+        "ball_radius",
+        "ellipsoid_semiaxes",
+        "halfspace_offset",
+        "polytope_normal",
+        "slab_half_width",
+        "directions_h",
+        "directions_k",
+        "seed_negative",
+        "seed_float",
+        "seed_bool",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
@@ -112,6 +136,14 @@ def test_missing_seed_rejected(tmp_path, capsys):
     code = main(["perimeter", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 1
     assert "seed" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    cfg_path = CONFIG_DIR / "perimeter_ball.json"
+    code = main(["perimeter", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_determinism_across_thread_counts(tmp_path):

@@ -10,6 +10,7 @@ from convexgauss.errors import (
     MarginError,
     OracleIntegrityError,
 )
+from convexgauss.graphs import GOLDEN, GOLDEN_STEPS, _golden_min_gauge
 
 E1_2, E2_2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 E1_3, E3_3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
@@ -197,3 +198,46 @@ def test_classification_coverage_ball(ball3):
     labels = cg.boundary_classify(ball3, pair, pts)
     frac = np.mean([lab in ("upper_graph", "lower_graph") for lab in labels])
     assert frac >= 0.99
+
+
+def _golden_two_calls(body, Y, h):
+    """The rim search with its two probes gauged in separate calls."""
+    T = body.reach * (1.0 + 1e-9)
+    a = np.full(Y.shape[0], -T)
+    b = np.full(Y.shape[0], T)
+    gauge = lambda t: cg.minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = gauge(c), gauge(d)
+    for _ in range(GOLDEN_STEPS):
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c = b - GOLDEN * (b - a)
+        d = a + GOLDEN * (b - a)
+        fc, fd = gauge(c), gauge(d)
+    t = 0.5 * (a + b)
+    return t, gauge(t)
+
+
+@pytest.mark.parametrize(
+    "body, h",
+    [
+        (cg.ellipsoid([1.3, 0.8, 1.1]), E3_3),
+        (cg.random_polytope(3, 10, 4), E3_3),
+        (cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]), E1_3),
+        (cg.translate(cg.ball(0.7, 3), [2.0, 0.5, 0.0]), E3_3),
+    ],
+    ids=["ellipsoid", "polytope", "cylinder", "recentered"],
+)
+def test_golden_paired_probes_match_two_calls(body, h):
+    if body.shape_tag == "ball":  # the translated ball must have been re-centred
+        assert body.recentered_by is not None
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((24, 3))
+    Y -= np.outer(Y @ h, h)
+    Y *= (rng.uniform(0.0, 1.5, 24) * min(body.reach, 3.0) / np.linalg.norm(Y, axis=1))[:, None]
+    t, q = _golden_min_gauge(body, Y, h)
+    t_ref, q_ref = _golden_two_calls(body, Y, h)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(q, q_ref)

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import convexgauss as cg
+import convexgauss.surface as surface
 from convexgauss.errors import CaseError, DirectionError, ParameterError, UnsupportedOrderError
 from convexgauss.surface import _eval_surface_nodes
 
@@ -207,6 +208,23 @@ def test_total_boundary_disk(disk):
     pair = cg.decompose(disk, E2_2)
     est = cg.total_boundary_measure(disk, pair, seed=0)
     assert est.value == pytest.approx(DISK_PERIM, rel=1e-4)
+
+
+def test_total_boundary_searches_the_rim_once(monkeypatch):
+    body = cg.ellipsoid([1.2, 0.9, 1.1])
+    h = np.array([0.0, 0.0, 1.0])
+    budget = {"angles": 96, "radial": 12}
+    # one pair per graph: each side searches its own rim, as two calls would
+    upper = cg.area_formula_integral(cg.decompose(body, h), "upper", None, budget=budget)
+    lower = cg.area_formula_integral(cg.decompose(body, h), "lower", None, budget=budget)
+    searches = []
+    search = surface._golden_min_gauge
+    monkeypatch.setattr(
+        surface, "_golden_min_gauge", lambda *args: searches.append(args) or search(*args)
+    )
+    est = cg.total_boundary_measure(body, cg.decompose(body, h), budget=budget)
+    assert len(searches) == 1
+    assert est.value == (upper + lower).value
 
 
 def test_total_boundary_halfspace():
