@@ -17,7 +17,7 @@ print("ellipsoid (1, 0.7, 0.5), chain e1 -> e1,e2 -> full:")
 values = []
 for axes in ([0], [0, 1], [0, 1, 2]):
     F = np.eye(3)[axes]
-    est = cg.subspace_hausdorff(body, F, budget=budget, seed=17, h=h)
+    est = cg.subspace_hausdorff(body, F, budget=budget, seed=17)
     values.append(est)
     axes_s = "+".join(f"e{a+1}" for a in axes)
     print(f"  F = {axes_s:10s} value {est.value:.5f}  se {est.std_error:.5f}  ({est.method})")

@@ -10,6 +10,7 @@ shift is recorded on the body) so downstream gauge computations are valid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -55,8 +56,9 @@ class ConvexBody:
 
     contains   -- vectorized predicate on arrays of shape (..., dim)
     interior_point / interior_margin -- certified open ball inside the body
-    outer_radius -- None marks an unbounded body; reach (t_max) bounds every
-                    line search instead, at negligible Gaussian mass cost
+    outer_radius -- None marks an unbounded body; reach (UNBOUNDED_REACH)
+                    bounds every line search instead, at negligible Gaussian
+                    mass cost
     distance_outside -- optional exact Euclidean distance to the closure,
                     used by the Minkowski-content perimeter oracle
     """
@@ -67,7 +69,6 @@ class ConvexBody:
     outer_radius: Optional[float]
     shape_tag: str
     dim: int
-    t_max: float = UNBOUNDED_REACH
     distance_outside: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spec: Optional[dict] = None
     recentered_by: Optional[np.ndarray] = None
@@ -79,7 +80,7 @@ class ConvexBody:
     @property
     def reach(self) -> float:
         """Radius beyond which no line search needs to look."""
-        return self.outer_radius if self.bounded else self.t_max
+        return self.outer_radius if self.bounded else UNBOUNDED_REACH
 
     @property
     def margin_at_zero(self) -> float:
@@ -102,9 +103,7 @@ class ConvexBody:
             )
 
 
-def _recenter(
-    contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None, t_max=UNBOUNDED_REACH
-) -> ConvexBody:
+def _recenter(contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None) -> ConvexBody:
     """Translate the body by -x0 when the origin is not certifiably interior."""
     x0 = np.asarray(x0, dtype=float)
     shift = None
@@ -125,27 +124,24 @@ def _recenter(
         outer_radius=outer_radius,
         shape_tag=tag,
         dim=dim,
-        t_max=t_max,
         distance_outside=distance,
         spec=spec,
         recentered_by=shift,
     )
 
 
-def ball(radius: float, dim: int, center=None) -> ConvexBody:
-    """Open Euclidean ball of given radius."""
+def ball(radius: float, dim: int) -> ConvexBody:
+    """Open Euclidean ball of given radius centred at the origin (translate
+    shifts it)."""
     if radius <= 0:
         raise BodySpecError("ball: radius must be positive")
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    contains = lambda x: np.linalg.norm(np.asarray(x, float) - c, axis=-1) < radius
-    distance = lambda x: np.maximum(
-        0.0, np.linalg.norm(np.asarray(x, float) - c, axis=-1) - radius
-    )
+    contains = lambda x: np.linalg.norm(np.asarray(x, float), axis=-1) < radius
+    distance = lambda x: np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
     return _recenter(
         contains,
-        c,
+        np.zeros(dim),
         radius,
-        radius + np.linalg.norm(c),
+        radius,
         "ball",
         dim,
         distance=distance,
@@ -397,30 +393,42 @@ def translate(body: ConvexBody, v) -> ConvexBody:
         body.dim,
         distance=distance,
         spec=spec,
-        t_max=body.t_max,
     )
 
 
-def from_oracle(
-    contains, interior_point, interior_margin, outer_radius=None, tag="custom", t_max=UNBOUNDED_REACH
-) -> ConvexBody:
-    """Wrap a user membership oracle (e.g. a level set {G < 0}) as a body."""
+def from_oracle(contains, interior_point, interior_margin, outer_radius=None) -> ConvexBody:
+    """Wrap a user membership oracle (e.g. a level set {G < 0}) as a body
+    tagged "custom"."""
     x0 = np.asarray(interior_point, dtype=float)
-    return _recenter(
-        contains, x0, interior_margin, outer_radius, tag, x0.shape[0], t_max=t_max
-    )
+    return _recenter(contains, x0, interior_margin, outer_radius, "custom", x0.shape[0])
 
+
+NUMBER, VECTOR, INTEGER = "a number", "a list of numbers", "an integer"
 
 # spec fields read as numbers, by shape (polytope faces are checked face by face)
 _NUMERIC_FIELDS = {
-    "ball": ("radius",),
-    "ellipsoid": ("semiaxes",),
-    "halfspace": ("normal", "offset"),
-    "slab": ("normal", "half_width"),
-    "kl_ellipsoid": ("scale",),
-    "random_polytope": ("faces", "seed"),
-    "cylinder": ("axis",),
+    "ball": {"radius": NUMBER},
+    "ellipsoid": {"semiaxes": VECTOR},
+    "halfspace": {"normal": VECTOR, "offset": NUMBER},
+    "slab": {"normal": VECTOR, "half_width": NUMBER},
+    "kl_ellipsoid": {"scale": NUMBER},
+    "random_polytope": {"faces": INTEGER, "seed": INTEGER},
+    "cylinder": {"axis": VECTOR},
 }
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite JSON number (an integer when asked), not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def _is_kind(value, kind: str) -> bool:
+    """Whether a config value is NUMBER, INTEGER or VECTOR (a list of numbers)."""
+    if kind == VECTOR:
+        return isinstance(value, (list, tuple, np.ndarray)) and all(_is_number(v) for v in value)
+    return _is_number(value, integer=kind == INTEGER)
 
 
 def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
@@ -436,25 +444,23 @@ def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
     if not isinstance(shape, str):
         raise BodySpecError(f"body.shape: unknown shape {shape!r}")
     numeric = [
-        (f"body.{shape}.{key}", spec[key])
-        for key in _NUMERIC_FIELDS.get(shape, ())
+        (f"body.{shape}.{key}", spec[key], kind)
+        for key, kind in _NUMERIC_FIELDS.get(shape, {}).items()
         if key in spec
     ]
     if shape == "polytope" and isinstance(spec.get("faces"), list):
         numeric += [
-            (f"body.polytope.faces[{i}].{key}", face[key])
+            (f"body.polytope.faces[{i}].{key}", face[key], kind)
             for i, face in enumerate(spec["faces"])
             if isinstance(face, dict)
-            for key in ("normal", "offset")
+            for key, kind in (("normal", VECTOR), ("offset", NUMBER))
             if key in face
         ]
     if "translate" in spec:
-        numeric.append(("body.translate", spec["translate"]))
-    for name, value in numeric:
-        try:
-            np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BodySpecError(f"{name} must be numeric, got {value!r}") from exc
+        numeric.append(("body.translate", spec["translate"], VECTOR))
+    for name, value, kind in numeric:
+        if not _is_kind(value, kind):
+            raise BodySpecError(f"{name} must be {kind}, got {value!r}")
     try:
         if shape == "ball":
             if dim is None:
@@ -502,26 +508,23 @@ def kl_ellipsoid(dim: int, scale: float = 1.0) -> ConvexBody:
     return replace(body, spec={"shape": "kl_ellipsoid", "scale": float(scale)})
 
 
-def random_polytope(
-    dim: int, n_faces: int, seed: int, offset_range=(0.8, 1.6)
-) -> ConvexBody:
+def random_polytope(dim: int, n_faces: int, seed: int) -> ConvexBody:
     """Random polytope containing the origin: uniform face normals, offsets
-    in offset_range. A bounding box is appended only when the random faces
-    leave the polytope unbounded."""
+    uniform in (0.8, 1.6). A bounding box at 3.2 is appended only when the
+    random faces leave the polytope unbounded."""
     rng = np.random.default_rng([seed, 0])
     normals = rng.standard_normal((n_faces, dim))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    offsets = rng.uniform(*offset_range, size=n_faces)
+    offsets = rng.uniform(0.8, 1.6, size=n_faces)
     faces = [{"normal": a, "offset": c} for a, c in zip(normals, offsets)]
     body = polytope(faces)
     if body.bounded:
         return body
-    hi = max(offset_range)
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        faces.append({"normal": e, "offset": 2.0 * hi})
-        faces.append({"normal": -e, "offset": 2.0 * hi})
+        faces.append({"normal": e, "offset": 3.2})
+        faces.append({"normal": -e, "offset": 3.2})
     return polytope(faces)
 
 
@@ -611,25 +614,12 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
     return float(p[0]) if scalar else p
 
 
-def minkowski_gradient_fd(
-    body: ConvexBody,
-    x,
-    step: Optional[float] = None,
-    tol: float = DEFAULT_GAUGE_TOL,
-):
-    """Central-difference gradient of the gauge at x (single point or batch).
-
-    step must dominate the gauge tolerance: step >= tol^(1/3), else the
-    stencil is noise-dominated and a ParameterError explains the bound.
+def minkowski_gradient_fd(body: ConvexBody, x):
+    """Central-difference gradient of the gauge at x (single point or batch),
+    from gauges at tolerance DEFAULT_GAUGE_TOL and step DEFAULT_GAUGE_TOL^(1/3),
+    the smallest step the gauge noise does not dominate.
     """
-    min_step = tol ** (1.0 / 3.0)
-    if step is None:
-        step = min_step
-    if step < min_step * (1.0 - 1e-9):
-        raise ParameterError(
-            f"step {step:g} is noise-dominated for gauge tolerance {tol:g}; "
-            f"use step >= tol**(1/3) = {min_step:g}"
-        )
+    step = DEFAULT_GAUGE_TOL ** (1.0 / 3.0)
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
@@ -641,7 +631,7 @@ def minkowski_gradient_fd(
         [X[:, None, :] + step * eye[None, :, :], X[:, None, :] - step * eye[None, :, :]],
         axis=1,
     )  # (N, 2n, n)
-    vals = minkowski_functional(body, stencil.reshape(-1, n), tol=tol).reshape(-1, 2 * n)
+    vals = minkowski_functional(body, stencil.reshape(-1, n)).reshape(-1, 2 * n)
     grad = (vals[:, :n] - vals[:, n:]) / (2.0 * step)
     return grad[0] if scalar else grad
 
@@ -666,6 +656,4 @@ def lebesgue_density(
     hits = body.contains(pts).astype(float)
     p = float(np.mean(hits))
     se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-    return EstimateWithError(
-        value=p, std_error=se, n_samples=samples, seed=seed, method="monte_carlo"
-    )
+    return EstimateWithError(value=p, std_error=se, n_samples=samples, method="monte_carlo")

@@ -1,6 +1,6 @@
 """Batch command-line interface.
 
-Subcommands run verification suites and convergence studies from a JSON
+Subcommands run verification suites and a dimension sweep from a JSON
 config and write a machine-readable report whose determinism hash covers
 everything except wall-clock metadata:
 
@@ -17,8 +17,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -29,16 +27,18 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bodies import ConvexBody, kl_ellipsoid, lebesgue_density, load_body_spec
+from .bodies import (
+    VECTOR,
+    ConvexBody,
+    _is_kind,
+    _is_number,
+    kl_ellipsoid,
+    lebesgue_density,
+    load_body_spec,
+)
 from .errors import ConvexGaussError, ParameterError
 from .graphs import choose_direction, decompose, default_direction_candidates, ray_cast_boundary
-from .ibp import (
-    VerificationReport,
-    gradient_formula_check,
-    lhs_volume_integral,
-    psi_from_spec,
-    verify_ibp,
-)
+from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, verify_ibp
 from .space import GaussianModel, as_direction, brownian_kl_profile
 from .surface import (
     Budget,
@@ -57,7 +57,7 @@ SUBCOMMANDS = (
     "density",
 )
 
-__all__ = ["RunConfig", "run", "convergence_study", "main"]
+__all__ = ["RunConfig", "run", "main"]
 
 
 @dataclass
@@ -94,10 +94,18 @@ class RunConfig:
         model_cfg = cfg.get("model")
         if not isinstance(model_cfg, dict) or "dim" not in model_cfg:
             raise ParameterError("config.model.dim is required")
+        dim = model_cfg["dim"]
+        if not (_is_number(dim, integer=True) and dim >= 1):
+            raise ParameterError(f"config.model.dim must be an integer >= 1, got {dim!r}")
         profile = model_cfg.get("spectral_profile")
         if profile == "brownian":
-            profile = brownian_kl_profile(int(model_cfg["dim"]))
-        model = GaussianModel(int(model_cfg["dim"]), profile)
+            profile = brownian_kl_profile(dim)
+        elif profile is not None and not _is_kind(profile, VECTOR):
+            raise ParameterError(
+                f'config.model.spectral_profile must be "brownian" or a list of numbers, '
+                f"got {profile!r}"
+            )
+        model = GaussianModel(dim, profile)
         if "body" not in cfg:
             raise ParameterError("config.body is required")
         directions = cfg.get("directions", {})
@@ -131,7 +139,14 @@ class RunConfig:
         load_body_spec(cfg["body"], dim=model.dim)  # validate early
         density = cfg.get("density", {})
         tolerances = cfg.get("tolerances", {})
-        for name, section in (("density", density), ("tolerances", tolerances)):
+        grid = cfg.get("grid", {})
+        outputs = cfg.get("outputs", {})
+        for name, section in (
+            ("density", density),
+            ("tolerances", tolerances),
+            ("grid", grid),
+            ("outputs", outputs),
+        ):
             if not isinstance(section, dict):
                 raise ParameterError(f"config.{name} must be a JSON object: {section!r}")
         for key, what, valid in (
@@ -146,27 +161,41 @@ class RunConfig:
                 raise ParameterError(
                     f"config.tolerances.{key} must be a non-negative number, got {tolerances[key]!r}"
                 )
-        if "points" in density:
-            try:
-                shape = np.asarray(density["points"], dtype=float).shape
-            except (TypeError, ValueError):
-                shape = None
-            if shape is None or len(shape) != 2 or shape[1] != model.dim:
-                raise ParameterError(
-                    f"config.density.points must be a list of points with "
-                    f"model.dim={model.dim} coordinates each: {density['points']!r}"
-                )
+        points = density.get("points")
+        if "points" in density and not (
+            isinstance(points, list)
+            and points
+            and all(_is_kind(p, VECTOR) and len(p) == model.dim for p in points)
+        ):
+            raise ParameterError(
+                f"config.density.points must be a list of points with "
+                f"model.dim={model.dim} coordinates each: {points!r}"
+            )
         subspaces = cfg.get("subspaces", [])
         if not isinstance(subspaces, list):
             raise ParameterError(f"config.subspaces must be a list of axis lists: {subspaces!r}")
         for i, axes in enumerate(subspaces):
             valid = isinstance(axes, list) and all(
-                type(a) is int and 0 <= a < model.dim for a in axes
+                _is_number(a, integer=True) and 0 <= a < model.dim for a in axes
             )
             if not valid or not axes or len(set(axes)) != len(axes):
                 raise ParameterError(
                     f"config.subspaces[{i}] must list distinct integer axes in "
                     f"[0, {model.dim}): {axes!r}"
+                )
+        dims = grid.get("dims", [])
+        if not (isinstance(dims, list) and all(_is_number(d, integer=True) and d >= 2 for d in dims)):
+            raise ParameterError(f"config.grid.dims must be a list of integers >= 2, got {dims!r}")
+        if "scale" in grid and not (_is_number(grid["scale"]) and grid["scale"] > 0):
+            raise ParameterError(f"config.grid.scale must be a positive number, got {grid['scale']!r}")
+        # output files go inside --out: a bare file name, no directory part
+        for key, name in outputs.items():
+            if key in ("report", "csv") and not (
+                isinstance(name, str) and name == Path(name).name and name not in ("", "..")
+            ):
+                raise ParameterError(
+                    f"config.outputs.{key} must be a bare file name with no directory part, "
+                    f"got {name!r}"
                 )
         return RunConfig(
             model=model,
@@ -177,20 +206,13 @@ class RunConfig:
             h=h,
             candidates=candidates,
             budget=budget,
-            outputs=cfg.get("outputs", {}),
-            grid=cfg.get("grid", {}),
+            outputs=outputs,
+            grid=grid,
             density=density,
             subspaces=subspaces,
             tolerances=tolerances,
             raw=cfg,
         )
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """A finite JSON number (an integer when asked), not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def _vector_list(name: str, value):
@@ -201,9 +223,7 @@ def _vector_list(name: str, value):
 
 def _direction(name: str, value, dim: int) -> np.ndarray:
     """A config direction: numbers only, unit norm, model dim."""
-    if not (
-        isinstance(value, (list, tuple, np.ndarray)) and all(_is_number(x) for x in value)
-    ):
+    if not _is_kind(value, VECTOR):
         raise ParameterError(f"config.{name} must be a list of numbers, got {value!r}")
     return as_direction(np.asarray(value, dtype=float), dim=dim)
 
@@ -322,9 +342,7 @@ def _run_surface(config: RunConfig):
     for axes in config.subspaces:
         F = np.eye(n)[list(axes)]
         t0 = time.perf_counter()
-        est = subspace_hausdorff(
-            body, F, budget=config.budget, seed=config.seed, h=config.h
-        )
+        est = subspace_hausdorff(body, F, budget=config.budget, seed=config.seed)
         wall = time.perf_counter() - t0
         values.append((axes, est))
         rows.append(
@@ -414,117 +432,48 @@ def _run_density(config: RunConfig):
     return records, []
 
 
-def convergence_study(config: RunConfig, axis: str):
-    """One row per grid point: value, standard error, wall time.
-
-    Axes: dimension (KL-ellipsoid perimeter vs dim), subspace (nested
-    boundary measures), samples (volume-integral SE scaling), epsilon
-    (content-oracle shells).
-    """
+def _run_converge_dim(config: RunConfig):
+    """Perimeter of the KL ellipsoid at each grid dimension, with the
+    difference to the previous dimension; one CSV row per dimension."""
+    dims = config.grid.get("dims")
+    if not dims:
+        raise ParameterError("config.grid.dims is required for converge-dim")
+    scale = float(config.grid.get("scale", 1.0))
     rows = []
     records = []
-    if axis == "dimension":
-        dims = config.grid.get("dims")
-        if not dims:
-            raise ParameterError("config.grid.dims is required for the dimension axis")
-        scale = float(config.grid.get("scale", 1.0))
-        prev = None
-        for d in dims:
-            body = kl_ellipsoid(int(d), scale)
-            h = np.eye(int(d))[0]
-            t0 = time.perf_counter()
-            pair = decompose(body, h, seed=config.seed)
-            est = total_boundary_measure(
-                body, pair, budget=config.budget, seed=config.seed, check_vertical=False
-            )
-            wall = time.perf_counter() - t0
-            rows.append(
-                {
-                    "axis": "dimension",
-                    "grid_point": int(d),
-                    "value": est.value,
-                    "std_error": est.std_error,
-                    "wall_time_s": wall,
-                }
-            )
-            extra = {"successive_diff": (est.value - prev) if prev is not None else 0.0}
-            records.append(
-                _record(
-                    f"dim[{d}]",
-                    est.value,
-                    prev if prev is not None else est.value,
-                    est.std_error,
-                    0.0,
-                    0.0,
-                    "pass",
-                    extra=extra,
-                )
-            )
-            prev = est.value
-        return records, rows
-    if axis == "subspace":
-        return _run_surface(config)
-    if axis == "samples":
-        grid = config.grid.get("samples")
-        if not grid:
-            raise ParameterError("config.grid.samples is required for the samples axis")
-        if config.psi_spec is None or not config.k_list:
-            raise ParameterError("samples axis needs config.psi and directions.k")
-        body = config.body
-        psi = psi_from_spec(config.psi_spec)
-        k = config.k_list[0]
-        for n_s in grid:
-            t0 = time.perf_counter()
-            est = lhs_volume_integral(
-                body, psi, k, budget=replace(config.budget, samples=int(n_s)), seed=config.seed
-            )
-            wall = time.perf_counter() - t0
-            rows.append(
-                {
-                    "axis": "samples",
-                    "grid_point": int(n_s),
-                    "value": est.value,
-                    "std_error": est.std_error,
-                    "wall_time_s": wall,
-                }
-            )
-            records.append(
-                _record(f"samples[{n_s}]", est.value, est.value, est.std_error, 0.0, 0.0, "pass")
-            )
-        return records, rows
-    if axis == "epsilon":
-        body = config.body
-        eps = config.grid.get("epsilons", list(config.budget.epsilons))
+    prev = None
+    for d in dims:
+        body = kl_ellipsoid(d, scale)
         t0 = time.perf_counter()
-        est = minkowski_content_perimeter(
-            body, budget=replace(config.budget, epsilons=tuple(eps)), seed=config.seed
+        pair = decompose(body, np.eye(d)[0], seed=config.seed)
+        est = total_boundary_measure(
+            body, pair, budget=config.budget, seed=config.seed, check_vertical=False
         )
         wall = time.perf_counter() - t0
-        for e, rate, se in zip(
-            est.details["epsilons"], est.details["shell_rates"], est.details["shell_se"]
-        ):
-            rows.append(
-                {
-                    "axis": "epsilon",
-                    "grid_point": e,
-                    "value": rate,
-                    "std_error": se,
-                    "wall_time_s": wall,
-                }
-            )
+        rows.append(
+            {
+                "axis": "dimension",
+                "grid_point": d,
+                "value": est.value,
+                "std_error": est.std_error,
+                "wall_time_s": wall,
+            }
+        )
+        extra = {"successive_diff": (est.value - prev) if prev is not None else 0.0}
         records.append(
             _record(
-                "epsilon_intercept",
+                f"dim[{d}]",
                 est.value,
-                est.value,
+                prev if prev is not None else est.value,
                 est.std_error,
                 0.0,
                 0.0,
                 "pass",
+                extra=extra,
             )
         )
-        return records, rows
-    raise ParameterError(f"unknown convergence axis {axis!r}")
+        prev = est.value
+    return records, rows
 
 
 # ------------------------------------------------------------------ driver
@@ -536,8 +485,8 @@ _DISPATCH = {
     "surface": _run_surface,
     "gradcheck": _run_gradcheck,
     "density": _run_density,
-    "converge-dim": lambda cfg: convergence_study(cfg, "dimension"),
-    "converge-subspace": lambda cfg: convergence_study(cfg, "subspace"),
+    "converge-dim": _run_converge_dim,
+    "converge-subspace": _run_surface,
 }
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bodies import (
+    DEFAULT_GAUGE_TOL,
     ConvexBody,
     bisect,
     minkowski_functional,
@@ -31,7 +32,7 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
-from .space import EstimateWithError, as_direction
+from .space import DEFAULT_FD_STEP, EstimateWithError, as_direction
 
 DEFAULT_SECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -88,8 +89,9 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
     return t, minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
 
 
-def _bisect_endpoint(body, Y, h, t_in, direction, tol):
-    """Bisect from an inside parameter t_in outward along +/-h.
+def _bisect_endpoint(body, Y, h, t_in, direction):
+    """Bisect from an inside parameter t_in outward along +/-h, to
+    DEFAULT_SECTION_TOL.
 
     Returns endpoint values with +/-inf where the reach bound is still inside
     (possible only for unbounded bodies).
@@ -102,7 +104,11 @@ def _bisect_endpoint(body, Y, h, t_in, direction, tol):
             "membership oracle reports an inside point beyond the certified outer radius"
         )
     lo, hi = bisect(
-        lambda t: body.contains(Y + t[:, None] * h), t_in, far, tol=tol, active=~inside_far
+        lambda t: body.contains(Y + t[:, None] * h),
+        t_in,
+        far,
+        tol=DEFAULT_SECTION_TOL,
+        active=~inside_far,
     )
     out = 0.5 * (hi + lo)
     out[inside_far] = direction * np.inf
@@ -113,7 +119,6 @@ def _section_endpoints(
     body: ConvexBody,
     h: np.ndarray,
     Y: np.ndarray,
-    tol: float,
     t_hint: Optional[np.ndarray] = None,
     want_lower: bool = True,
     want_upper: bool = True,
@@ -170,15 +175,13 @@ def _section_endpoints(
                 "section probe accepted by the gauge but rejected by membership"
             )
         if want_upper:
-            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0, tol)
+            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
         if want_lower:
-            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0, tol)
+            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
     return lower, upper, nonempty
 
 
-def section_interval(
-    body: ConvexBody, h, y, tol: float = DEFAULT_SECTION_TOL
-) -> Optional[tuple]:
+def section_interval(body: ConvexBody, h, y) -> Optional[tuple]:
     """Open interval (g(y), f(y)) of the section through y along h.
 
     Returns None when y is outside the projected domain; endpoints that
@@ -188,7 +191,7 @@ def section_interval(
     y = np.asarray(y, dtype=float)
     if abs(float(y @ h)) > 1e-10:
         raise DomainError("y must be orthogonal to h (within 1e-10)")
-    lower, upper, nonempty = _section_endpoints(body, h, y[None, :], tol)
+    lower, upper, nonempty = _section_endpoints(body, h, y[None, :])
     if not nonempty[0]:
         return None
     return float(lower[0]), float(upper[0])
@@ -202,7 +205,8 @@ class GraphPair:
     hyperplane orthogonal to h and returns f ("upper") or g ("lower"), with
     +/-inf for a missing graph and nan outside the projected domain; t_hint,
     per-row section parameters that may lie inside the body, only speeds up
-    the section search. basis rows span that hyperplane. _rims holds the
+    the section search; a point is in the domain where values is not nan.
+    basis rows span that hyperplane. _rims holds the
     projected rim the polar integrator found per angular rule, so the upper
     and lower graph of one pair search it once.
     """
@@ -211,9 +215,7 @@ class GraphPair:
     basis: np.ndarray
     case_tag: str
     values: Callable[..., np.ndarray]
-    domain_membership: Callable[[np.ndarray], np.ndarray]
     body: Optional[ConvexBody] = None
-    section_tol: float = DEFAULT_SECTION_TOL
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _rims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -224,12 +226,6 @@ class GraphPair:
     @property
     def g_finite(self) -> bool:
         return self.case_tag in (CASE_BOTH_FINITE, CASE_G_FINITE_ONLY)
-
-    def f_eval(self, Y) -> np.ndarray:
-        return self.values("upper", Y)
-
-    def g_eval(self, Y) -> np.ndarray:
-        return self.values("lower", Y)
 
 
 def _sample_domain_points(body: ConvexBody, h: np.ndarray, count: int, seed: int):
@@ -257,9 +253,7 @@ def _sample_domain_points(body: ConvexBody, h: np.ndarray, count: int, seed: int
     return x - np.multiply.outer(t, h)
 
 
-def classify_case(
-    body: ConvexBody, h, probes: int = 16, seed: int = 0, tol: float = DEFAULT_SECTION_TOL
-) -> str:
+def classify_case(body: ConvexBody, h, probes: int = 16, seed: int = 0) -> str:
     """Which of the four finiteness cases holds for (f, g) along h.
 
     Probes sections at sampled domain points; convexity forces a consistent
@@ -269,7 +263,7 @@ def classify_case(
         raise ParameterError("probes must be >= 8")
     h = as_direction(h, dim=body.dim)
     Y = _sample_domain_points(body, h, probes, seed)
-    lower, upper, nonempty = _section_endpoints(body, h, Y, tol)
+    lower, upper, nonempty = _section_endpoints(body, h, Y)
     if not nonempty.all():
         raise OracleIntegrityError("projected interior sample left the domain")
     f_inf = np.isinf(upper)
@@ -287,35 +281,20 @@ def classify_case(
     return CASE_BOTH_FINITE
 
 
-def decompose(
-    body: ConvexBody, h, tol: float = DEFAULT_SECTION_TOL, probes: int = 16, seed: int = 0
-) -> GraphPair:
+def decompose(body: ConvexBody, h, seed: int = 0) -> GraphPair:
     """Build the GraphPair of a body along h."""
     h = as_direction(h, dim=body.dim)
-    tag = classify_case(body, h, probes=probes, seed=seed, tol=tol)
+    tag = classify_case(body, h, seed=seed)
     basis = orthonormal_complement(h)
 
     def values(which, Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         lower, upper, nonempty = _section_endpoints(
-            body, h, Y, tol, t_hint=t_hint, want_lower=which == "lower", want_upper=which == "upper"
+            body, h, Y, t_hint=t_hint, want_lower=which == "lower", want_upper=which == "upper"
         )
         return np.where(nonempty, upper if which == "upper" else lower, np.nan)
 
-    def domain_membership(Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        _, _, nonempty = _section_endpoints(body, h, Y, tol)
-        return nonempty
-
-    return GraphPair(
-        direction=h,
-        basis=basis,
-        case_tag=tag,
-        values=values,
-        domain_membership=domain_membership,
-        body=body,
-        section_tol=tol,
-    )
+    return GraphPair(direction=h, basis=basis, case_tag=tag, values=values, body=body)
 
 
 def function_graph(
@@ -343,30 +322,19 @@ def function_graph(
             vals = np.where(np.asarray(domain(Y), bool), vals, np.nan)
         return vals
 
-    def domain_membership(Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if domain is None:
-            return np.ones(Y.shape[0], dtype=bool)
-        return np.asarray(domain(Y), dtype=bool)
-
     return GraphPair(
         direction=h,
         basis=basis,
         case_tag=CASE_F_FINITE_ONLY,
         values=values,
-        domain_membership=domain_membership,
         body=None,
         analytic_f_gradient=gradient,
     )
 
 
-def graph_value_and_gradient(
-    pair: GraphPair,
-    which: str,
-    y,
-    fd_step: float = 1e-5,
-):
-    """Value and in-plane central-difference gradient of f or g.
+def graph_value_and_gradient(pair: GraphPair, which: str, y):
+    """Value and in-plane central-difference gradient of f or g, from a
+    stencil of step DEFAULT_FD_STEP that shrinks at the domain edge.
 
     y: single ambient point (n,) or batch (N, n) in the hyperplane orthogonal
     to h. Gradients are ambient vectors orthogonal to h. Raises MarginError
@@ -374,8 +342,6 @@ def graph_value_and_gradient(
     """
     if which not in ("upper", "lower"):
         raise ParameterError("which must be 'upper' or 'lower'")
-    if fd_step <= 0:
-        raise ParameterError("fd_step must be positive")
     Y = np.asarray(y, dtype=float)
     scalar = Y.ndim == 1
     Y = np.atleast_2d(Y)
@@ -386,11 +352,11 @@ def graph_value_and_gradient(
     if pair.analytic_f_gradient is not None and which == "upper":
         grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
     else:
-        grads, ok = _stencil_gradient(pair, which, Y, fd_step)
+        grads, ok = _stencil_gradient(pair, which, Y, DEFAULT_FD_STEP)
         if not ok.all():
             raise MarginError(
                 f"{int((~ok).sum())} stencil point(s) exit the projected domain even "
-                "at the smallest step; move y inward or shrink fd_step"
+                "at the smallest step; move y inward"
             )
     if scalar:
         return float(vals[0]), grads[0]
@@ -433,15 +399,15 @@ def _stencil_gradient(pair, which, Y, steps, t_hint=None):
     return grads_c @ basis, ~todo  # ambient gradients, orthogonal to h
 
 
-def boundary_classify(
-    body: ConvexBody, pair: GraphPair, x, tol: float = 1e-10
-):
+def boundary_classify(body: ConvexBody, pair: GraphPair, x):
     """Classify boundary points as upper_graph / lower_graph / vertical.
 
     x: one point (n,), giving one label, or a batch (N, n), giving a list of
-    N labels. Precondition: |gauge(x) - 1| <= 10*tol at every point, else
-    DomainError. The match tolerance is 100*tol.
+    N labels. With tol = DEFAULT_GAUGE_TOL, the precondition is
+    |gauge(x) - 1| <= 10*tol at every point, else DomainError, and the match
+    tolerance is 100*tol.
     """
+    tol = DEFAULT_GAUGE_TOL
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
@@ -451,16 +417,14 @@ def boundary_classify(
         raise DomainError(f"x is not near the boundary: gauge(x) = {float(p[off][0])}")
     h = pair.direction
     t = X @ h
-    lower, upper, _ = _section_endpoints(body, h, X - np.outer(t, h), pair.section_tol)
+    lower, upper, _ = _section_endpoints(body, h, X - np.outer(t, h))
     # empty sections give nan endpoints and missing graphs +/-inf: neither is near
     near = lambda end: np.abs(t - end) <= 100.0 * tol
     labels = np.where(near(upper), "upper_graph", np.where(near(lower), "lower_graph", "vertical"))
     return str(labels[0]) if scalar else labels.tolist()
 
 
-def ray_cast_boundary(
-    body: ConvexBody, count: int, seed: int, tol: float = 1e-12
-):
+def ray_cast_boundary(body: ConvexBody, count: int, seed: int):
     """Boundary points u/gauge(u) for uniformly random directions u, together
     with surface-importance weights relative to the Gaussian surface density.
 
@@ -471,7 +435,7 @@ def ray_cast_boundary(
     rng = np.random.default_rng([seed, 2])
     u = rng.standard_normal((count, body.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    p = minkowski_functional(body, u, tol=tol)
+    p = minkowski_functional(body, u, tol=1e-12)
     hits = p > 1.0 / body.reach
     u = u[hits]
     b = u / p[hits][:, None]
@@ -488,25 +452,20 @@ def ray_cast_boundary(
     return b, nu, w
 
 
-def default_direction_candidates(dim: int, extra: int = 8, seed: int = 0):
-    """Coordinate axes plus a few random unit vectors."""
+def default_direction_candidates(dim: int, seed: int = 0):
+    """Coordinate axes plus 8 random unit vectors."""
     rng = np.random.default_rng([seed, 3])
     cands = [np.eye(dim)[i] for i in range(dim)]
-    v = rng.standard_normal((extra, dim))
+    v = rng.standard_normal((8, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     cands.extend(v)
     return cands
 
 
-def choose_direction(
-    body: ConvexBody,
-    candidates,
-    boundary_samples: int = 1000,
-    seed: int = 0,
-    angular_tol: float = 1e-3,
-):
+def choose_direction(body: ConvexBody, candidates, boundary_samples: int = 1000, seed: int = 0):
     """Pick the candidate direction whose vertical boundary set carries the
-    least estimated surface mass.
+    least estimated surface mass; a boundary normal within 1e-3 rad of
+    orthogonal to h counts as vertical.
 
     Returns (direction, vertical_mass EstimateWithError). Raises
     DegenerateDirectionError when every candidate exceeds mass 0.5.
@@ -518,7 +477,7 @@ def choose_direction(
     wsum = float(np.sum(w))
     best = None
     for h in candidates:
-        vertical = np.abs(nu @ h) < math.sin(angular_tol)
+        vertical = np.abs(nu @ h) < math.sin(1e-3)
         mass = float(np.sum(w * vertical) / wsum) if wsum > 0 else 1.0
         # delta-method standard error of the weighted fraction
         if wsum > 0:
@@ -526,9 +485,7 @@ def choose_direction(
             se = float(np.sqrt(np.sum(resid**2)) / wsum)
         else:
             se = 1.0
-        est = EstimateWithError(
-            value=mass, std_error=se, n_samples=len(w), seed=seed, method="monte_carlo"
-        )
+        est = EstimateWithError(value=mass, std_error=se, n_samples=len(w), method="monte_carlo")
         if best is None or mass < best[1].value:
             best = (h, est)
     if best[1].value > 0.5:

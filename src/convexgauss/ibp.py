@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, minkowski_gradient_fd
+from .bodies import INTEGER, NUMBER, VECTOR, ConvexBody, _is_kind, minkowski_gradient_fd
 from .errors import (
     DegeneracyError,
     DirectionError,
@@ -129,31 +129,49 @@ def distance_clamp(center, inner: float = 1.0, outer: float = 2.0) -> TestFuncti
     )
 
 
+# numeric fields of each test function, with the kind of value each holds
+_PSI_FIELDS = {
+    "constant": {"value": NUMBER},
+    "coordinate": {"index": INTEGER},
+    "tanh": {"weights": VECTOR, "offset": NUMBER},
+    "distance_clamp": {"center": VECTOR, "inner": NUMBER, "outer": NUMBER},
+}
+
+
 def psi_from_spec(spec: dict) -> TestFunction:
-    """Build a test function from a config mapping {"name": ..., params}."""
+    """Build a test function from a config mapping {"name": ..., params}.
+
+    Raises ParameterError naming a missing field or a numeric field that
+    holds no value of its kind.
+    """
     if not isinstance(spec, dict) or "name" not in spec:
         raise ParameterError(f"psi spec must be a mapping with 'name': {spec!r}")
     name = spec["name"]
-    if name == "constant":
-        return constant(spec.get("value", 1.0))
-    if name == "coordinate":
-        return coordinate(int(spec["index"]))
-    if name == "tanh":
-        return tanh_of(spec["weights"], spec.get("offset", 0.0))
-    if name == "distance_clamp":
-        return distance_clamp(
-            spec["center"], spec.get("inner", 1.0), spec.get("outer", 2.0)
-        )
-    raise ParameterError(f"psi.name: unknown test function {name!r}")
+    if not isinstance(name, str) or name not in _PSI_FIELDS:
+        raise ParameterError(f"psi.name: unknown test function {name!r}")
+    for key, kind in _PSI_FIELDS[name].items():
+        if key in spec and not _is_kind(spec[key], kind):
+            raise ParameterError(f"psi.{key} must be {kind}, got {spec[key]!r}")
+    try:
+        if name == "constant":
+            return constant(spec.get("value", 1.0))
+        if name == "coordinate":
+            if spec["index"] < 0:
+                raise ParameterError(f"psi.index must be >= 0, got {spec['index']!r}")
+            return coordinate(int(spec["index"]))
+        if name == "tanh":
+            return tanh_of(spec["weights"], spec.get("offset", 0.0))
+        return distance_clamp(spec["center"], spec.get("inner", 1.0), spec.get("outer", 2.0))
+    except KeyError as exc:
+        raise ParameterError(f"psi.{exc.args[0]} is required for {name}") from exc
 
 
-def validate_test_function(
-    psi: TestFunction, dim: int, seed: int = 0, pairs: int = 500, box: float = 4.0
-) -> None:
-    """Sampled Lipschitz check: |psi(x)-psi(y)| <= L |x-y| on random pairs."""
+def validate_test_function(psi: TestFunction, dim: int, seed: int = 0) -> None:
+    """Sampled Lipschitz check: |psi(x)-psi(y)| <= L |x-y| on 500 random
+    pairs in the box [-4, 4]^dim."""
     rng = np.random.default_rng([seed, 7])
-    x = rng.uniform(-box, box, size=(pairs, dim))
-    y = rng.uniform(-box, box, size=(pairs, dim))
+    x = rng.uniform(-4.0, 4.0, size=(500, dim))
+    y = rng.uniform(-4.0, 4.0, size=(500, dim))
     lhs = np.abs(psi(x) - psi(y))
     rhs = psi.lipschitz_bound * np.linalg.norm(x - y, axis=-1)
     bad = lhs > rhs * (1 + 1e-9) + 1e-12
@@ -258,7 +276,6 @@ def lhs_volume_integral(
         value=float(mean),
         std_error=float(se),
         n_samples=int(n),
-        seed=seed,
         method="monte_carlo",
         details={"acceptance": acceptance},
     )
@@ -353,13 +370,7 @@ def verify_ibp(
     return VerificationReport.from_estimates(lhs, rhs, configured_tol=tol, metadata=metadata)
 
 
-def gradient_formula_check(
-    body: ConvexBody,
-    pair: GraphPair,
-    x,
-    tol: float = 1e-10,
-    fd_step: float = 1e-5,
-):
+def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
     """Relative deviation between the graph-based gauge gradient formula and
     the central-difference gauge gradient at boundary points x.
 
@@ -375,7 +386,7 @@ def gradient_formula_check(
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
-    labels = np.asarray(boundary_classify(body, pair, X, tol=tol))
+    labels = np.asarray(boundary_classify(body, pair, X))
     if scalar and labels[0] == "vertical":
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
@@ -386,7 +397,7 @@ def gradient_formula_check(
         rows = np.flatnonzero(labels == f"{which}_graph")
         if not rows.size:
             continue
-        val, grad = graph_value_and_gradient(pair, which, Y[rows], fd_step=fd_step)
+        val, grad = graph_value_and_gradient(pair, which, Y[rows])
         den = sign * (val - np.einsum("ij,ij->i", grad, Y[rows]))
         degenerate = np.abs(den) < 1e-8
         if scalar and degenerate[0]:
@@ -408,7 +419,7 @@ def gradient_formula_check(
     errs = np.full(X.shape[0], np.nan)
     rows = np.flatnonzero(graph)
     if rows.size:
-        fd_grad = minkowski_gradient_fd(body, X[rows], tol=tol)
+        fd_grad = minkowski_gradient_fd(body, X[rows])
         denom = np.linalg.norm(fd_grad, axis=1)
         if scalar and denom[0] == 0:
             raise DegeneracyError("finite-difference gauge gradient vanished")
@@ -432,7 +443,7 @@ def vector_measure_check(
     budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
     lhs = lhs_volume_integral(body, phi, k, budget=budget, seed=seed)
-    zero = EstimateWithError(0.0, 0.0, 0, seed, "closed_form")
+    zero = EstimateWithError(0.0, 0.0, 0, "closed_form")
     upper = (
         graph_surface_integral(
             pair, "upper", lambda x, nu: np.asarray(phi(x)) * (nu @ k), budget=budget, seed=seed

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,12 +69,11 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """A numerical estimate with its uncertainty and reproducibility data."""
+    """A numerical estimate with its uncertainty, sample count and method."""
 
     value: float
     std_error: float
     n_samples: int
-    seed: int
     method: str
     details: Optional[dict] = None
 
@@ -96,7 +95,6 @@ class EstimateWithError:
             value=self.value + other.value,
             std_error=math.hypot(self.std_error, other.std_error),
             n_samples=max(self.n_samples, other.n_samples),
-            seed=self.seed,
             method=method,
         )
 
@@ -105,7 +103,6 @@ class EstimateWithError:
             value=factor * self.value,
             std_error=abs(factor) * self.std_error,
             n_samples=self.n_samples,
-            seed=self.seed,
             method=self.method,
             details=self.details,
         )
@@ -241,15 +238,8 @@ def map_chunks(fn: Callable[[int, int], object], count: int, threads: int = 1) -
         return list(pool.map(fn, range(len(sizes)), sizes))
 
 
-def sample_gaussian(
-    model: GaussianModel | int,
-    count: int,
-    seed: int,
-    subspace: Optional[Sequence] = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """count i.i.d. standard-Gaussian points in R^dim, optionally projected
-    onto the orthogonal complement of the span of `subspace` (orthonormal rows).
+def sample_gaussian(dim: int, count: int, seed: int, threads: int = 1) -> np.ndarray:
+    """count i.i.d. standard-Gaussian points in R^dim.
 
     Each fixed-size chunk draws from its own generator seeded by
     (seed, chunk_index), so output is bitwise-deterministic and independent
@@ -257,20 +247,12 @@ def sample_gaussian(
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    dim = model.dim if isinstance(model, GaussianModel) else int(model)
 
     def draw(idx: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, idx])
         return rng.standard_normal((size, dim))
 
-    x = np.concatenate(map_chunks(draw, count, threads=threads), axis=0)
-    if subspace is not None:
-        basis = np.atleast_2d(np.asarray(subspace, dtype=float))
-        gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-10):
-            raise DomainError("subspace rows must be orthonormal")
-        x = x - (x @ basis.T) @ basis
-    return x
+    return np.concatenate(map_chunks(draw, count, threads=threads), axis=0)
 
 
 def gauss_hermite_nodes(order: int, dim: int) -> tuple:

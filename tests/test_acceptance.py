@@ -108,7 +108,7 @@ def test_criterion_5_subspace_monotonicity():
     for axes in ([0], [0, 1], [0, 1, 2]):
         F = np.eye(3)[axes]
         # identical seed -> identical underlying draws (common random numbers)
-        vals.append(cg.subspace_hausdorff(body, F, budget=budget, seed=3, h=E1_3))
+        vals.append(cg.subspace_hausdorff(body, F, budget=budget, seed=3))
     ok = True
     for a, b in zip(vals, vals[1:]):
         ok &= a.value <= b.value + 3.0 * (a.std_error + b.std_error)

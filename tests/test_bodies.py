@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import convexgauss as cg
 from convexgauss.bodies import bisect
-from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError, ParameterError
+from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError
 
 TOL = 1e-10
 
@@ -91,12 +91,6 @@ def test_gradient_halfspace():
     body = cg.halfspace([1.0, 0.0], 2.0)  # gauge = x1/2 on the active side
     g = cg.minkowski_gradient_fd(body, [2.0, 0.3])
     assert np.allclose(g, [0.5, 0.0], atol=1e-6)
-
-
-def test_gradient_step_guidance():
-    body = cg.ball(1.0, 2)
-    with pytest.raises(ParameterError, match="tol"):
-        cg.minkowski_gradient_fd(body, [0.5, 0.5], step=1e-6, tol=1e-10)
 
 
 def test_gradient_rejects_origin():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexgauss.cli import RunConfig, exit_code_for_verdicts, main
+from convexgauss.cli import exit_code_for_verdicts, main
 
 from conftest import DISK_PERIM, G1_AT_1
 
@@ -73,6 +73,9 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("density", {"density": {"points": [[0.9, 0.0, 0.0]]}}, "density.points"),
         ("surface", {"subspaces": [[0], [0, 2]]}, "subspaces[1]"),
         ("perimeter", {"budgets": {"samples": "many"}}, "budget.samples"),
+        ("perimeter", {"budgets": {"fd_step": True}}, "budget.fd_step"),
+        ("perimeter", {"budgets": {"epsilons": [True, 0.05, 0.03]}}, "budget.epsilons"),
+        ("density", {"density": {"points": [["0.9", 0.0]]}}, "density.points"),
         ("density", {"density": {"samples": "many"}}, "density.samples"),
         ("density", {"density": {"samples": 999}}, "density.samples"),
         ("density", {"density": {"radius": -0.1}}, "density.radius"),
@@ -94,11 +97,34 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"seed": -1}, "seed"),
         ("perimeter", {"seed": 1.7}, "seed"),
         ("perimeter", {"seed": True}, "seed"),
+        ("perimeter", {"model": {"dim": "x"}}, "model.dim"),
+        ("perimeter", {"model": {"dim": 2.7}}, "model.dim"),
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": "levy"}}, "model.spectral_profile"),
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": 3}}, "model.spectral_profile"),
+        ("ibp", {"psi": {"name": "coordinate", "index": "a"}}, "psi.index"),
+        ("ibp", {"psi": {"name": "coordinate"}}, "psi.index"),
+        ("ibp", {"psi": {"name": "tanh", "weights": "ab"}}, "psi.weights"),
+        ("converge-dim", {"grid": {"dims": ["a"]}}, "grid.dims"),
+        ("converge-dim", {"grid": {"dims": "23"}}, "grid.dims"),
+        ("converge-dim", {"grid": {"dims": [2.5]}}, "grid.dims"),
+        ("converge-dim", {"grid": {"dims": [1]}}, "grid.dims"),
+        ("converge-dim", {"grid": {"dims": [2], "scale": "big"}}, "grid.scale"),
+        ("perimeter", {"outputs": {"report": 5}}, "outputs.report"),
+        ("perimeter", {"body": {"shape": "ball", "radius": True}}, "body.ball.radius"),
+        ("perimeter", {"body": {"shape": "ball", "radius": "2"}}, "body.ball.radius"),
+        (
+            "perimeter",
+            {"body": {"shape": "random_polytope", "faces": 8.7, "seed": 1}},
+            "body.random_polytope.faces",
+        ),
     ],
     ids=[
         "density_point_dim",
         "subspace_axis_range",
         "budget_count",
+        "budget_fd_step_bool",
+        "budget_epsilon_bool",
+        "density_point_string",
         "density_samples_type",
         "density_samples_min",
         "density_radius",
@@ -116,6 +142,22 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "seed_negative",
         "seed_float",
         "seed_bool",
+        "model_dim_string",
+        "model_dim_float",
+        "spectral_profile_name",
+        "spectral_profile_number",
+        "psi_index_string",
+        "psi_index_missing",
+        "psi_weights_string",
+        "grid_dims_string_entry",
+        "grid_dims_string",
+        "grid_dims_float",
+        "grid_dims_one",
+        "grid_scale",
+        "outputs_report_number",
+        "ball_radius_bool",
+        "ball_radius_string",
+        "random_polytope_faces_float",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
@@ -126,6 +168,23 @@ def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, f
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("key", ["report", "csv"])
+@pytest.mark.parametrize("name", ["../../escape.json", "sub/out.json", "ABSOLUTE", "", ".."])
+def test_output_names_stay_inside_out(tmp_path, capsys, key, name):
+    out = tmp_path / "a" / "b"
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "absolute.json")
+    cfg = _load("subspace_ellipsoid.json")
+    cfg["outputs"][key] = name
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["surface", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"outputs.{key}" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
 
 
 def test_missing_seed_rejected(tmp_path, capsys):
@@ -259,37 +318,6 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_samples_axis_se_scaling(tmp_path):
-    cfg = _load(
-        "ibp_halfspace.json",
-        grid={"samples": [20000, 80000, 320000]},
-        outputs={"report": "r.json", "csv": "samples.csv"},
-    )
-    config = RunConfig.from_dict(cfg)
-    from convexgauss.cli import convergence_study
-
-    records, rows = convergence_study(config, "samples")
-    ses = [r["std_error"] for r in rows]
-    # SE shrinks like 1/sqrt(n) within 20%
-    assert ses[2] == pytest.approx(ses[0] / 4.0, rel=0.2)
-
-
-def test_epsilon_axis_intercept(tmp_path):
-    cfg = _load(
-        "ibp_halfspace.json",
-        grid={"epsilons": [0.08, 0.05, 0.03, 0.02]},
-        outputs={"report": "r.json", "csv": "eps.csv"},
-    )
-    cfg["budgets"] = {"samples": 600000}
-    config = RunConfig.from_dict(cfg)
-    from convexgauss.cli import convergence_study
-
-    records, rows = convergence_study(config, "epsilon")
-    intercept, se = records[-1]["lhs"], records[-1]["se_l"]
-    assert abs(intercept - G1_AT_1) <= max(3 * se, 0.02 * G1_AT_1)
-    assert len(rows) == 4
 
 
 @settings(max_examples=100, deadline=None)

@@ -163,9 +163,9 @@ def test_graph_gauge_consistency():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.5, 0.5, size=(20, 3))
     pts[:, 2] = 0.0
-    inside = pair.domain_membership(pts)
-    f = pair.f_eval(pts[inside])
-    g = pair.g_eval(pts[inside])
+    inside = ~np.isnan(pair.values("upper", pts))
+    f = pair.values("upper", pts[inside])
+    g = pair.values("lower", pts[inside])
     pf = cg.minkowski_functional(body, pts[inside] + f[:, None] * h)
     pg = cg.minkowski_functional(body, pts[inside] + g[:, None] * h)
     assert np.allclose(pf, 1.0, atol=1e-8)
@@ -179,13 +179,13 @@ def test_graph_concavity_convexity_midpoints():
     pts = rng.uniform(-0.3, 0.3, size=(2000, 3))
     pts[:, 2] = 0.0
     a, b = pts[:1000], pts[1000:]
-    ok = pair.domain_membership(a) & pair.domain_membership(b)
+    ok = ~np.isnan(pair.values("upper", a)) & ~np.isnan(pair.values("upper", b))
     a, b = a[ok], b[ok]
-    fa, fb = pair.f_eval(a), pair.f_eval(b)
-    fm = pair.f_eval(0.5 * (a + b))
+    fa, fb = pair.values("upper", a), pair.values("upper", b)
+    fm = pair.values("upper", 0.5 * (a + b))
     assert np.all(fm >= 0.5 * (fa + fb) - 1e-8)
-    ga, gb = pair.g_eval(a), pair.g_eval(b)
-    gm = pair.g_eval(0.5 * (a + b))
+    ga, gb = pair.values("lower", a), pair.values("lower", b)
+    gm = pair.values("lower", 0.5 * (a + b))
     assert np.all(gm <= 0.5 * (ga + gb) + 1e-8)
 
 

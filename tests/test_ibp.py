@@ -58,6 +58,17 @@ def test_lhs_rejects_negligible_mass():
         cg.lhs_volume_integral(tiny, cg.constant(1.0), E1_2, budget={"samples": 10_000}, seed=4)
 
 
+def test_lhs_se_scaling(halfspace3):
+    ses = [
+        cg.lhs_volume_integral(
+            halfspace3, cg.constant(1.0), E1_3, budget={"samples": n}, seed=20240817
+        ).std_error
+        for n in (20000, 80000, 320000)
+    ]
+    # SE shrinks like 1/sqrt(n) within 20%
+    assert ses[2] == pytest.approx(ses[0] / 4.0, rel=0.2)
+
+
 # ----------------------------------------------------------- surface integral
 
 
@@ -270,7 +281,7 @@ def test_alfred_denominator_positive_on_upper_graph():
     rng = np.random.default_rng(30)
     y = rng.uniform(-0.3, 0.3, size=(50, 3))
     y -= np.outer(y @ h, h)
-    inside = pair.domain_membership(y)
+    inside = ~np.isnan(pair.values("upper", y))
     vals, grads = cg.graph_value_and_gradient(pair, "upper", y[inside])
     dens = vals - np.einsum("ij,ij->i", grads, y[inside])
     assert np.all(dens > 0)

@@ -119,11 +119,6 @@ def test_sampler_mean_within_clt_bound():
     assert np.all(np.abs(x.mean(axis=0)) < bound)
 
 
-def test_sampler_subspace_projection():
-    x = cg.sample_gaussian(3, 5000, seed=1, subspace=[[1.0, 0.0, 0.0]])
-    assert np.max(np.abs(x[:, 0])) <= 1e-12
-
-
 def test_sampler_deterministic_and_thread_invariant():
     a = cg.sample_gaussian(4, 200_000, seed=7)
     b = cg.sample_gaussian(4, 200_000, seed=7)

@@ -158,9 +158,7 @@ def test_function_graph_stencil_shrinks_at_domain_edge():
 
 def test_subspace_halfspace_single_axis():
     hs = cg.halfspace([1.0, 0.0, 0.0], 1.0)
-    est = cg.subspace_hausdorff(
-        hs, [E1_3], budget={"subspace_samples": 2000}, seed=1, h=E1_3
-    )
+    est = cg.subspace_hausdorff(hs, [E1_3], budget={"subspace_samples": 2000}, seed=1)
     assert est.value == pytest.approx(G1_AT_1, abs=3 * est.std_error + 1e-9)
 
 
@@ -178,7 +176,7 @@ def test_subspace_monotone_nested_chain():
     for axes in ([0], [0, 1], [0, 1, 2]):
         F = np.eye(3)[axes]
         vals.append(
-            cg.subspace_hausdorff(body, F, budget=budget, seed=3, h=E1_3)
+            cg.subspace_hausdorff(body, F, budget=budget, seed=3)
         )
     for a, b in zip(vals, vals[1:]):
         tol = 3.0 * (a.std_error + b.std_error)
@@ -187,12 +185,6 @@ def test_subspace_monotone_nested_chain():
     pair = cg.decompose(body, E1_3)
     perim = cg.total_boundary_measure(body, pair, seed=3)
     assert vals[-1].value == pytest.approx(perim.value, rel=5e-3)
-
-
-def test_subspace_requires_h_in_span():
-    body = cg.ball(1.0, 3)
-    with pytest.raises(DirectionError):
-        cg.subspace_hausdorff(body, [E1_3], seed=0, h=np.array([0.0, 1.0, 0.0]))
 
 
 def test_subspace_rejects_large_m():
@@ -293,10 +285,10 @@ def test_minkowski_content_validates_epsilons(disk):
 
 def test_estimate_invariant_deterministic_methods_have_zero_se():
     with pytest.raises(ParameterError):
-        cg.EstimateWithError(1.0, 0.1, 10, 0, "gauss_hermite")
+        cg.EstimateWithError(1.0, 0.1, 10, "gauss_hermite")
     with pytest.raises(ParameterError):
-        cg.EstimateWithError(1.0, 0.0, 10, 0, "bogus")
-    est = cg.EstimateWithError(1.0, 0.0, 10, 0, "polar")
+        cg.EstimateWithError(1.0, 0.0, 10, "bogus")
+    est = cg.EstimateWithError(1.0, 0.0, 10, "polar")
     assert est.method == "polar"
 
 
