@@ -415,6 +415,16 @@ _NUMERIC_FIELDS = {
     "random_polytope": {"faces": INTEGER, "seed": INTEGER},
     "cylinder": {"axis": VECTOR},
 }
+# spec fields of each shape that hold no number
+_OTHER_FIELDS = {"polytope": ("faces",), "cylinder": ("base",)}
+_FACE_FIELDS = {"normal": VECTOR, "offset": NUMBER}
+
+
+def _reject_unknown(name: str, section: dict, known, error) -> None:
+    """Raise error naming the keys of section that are not in known."""
+    unknown = sorted(set(section) - set(known), key=str)
+    if unknown:
+        raise error(f"unknown {name} fields: {unknown}")
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -436,24 +446,31 @@ def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
 
     Shapes: ball, ellipsoid, halfspace, slab, polytope, cylinder; optional
     "translate" applies last. Raises BodySpecError naming the offending field,
-    also for a missing field or a numeric field that holds no number.
+    also for a missing or unknown field or a numeric field that holds no
+    number.
     """
     if not isinstance(spec, dict) or "shape" not in spec:
         raise BodySpecError(f"body spec must be a mapping with a 'shape' field: {spec!r}")
     shape = spec["shape"]
     if not isinstance(shape, str):
         raise BodySpecError(f"body.shape: unknown shape {shape!r}")
+    if shape in _NUMERIC_FIELDS or shape in _OTHER_FIELDS:
+        known = ("shape", "translate", *_NUMERIC_FIELDS.get(shape, ()))
+        _reject_unknown(f"body.{shape}", spec, known + _OTHER_FIELDS.get(shape, ()), BodySpecError)
     numeric = [
         (f"body.{shape}.{key}", spec[key], kind)
         for key, kind in _NUMERIC_FIELDS.get(shape, {}).items()
         if key in spec
     ]
     if shape == "polytope" and isinstance(spec.get("faces"), list):
+        for i, face in enumerate(spec["faces"]):
+            if isinstance(face, dict):
+                _reject_unknown(f"body.polytope.faces[{i}]", face, _FACE_FIELDS, BodySpecError)
         numeric += [
             (f"body.polytope.faces[{i}].{key}", face[key], kind)
             for i, face in enumerate(spec["faces"])
             if isinstance(face, dict)
-            for key, kind in (("normal", VECTOR), ("offset", NUMBER))
+            for key, kind in _FACE_FIELDS.items()
             if key in face
         ]
     if "translate" in spec:

@@ -32,6 +32,7 @@ from .bodies import (
     ConvexBody,
     _is_kind,
     _is_number,
+    _reject_unknown,
     kl_ellipsoid,
     lebesgue_density,
     load_body_spec,
@@ -58,6 +59,29 @@ SUBCOMMANDS = (
 )
 
 __all__ = ["RunConfig", "run", "main"]
+
+# the fields the config and each of its sections may hold
+_CONFIG_FIELDS = {
+    "config": (
+        "seed",
+        "model",
+        "body",
+        "psi",
+        "directions",
+        "budgets",
+        "tolerances",
+        "density",
+        "grid",
+        "subspaces",
+        "outputs",
+    ),
+    "config.model": ("dim", "spectral_profile"),
+    "config.directions": ("k", "h", "candidates"),
+    "config.tolerances": ("perimeter_relative", "ibp", "gradcheck_median"),
+    "config.density": ("samples", "radius", "boundary_points", "points"),
+    "config.grid": ("dims", "scale"),
+    "config.outputs": ("report", "csv"),
+}
 
 
 @dataclass
@@ -87,6 +111,7 @@ class RunConfig:
     def from_dict(cfg: dict, threads_override: Optional[int] = None) -> "RunConfig":
         if not isinstance(cfg, dict):
             raise ParameterError("config must be a JSON object")
+        _reject_unknown("config", cfg, _CONFIG_FIELDS["config"], ParameterError)
         if "seed" not in cfg:
             raise ParameterError("config.seed is required (no wall-clock seeding)")
         if not (_is_number(cfg["seed"], integer=True) and cfg["seed"] >= 0):
@@ -94,6 +119,7 @@ class RunConfig:
         model_cfg = cfg.get("model")
         if not isinstance(model_cfg, dict) or "dim" not in model_cfg:
             raise ParameterError("config.model.dim is required")
+        _reject_unknown("config.model", model_cfg, _CONFIG_FIELDS["config.model"], ParameterError)
         dim = model_cfg["dim"]
         if not (_is_number(dim, integer=True) and dim >= 1):
             raise ParameterError(f"config.model.dim must be an integer >= 1, got {dim!r}")
@@ -111,6 +137,9 @@ class RunConfig:
         directions = cfg.get("directions", {})
         if not isinstance(directions, dict):
             raise ParameterError(f"config.directions must be a JSON object: {directions!r}")
+        _reject_unknown(
+            "config.directions", directions, _CONFIG_FIELDS["config.directions"], ParameterError
+        )
         k_list = [
             _direction(f"directions.k[{i}]", k, model.dim)
             for i, k in enumerate(_vector_list("directions.k", directions.get("k", [])))
@@ -149,6 +178,8 @@ class RunConfig:
         ):
             if not isinstance(section, dict):
                 raise ParameterError(f"config.{name} must be a JSON object: {section!r}")
+            fields = _CONFIG_FIELDS[f"config.{name}"]
+            _reject_unknown(f"config.{name}", section, fields, ParameterError)
         for key, what, valid in (
             ("samples", "an integer >= 1000", lambda v: _is_number(v, integer=True) and v >= 1000),
             ("radius", "a positive number", lambda v: _is_number(v) and v > 0),
@@ -156,7 +187,7 @@ class RunConfig:
         ):
             if key in density and not valid(density[key]):
                 raise ParameterError(f"config.density.{key} must be {what}, got {density[key]!r}")
-        for key in ("perimeter_relative", "ibp", "gradcheck_median"):
+        for key in _CONFIG_FIELDS["config.tolerances"]:
             if key in tolerances and not (_is_number(tolerances[key]) and tolerances[key] >= 0):
                 raise ParameterError(
                     f"config.tolerances.{key} must be a non-negative number, got {tolerances[key]!r}"
@@ -190,9 +221,7 @@ class RunConfig:
             raise ParameterError(f"config.grid.scale must be a positive number, got {grid['scale']!r}")
         # output files go inside --out: a bare file name, no directory part
         for key, name in outputs.items():
-            if key in ("report", "csv") and not (
-                isinstance(name, str) and name == Path(name).name and name not in ("", "..")
-            ):
+            if not (isinstance(name, str) and name == Path(name).name and name not in ("", "..")):
                 raise ParameterError(
                     f"config.outputs.{key} must be a bare file name with no directory part, "
                     f"got {name!r}"
@@ -314,21 +343,20 @@ def _run_ibp(config: RunConfig):
         raise ParameterError("config.directions.k must be nonempty for ibp")
     body = config.body
     psi = psi_from_spec(config.psi_spec)
-    records = []
-    for i, k in enumerate(config.k_list):
-        report = verify_ibp(
-            body,
-            psi,
-            k,
-            budget=config.budget,
-            seed=config.seed,
-            h=config.h,
-            candidates=config.candidates,
-            tol=config.tolerances.get("ibp"),
-        )
-        records.append(
-            _record_from_report(f"ibp[k{i}]", report, extra={"k": report.metadata["k"]})
-        )
+    reports = verify_ibp(
+        body,
+        psi,
+        np.stack(config.k_list),
+        budget=config.budget,
+        seed=config.seed,
+        h=config.h,
+        candidates=config.candidates,
+        tol=config.tolerances.get("ibp"),
+    )
+    records = [
+        _record_from_report(f"ibp[k{i}]", report, extra={"k": report.metadata["k"]})
+        for i, report in enumerate(reports)
+    ]
     return records, []
 
 

@@ -208,7 +208,10 @@ class GraphPair:
     the section search; a point is in the domain where values is not nan.
     basis rows span that hyperplane. _rims holds the
     projected rim the polar integrator found per angular rule, so the upper
-    and lower graph of one pair search it once.
+    and lower graph of one pair search it once. _nodes holds the values,
+    gradients and usable mask of each graph's surface-integral nodes by
+    (which, budget, seed), so integrands over the same nodes (one per
+    direction k) share one set of section searches.
     """
 
     direction: np.ndarray
@@ -218,6 +221,7 @@ class GraphPair:
     body: Optional[ConvexBody] = None
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _rims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def f_finite(self) -> bool:

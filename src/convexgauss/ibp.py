@@ -3,9 +3,11 @@
 For an open convex body with gauge p and a bounded Lipschitz test function
 psi, the volume integral of the adjoint derivative over the body equals the
 boundary integral of psi * (d_k p)/|grad p| against the Gaussian surface
-measure. The left side is estimated by rejection-sampled Monte Carlo, the
-right side through the boundary-graph parameterization; the two pipelines
-share no numerics, so agreement is evidence, not tautology.
+measure. The left side is the Monte Carlo indicator estimate
+E[1_body * (d_k psi - psi <k, x>)] over plain Gaussian draws, the right side
+goes through the boundary-graph parameterization; the two pipelines share
+no numerics, so agreement is evidence, not tautology. Both verify_ibp and
+lhs_volume_integral take one direction k or a stack of them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import INTEGER, NUMBER, VECTOR, ConvexBody, _is_kind, minkowski_gradient_fd
+from .bodies import (
+    INTEGER,
+    NUMBER,
+    VECTOR,
+    ConvexBody,
+    _is_kind,
+    _reject_unknown,
+    minkowski_gradient_fd,
+)
 from .errors import (
     DegeneracyError,
     DirectionError,
@@ -33,7 +43,13 @@ from .graphs import (
     default_direction_candidates,
     graph_value_and_gradient,
 )
-from .space import TestFunction, adjoint_derivative, as_direction, map_chunks
+from .space import (
+    TestFunction,
+    _direction_stack,
+    adjoint_derivative,
+    as_direction,
+    map_chunks,
+)
 from .surface import Budget, EstimateWithError, _check_vertical_mass, graph_surface_integral
 
 __all__ = [
@@ -141,14 +157,15 @@ _PSI_FIELDS = {
 def psi_from_spec(spec: dict) -> TestFunction:
     """Build a test function from a config mapping {"name": ..., params}.
 
-    Raises ParameterError naming a missing field or a numeric field that
-    holds no value of its kind.
+    Raises ParameterError naming a missing or unknown field or a numeric
+    field that holds no value of its kind.
     """
     if not isinstance(spec, dict) or "name" not in spec:
         raise ParameterError(f"psi spec must be a mapping with 'name': {spec!r}")
     name = spec["name"]
     if not isinstance(name, str) or name not in _PSI_FIELDS:
         raise ParameterError(f"psi.name: unknown test function {name!r}")
+    _reject_unknown("psi", spec, ("name", *_PSI_FIELDS[name]), ParameterError)
     for key, kind in _PSI_FIELDS[name].items():
         if key in spec and not _is_kind(spec[key], kind):
             raise ParameterError(f"psi.{key} must be {kind}, got {spec[key]!r}")
@@ -240,7 +257,7 @@ def lhs_volume_integral(
     k,
     budget=None,
     seed: int = 0,
-) -> EstimateWithError:
+):
     """Monte Carlo estimate of the volume integral of the adjoint derivative
     of psi along k over the body, against the ambient Gaussian, from
     budget.samples draws on budget.threads workers (central differences of
@@ -248,9 +265,13 @@ def lhs_volume_integral(
 
     Uses the indicator estimator E[1_body * (d_k psi - psi <k, x>)]; the
     acceptance rate is pre-flighted and MassError raised below 1e-3.
+    k: one direction (n,), giving one EstimateWithError, or a stack (K, n),
+    giving a list of K. A stack shares the draws, their membership and the
+    evaluations of psi and its gradient; each estimate equals the
+    one-direction call bit for bit.
     """
     budget = Budget.from_any(budget)
-    k = as_direction(k, dim=body.dim)
+    ks, single = _direction_stack(k, body.dim)
     rng = np.random.default_rng([seed, 999983])
     pre = rng.standard_normal((PREFLIGHT_SAMPLES, body.dim))
     acceptance = float(np.mean(body.contains(pre)))
@@ -260,25 +281,32 @@ def lhs_volume_integral(
             "translate the body toward the origin or enlarge it"
         )
 
+    stack = np.stack(ks)
+
     def chunk(idx, size):
         crng = np.random.default_rng([seed, idx])
         x = crng.standard_normal((size, body.dim))
-        vals = adjoint_derivative(psi, k, x, fd_step=budget.fd_step)
+        vals = adjoint_derivative(psi, stack, x, fd_step=budget.fd_step)
         vals = np.where(body.contains(x), vals, 0.0)
-        return np.array([np.sum(vals), np.sum(vals * vals), size])
+        return [np.array([np.sum(v), np.sum(v * v), size]) for v in vals]
 
-    stats = np.sum(map_chunks(chunk, budget.samples, threads=budget.threads), axis=0)
-    total, total_sq, n = stats
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    return EstimateWithError(
-        value=float(mean),
-        std_error=float(se),
-        n_samples=int(n),
-        method="monte_carlo",
-        details={"acceptance": acceptance},
-    )
+    chunks = map_chunks(chunk, budget.samples, threads=budget.threads)
+    estimates = []
+    for j in range(len(ks)):
+        total, total_sq, n = np.sum([stats[j] for stats in chunks], axis=0)
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        se = math.sqrt(var / n)
+        estimates.append(
+            EstimateWithError(
+                value=float(mean),
+                std_error=float(se),
+                n_samples=int(n),
+                method="monte_carlo",
+                details={"acceptance": acceptance},
+            )
+        )
+    return estimates[0] if single else estimates
 
 
 def rhs_surface_integral(
@@ -328,15 +356,20 @@ def verify_ibp(
     h=None,
     candidates=None,
     tol: Optional[float] = None,
-) -> VerificationReport:
+):
     """Run both sides of the boundary integration-by-parts identity and
     compare them at tolerance `tol` (default: three summed standard errors).
 
     Without `h` the graph direction is chosen among `candidates` (default:
     the coordinate axes plus random directions) by least vertical mass.
+    k: one direction (n,), giving one VerificationReport, or a stack (K, n),
+    giving a list of K. A stack chooses the direction, decomposes the body
+    and checks the vertical mass once, shares one pass over the draws on
+    the left side and one set of graph nodes on the right; each report
+    equals the one-direction call bit for bit.
     """
     budget = Budget.from_any(budget)
-    k = as_direction(k, dim=body.dim)
+    ks, single = _direction_stack(k, body.dim)
     if h is not None:
         h = as_direction(np.asarray(h, dtype=float), dim=body.dim)
         vertical_mass = None
@@ -347,27 +380,38 @@ def verify_ibp(
             body, candidates, boundary_samples=budget.boundary_samples, seed=seed
         )
     pair = decompose(body, h, seed=seed)
-    lhs = lhs_volume_integral(body, psi, k, budget=budget, seed=seed)
+    lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
     # a chosen direction already carries its vertical-mass estimate; a given
-    # one is checked by the right side after its finite-graph check
+    # one is checked by the first right side after its finite-graph check
     if vertical_mass is not None:
         _check_vertical_mass(body, h, budget, seed, vertical_mass)
-    rhs = rhs_surface_integral(
-        body, pair, psi, k, budget=budget, seed=seed, check_vertical=vertical_mass is None
-    )
-    metadata = {
-        "body": body.spec or {"shape": body.shape_tag},
-        "psi": psi.name,
-        "k": [float(v) for v in k],
-        "h": [float(v) for v in h],
-        "dim": body.dim,
-        "seed": seed,
-        "samples": budget.samples,
-        "case": pair.case_tag,
-    }
-    if vertical_mass is not None:
-        metadata["vertical_mass"] = vertical_mass.value
-    return VerificationReport.from_estimates(lhs, rhs, configured_tol=tol, metadata=metadata)
+    reports = []
+    for j, (kj, lhs_j) in enumerate(zip(ks, lhs)):
+        rhs = rhs_surface_integral(
+            body,
+            pair,
+            psi,
+            kj,
+            budget=budget,
+            seed=seed,
+            check_vertical=vertical_mass is None and j == 0,
+        )
+        metadata = {
+            "body": body.spec or {"shape": body.shape_tag},
+            "psi": psi.name,
+            "k": [float(v) for v in kj],
+            "h": [float(v) for v in h],
+            "dim": body.dim,
+            "seed": seed,
+            "samples": budget.samples,
+            "case": pair.case_tag,
+        }
+        if vertical_mass is not None:
+            metadata["vertical_mass"] = vertical_mass.value
+        reports.append(
+            VerificationReport.from_estimates(lhs_j, rhs, configured_tol=tol, metadata=metadata)
+        )
+    return reports[0] if single else reports
 
 
 def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):

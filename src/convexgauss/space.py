@@ -190,31 +190,58 @@ def split_along(x, h) -> tuple:
     return y, (float(t) if np.ndim(t) == 0 else t)
 
 
+def _direction_stack(h, dim: int) -> tuple:
+    """Validate one direction (n,) or a stack (K, n) of them.
+
+    Returns (list of K unit directions, single), single being True for one
+    direction; each direction is its own contiguous copy.
+    """
+    H = np.asarray(h, dtype=float)
+    if H.ndim not in (1, 2) or H.shape[0] == 0:
+        raise DomainError(
+            f"directions must be one vector (n,) or a nonempty stack (K, n), got shape {H.shape}"
+        )
+    return [as_direction(np.array(k), dim=dim) for k in np.atleast_2d(H)], H.ndim == 1
+
+
 def directional_derivative(
-    psi: TestFunction, h: np.ndarray, x: np.ndarray, fd_step: float = DEFAULT_FD_STEP
+    psi: TestFunction, h, x: np.ndarray, fd_step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """d/dt psi(x + t h) at t=0, analytic when a gradient is attached,
-    otherwise by central differences with step fd_step."""
+    otherwise by central differences with step fd_step.
+
+    h: one direction (n,), or a stack (K, n) giving a leading axis of K
+    rows, row j for h[j]. An analytic gradient is evaluated once for the
+    whole stack.
+    """
     if not fd_step > 0:
         raise ParameterError("fd_step must be positive")
     x = np.asarray(x, dtype=float)
-    h = as_direction(h, dim=x.shape[-1])
+    hs, single = _direction_stack(h, x.shape[-1])
     if psi.analytic_gradient is not None:
-        return np.asarray(psi.analytic_gradient(x)) @ h
-    return (psi(x + fd_step * h) - psi(x - fd_step * h)) / (2.0 * fd_step)
+        grad = np.asarray(psi.analytic_gradient(x))
+        rows = [grad @ k for k in hs]
+    else:
+        rows = [(psi(x + fd_step * k) - psi(x - fd_step * k)) / (2.0 * fd_step) for k in hs]
+    return rows[0] if single else np.asarray(rows)
 
 
-def adjoint_derivative(
-    psi: TestFunction, h, x, fd_step: float = DEFAULT_FD_STEP
-) -> float:
+def adjoint_derivative(psi: TestFunction, h, x, fd_step: float = DEFAULT_FD_STEP):
     """Adjoint directional derivative of psi along h at x:
     (d_h psi)(x) - psi(x) * <h, x>.
 
-    Accepts a single point (n,) or a batch (N, n).
+    x: one point (n,) or a batch (N, n). h: one direction (n,), giving a
+    float or (N,) values, or a stack (K, n), giving (K,) or (K, N) values,
+    row j for h[j]. psi and its analytic gradient are evaluated once for
+    the whole stack, and row j equals the call with h[j] alone bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    h = as_direction(h, dim=x.shape[-1])
-    val = directional_derivative(psi, h, x, fd_step=fd_step) - psi(x) * (x @ h)
+    hs, single = _direction_stack(h, x.shape[-1])
+    slopes = directional_derivative(psi, np.stack(hs), x, fd_step=fd_step)
+    value = psi(x)
+    val = np.asarray([slope - value * (x @ k) for slope, k in zip(slopes, hs)])
+    if single:
+        val = val[0]
     return float(val) if np.ndim(val) == 0 else val
 
 

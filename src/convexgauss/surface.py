@@ -80,6 +80,11 @@ class Budget:
     threads: int = 1
 
     def __post_init__(self):
+        # tuples make a Budget hashable, so it can key the per-pair node cache
+        for name in ("sphere_grid", "inner_sphere_grid", "epsilons"):
+            value = getattr(self, name)
+            if isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim == 1):
+                object.__setattr__(self, name, tuple(value))
         counts = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
         for name in ("sphere_grid", "inner_sphere_grid"):
             grid = getattr(self, name)
@@ -112,11 +117,7 @@ class Budget:
             bad = set(budget) - known
             if bad:
                 raise ParameterError(f"unknown budget fields: {sorted(bad)}")
-            clean = dict(budget)
-            for key in ("epsilons", "sphere_grid", "inner_sphere_grid"):
-                if np.ndim(clean.get(key)) == 1:
-                    clean[key] = tuple(clean[key])
-            return Budget(**clean)
+            return Budget(**budget)
         raise ParameterError(f"budget must be a Budget or dict, got {type(budget)}")
 
 
@@ -167,10 +168,29 @@ def _graph_normal(grads: np.ndarray, h: np.ndarray):
     return (h[None, :] - grads) / root[:, None], root
 
 
-def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, t_hint=None):
+def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
     """Common node evaluation: returns per-node surface integrand
-    phi(x, nu) * G1(val) * sqrt(1+|grad|^2) with a validity mask."""
-    h = pair.direction
+    phi(x, nu) * G1(val) * sqrt(1+|grad|^2) with a validity mask.
+
+    The node values, gradients and mask are kept in pair._nodes under key,
+    which must identify Y, fd_steps and t_hint; a later call with the same
+    key evaluates only integrand2.
+    """
+    if key not in pair._nodes:
+        pair._nodes[key] = _graph_nodes(pair, which, Y, fd_steps, t_hint)
+    vals, grads, usable = pair._nodes[key]
+    out = np.zeros(Y.shape[0])
+    if usable.any():
+        idx = np.flatnonzero(usable)
+        nu, root = _graph_normal(grads[idx], pair.direction)
+        x = Y[idx] + vals[idx][:, None] * pair.direction
+        phi = np.asarray(integrand2(x, nu), dtype=float)
+        out[idx] = phi * _g1(vals[idx]) * root
+    return out, usable
+
+
+def _graph_nodes(pair, which, Y, fd_steps, t_hint):
+    """Graph values, in-plane gradients and usable mask at nodes Y."""
     vals = pair.values(which, Y, t_hint)
     usable = np.isfinite(vals)
     if which == "upper" and pair.analytic_f_gradient is not None:
@@ -186,14 +206,7 @@ def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, t_hint=None):
                 fd_steps[idx],
                 t_hint=_inside_hint(pair, Y[idx], which, vals[idx], t_hint, idx),
             )
-    out = np.zeros(Y.shape[0])
-    if usable.any():
-        idx = np.flatnonzero(usable)
-        nu, root = _graph_normal(grads[idx], h)
-        x = Y[idx] + vals[idx][:, None] * h
-        phi = np.asarray(integrand2(x, nu), dtype=float)
-        out[idx] = phi * _g1(vals[idx]) * root
-    return out, usable
+    return vals, grads, usable
 
 
 def _inside_hint(pair, Y, which, vals, t_hint, idx):
@@ -218,7 +231,7 @@ def _g1(t):
     return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
 
 
-def _polar_graph_estimate(pair, which, integrand2, budget: Budget):
+def _polar_graph_estimate(pair, which, integrand2, budget: Budget, key):
     body = pair.body
     h, B = pair.direction, pair.basis
     d = B.shape[0]
@@ -241,7 +254,7 @@ def _polar_graph_estimate(pair, which, integrand2, budget: Budget):
     m0 = body.margin_at_zero
     fd = np.minimum(budget.fd_step, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
     contrib, usable = _eval_surface_nodes(
-        pair, which, Y, integrand2, fd.reshape(-1), t_hint=t_hint
+        pair, which, Y, integrand2, fd.reshape(-1), key, t_hint=t_hint
     )
     if np.mean(~usable) > 0.005:
         # every polar node lies strictly inside the projected domain, so more
@@ -263,14 +276,14 @@ def _polar_graph_estimate(pair, which, integrand2, budget: Budget):
     )
 
 
-def _gh_graph_estimate(pair, which, integrand2, budget: Budget):
+def _gh_graph_estimate(pair, which, integrand2, budget: Budget, key):
     d = pair.basis.shape[0]
     # looked up on the module at call time, so a wrapper installed there
     # (the benchmark's tracer) sees the call
     nodes_c, w = space.gauss_hermite_nodes(budget.quadrature_order, d)
     Y = nodes_c @ pair.basis
     fd = np.full(Y.shape[0], budget.fd_step)
-    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd)
+    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd, key)
     total = float(np.sum(w * contrib))
     return EstimateWithError(
         value=total,
@@ -281,7 +294,7 @@ def _gh_graph_estimate(pair, which, integrand2, budget: Budget):
     )
 
 
-def _mc_graph_estimate(pair, which, integrand2, budget: Budget, seed: int):
+def _mc_graph_estimate(pair, which, integrand2, budget: Budget, seed: int, key):
     d = pair.basis.shape[0]
     coords = sample_gaussian(d, budget.samples, seed, threads=budget.threads)
     # truncate the transverse domain; the dropped tail mass is < 1e-30
@@ -289,7 +302,7 @@ def _mc_graph_estimate(pair, which, integrand2, budget: Budget, seed: int):
     coords = np.where(keep[:, None], coords, 0.0)
     Y = coords @ pair.basis
     fd = np.full(Y.shape[0], budget.fd_step)
-    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd)
+    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd, key)
     contrib = np.where(keep, contrib, 0.0)
     mean = float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(len(contrib)))
@@ -312,16 +325,19 @@ def graph_surface_integral(
     where nu is the graph normal (-grad + h)/sqrt(1 + |grad|^2).
 
     Dispatch: bounded body -> polar; hyperplane dim <= 3 -> Gauss-Hermite;
-    higher dimension -> Monte Carlo.
+    higher dimension -> Monte Carlo. The pair keeps the graph's node values
+    and gradients per (which, budget, seed), so a later call with another
+    integrand over the same nodes runs no section search.
     """
     budget = Budget.from_any(budget)
     _select_graph(pair, which)
     d = pair.basis.shape[0]
+    key = (which, budget, seed)
     if pair.body is not None and pair.body.bounded and d <= 3:
-        return _polar_graph_estimate(pair, which, integrand2, budget)
+        return _polar_graph_estimate(pair, which, integrand2, budget, key)
     if d <= 3:
-        return _gh_graph_estimate(pair, which, integrand2, budget)
-    return _mc_graph_estimate(pair, which, integrand2, budget, seed)
+        return _gh_graph_estimate(pair, which, integrand2, budget, key)
+    return _mc_graph_estimate(pair, which, integrand2, budget, seed, key)
 
 
 def area_formula_integral(

@@ -117,6 +117,20 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
             {"body": {"shape": "random_polytope", "faces": 8.7, "seed": 1}},
             "body.random_polytope.faces",
         ),
+        ("perimeter", {"budget": {"samples": 5}}, "config fields: ['budget']"),
+        (
+            "perimeter",
+            {"body": {"shape": "ball", "radius": 1.0, "center": [3.0, 0.0]}},
+            "body.ball fields: ['center']",
+        ),
+        (
+            "perimeter",
+            {"body": {"shape": "polytope", "faces": [{"normal": [1, 0], "offset": 1, "bias": 0}]}},
+            "body.polytope.faces[0] fields: ['bias']",
+        ),
+        ("perimeter", {"model": {"dim": 2, "profile": "brownian"}}, "config.model fields: ['profile']"),
+        ("density", {"density": {"sample": 5000}}, "config.density fields: ['sample']"),
+        ("ibp", {"psi": {"name": "constant", "value": 1.0, "scale": 2.0}}, "psi fields: ['scale']"),
     ],
     ids=[
         "density_point_dim",
@@ -158,6 +172,12 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "ball_radius_bool",
         "ball_radius_string",
         "random_polytope_faces_float",
+        "config_unknown_budget",
+        "ball_unknown_center",
+        "polytope_face_unknown",
+        "model_unknown",
+        "density_unknown",
+        "psi_unknown",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):

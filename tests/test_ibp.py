@@ -191,6 +191,68 @@ def test_verify_zero_identity_is_inconclusive_not_fail(disk):
     assert report.verdict == "inconclusive"
 
 
+def _tanh_without_gradient(weights):
+    w = np.asarray(weights, dtype=float)
+    return cg.TestFunction(
+        evaluator=lambda x: np.tanh(np.atleast_2d(x) @ w),
+        lipschitz_bound=float(np.linalg.norm(w)),
+        name="tanh, central differences",
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "body, psi, ks, h, budget",
+    [
+        # Gauss-Hermite right side
+        (
+            cg.halfspace(E1_3, 0.8),
+            cg.tanh_of([0.5, -1.0, 0.3]),
+            [E1_3, cg.normalize_direction([1.0, 1.0, 0.0])],
+            E1_3,
+            {"samples": 140_000, "quadrature_order": 16},
+        ),
+        # polar right side, direction chosen
+        (
+            cg.ball(1.5, 3),
+            cg.coordinate(0),
+            [E1_3, E2_3, cg.normalize_direction([1.0, -1.0, 1.0])],
+            None,
+            {"samples": 140_000, "sphere_grid": (8, 16), "radial": 8},
+        ),
+        # Monte Carlo right side
+        (
+            cg.halfspace(np.eye(5)[0], 0.8),
+            cg.constant(1.0),
+            [np.eye(5)[0], cg.normalize_direction([1.0, 1.0, 0.0, 0.0, 1.0])],
+            np.eye(5)[0],
+            {"samples": 66_000},
+        ),
+        # central differences along each k
+        (
+            cg.halfspace(E1_3, 0.8),
+            _tanh_without_gradient([0.5, -1.0, 0.3]),
+            [E1_3, cg.normalize_direction([0.0, 1.0, 1.0])],
+            E1_3,
+            {"samples": 140_000, "quadrature_order": 16},
+        ),
+    ],
+    ids=["halfspace_gauss_hermite", "ball_polar", "halfspace5_monte_carlo", "no_gradient"],
+)
+def test_verify_stack_equals_one_call_per_k(body, psi, ks, h, budget, threads):
+    budget = {**budget, "threads": threads}
+    stacked = cg.verify_ibp(body, psi, np.stack(ks), budget=budget, seed=13, h=h)
+    single = [cg.verify_ibp(body, psi, k, budget=budget, seed=13, h=h) for k in ks]
+    assert len(stacked) == len(ks)
+    for a, b in zip(stacked, single):
+        assert a.lhs == b.lhs
+        assert a.rhs == b.rhs
+        assert (a.lhs.std_error, a.rhs.std_error) == (b.lhs.std_error, b.rhs.std_error)
+        assert a.tolerance == b.tolerance
+        assert a.verdict == b.verdict
+        assert a.metadata == b.metadata
+
+
 # ---------------------------------------------------------- gradient formula
 
 

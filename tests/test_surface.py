@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_function_graph_stencil_shrinks_at_domain_edge():
     )
     Y = np.array([[0.0, 0.0], [1.0 - 5e-6, 0.0], [1.5, 0.0]])
     contrib, usable = _eval_surface_nodes(
-        pair, "upper", Y, lambda x, nu: nu[:, 0], np.full(3, 1e-5)
+        pair, "upper", Y, lambda x, nu: nu[:, 0], np.full(3, 1e-5), key="edge"
     )
     assert usable.tolist() == [True, True, False]
     # nu_1 * sqrt(1 + |grad f|^2) = -1/2, times the Gaussian factor G1(f)
@@ -217,6 +218,47 @@ def test_total_boundary_searches_the_rim_once(monkeypatch):
     est = cg.total_boundary_measure(body, cg.decompose(body, h), budget=budget)
     assert len(searches) == 1
     assert est.value == (upper + lower).value
+
+
+def _row_counting(body):
+    """The body with a contains that appends each call's row count to rows."""
+    rows = []
+
+    def contains(x):
+        out = body.contains(x)
+        rows.append(np.size(out))
+        return out
+
+    return replace(body, contains=contains), rows
+
+
+@pytest.mark.parametrize(
+    "body, h, budget, changed, seed",
+    [
+        (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {"radial": 9}, 0),
+        (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {"fd_step": 2e-5}, 0),
+        (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {}, 1),
+        (cg.halfspace(E1_3, 1.0), E1_3, {"quadrature_order": 8}, {"quadrature_order": 9}, 0),
+        (cg.halfspace(np.eye(5)[0], 1.0), np.eye(5)[0], {"samples": 500}, {}, 1),
+    ],
+    ids=["polar_radial", "polar_fd_step", "polar_seed", "gh_order", "mc_seed"],
+)
+def test_graph_nodes_are_evaluated_once_per_budget_and_seed(body, h, budget, changed, seed):
+    body, rows = _row_counting(body)
+    pair = cg.decompose(body, h)
+    integrands = [lambda x, nu: nu[:, 0], lambda x, nu: x[:, 0] * nu[:, -1]]
+    first = [cg.graph_surface_integral(pair, "upper", f, budget=budget) for f in integrands]
+    rows.clear()
+    again = [cg.graph_surface_integral(pair, "upper", f, budget=budget) for f in integrands]
+    assert rows == []  # no section search: the nodes come from the pair
+    assert [e.value for e in again] == [e.value for e in first]
+    # another budget field that sets the nodes, or another seed, evaluates them anew
+    cg.graph_surface_integral(pair, "upper", integrands[0], budget={**budget, **changed}, seed=seed)
+    assert sum(rows) > 0
+    if pair.g_finite:  # the other graph has nodes of its own
+        rows.clear()
+        cg.graph_surface_integral(pair, "lower", integrands[0], budget=budget)
+        assert sum(rows) > 0
 
 
 def test_total_boundary_halfspace():
