@@ -234,28 +234,15 @@ def _normalize_faces(faces, dim=None):
 def polytope(faces) -> ConvexBody:
     """Open intersection of halfspaces <a_i, x> < c_i.
 
-    The interior point and margin come from the Chebyshev-center LP; the
-    outer radius (when the polytope is bounded) from per-axis extent LPs.
+    Per-axis extent LPs decide boundedness and give the outer radius of a
+    bounded polytope. The interior point and margin come from the
+    Chebyshev-center LP, except for an unbounded polytope with every offset
+    positive (a slab, say): it keeps the origin, with margin min(c_i).
     """
     if not faces:
         raise BodySpecError(f"polytope: face list is empty: {faces!r}")
     A, c = _normalize_faces(faces)
     dim = A.shape[1]
-
-    # Chebyshev center: maximize r subject to <a_i, x> + r <= c_i, r <= cap.
-    cap = 1e6
-    res = linprog(
-        np.concatenate([np.zeros(dim), [-1.0]]),
-        A_ub=np.hstack([A, np.ones((len(c), 1))]),
-        b_ub=c,
-        bounds=[(-cap, cap)] * dim + [(0, cap)],
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-12:
-        raise BodySpecError(
-            f"polytope: empty interior for face list {faces!r}"
-        )
-    x0, r0 = res.x[:dim], float(res.x[-1])
 
     # Per-axis extents decide boundedness and give an outer radius.
     box = np.zeros(dim)
@@ -274,7 +261,35 @@ def polytope(faces) -> ConvexBody:
             break
     outer = None if unbounded else float(np.linalg.norm(box)) * (1 + 1e-9)
 
-    contains = lambda x: np.all(np.asarray(x, float) @ A.T < c, axis=-1)
+    if unbounded and np.all(c > 0):
+        # unit normals: the ball of radius min(c) about 0 meets no face. The
+        # boxed LP below would put an unbounded polytope's centre on its
+        # +-cap box, and every membership test would then add a 1e6 shift.
+        x0, r0 = np.zeros(dim), float(np.min(c))
+    else:
+        # Chebyshev center: maximize r subject to <a_i, x> + r <= c_i, r <= cap.
+        cap = 1e6
+        res = linprog(
+            np.concatenate([np.zeros(dim), [-1.0]]),
+            A_ub=np.hstack([A, np.ones((len(c), 1))]),
+            b_ub=c,
+            bounds=[(-cap, cap)] * dim + [(0, cap)],
+            method="highs",
+        )
+        if not res.success or res.x[-1] <= 1e-12:
+            raise BodySpecError(
+                f"polytope: empty interior for face list {faces!r}"
+            )
+        x0, r0 = res.x[:dim], float(res.x[-1])
+
+    def contains(x):
+        # one comparison per face, ANDed column by column: the same booleans
+        # as np.all(y < c, axis=-1), without a reduction over the short axis
+        y = np.asarray(x, float) @ A.T
+        ok = y[..., 0] < c[0]
+        for i in range(1, len(c)):
+            ok &= y[..., i] < c[i]
+        return ok
 
     def distance(x0):
         # Dykstra alternating projections onto the face halfspaces; vertex
@@ -449,39 +464,46 @@ def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
     also for a missing or unknown field or a numeric field that holds no
     number.
     """
+    return _load_body(spec, dim, "body")
+
+
+def _load_body(spec: dict, dim: Optional[int], path: str) -> ConvexBody:
+    """load_body_spec for the spec found at config field `path`, which every
+    error names (a cylinder's base is loaded at `path`.cylinder.base)."""
     if not isinstance(spec, dict) or "shape" not in spec:
-        raise BodySpecError(f"body spec must be a mapping with a 'shape' field: {spec!r}")
+        raise BodySpecError(f"{path} must be a mapping with a 'shape' field: {spec!r}")
     shape = spec["shape"]
     if not isinstance(shape, str):
-        raise BodySpecError(f"body.shape: unknown shape {shape!r}")
+        raise BodySpecError(f"{path}.shape: unknown shape {shape!r}")
+    where = f"{path}.{shape}"
     if shape in _NUMERIC_FIELDS or shape in _OTHER_FIELDS:
         known = ("shape", "translate", *_NUMERIC_FIELDS.get(shape, ()))
-        _reject_unknown(f"body.{shape}", spec, known + _OTHER_FIELDS.get(shape, ()), BodySpecError)
+        _reject_unknown(where, spec, known + _OTHER_FIELDS.get(shape, ()), BodySpecError)
     numeric = [
-        (f"body.{shape}.{key}", spec[key], kind)
+        (f"{where}.{key}", spec[key], kind)
         for key, kind in _NUMERIC_FIELDS.get(shape, {}).items()
         if key in spec
     ]
     if shape == "polytope" and isinstance(spec.get("faces"), list):
         for i, face in enumerate(spec["faces"]):
             if isinstance(face, dict):
-                _reject_unknown(f"body.polytope.faces[{i}]", face, _FACE_FIELDS, BodySpecError)
+                _reject_unknown(f"{where}.faces[{i}]", face, _FACE_FIELDS, BodySpecError)
         numeric += [
-            (f"body.polytope.faces[{i}].{key}", face[key], kind)
+            (f"{where}.faces[{i}].{key}", face[key], kind)
             for i, face in enumerate(spec["faces"])
             if isinstance(face, dict)
             for key, kind in _FACE_FIELDS.items()
             if key in face
         ]
     if "translate" in spec:
-        numeric.append(("body.translate", spec["translate"], VECTOR))
+        numeric.append((f"{path}.translate", spec["translate"], VECTOR))
     for name, value, kind in numeric:
         if not _is_kind(value, kind):
             raise BodySpecError(f"{name} must be {kind}, got {value!r}")
     try:
         if shape == "ball":
             if dim is None:
-                raise BodySpecError("body.ball requires the model dim")
+                raise BodySpecError(f"{where} requires the model dim")
             body = ball(float(spec["radius"]), dim)
         elif shape == "ellipsoid":
             body = ellipsoid(spec["semiaxes"])
@@ -493,24 +515,24 @@ def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
             body = polytope(spec.get("faces", []))
         elif shape == "kl_ellipsoid":
             if dim is None:
-                raise BodySpecError("body.kl_ellipsoid requires the model dim")
+                raise BodySpecError(f"{where} requires the model dim")
             body = kl_ellipsoid(dim, float(spec.get("scale", 1.0)))
         elif shape == "random_polytope":
             if dim is None:
-                raise BodySpecError("body.random_polytope requires the model dim")
+                raise BodySpecError(f"{where} requires the model dim")
             body = random_polytope(
                 dim, int(spec.get("faces", 8)), int(spec.get("seed", 0))
             )
         elif shape == "cylinder":
             axis = np.asarray(spec["axis"], dtype=float)
-            base = load_body_spec(spec["base"], dim=axis.shape[0] - 1)
+            base = _load_body(spec["base"], axis.shape[0] - 1, f"{where}.base")
             body = cylinder(base, axis)
         else:
-            raise BodySpecError(f"body.shape: unknown shape {shape!r}")
+            raise BodySpecError(f"{path}.shape: unknown shape {shape!r}")
     except KeyError as exc:
-        raise BodySpecError(f"body.{shape}: missing field {exc.args[0]!r}") from exc
+        raise BodySpecError(f"{where}: missing field {exc.args[0]!r}") from exc
     if dim is not None and body.dim != dim:
-        raise BodySpecError(f"body has dim {body.dim}, model declares {dim}")
+        raise BodySpecError(f"{path} has dim {body.dim}, expected {dim}")
     if "translate" in spec:
         body = translate(body, spec["translate"])
     return body

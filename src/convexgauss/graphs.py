@@ -210,8 +210,11 @@ class GraphPair:
     projected rim the polar integrator found per angular rule, so the upper
     and lower graph of one pair search it once. _nodes holds the values,
     gradients and usable mask of each graph's surface-integral nodes by
-    (which, budget, seed), so integrands over the same nodes (one per
-    direction k) share one set of section searches.
+    (which, (budget, seed)), so integrands over the same nodes (one per
+    direction k) share one set of section searches. When both graphs are
+    finite, _nodes also holds, by ("sections", (budget, seed)), the
+    (lower, upper, nonempty) ends of every node's section from one search,
+    which both graphs' values and stencil hints read.
     """
 
     direction: np.ndarray

@@ -37,7 +37,7 @@ from .errors import (
 from .graphs import (
     GraphPair,
     _golden_min_gauge,
-    _section_endpoints,  # noqa: F401  (patched by the benchmark tracer)
+    _section_endpoints,
     _stencil_gradient,
     choose_direction,
 )
@@ -172,13 +172,13 @@ def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
     """Common node evaluation: returns per-node surface integrand
     phi(x, nu) * G1(val) * sqrt(1+|grad|^2) with a validity mask.
 
-    The node values, gradients and mask are kept in pair._nodes under key,
-    which must identify Y, fd_steps and t_hint; a later call with the same
-    key evaluates only integrand2.
+    The node values, gradients and mask are kept in pair._nodes under
+    (which, key); key must identify Y, fd_steps and t_hint, and a later call
+    with the same which and key evaluates only integrand2.
     """
-    if key not in pair._nodes:
-        pair._nodes[key] = _graph_nodes(pair, which, Y, fd_steps, t_hint)
-    vals, grads, usable = pair._nodes[key]
+    if (which, key) not in pair._nodes:
+        pair._nodes[which, key] = _graph_nodes(pair, which, Y, fd_steps, t_hint, key)
+    vals, grads, usable = pair._nodes[which, key]
     out = np.zeros(Y.shape[0])
     if usable.any():
         idx = np.flatnonzero(usable)
@@ -189,9 +189,27 @@ def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
     return out, usable
 
 
-def _graph_nodes(pair, which, Y, fd_steps, t_hint):
-    """Graph values, in-plane gradients and usable mask at nodes Y."""
-    vals = pair.values(which, Y, t_hint)
+def _graph_nodes(pair, which, Y, fd_steps, t_hint, key):
+    """Graph values, in-plane gradients and usable mask at nodes Y.
+
+    When a body's two graphs are both finite, one section search finds both
+    ends (g(y), f(y)) at every node. It is kept in pair._nodes under
+    ("sections", key), where the other graph and both graphs' stencil hints
+    read it. A row's ends are those of a search for one end alone: the
+    inside parameter does not depend on which ends are asked for, and each
+    end is bisected from it on its own.
+    """
+    sections = None
+    if pair.body is not None and pair.f_finite and pair.g_finite:
+        if ("sections", key) not in pair._nodes:
+            pair._nodes["sections", key] = _section_endpoints(
+                pair.body, pair.direction, Y, t_hint=t_hint
+            )
+        sections = pair._nodes["sections", key]
+        lower, upper, nonempty = sections
+        vals = np.where(nonempty, upper if which == "upper" else lower, np.nan)
+    else:
+        vals = pair.values(which, Y, t_hint)
     usable = np.isfinite(vals)
     if which == "upper" and pair.analytic_f_gradient is not None:
         grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
@@ -204,27 +222,24 @@ def _graph_nodes(pair, which, Y, fd_steps, t_hint):
                 which,
                 Y[idx],
                 fd_steps[idx],
-                t_hint=_inside_hint(pair, Y[idx], which, vals[idx], t_hint, idx),
+                t_hint=_inside_hint(which, vals[idx], t_hint, idx, sections),
             )
     return vals, grads, usable
 
 
-def _inside_hint(pair, Y, which, vals, t_hint, idx):
-    """A parameter strictly inside the section, for stencil bisection seeds."""
+def _inside_hint(which, vals, t_hint, idx, sections):
+    """A parameter strictly inside the section at nodes idx, for stencil
+    bisection seeds; sections is the shared (lower, upper, nonempty) search
+    of a pair with both graphs finite, else None."""
     if t_hint is not None:
         return np.asarray(t_hint)[idx]
-    vals = np.asarray(vals)
-    other_finite = pair.g_finite if which == "upper" else pair.f_finite
-    if not other_finite:
+    inward = vals + (-1.0 if which == "upper" else 1.0)
+    if sections is None:
         # the section is a ray: one unit inward is always inside
-        return vals + (-1.0 if which == "upper" else 1.0)
-    other = pair.values("lower" if which == "upper" else "upper", Y)
+        return inward
+    other = sections[0 if which == "upper" else 1][idx]
     both = np.isfinite(other)
-    return np.where(
-        both,
-        0.5 * (vals + np.where(both, other, 0.0)),
-        vals + (-1.0 if which == "upper" else 1.0),
-    )
+    return np.where(both, 0.5 * (vals + np.where(both, other, 0.0)), inward)
 
 
 def _g1(t):
@@ -327,12 +342,14 @@ def graph_surface_integral(
     Dispatch: bounded body -> polar; hyperplane dim <= 3 -> Gauss-Hermite;
     higher dimension -> Monte Carlo. The pair keeps the graph's node values
     and gradients per (which, budget, seed), so a later call with another
-    integrand over the same nodes runs no section search.
+    integrand over the same nodes runs no section search. When both graphs
+    are finite, the first of them searches each node's whole section once
+    and the other graph reuses it.
     """
     budget = Budget.from_any(budget)
     _select_graph(pair, which)
     d = pair.basis.shape[0]
-    key = (which, budget, seed)
+    key = (budget, seed)
     if pair.body is not None and pair.body.bounded and d <= 3:
         return _polar_graph_estimate(pair, which, integrand2, budget, key)
     if d <= 3:

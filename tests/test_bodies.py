@@ -391,3 +391,76 @@ def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, mode, steps
     got = bisect(inside_at, t_in, t_out, **kwargs)
     want = _bisect_every_step(inside_at, t_in, t_out, **kwargs)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_faces=st.integers(1, 12),
+    dim=st.integers(1, 4),
+    shape=st.sampled_from([(), (9,), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polytope_contains_equals_all_reduction(n_faces, dim, shape, seed):
+    # face 0 is the first axis, so rows with x_0 = c_0 lie exactly on it
+    rng = np.random.default_rng(seed)
+    normals = np.vstack([np.eye(dim)[:1], rng.standard_normal((n_faces - 1, dim))])
+    offsets = rng.uniform(0.2, 1.5, n_faces)
+    body = cg.polytope([{"normal": a, "offset": b} for a, b in zip(normals, offsets)])
+    A = np.array([face["normal"] for face in body.spec["faces"]])
+    c = np.array([face["offset"] for face in body.spec["faces"]])
+    x = rng.uniform(-2.0, 2.0, shape + (dim,))
+    flat = x.reshape(-1, dim)
+    flat[::3] = 0.0
+    flat[::3, 0] = c[0]  # on face 0
+    flat[1::4] = np.nan
+    # a re-centred body tests x + x0
+    shifted = x if body.recentered_by is None else x + -body.recentered_by
+    expected = np.all(shifted @ A.T < c, axis=-1)
+    got = body.contains(x)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [
+            {"normal": [1.0, 2.0, 3.0], "offset": 1.010956},
+            {"normal": [-1.0, -2.0, -3.0], "offset": 1.010956},
+        ],
+        [
+            {"normal": [1.0, 0.0, 0.0], "offset": 1.0},
+            {"normal": [0.0, 1.0, 0.0], "offset": 2.0},
+            {"normal": [-1.0, -1.0, 0.0], "offset": 0.5},
+        ],
+    ],
+    ids=["slab", "three_faces"],
+)
+def test_unbounded_polytope_keeps_origin_with_smallest_offset(faces):
+    body = cg.polytope(faces)
+    assert not body.bounded
+    assert body.recentered_by is None
+    assert np.array_equal(body.interior_point, np.zeros(3))
+    smallest = min(f["offset"] / np.linalg.norm(f["normal"]) for f in faces)
+    assert body.interior_margin == pytest.approx(smallest, rel=1e-15)
+
+
+def test_slab_keeps_origin_and_half_width_margin():
+    body = cg.slab([1.0, 2.0, 3.0], 1.010956)
+    assert body.recentered_by is None
+    assert body.interior_margin == 1.010956
+
+
+def test_slab_rhs_matches_closed_form():
+    # psi = x_i on |<n, x>| < w: both faces give <n, k> G1(w) * w n_i
+    n = np.array([1.0, 2.0, -2.0]) / 3.0
+    w, i = 1.010956, 1
+    k = np.array([0.6, 0.0, 0.8])
+    body = cg.slab(n, w)
+    pair = cg.decompose(body, n)
+    est = cg.rhs_surface_integral(
+        body, pair, cg.coordinate(i), k, budget={"quadrature_order": 16}, check_vertical=False
+    )
+    g1 = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    expected = 2.0 * w * n[i] * (n @ k) * g1
+    assert est.value == pytest.approx(expected, rel=1e-10, abs=0.0)

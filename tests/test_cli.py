@@ -131,6 +131,16 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"model": {"dim": 2, "profile": "brownian"}}, "config.model fields: ['profile']"),
         ("density", {"density": {"sample": 5000}}, "config.density fields: ['sample']"),
         ("ibp", {"psi": {"name": "constant", "value": 1.0, "scale": 2.0}}, "psi fields: ['scale']"),
+        (
+            "perimeter",
+            {"body": {"shape": "cylinder", "axis": [0, 1], "base": {"shape": "ball", "radius": 1.0, "r": 2}}},
+            "unknown body.cylinder.base.ball fields: ['r']",
+        ),
+        (
+            "perimeter",
+            {"body": {"shape": "cylinder", "axis": [0, 1], "base": {"shape": "ball", "radius": "a"}}},
+            "body.cylinder.base.ball.radius",
+        ),
     ],
     ids=[
         "density_point_dim",
@@ -178,6 +188,8 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "model_unknown",
         "density_unknown",
         "psi_unknown",
+        "cylinder_base_unknown",
+        "cylinder_base_radius",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):

@@ -6,8 +6,10 @@ import pytest
 from scipy import integrate
 
 import convexgauss as cg
+import convexgauss.graphs as graphs
 import convexgauss.surface as surface
 from convexgauss.errors import CaseError, DirectionError, ParameterError, UnsupportedOrderError
+from convexgauss.graphs import _stencil_gradient
 from convexgauss.surface import _eval_surface_nodes
 
 from conftest import DISK_PERIM, G1_AT_1, HALF_PERIM, INV_SQRT_2PI
@@ -259,6 +261,79 @@ def test_graph_nodes_are_evaluated_once_per_budget_and_seed(body, h, budget, cha
         rows.clear()
         cg.graph_surface_integral(pair, "lower", integrands[0], budget=budget)
         assert sum(rows) > 0
+
+
+def _separate_graph_nodes(pair, which, Y, fd_steps, t_hint):
+    """Node values, gradients and usable mask of one graph from its own
+    values and stencil calls, the other end searched again for the hint."""
+    vals = pair.values(which, Y, t_hint)
+    usable = np.isfinite(vals)
+    idx = np.flatnonzero(usable)
+    if t_hint is not None:
+        hint = t_hint[idx]
+    else:
+        other = pair.values("lower" if which == "upper" else "upper", Y[idx])
+        both = np.isfinite(other)
+        inward = vals[idx] + (-1.0 if which == "upper" else 1.0)
+        hint = np.where(both, 0.5 * (vals[idx] + np.where(both, other, 0.0)), inward)
+    grads = np.full_like(Y, np.nan)
+    grads[idx], usable[idx] = _stencil_gradient(pair, which, Y[idx], fd_steps[idx], t_hint=hint)
+    return vals, grads, usable
+
+
+@pytest.mark.parametrize(
+    "body, h, budget, method",
+    [
+        (
+            cg.slab([1.0, 2.0, -2.0], 0.9),
+            np.array([1.0, 2.0, -2.0]) / 3.0,
+            {"quadrature_order": 12},
+            "gauss_hermite",
+        ),
+        (cg.ellipsoid([1.2, 0.8, 0.6]), E1_3, {"angles": 64, "radial": 6}, "polar"),
+        (cg.kl_ellipsoid(5), np.eye(5)[0], {"samples": 400}, "monte_carlo"),
+    ],
+    ids=["slab_gh", "ellipsoid_polar", "kl5_mc"],
+)
+def test_both_graphs_share_one_section_search(monkeypatch, body, h, budget, method):
+    pair = cg.decompose(body, h)
+    assert pair.f_finite and pair.g_finite
+    node_sets, node_searches, in_stencil = [], [], []
+
+    def record_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
+        node_sets.append((which, Y, fd_steps, t_hint))
+        return _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint)
+
+    def stencil(*args, **kwargs):
+        in_stencil.append(True)
+        try:
+            return _stencil_gradient(*args, **kwargs)
+        finally:
+            in_stencil.pop()
+
+    def counted(search):
+        def wrapper(*args, **kwargs):
+            if not in_stencil:
+                node_searches.append(args[2].shape[0])
+            return search(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(surface, "_eval_surface_nodes", record_nodes)
+    monkeypatch.setattr(surface, "_stencil_gradient", stencil)
+    monkeypatch.setattr(surface, "_section_endpoints", counted(graphs._section_endpoints))
+    monkeypatch.setattr(graphs, "_section_endpoints", counted(graphs._section_endpoints))
+    for which in ("upper", "lower"):
+        est = cg.graph_surface_integral(pair, which, lambda x, nu: nu[:, 0], budget=budget)
+        assert est.method == method
+    # one search over the node set, where separate graphs searched 2 or 4 times
+    assert len(node_searches) == 1
+    monkeypatch.undo()
+    for which, Y, fd_steps, t_hint in node_sets:
+        (shared,) = [nodes for key, nodes in pair._nodes.items() if key[0] == which]
+        separate = _separate_graph_nodes(pair, which, Y, fd_steps, t_hint)
+        for got, want in zip(shared, separate):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_total_boundary_halfspace():

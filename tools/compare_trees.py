@@ -1,4 +1,4 @@
-"""Compare the determinism hashes of two source trees.
+"""Compare the outputs of two source trees: hashes, values and verdicts.
 
     python3 tools/compare_trees.py PARENT_ROOT
 
@@ -11,10 +11,24 @@ CLI calls:
 * the four shipped demo configs in ``demos/configs``.
 
 The configs come from this tree and are only read. Each tree runs in its
-own Python process with that tree's ``src`` first on the path. The tool
-prints every call's full ``determinism_hash`` on both trees, then the
-number that differ, and exits 1 when any differs. A call that raises
-reports the exception in place of its hash.
+own Python process with that tree's ``src`` first on the path. For every
+call the tool prints the full ``determinism_hash`` on both trees, and for
+every result record its verdict on both trees and the change of each of
+its two values (``lhs`` and ``rhs``):
+
+* a deterministic value (standard error 0 on both trees) by its relative
+  change, |this - parent| / |parent|;
+* a Monte Carlo value by its change in combined standard errors,
+  (this - parent) / sqrt(se_parent^2 + se_this^2).
+
+It ends with the number of differing hashes and the counts that break the
+rule for value-changing changes: a verdict that changed, a deterministic
+value that moved by more than 1e-6 relative, a Monte Carlo value that moved
+by more than 3 combined standard errors, and a call whose records could not
+be compared (it raised, or its records differ in number or name).
+
+Exit status: 0 when every hash is equal, 3 when hashes differ but the rule
+holds, 1 when the rule breaks, 2 when PARENT_ROOT holds no sources.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -31,6 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 9001)
 WORKLOADS = ("boundary", "ibp_volume")
 IBP_THREADS = (1, 2)
+MAX_REL_CHANGE = 1e-6  # largest relative move of a deterministic value
+MAX_SE_CHANGE = 3.0  # largest move of a Monte Carlo value, in combined errors
+VALUES = (("lhs", "se_l"), ("rhs", "se_r"))
 # shipped demo configs and the subcommand each one is run with
 DEMOS = {
     "perimeter_ball": "perimeter",
@@ -64,14 +82,15 @@ def jobs() -> list:
 
 def worker(tree: Path) -> None:
     """Run the jobs read from stdin on the tree's sources and print a JSON
-    object mapping each label to its hash."""
+    object mapping each label to its hash and result records, or to the
+    exception it raised."""
     sys.path.insert(0, str(tree / "src"))
     import convexgauss.cli as cli
 
     source = Path(cli.__file__).resolve()
     if tree.resolve() not in source.parents:
         raise SystemExit(f"imported convexgauss from {source}, not from {tree}")
-    hashes = {}
+    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, subcommand, config, threads) in enumerate(json.load(sys.stdin)):
             out = Path(tmp) / str(i)
@@ -79,10 +98,11 @@ def worker(tree: Path) -> None:
                 parsed = cli.RunConfig.from_dict(copy.deepcopy(config), threads_override=threads)
                 cli.run(subcommand, parsed, out)
                 report = out / parsed.outputs.get("report", "report.json")
-                hashes[label] = json.loads(report.read_text())["determinism_hash"]
+                report = json.loads(report.read_text())
+                outputs[label] = {"hash": report["determinism_hash"], "results": report["results"]}
             except Exception as exc:  # a raising call is reported, not fatal
-                hashes[label] = f"raised {type(exc).__name__}: {exc}"
-    json.dump(hashes, sys.stdout)
+                outputs[label] = {"hash": f"raised {type(exc).__name__}: {exc}", "results": None}
+    json.dump(outputs, sys.stdout)
 
 
 def run_tree(tree: Path, calls: list) -> dict:
@@ -94,6 +114,44 @@ def run_tree(tree: Path, calls: list) -> dict:
         check=True,
     )
     return json.loads(done.stdout)
+
+
+def value_change(old: dict, new: dict, value: str, se: str):
+    """(kind, change) of one value of a result record between two trees:
+    ("deterministic", relative change) or ("monte_carlo", change in
+    combined standard errors)."""
+    a, b = old[value], new[value]
+    spread = math.hypot(old[se], new[se])
+    if spread > 0.0:
+        return "monte_carlo", (b - a) / spread
+    if a == b:
+        return "deterministic", 0.0
+    return "deterministic", abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def compare_records(old, new, broken: dict, worst: dict) -> list:
+    """Report lines for one call's records, counting rule breaks in broken
+    and the largest changes in worst."""
+    if old is None or new is None or [r["name"] for r in old] != [r["name"] for r in new]:
+        broken["uncomparable"] += 1
+        return ["  records cannot be compared"]
+    lines = []
+    for a, b in zip(old, new):
+        same = a["verdict"] == b["verdict"]
+        broken["verdicts"] += not same
+        parts = [f"verdict {a['verdict']}/{b['verdict']}{'' if same else ' CHANGED'}"]
+        for value, se in VALUES:
+            kind, change = value_change(a, b, value, se)
+            if kind == "deterministic":
+                over, shown = change > MAX_REL_CHANGE, f"rel {change:.3g}"
+            else:
+                over, shown = abs(change) > MAX_SE_CHANGE, f"{change:+.3g} SE"
+            flag = " OVER" if over else ""
+            parts.append(f"{value} {a[value]:.16g} -> {b[value]:.16g} {shown}{flag}")
+            broken[kind] += over
+            worst[kind] = max(worst[kind], abs(change))
+        lines.append(f"  {a['name']}: " + "; ".join(parts))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -111,14 +169,29 @@ def main(argv=None) -> int:
     parent = run_tree(args.parent_root, calls)
     this = run_tree(ROOT, calls)
     differ = 0
+    broken = {"verdicts": 0, "deterministic": 0, "monte_carlo": 0, "uncomparable": 0}
+    worst = {"deterministic": 0.0, "monte_carlo": 0.0}
     for label, *_ in calls:
-        same = parent[label] == this[label]
+        old, new = parent[label], this[label]
+        same = old["hash"] == new["hash"]
         differ += not same
         print(f"{label}: {'same' if same else 'DIFFERS'}")
-        print(f"  parent {parent[label]}")
-        print(f"  this   {this[label]}")
+        print(f"  parent {old['hash']}")
+        print(f"  this   {new['hash']}")
+        for line in compare_records(old["results"], new["results"], broken, worst):
+            print(line)
     print(f"{differ} of {len(calls)} determinism hashes differ")
-    return 1 if differ else 0
+    print(
+        f"rule: {broken['verdicts']} verdicts changed, "
+        f"{broken['deterministic']} deterministic values moved more than {MAX_REL_CHANGE:g} "
+        f"relative (largest {worst['deterministic']:.3g}), "
+        f"{broken['monte_carlo']} Monte Carlo values moved more than {MAX_SE_CHANGE:g} "
+        f"combined standard errors (largest {worst['monte_carlo']:.3g}), "
+        f"{broken['uncomparable']} calls not comparable"
+    )
+    if any(broken.values()):
+        return 1
+    return 3 if differ else 0
 
 
 if __name__ == "__main__":
