@@ -58,7 +58,6 @@ from .ibp import (
     rhs_surface_integral,
     tanh_of,
     validate_test_function,
-    vector_measure_check,
     verify_ibp,
 )
 from .space import (

@@ -153,7 +153,10 @@ class RunConfig:
                 _direction(f"directions.candidates[{i}]", c, model.dim)
                 for i, c in enumerate(_vector_list("directions.candidates", candidates))
             ]
-        budget = Budget.from_any(cfg.get("budgets"))
+        budgets = cfg.get("budgets", {})
+        if not isinstance(budgets, dict):
+            raise ParameterError(f"config.budgets must be a JSON object: {budgets!r}")
+        budget = Budget.from_any(budgets)
         if threads_override is not None:
             budget = replace(budget, threads=threads_override)
         psi_spec = cfg.get("psi")
@@ -586,7 +589,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg_dict = json.loads(Path(args.config).read_text())
-        if args.seed is not None:
+        if args.seed is not None and isinstance(cfg_dict, dict):
             cfg_dict["seed"] = args.seed
         config = RunConfig.from_dict(cfg_dict, threads_override=args.threads)
         return run(args.subcommand, config, Path(args.out))

@@ -206,15 +206,11 @@ class GraphPair:
     +/-inf for a missing graph and nan outside the projected domain; t_hint,
     per-row section parameters that may lie inside the body, only speeds up
     the section search; a point is in the domain where values is not nan.
-    basis rows span that hyperplane. _rims holds the
-    projected rim the polar integrator found per angular rule, so the upper
-    and lower graph of one pair search it once. _nodes holds the values,
-    gradients and usable mask of each graph's surface-integral nodes by
-    (which, (budget, seed)), so integrands over the same nodes (one per
-    direction k) share one set of section searches. When both graphs are
-    finite, _nodes also holds, by ("sections", (budget, seed)), the
-    (lower, upper, nonempty) ends of every node's section from one search,
-    which both graphs' values and stencil hints read.
+    basis rows span that hyperplane. _nodes holds one surface-integral node
+    set per (budget, seed) (surface._NodeSet): its nodes and weights, the
+    projected-rim and section searches made for them, and each graph's
+    values, gradients and usable mask there, so both graphs and every
+    integrand (one per direction k) share one set of searches.
     """
 
     direction: np.ndarray
@@ -223,7 +219,6 @@ class GraphPair:
     values: Callable[..., np.ndarray]
     body: Optional[ConvexBody] = None
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _rims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

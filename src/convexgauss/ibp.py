@@ -29,7 +29,6 @@ from .bodies import (
 )
 from .errors import (
     DegeneracyError,
-    DirectionError,
     DomainError,
     MassError,
     OracleIntegrityError,
@@ -50,7 +49,16 @@ from .space import (
     as_direction,
     map_chunks,
 )
-from .surface import Budget, EstimateWithError, _check_vertical_mass, graph_surface_integral
+# graph_surface_integral is not called here: it stays imported because
+# perfbench/tracer.py wraps it in this module, until the in-library run
+# recorder of ROADMAP item 7 replaces that tracer
+from .surface import (  # noqa: F401
+    Budget,
+    EstimateWithError,
+    _boundary_sum,
+    _check_vertical_mass,
+    graph_surface_integral,
+)
 
 __all__ = [
     "VerificationReport",
@@ -58,7 +66,6 @@ __all__ = [
     "rhs_surface_integral",
     "verify_ibp",
     "gradient_formula_check",
-    "vector_measure_check",
     "constant",
     "coordinate",
     "tanh_of",
@@ -318,33 +325,19 @@ def rhs_surface_integral(
     seed: int = 0,
     check_vertical: bool = True,
 ) -> EstimateWithError:
-    """Boundary integral of psi * (d_k p)/|grad p| via the graph normals:
-    the upper-graph term carries +<nu_upper, k>, the lower-graph term
-    -<nu_lower, k>; infinite graphs contribute nothing."""
+    """Boundary integral of psi * (d_k p)/|grad p| = psi * <nu, k>, nu the
+    outward unit normal, summed over the finite graphs; infinite graphs
+    contribute nothing."""
     budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
-    if not (pair.f_finite or pair.g_finite):
-        raise DirectionError(
-            "no finite graph along this direction; pick a transverse one"
-        )
-    if check_vertical:
-        _check_vertical_mass(body, pair.direction, budget, seed)
-    total = None
-    for which, sign, finite in (
-        ("upper", +1.0, pair.f_finite),
-        ("lower", -1.0, pair.g_finite),
-    ):
-        if not finite:
-            continue
-        est = graph_surface_integral(
-            pair,
-            which,
-            lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k),
-            budget=budget,
-            seed=seed,
-        ).scaled(sign)
-        total = est if total is None else total + est
-    return total
+    return _boundary_sum(
+        body,
+        pair,
+        lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k),
+        budget,
+        seed,
+        check_vertical,
+    )
 
 
 def verify_ibp(
@@ -470,46 +463,3 @@ def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
         ok = denom > 0
         errs[rows[ok]] = np.linalg.norm(formula[rows[ok]] - fd_grad[ok], axis=1) / denom[ok]
     return float(errs[0]) if scalar else errs
-
-
-def vector_measure_check(
-    body: ConvexBody,
-    pair: GraphPair,
-    phi: TestFunction,
-    k,
-    budget=None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Check the signed-measure representation of the indicator's weak
-    gradient: the volume integral of the adjoint derivative of phi equals
-    the upper-graph term minus the lower-graph term, each assembled from its
-    own graph normal."""
-    budget = Budget.from_any(budget)
-    k = as_direction(k, dim=body.dim)
-    lhs = lhs_volume_integral(body, phi, k, budget=budget, seed=seed)
-    zero = EstimateWithError(0.0, 0.0, 0, "closed_form")
-    upper = (
-        graph_surface_integral(
-            pair, "upper", lambda x, nu: np.asarray(phi(x)) * (nu @ k), budget=budget, seed=seed
-        )
-        if pair.f_finite
-        else zero
-    )
-    lower = (
-        graph_surface_integral(
-            pair, "lower", lambda x, nu: np.asarray(phi(x)) * (nu @ k), budget=budget, seed=seed
-        )
-        if pair.g_finite
-        else zero
-    )
-    rhs = upper + lower.scaled(-1.0)
-    metadata = {
-        "body": body.spec or {"shape": body.shape_tag},
-        "phi": phi.name,
-        "k": [float(v) for v in k],
-        "h": [float(v) for v in pair.direction],
-        "upper_term": upper.value,
-        "lower_term": lower.value,
-        "case": pair.case_tag,
-    }
-    return VerificationReport.from_estimates(lhs, rhs, metadata=metadata)

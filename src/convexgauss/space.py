@@ -19,7 +19,7 @@ from .errors import DomainError, ParameterError
 
 SAMPLE_CHUNK = 1 << 16
 DEFAULT_FD_STEP = 1e-5
-DETERMINISTIC_METHODS = ("gauss_hermite", "polar", "closed_form")
+DETERMINISTIC_METHODS = ("gauss_hermite", "polar")
 
 __all__ = [
     "EstimateWithError",
@@ -30,7 +30,6 @@ __all__ = [
     "gaussian_density",
     "split_along",
     "adjoint_derivative",
-    "directional_derivative",
     "sample_gaussian",
     "gauss_hermite_nodes",
     "brownian_kl_profile",
@@ -96,15 +95,6 @@ class EstimateWithError:
             std_error=math.hypot(self.std_error, other.std_error),
             n_samples=max(self.n_samples, other.n_samples),
             method=method,
-        )
-
-    def scaled(self, factor: float) -> "EstimateWithError":
-        return EstimateWithError(
-            value=factor * self.value,
-            std_error=abs(factor) * self.std_error,
-            n_samples=self.n_samples,
-            method=self.method,
-            details=self.details,
         )
 
 
@@ -204,15 +194,15 @@ def _direction_stack(h, dim: int) -> tuple:
     return [as_direction(np.array(k), dim=dim) for k in np.atleast_2d(H)], H.ndim == 1
 
 
-def directional_derivative(
-    psi: TestFunction, h, x: np.ndarray, fd_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """d/dt psi(x + t h) at t=0, analytic when a gradient is attached,
-    otherwise by central differences with step fd_step.
+def adjoint_derivative(psi: TestFunction, h, x, fd_step: float = DEFAULT_FD_STEP):
+    """Adjoint directional derivative of psi along h at x:
+    (d_h psi)(x) - psi(x) * <h, x>, with d_h psi analytic when a gradient is
+    attached, otherwise by central differences with step fd_step.
 
-    h: one direction (n,), or a stack (K, n) giving a leading axis of K
-    rows, row j for h[j]. An analytic gradient is evaluated once for the
-    whole stack.
+    x: one point (n,) or a batch (N, n). h: one direction (n,), giving a
+    float or (N,) values, or a stack (K, n), giving (K,) or (K, N) values,
+    row j for h[j]. psi and its analytic gradient are evaluated once for
+    the whole stack, and row j equals the call with h[j] alone bit for bit.
     """
     if not fd_step > 0:
         raise ParameterError("fd_step must be positive")
@@ -220,24 +210,12 @@ def directional_derivative(
     hs, single = _direction_stack(h, x.shape[-1])
     if psi.analytic_gradient is not None:
         grad = np.asarray(psi.analytic_gradient(x))
-        rows = [grad @ k for k in hs]
+        slopes = [grad @ k for k in hs]
+        # the (N, n) gradient is not needed past here; freeing it before psi
+        # runs keeps it out of each sample chunk's peak memory
+        del grad
     else:
-        rows = [(psi(x + fd_step * k) - psi(x - fd_step * k)) / (2.0 * fd_step) for k in hs]
-    return rows[0] if single else np.asarray(rows)
-
-
-def adjoint_derivative(psi: TestFunction, h, x, fd_step: float = DEFAULT_FD_STEP):
-    """Adjoint directional derivative of psi along h at x:
-    (d_h psi)(x) - psi(x) * <h, x>.
-
-    x: one point (n,) or a batch (N, n). h: one direction (n,), giving a
-    float or (N,) values, or a stack (K, n), giving (K,) or (K, N) values,
-    row j for h[j]. psi and its analytic gradient are evaluated once for
-    the whole stack, and row j equals the call with h[j] alone bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    hs, single = _direction_stack(h, x.shape[-1])
-    slopes = directional_derivative(psi, np.stack(hs), x, fd_step=fd_step)
+        slopes = [(psi(x + fd_step * k) - psi(x - fd_step * k)) / (2.0 * fd_step) for k in hs]
     value = psi(x)
     val = np.asarray([slope - value * (x @ k) for slope, k in zip(slopes, hs)])
     if single:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -153,14 +153,6 @@ def _angular_rule(d: int, budget: Budget, inner: bool = False):
     raise UnsupportedOrderError(f"polar parameterization supports dim <= 3, got {d}")
 
 
-def _select_graph(pair: GraphPair, which: str):
-    if which not in ("upper", "lower"):
-        raise ParameterError("which must be 'upper' or 'lower'")
-    finite = pair.f_finite if which == "upper" else pair.g_finite
-    if not finite:
-        raise CaseError(f"the {which} graph is infinite (case {pair.case_tag})")
-
-
 def _graph_normal(grads: np.ndarray, h: np.ndarray):
     """Unit vector (-grad + h)/sqrt(1+|grad|^2) field of a graph."""
     sq = 1.0 + np.sum(np.square(grads), axis=-1)
@@ -168,164 +160,128 @@ def _graph_normal(grads: np.ndarray, h: np.ndarray):
     return (h[None, :] - grads) / root[:, None], root
 
 
-def _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
-    """Common node evaluation: returns per-node surface integrand
-    phi(x, nu) * G1(val) * sqrt(1+|grad|^2) with a validity mask.
-
-    The node values, gradients and mask are kept in pair._nodes under
-    (which, key); key must identify Y, fd_steps and t_hint, and a later call
-    with the same which and key evaluates only integrand2.
-    """
-    if (which, key) not in pair._nodes:
-        pair._nodes[which, key] = _graph_nodes(pair, which, Y, fd_steps, t_hint, key)
-    vals, grads, usable = pair._nodes[which, key]
-    out = np.zeros(Y.shape[0])
-    if usable.any():
-        idx = np.flatnonzero(usable)
-        nu, root = _graph_normal(grads[idx], pair.direction)
-        x = Y[idx] + vals[idx][:, None] * pair.direction
-        phi = np.asarray(integrand2(x, nu), dtype=float)
-        out[idx] = phi * _g1(vals[idx]) * root
-    return out, usable
-
-
-def _graph_nodes(pair, which, Y, fd_steps, t_hint, key):
-    """Graph values, in-plane gradients and usable mask at nodes Y.
-
-    When a body's two graphs are both finite, one section search finds both
-    ends (g(y), f(y)) at every node. It is kept in pair._nodes under
-    ("sections", key), where the other graph and both graphs' stencil hints
-    read it. A row's ends are those of a search for one end alone: the
-    inside parameter does not depend on which ends are asked for, and each
-    end is bisected from it on its own.
-    """
-    sections = None
-    if pair.body is not None and pair.f_finite and pair.g_finite:
-        if ("sections", key) not in pair._nodes:
-            pair._nodes["sections", key] = _section_endpoints(
-                pair.body, pair.direction, Y, t_hint=t_hint
-            )
-        sections = pair._nodes["sections", key]
-        lower, upper, nonempty = sections
-        vals = np.where(nonempty, upper if which == "upper" else lower, np.nan)
-    else:
-        vals = pair.values(which, Y, t_hint)
-    usable = np.isfinite(vals)
-    if which == "upper" and pair.analytic_f_gradient is not None:
-        grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
-    else:
-        grads = np.full_like(Y, np.nan)
-        idx = np.flatnonzero(usable)
-        if idx.size:
-            grads[idx], usable[idx] = _stencil_gradient(
-                pair,
-                which,
-                Y[idx],
-                fd_steps[idx],
-                t_hint=_inside_hint(which, vals[idx], t_hint, idx, sections),
-            )
-    return vals, grads, usable
-
-
-def _inside_hint(which, vals, t_hint, idx, sections):
-    """A parameter strictly inside the section at nodes idx, for stencil
-    bisection seeds; sections is the shared (lower, upper, nonempty) search
-    of a pair with both graphs finite, else None."""
-    if t_hint is not None:
-        return np.asarray(t_hint)[idx]
-    inward = vals + (-1.0 if which == "upper" else 1.0)
-    if sections is None:
-        # the section is a ray: one unit inward is always inside
-        return inward
-    other = sections[0 if which == "upper" else 1][idx]
-    both = np.isfinite(other)
-    return np.where(both, 0.5 * (vals + np.where(both, other, 0.0)), inward)
-
-
 def _g1(t):
     return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
 
 
-def _polar_graph_estimate(pair, which, integrand2, budget: Budget, key):
-    body = pair.body
+@dataclass
+class _NodeSet:
+    """The nodes of one graph route for one (budget, seed), shared by both
+    graphs of a pair and by every integrand.
+
+    Y holds the ambient nodes, steps their stencil steps and t_hint section
+    parameters that may lie inside the body (or None). A quadrature rule
+    carries weights shaped as its node grid, Monte Carlo the keep-mask of
+    draws inside DOMAIN_TRUNCATION_RADIUS. graphs holds each graph's
+    (values, gradients, usable mask), filled on first use. When a body's two
+    graphs are both finite, sections holds the (lower, upper, nonempty) ends
+    of every node's section from one search, which both graphs' values and
+    stencil hints read: a row's ends are those of a search for one end
+    alone, since the inside parameter does not depend on which ends are
+    asked for and each end is bisected from it on its own.
+    """
+
+    Y: np.ndarray
+    steps: np.ndarray
+    method: str
+    weights: Optional[np.ndarray] = None
+    keep: Optional[np.ndarray] = None
+    t_hint: Optional[np.ndarray] = None
+    details: Optional[dict] = None
+    sections: Optional[tuple] = None
+    graphs: dict = field(default_factory=dict)
+
+    def graph(self, pair: GraphPair, which: str):
+        """Values, in-plane gradients and usable mask of one graph."""
+        if which in self.graphs:
+            return self.graphs[which]
+        Y = self.Y
+        if pair.body is not None and pair.f_finite and pair.g_finite:
+            if self.sections is None:
+                self.sections = _section_endpoints(
+                    pair.body, pair.direction, Y, t_hint=self.t_hint
+                )
+            lower, upper, nonempty = self.sections
+            vals = np.where(nonempty, upper if which == "upper" else lower, np.nan)
+        else:
+            vals = pair.values(which, Y, self.t_hint)
+        usable = np.isfinite(vals)
+        if which == "upper" and pair.analytic_f_gradient is not None:
+            grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
+        else:
+            grads = np.full_like(Y, np.nan)
+            idx = np.flatnonzero(usable)
+            if idx.size:
+                hint = self._inside_hint(which, vals[idx], idx)
+                grads[idx], usable[idx] = _stencil_gradient(
+                    pair, which, Y[idx], self.steps[idx], t_hint=hint
+                )
+        self.graphs[which] = vals, grads, usable
+        return self.graphs[which]
+
+    def _inside_hint(self, which, vals, idx):
+        """A parameter strictly inside the section at nodes idx, for stencil
+        bisection seeds."""
+        if self.t_hint is not None:
+            return self.t_hint[idx]
+        inward = vals + (-1.0 if which == "upper" else 1.0)
+        if self.sections is None:
+            # the section is a ray: one unit inward is always inside
+            return inward
+        other = self.sections[0 if which == "upper" else 1][idx]
+        both = np.isfinite(other)
+        return np.where(both, 0.5 * (vals + np.where(both, other, 0.0)), inward)
+
+
+def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
+    """Build the nodes of the pair's route: polar for a bounded body in
+    dimension <= 3, tensor Gauss-Hermite for the full hyperplane in
+    dimension <= 3, Monte Carlo over the transverse Gaussian otherwise."""
     h, B = pair.direction, pair.basis
     d = B.shape[0]
-    if d > 3:
-        raise UnsupportedOrderError("polar graph integration supports dim <= 3")
-    U_c, w_ang = _angular_rule(d, budget)
-    rule = (budget.angles, tuple(budget.sphere_grid))
-    if rule not in pair._rims:
-        pair._rims[rule] = _golden_min_gauge(body, U_c @ B, h)
-    t_at_min, q = pair._rims[rule]
-    if np.any(q <= 0.0):
-        raise OracleIntegrityError("projected gauge vanished for a bounded body")
-    rho = 1.0 / q
-    t_rim = t_at_min * rho
-    s, w_rad = _radial_rule(budget.radial)
-    # nodes: (radial, angular)
-    Yc = s[:, None, None] * (rho[None, :, None] * U_c[None, :, :])  # coords (R,K,d)
-    Y = Yc.reshape(-1, d) @ B
-    t_hint = (s[:, None] * t_rim[None, :]).reshape(-1)
-    m0 = body.margin_at_zero
-    fd = np.minimum(budget.fd_step, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
-    contrib, usable = _eval_surface_nodes(
-        pair, which, Y, integrand2, fd.reshape(-1), key, t_hint=t_hint
-    )
-    if np.mean(~usable) > 0.005:
-        # every polar node lies strictly inside the projected domain, so more
-        # than a sliver of failures means the oracle contradicts itself
-        raise OracleIntegrityError(
-            f"{int((~usable).sum())} of {usable.size} polar nodes of a bounded "
-            "body produced no usable section"
+    body = pair.body
+    if body is not None and body.bounded and d <= 3:
+        U_c, w_ang = _angular_rule(d, budget)
+        t_at_min, q = _golden_min_gauge(body, U_c @ B, h)
+        if np.any(q <= 0.0):
+            raise OracleIntegrityError("projected gauge vanished for a bounded body")
+        rho = 1.0 / q
+        t_rim = t_at_min * rho
+        s, w_rad = _radial_rule(budget.radial)
+        # nodes: (radial, angular)
+        Yc = s[:, None, None] * (rho[None, :, None] * U_c[None, :, :])  # coords (R,K,d)
+        m0 = body.margin_at_zero
+        fd = np.minimum(budget.fd_step, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
+        dens = gaussian_density(d, Yc.reshape(-1, d)).reshape(len(s), len(w_ang))
+        radial_jac = (s[:, None] * rho[None, :]) ** (d - 1) * rho[None, :]
+        return _NodeSet(
+            Y=Yc.reshape(-1, d) @ B,
+            steps=fd.reshape(-1),
+            method="polar",
+            weights=w_rad[:, None] * w_ang[None, :] * radial_jac * dens,
+            t_hint=(s[:, None] * t_rim[None, :]).reshape(-1),
+            details={"angles": len(w_ang), "radial": len(s)},
         )
-    contrib = contrib.reshape(len(s), len(w_ang))
-    dens = gaussian_density(d, Yc.reshape(-1, d)).reshape(len(s), len(w_ang))
-    radial_jac = (s[:, None] * rho[None, :]) ** (d - 1) * rho[None, :]
-    total = float(np.sum(w_rad[:, None] * w_ang[None, :] * radial_jac * dens * contrib))
-    return EstimateWithError(
-        value=total,
-        std_error=0.0,
-        n_samples=len(s) * len(w_ang),
-        method="polar",
-        details={"angles": len(w_ang), "radial": len(s)},
-    )
-
-
-def _gh_graph_estimate(pair, which, integrand2, budget: Budget, key):
-    d = pair.basis.shape[0]
-    # looked up on the module at call time, so a wrapper installed there
-    # (the benchmark's tracer) sees the call
-    nodes_c, w = space.gauss_hermite_nodes(budget.quadrature_order, d)
-    Y = nodes_c @ pair.basis
-    fd = np.full(Y.shape[0], budget.fd_step)
-    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd, key)
-    total = float(np.sum(w * contrib))
-    return EstimateWithError(
-        value=total,
-        std_error=0.0,
-        n_samples=len(w),
-        method="gauss_hermite",
-        details={"order": budget.quadrature_order},
-    )
-
-
-def _mc_graph_estimate(pair, which, integrand2, budget: Budget, seed: int, key):
-    d = pair.basis.shape[0]
+    if d <= 3:
+        # looked up on the module at call time, so a wrapper installed there
+        # (the benchmark's tracer) sees the call
+        nodes_c, w = space.gauss_hermite_nodes(budget.quadrature_order, d)
+        return _NodeSet(
+            Y=nodes_c @ B,
+            steps=np.full(len(w), budget.fd_step),
+            method="gauss_hermite",
+            weights=w,
+            details={"order": budget.quadrature_order},
+        )
     coords = sample_gaussian(d, budget.samples, seed, threads=budget.threads)
     # truncate the transverse domain; the dropped tail mass is < 1e-30
     keep = np.linalg.norm(coords, axis=1) <= DOMAIN_TRUNCATION_RADIUS
     coords = np.where(keep[:, None], coords, 0.0)
-    Y = coords @ pair.basis
-    fd = np.full(Y.shape[0], budget.fd_step)
-    contrib, usable = _eval_surface_nodes(pair, which, Y, integrand2, fd, key)
-    contrib = np.where(keep, contrib, 0.0)
-    mean = float(np.mean(contrib))
-    se = float(np.std(contrib, ddof=1) / math.sqrt(len(contrib)))
-    return EstimateWithError(
-        value=mean,
-        std_error=se,
-        n_samples=budget.samples,
+    return _NodeSet(
+        Y=coords @ B,
+        steps=np.full(budget.samples, budget.fd_step),
         method="monte_carlo",
+        keep=keep,
     )
 
 
@@ -339,22 +295,43 @@ def graph_surface_integral(
     """Surface integral over one boundary graph of phi(x, nu) d(surface),
     where nu is the graph normal (-grad + h)/sqrt(1 + |grad|^2).
 
-    Dispatch: bounded body -> polar; hyperplane dim <= 3 -> Gauss-Hermite;
-    higher dimension -> Monte Carlo. The pair keeps the graph's node values
-    and gradients per (which, budget, seed), so a later call with another
-    integrand over the same nodes runs no section search. When both graphs
-    are finite, the first of them searches each node's whole section once
-    and the other graph reuses it.
+    The pair keeps one node set per (budget, seed) in pair._nodes (see
+    _node_set for the route), built on first use; both graphs and every
+    integrand over it share its nodes, its section search and each graph's
+    values and gradients. This call reduces phi(x, nu) G1(f) sqrt(1 +
+    |grad f|^2) at the graph's usable nodes with the rule's weights, or
+    averages it over the kept Monte Carlo draws. More than 0.5% unusable
+    polar nodes raise OracleIntegrityError: every polar node lies strictly
+    inside the projected domain, so that many failures mean the oracle
+    contradicts itself.
     """
     budget = Budget.from_any(budget)
-    _select_graph(pair, which)
-    d = pair.basis.shape[0]
-    key = (budget, seed)
-    if pair.body is not None and pair.body.bounded and d <= 3:
-        return _polar_graph_estimate(pair, which, integrand2, budget, key)
-    if d <= 3:
-        return _gh_graph_estimate(pair, which, integrand2, budget, key)
-    return _mc_graph_estimate(pair, which, integrand2, budget, seed, key)
+    if which not in ("upper", "lower"):
+        raise ParameterError("which must be 'upper' or 'lower'")
+    if not (pair.f_finite if which == "upper" else pair.g_finite):
+        raise CaseError(f"the {which} graph is infinite (case {pair.case_tag})")
+    nodes = pair._nodes.get((budget, seed))
+    if nodes is None:
+        nodes = pair._nodes[budget, seed] = _node_set(pair, budget, seed)
+    vals, grads, usable = nodes.graph(pair, which)
+    if nodes.method == "polar" and np.mean(~usable) > 0.005:
+        raise OracleIntegrityError(
+            f"{int((~usable).sum())} of {usable.size} polar nodes of a bounded "
+            "body produced no usable section"
+        )
+    contrib = np.zeros(usable.size)
+    idx = np.flatnonzero(usable)
+    if idx.size:
+        nu, root = _graph_normal(grads[idx], pair.direction)
+        x = nodes.Y[idx] + vals[idx][:, None] * pair.direction
+        contrib[idx] = np.asarray(integrand2(x, nu), dtype=float) * _g1(vals[idx]) * root
+    if nodes.keep is None:
+        total = float(np.sum(nodes.weights * contrib.reshape(nodes.weights.shape)))
+        return EstimateWithError(total, 0.0, usable.size, nodes.method, dict(nodes.details))
+    contrib = np.where(nodes.keep, contrib, 0.0)
+    mean = float(np.mean(contrib))
+    se = float(np.std(contrib, ddof=1) / math.sqrt(len(contrib)))
+    return EstimateWithError(mean, se, usable.size, "monte_carlo")
 
 
 def area_formula_integral(
@@ -558,6 +535,33 @@ def _check_vertical_mass(body, h, budget: Budget, seed: int, vmass=None):
         )
 
 
+def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int, check_vertical: bool):
+    """Sum over the finite graphs of the surface integrals of phi(x, nu),
+    nu the outward unit normal: the graph normal on the upper graph, its
+    negation (exact in floating point) on the lower one.
+
+    Raises DirectionError when no graph is finite and, with check_vertical,
+    when the boundary set vertical to the pair's direction is not
+    negligible, for bounded and unbounded bodies alike.
+    """
+    if not (pair.f_finite or pair.g_finite):
+        raise DirectionError(
+            "both graphs are infinite along this direction (cylinder-like body); "
+            "pick a transverse direction"
+        )
+    if check_vertical:
+        _check_vertical_mass(body, pair.direction, budget, seed)
+    total = None
+    for which, finite, outward in (
+        ("upper", pair.f_finite, phi),
+        ("lower", pair.g_finite, lambda x, nu: phi(x, -nu)),
+    ):
+        if finite:
+            est = graph_surface_integral(pair, which, outward, budget=budget, seed=seed)
+            total = est if total is None else total + est
+    return total
+
+
 def total_boundary_measure(
     body: ConvexBody,
     pair: GraphPair,
@@ -569,24 +573,13 @@ def total_boundary_measure(
     area-formula integrals (integrand 1) over the finite graphs.
 
     Requires the direction's vertical boundary set to be negligible; a
-    vertical-dominated direction (e.g. a cylinder along h) raises
-    DirectionError naming the fix.
+    vertical-dominated direction (e.g. a cylinder along h, or a prism
+    graphed across two of its faces) raises DirectionError naming the fix.
     """
     budget = Budget.from_any(budget)
-    if not (pair.f_finite or pair.g_finite):
-        raise DirectionError(
-            "both graphs are infinite along this direction (cylinder-like body); "
-            "pick a transverse direction"
-        )
-    if check_vertical and body.bounded:
-        _check_vertical_mass(body, pair.direction, budget, seed)
-    total = None
-    for which, finite in (("upper", pair.f_finite), ("lower", pair.g_finite)):
-        if not finite:
-            continue
-        est = area_formula_integral(pair, which, None, budget=budget, seed=seed)
-        total = est if total is None else total + est
-    return total
+    return _boundary_sum(
+        body, pair, lambda x, nu: np.ones(x.shape[0]), budget, seed, check_vertical
+    )
 
 
 def minkowski_content_perimeter(

@@ -141,6 +141,8 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
             {"body": {"shape": "cylinder", "axis": [0, 1], "base": {"shape": "ball", "radius": "a"}}},
             "body.cylinder.base.ball.radius",
         ),
+        ("perimeter", {"budgets": None}, "config.budgets"),
+        ("perimeter", {"budgets": [1000]}, "config.budgets"),
     ],
     ids=[
         "density_point_dim",
@@ -190,6 +192,8 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "psi_unknown",
         "cylinder_base_unknown",
         "cylinder_base_radius",
+        "budgets_null",
+        "budgets_list",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
@@ -235,6 +239,16 @@ def test_negative_seed_flag_rejected(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err
+
+
+@pytest.mark.parametrize("cfg", [[1, 2], "seed", 7, None], ids=["list", "string", "number", "null"])
+def test_non_object_config_with_seed_flag(tmp_path, capsys, cfg):
+    # the --seed override must not index into a config that is no object
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["perimeter", "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
 
 def test_determinism_across_thread_counts(tmp_path):

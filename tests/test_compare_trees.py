@@ -4,6 +4,7 @@ Running the tool itself takes two full benchmark passes, so these tests
 check only how it scores a pair of records.
 """
 
+import copy
 import importlib.util
 import math
 from pathlib import Path
@@ -58,3 +59,15 @@ def test_records_that_do_not_match_are_not_comparable():
     for new in (None, [], [_record("ibp[k1]", 0.2, 0.3, 1e-3, 0.0)]):
         _, broken, _ = _score(old, new)
         assert broken["uncomparable"] == 1
+
+
+def test_monte_carlo_calls_are_valid_configs_past_dimension_four():
+    # the graph route samples its nodes once the hyperplane has dimension 4
+    from convexgauss.cli import RunConfig
+
+    tool = _tool()
+    assert set(tool.MONTE_CARLO) == {"converge_dim5", "ibp_halfspace5d", "ibp_slab5d"}
+    for _, config in tool.MONTE_CARLO.values():
+        parsed = RunConfig.from_dict(copy.deepcopy(config))
+        dims = config.get("grid", {}).get("dims", [parsed.model.dim])
+        assert min(dims) >= 5

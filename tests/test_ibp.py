@@ -383,30 +383,29 @@ def test_two_rhs_routes_agree_pointwise(disk):
 
 
 def test_vector_measure_slab_cancellation(slab2):
+    budget = {"samples": 200_000}
+    report = cg.verify_ibp(slab2, cg.constant(1.0), E1_2, budget=budget, seed=13, h=E1_2)
     pair = cg.decompose(slab2, E1_2)
-    report = cg.vector_measure_check(
-        slab2, pair, cg.constant(1.0), E1_2, seed=13, budget={"samples": 200_000}
-    )
-    # both graph terms equal G1(1) and cancel in the signed assembly
-    assert report.metadata["upper_term"] == pytest.approx(G1_AT_1, rel=1e-9)
-    assert report.metadata["lower_term"] == pytest.approx(G1_AT_1, rel=1e-9)
+    # both graph terms of <nu, k>, each against its own graph normal, equal
+    # G1(1) and cancel in the signed assembly
+    for which in ("upper", "lower"):
+        term = cg.graph_surface_integral(pair, which, lambda x, nu: nu @ E1_2, budget=budget)
+        assert term.value == pytest.approx(G1_AT_1, rel=1e-9)
     assert abs(report.rhs.value) <= 1e-9
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
 
 
 def test_vector_measure_orthogonal_direction(halfspace3):
-    pair = cg.decompose(halfspace3, E1_3)
-    report = cg.vector_measure_check(
-        halfspace3, pair, cg.constant(1.0), E2_3, seed=14, budget={"samples": 100_000}
+    report = cg.verify_ibp(
+        halfspace3, cg.constant(1.0), E2_3, budget={"samples": 100_000}, seed=14, h=E1_3
     )
     assert abs(report.rhs.value) <= 1e-9
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
 
 
 def test_vector_measure_ball_coordinate(disk):
-    pair = cg.decompose(disk, E2_2)
-    report = cg.vector_measure_check(
-        disk, pair, cg.coordinate(1), E2_2, seed=15, budget={"samples": 400_000}
+    report = cg.verify_ibp(
+        disk, cg.coordinate(1), E2_2, budget={"samples": 400_000}, seed=15, h=E2_2
     )
     assert report.verdict == "pass"
     assert report.rhs.value == pytest.approx(HALF_PERIM, rel=1e-3)

@@ -10,7 +10,7 @@ import convexgauss.graphs as graphs
 import convexgauss.surface as surface
 from convexgauss.errors import CaseError, DirectionError, ParameterError, UnsupportedOrderError
 from convexgauss.graphs import _stencil_gradient
-from convexgauss.surface import _eval_surface_nodes
+from convexgauss.surface import Budget, _NodeSet
 
 from conftest import DISK_PERIM, G1_AT_1, HALF_PERIM, INV_SQRT_2PI
 
@@ -148,12 +148,16 @@ def test_function_graph_stencil_shrinks_at_domain_edge():
         domain=lambda y: np.abs(np.atleast_2d(y)[:, 0]) < 1.0,
     )
     Y = np.array([[0.0, 0.0], [1.0 - 5e-6, 0.0], [1.5, 0.0]])
-    contrib, usable = _eval_surface_nodes(
-        pair, "upper", Y, lambda x, nu: nu[:, 0], np.full(3, 1e-5), key="edge"
-    )
+    # a rule whose only weight sits on the edge node reads its contribution
+    weights = np.array([0.0, 1.0, 0.0])
+    nodes = _NodeSet(Y, np.full(3, 1e-5), "gauss_hermite", weights=weights, details={})
+    pair._nodes[Budget(), 0] = nodes
+    est = cg.graph_surface_integral(pair, "upper", lambda x, nu: nu[:, 0])
+    _, grads, usable = nodes.graphs["upper"]
     assert usable.tolist() == [True, True, False]
+    assert grads[1] == pytest.approx([0.5, 0.0], rel=1e-8)
     # nu_1 * sqrt(1 + |grad f|^2) = -1/2, times the Gaussian factor G1(f)
-    assert contrib[1] == pytest.approx(-0.5 * G1(0.5 * (1.0 - 5e-6)), rel=1e-8)
+    assert est.value == pytest.approx(-0.5 * G1(0.5 * (1.0 - 5e-6)), rel=1e-8)
 
 
 # ------------------------------------------------------- subspace measures
@@ -298,11 +302,7 @@ def _separate_graph_nodes(pair, which, Y, fd_steps, t_hint):
 def test_both_graphs_share_one_section_search(monkeypatch, body, h, budget, method):
     pair = cg.decompose(body, h)
     assert pair.f_finite and pair.g_finite
-    node_sets, node_searches, in_stencil = [], [], []
-
-    def record_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint=None):
-        node_sets.append((which, Y, fd_steps, t_hint))
-        return _eval_surface_nodes(pair, which, Y, integrand2, fd_steps, key, t_hint)
+    node_searches, in_stencil = [], []
 
     def stencil(*args, **kwargs):
         in_stencil.append(True)
@@ -319,7 +319,6 @@ def test_both_graphs_share_one_section_search(monkeypatch, body, h, budget, meth
 
         return wrapper
 
-    monkeypatch.setattr(surface, "_eval_surface_nodes", record_nodes)
     monkeypatch.setattr(surface, "_stencil_gradient", stencil)
     monkeypatch.setattr(surface, "_section_endpoints", counted(graphs._section_endpoints))
     monkeypatch.setattr(graphs, "_section_endpoints", counted(graphs._section_endpoints))
@@ -329,11 +328,62 @@ def test_both_graphs_share_one_section_search(monkeypatch, body, h, budget, meth
     # one search over the node set, where separate graphs searched 2 or 4 times
     assert len(node_searches) == 1
     monkeypatch.undo()
-    for which, Y, fd_steps, t_hint in node_sets:
-        (shared,) = [nodes for key, nodes in pair._nodes.items() if key[0] == which]
-        separate = _separate_graph_nodes(pair, which, Y, fd_steps, t_hint)
-        for got, want in zip(shared, separate):
+    (nodes,) = pair._nodes.values()
+    for which in ("upper", "lower"):
+        separate = _separate_graph_nodes(pair, which, nodes.Y, nodes.steps, nodes.t_hint)
+        for got, want in zip(nodes.graphs[which], separate):
             assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "body, h, budget, builder",
+    [
+        (cg.ellipsoid([1.2, 0.8, 0.6]), E1_3, {"angles": 64, "radial": 6}, "_golden_min_gauge"),
+        (cg.slab(E1_3, 0.9), E1_3, {"quadrature_order": 12}, "gauss_hermite_nodes"),
+        (cg.slab(np.eye(5)[0], 0.9), np.eye(5)[0], {"samples": 400}, "sample_gaussian"),
+    ],
+    ids=["polar", "gauss_hermite", "monte_carlo"],
+)
+def test_one_node_set_serves_both_graphs_and_every_integrand(
+    monkeypatch, body, h, budget, builder
+):
+    module = cg.space if builder == "gauss_hermite_nodes" else surface
+    calls = []
+    build = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    pair = cg.decompose(body, h)
+    ks = np.eye(body.dim)[:3]
+    psi = cg.tanh_of(np.linspace(0.5, -0.5, body.dim))
+    one = [cg.rhs_surface_integral(body, pair, psi, k, budget=budget, seed=2) for k in ks]
+    both = cg.total_boundary_measure(body, pair, budget=budget, seed=2)
+    assert len(calls) == 1 and len(pair._nodes) == 1
+    assert set(next(iter(pair._nodes.values())).graphs) == {"upper", "lower"}
+    # each integrand equals its own call on a fresh pair bit for bit
+    for k, est in zip(ks, one):
+        fresh = cg.rhs_surface_integral(
+            body, cg.decompose(body, h), psi, k, budget=budget, seed=2
+        )
+        assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
+    fresh = cg.total_boundary_measure(body, cg.decompose(body, h), budget=budget, seed=2)
+    assert (both.value, both.std_error) == (fresh.value, fresh.std_error)
+    # another seed is another node set
+    calls.clear()
+    cg.total_boundary_measure(body, pair, budget=budget, seed=3)
+    assert len(calls) == 1 and len(pair._nodes) == 2
+
+
+def test_total_boundary_rejects_vertical_faces_of_unbounded_prism():
+    # the infinite square prism |x1| < 1, |x2| < 1 graphed along e1: its
+    # faces x2 = +/-1 are vertical and carry half of its Gaussian perimeter
+    # 4 phi(1) (2 Phi(1) - 1) = 0.661, which the two finite graphs miss
+    faces = [{"normal": v, "offset": 1.0} for v in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])]
+    prism = cg.polytope(faces)
+    assert not prism.bounded
+    pair = cg.decompose(prism, E1_3)
+    with pytest.raises(DirectionError, match="vertical boundary mass"):
+        cg.total_boundary_measure(prism, pair, seed=0)
+    with pytest.raises(DirectionError, match="vertical boundary mass"):
+        cg.rhs_surface_integral(prism, pair, cg.constant(1.0), E1_3, seed=0)
 
 
 def test_total_boundary_halfspace():

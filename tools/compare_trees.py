@@ -8,7 +8,10 @@ CLI calls:
 * every call of the benchmark's ``boundary`` and ``ibp_volume`` workloads
   (``perfbench/workloads.generate``) at seeds 1 and 9001, each ``ibp`` call
   at one and at two threads;
-* the four shipped demo configs in ``demos/configs``.
+* the four shipped demo configs in ``demos/configs``;
+* three fixed 5-d calls on the Monte Carlo graph route, which neither
+  reaches: ``converge-dim`` at dimension 5 and ``ibp`` on a halfspace and
+  a slab, each ``ibp`` call at one and at two threads.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -57,6 +60,45 @@ DEMOS = {
     "kl_dimension_sweep": "converge-dim",
 }
 
+# fixed calls on the Monte Carlo graph route (a hyperplane of dimension
+# 4 or more), with the subcommand each one is run with
+_HALF = [0.5, 0.5, 0.5, 0.5, 0.0]
+_TILT = [0.0, 0.5, -0.5, 0.5, 0.5]
+MONTE_CARLO = {
+    "converge_dim5": (
+        "converge-dim",
+        {
+            "model": {"dim": 5},
+            "body": {"shape": "kl_ellipsoid", "scale": 1.0},
+            "grid": {"dims": [5]},
+            "budgets": {"samples": 20000},
+            "seed": 5,
+        },
+    ),
+    "ibp_halfspace5d": (
+        "ibp",
+        {
+            "model": {"dim": 5},
+            "body": {"shape": "halfspace", "normal": _HALF, "offset": 0.7},
+            "psi": {"name": "tanh", "weights": [0.8, -0.6, 0.4, 0.7, 0.2], "offset": 1.0},
+            "directions": {"k": [_HALF, [1.0, 0.0, 0.0, 0.0, 0.0]], "h": _HALF},
+            "budgets": {"samples": 20000},
+            "seed": 6,
+        },
+    ),
+    "ibp_slab5d": (
+        "ibp",
+        {
+            "model": {"dim": 5},
+            "body": {"shape": "slab", "normal": _TILT, "half_width": 0.9},
+            "psi": {"name": "coordinate", "index": 2},
+            "directions": {"k": [_TILT, [0.0, 0.0, 1.0, 0.0, 0.0]], "h": _TILT},
+            "budgets": {"samples": 20000},
+            "seed": 7,
+        },
+    ),
+}
+
 
 def jobs() -> list:
     """Every call to compare, as (label, subcommand, config, threads)."""
@@ -77,6 +119,9 @@ def jobs() -> list:
     for name, subcommand in DEMOS.items():
         config = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())
         out.append((f"demo/{name}", subcommand, config, None))
+    for name, (subcommand, config) in MONTE_CARLO.items():
+        threads = IBP_THREADS if subcommand == "ibp" else (None,)
+        out += [(f"mc/{name}" + (f"@{t}t" if t else ""), subcommand, config, t) for t in threads]
     return out
 
 
