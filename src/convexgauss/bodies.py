@@ -28,6 +28,8 @@ from .space import EstimateWithError, brownian_kl_profile
 
 DEFAULT_GAUGE_TOL = 1e-10
 UNBOUNDED_REACH = 50.0
+SECULAR_NEWTON_STEPS = 200  # cap on Newton steps of the ellipsoid distance
+DYKSTRA_SWEEPS = 5000  # cap on Dykstra sweeps of the polytope distance
 
 __all__ = [
     "ConvexBody",
@@ -150,7 +152,12 @@ def ball(radius: float, dim: int) -> ConvexBody:
 
 
 def ellipsoid(semiaxes) -> ConvexBody:
-    """Open axis-aligned ellipsoid sum (x_i / s_i)^2 < 1."""
+    """Open axis-aligned ellipsoid sum (x_i / s_i)^2 < 1.
+
+    Its distance oracle projects a point outside onto the boundary through
+    the root of the secular equation, by Newton's method from lam = 0
+    (_secular_root).
+    """
     s = np.asarray(semiaxes, dtype=float)
     if s.ndim != 1 or np.any(s <= 0):
         raise BodySpecError("ellipsoid: semiaxes must be a vector of positives")
@@ -164,16 +171,8 @@ def ellipsoid(semiaxes) -> ConvexBody:
         outside = np.sum(np.square(x) * inv2, axis=-1) > 1.0
         if outside.any():
             xo = x[outside]
-            # nearest boundary point solves w_i = s_i^2 x_i / (s_i^2 + lam)
-            lo = np.zeros(xo.shape[0])
-            hi = np.full(xo.shape[0], float(np.max(s)))
-            fx = lambda lam: np.sum(
-                (s * s * xo) ** 2 / (s * s + lam[:, None]) ** 2 * inv2, axis=-1
-            ) - 1.0
-            while np.any(fx(hi) > 0):
-                hi = np.where(fx(hi) > 0, hi * 2.0, hi)
-            lo, hi = bisect(lambda lam: fx(lam) > 0, lo, hi, steps=200)
-            lam = 0.5 * (lo + hi)
+            # nearest boundary point w_i = s_i^2 x_i / (s_i^2 + lam)
+            lam = _secular_root(s * s, s * s * xo * xo)
             w = s * s * xo / (s * s + lam[:, None])
             out[outside] = np.linalg.norm(xo - w, axis=-1)
         return out if np.ndim(x0) > 1 else float(out[0])
@@ -188,6 +187,32 @@ def ellipsoid(semiaxes) -> ConvexBody:
         distance=distance,
         spec={"shape": "ellipsoid", "semiaxes": list(map(float, s))},
     )
+
+
+def _secular_root(s2, c):
+    """Root lam >= 0, per row, of the ellipsoid projection's secular equation
+    f(lam) = sum_i c_i / (s2_i + lam)^2 - 1, for rows with f(0) > 0 (points
+    outside the ellipsoid with squared semiaxes s2, c_i = s2_i x_i^2).
+
+    f is convex and decreasing on lam >= 0, so Newton's method from lam = 0
+    climbs to the root without overshooting it. A row stops once a step no
+    longer increases lam, which happens at the root to rounding.
+    """
+    lam = np.zeros(c.shape[0])
+    active = np.ones(c.shape[0], dtype=bool)
+    for _ in range(SECULAR_NEWTON_STEPS):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        u = s2 + lam[idx, None]
+        ratio = c[idx] / (u * u)
+        f = np.sum(ratio, axis=-1) - 1.0
+        slope = -2.0 * np.sum(ratio / u, axis=-1)
+        step = lam[idx] - f / slope
+        rises = step > lam[idx]
+        lam[idx[rises]] = step[rises]
+        active[idx[~rises]] = False
+    return lam
 
 
 def halfspace(normal, offset: float) -> ConvexBody:
@@ -238,6 +263,10 @@ def polytope(faces) -> ConvexBody:
     bounded polytope. The interior point and margin come from the
     Chebyshev-center LP, except for an unbounded polytope with every offset
     positive (a slab, say): it keeps the origin, with margin min(c_i).
+
+    Its distance oracle runs Dykstra's alternating projections onto the
+    faces, each row until a sweep moves it by less than 1e-13 or for
+    DYKSTRA_SWEEPS sweeps, on compact arrays of the rows still moving.
     """
     if not faces:
         raise BodySpecError(f"polytope: face list is empty: {faces!r}")
@@ -294,22 +323,27 @@ def polytope(faces) -> ConvexBody:
     def distance(x0):
         # Dykstra alternating projections onto the face halfspaces; vertex
         # projections converge geometrically, so iterate per-row to rest.
+        # Only rows still moving are kept, with their corrections, in
+        # compact arrays; a row at rest is written back once.
         x = np.atleast_2d(np.asarray(x0, dtype=float))
         z = x.copy()
-        corr = np.zeros((len(c),) + x.shape)
-        active = np.any(x @ A.T >= c, axis=-1)
-        for _ in range(5000):
-            idx = np.flatnonzero(active)
+        idx = np.flatnonzero(np.any(x @ A.T >= c, axis=-1))
+        zi = z[idx]
+        corr = np.zeros((len(c),) + zi.shape)
+        for _ in range(DYKSTRA_SWEEPS):
             if idx.size == 0:
                 break
-            before = z[idx].copy()
+            before = zi
             for i in range(len(c)):
-                w = z[idx] + corr[i, idx]
+                w = zi + corr[i]
                 viol = np.maximum(0.0, w @ A[i] - c[i])
-                z[idx] = w - viol[:, None] * A[i]
-                corr[i, idx] = w - z[idx]
-            moved = np.max(np.abs(z[idx] - before), axis=-1)
-            active[idx[moved < 1e-13]] = False
+                zi = w - viol[:, None] * A[i]
+                corr[i] = w - zi
+            rest = np.max(np.abs(zi - before), axis=-1) < 1e-13
+            if rest.any():
+                z[idx[rest]] = zi[rest]
+                idx, zi, corr = idx[~rest], zi[~rest], corr[:, ~rest]
+        z[idx] = zi  # rows still moving after DYKSTRA_SWEEPS sweeps
         out = np.linalg.norm(x - z, axis=-1)
         out[contains(x)] = 0.0
         return out if np.ndim(x0) > 1 else float(out[0])

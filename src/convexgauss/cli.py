@@ -43,6 +43,7 @@ from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, veri
 from .space import GaussianModel, as_direction, brownian_kl_profile
 from .surface import (
     Budget,
+    _check_vertical_mass,
     minkowski_content_perimeter,
     subspace_hausdorff,
     total_boundary_measure,
@@ -298,17 +299,18 @@ def _record_from_report(name: str, report: VerificationReport, extra=None) -> di
 
 
 def _pinned_direction(config: RunConfig, body: ConvexBody):
+    """The configured h with no vertical-mass estimate, or the direction
+    choose_direction picks among the candidates with its estimate."""
     if config.h is not None:
-        return config.h
+        return config.h, None
     cands = (
         config.candidates
         if config.candidates is not None
         else default_direction_candidates(body.dim, seed=config.seed)
     )
-    h, _ = choose_direction(
+    return choose_direction(
         body, cands, boundary_samples=config.budget.boundary_samples, seed=config.seed
     )
-    return h
 
 
 # ------------------------------------------------------------- subcommands
@@ -316,9 +318,14 @@ def _pinned_direction(config: RunConfig, body: ConvexBody):
 
 def _run_perimeter(config: RunConfig):
     body = config.body
-    h = _pinned_direction(config, body)
+    h, vertical_mass = _pinned_direction(config, body)
     pair = decompose(body, h, seed=config.seed)
-    graph_est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
+    # a chosen direction already carries its vertical-mass estimate
+    if vertical_mass is not None:
+        _check_vertical_mass(body, h, config.budget, config.seed, vertical_mass)
+    graph_est = total_boundary_measure(
+        body, pair, budget=config.budget, seed=config.seed, check_vertical=vertical_mass is None
+    )
     content_est = minkowski_content_perimeter(body, budget=config.budget, seed=config.seed)
     rel_tol = config.tolerances.get("perimeter_relative", 0.02)
     tol = max(
@@ -410,7 +417,7 @@ def _run_surface(config: RunConfig):
 
 def _run_gradcheck(config: RunConfig):
     body = config.body
-    h = _pinned_direction(config, body)
+    h, _ = _pinned_direction(config, body)
     pair = decompose(body, h, seed=config.seed)
     pts, _, _ = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
     errs = gradient_formula_check(body, pair, pts)

@@ -36,7 +36,12 @@ from .space import DEFAULT_FD_STEP, EstimateWithError, as_direction
 
 DEFAULT_SECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_STEPS = 80  # fixed golden-section steps of the rim search
+GOLDEN_STEPS = 80  # golden-section steps of every row that does not settle
+GOLDEN_GAUGE_TOL = 1e-12  # relative tolerance of every golden-section gauge
+GOLDEN_SETTLE_MARGIN = 1e-9  # a row settles once its minimum is provably this far above the stop level
+EMPTY_SECTION_GRID = 5  # probes per axis of each zoom level of the empty-section proof
+EMPTY_SECTION_LEVELS = 30  # zoom levels, each halving the probe spacing
+EMPTY_SECTION_STEP = 1e-6  # forward-difference step of its slope bound
 
 CASE_BOTH_INFINITE = "both_infinite"
 CASE_F_FINITE_ONLY = "f_finite_only"
@@ -56,37 +61,176 @@ __all__ = [
 ]
 
 
-def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
-    """Vectorized golden-section minimization of t -> gauge(y + t h), run for
-    GOLDEN_STEPS steps.
+def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None):
+    """Vectorized golden-section minimization of t -> gauge(y + t h) over
+    [-T, T], T just past the body's reach.
 
     Returns (t_min, q_min) per row. The map is convex in t, so golden section
     is valid; it is the membership-only fallback for thin sections. Each step
-    gauges both probes c and d of every row in one stacked call; a row's gauge
-    depends only on that row, so the values are those of two separate calls.
+    gauges both probes c and d of every searching row in one stacked call; a
+    row's gauge depends only on that row, so the values are those of
+    separate calls. Without `stop` every row runs GOLDEN_STEPS steps.
+
+    `stop` is for callers that discard every row whose minimum is not below
+    it. Such a row also gauges its bracket ends a and b once, and before
+    each step bounds the map from below over all of [-T, T]: the chord
+    (c, d) extended over [a, c] and [d, b], the chords (a, c) and (d, b)
+    extended into [c, d], and for each piece given up so far the bound it
+    had then, every probe taken at its worst case within the gauge
+    tolerance. Once that bound exceeds stop + GOLDEN_SETTLE_MARGIN the row
+    settles: it leaves the search and returns its better probe and that
+    probe's gauge, which is >= stop. A probe below stop caps every later
+    bound below it, so once each searching row has had one, the bounds stop.
+    A row that never settles runs every step and returns exactly what a call
+    without `stop` returns.
     """
     N = Y.shape[0]
     T = body.reach * (1.0 + 1e-9)
+    rows = np.arange(N)
+    t_min = np.empty(N)
+    q_min = np.empty(N)
+    Yr, Y2 = Y, np.concatenate([Y, Y])  # the searching rows, alone and twice
+
+    def gauge(*params):
+        # one stacked call: the searching rows at each parameter in turn
+        k = len(params)
+        X = (Y2 if k == 2 else np.concatenate([Yr] * k)) + np.concatenate(params)[:, None] * h
+        return minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(k, -1)
+
     a = np.full(N, -T)
     b = np.full(N, T)
-    Y2 = np.concatenate([Y, Y])
-
-    def gauge_pair(c, d):
-        q = minkowski_functional(body, Y2 + np.concatenate([c, d])[:, None] * h, tol=1e-12)
-        return q[:N], q[N:]
-
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = gauge_pair(c, d)
+    if stop is None:
+        fc, fd = gauge(c, d)
+    else:
+        fc, fd, fa, fb = gauge(c, d, a, b)
+        given_up = np.full(N, np.inf)  # bound of the map over the pieces given up
     for _ in range(GOLDEN_STEPS):
+        if stop is not None:
+            floors = _piece_floors(a, c, d, b, fa, fc, fd, fb)
+            settled = np.minimum.reduce([given_up, *floors]) > stop + GOLDEN_SETTLE_MARGIN
+            if settled.any():
+                done = rows[settled]
+                t_min[done] = np.where(fc < fd, c, d)[settled]
+                q_min[done] = np.minimum(fc, fd)[settled]
+                keep = ~settled
+                rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, *floors = (
+                    v[keep] for v in (rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, *floors)
+                )
+                if not rows.size:
+                    return t_min, q_min
+                Y2 = np.concatenate([Yr, Yr])
+            if np.all(np.minimum(fc, fd) < stop):
+                # a probe below stop caps every bound below it: no row left
+                # can settle, so the rest is the plain search
+                stop = None
         left = fc < fd
+        if stop is not None:
+            # the piece given up, [d, b] or [a, c], keeps the bound it has now
+            given_up = np.minimum(given_up, np.where(left, floors[2], floors[0]))
+            fa = np.where(left, fa, fc)
+            fb = np.where(left, fd, fb)
         b = np.where(left, d, b)
         a = np.where(left, a, c)
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
-        fc, fd = gauge_pair(c, d)
+        fc, fd = gauge(c, d)
     t = 0.5 * (a + b)
-    return t, minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
+    t_min[rows] = t
+    # a lone row would take numpy's matrix-vector product in a polytope's or
+    # cylinder's oracle, which rounds unlike the matrix product of a larger
+    # batch; gauged twice, it keeps the value it has in the full batch
+    q_min[rows] = gauge(t, t)[0] if rows.size == 1 < N else gauge(t)[0]
+    return t_min, q_min
+
+
+def _chord_floor(t1, f1, t2, f2, s, delta):
+    """Worst case at s of the line through (t1, f1) and (t2, f2) when each
+    value may be off by delta. For s outside (t1, t2) it is a lower bound of
+    any convex function within delta of f1 at t1 and of f2 at t2."""
+    lam = (s - t1) / (t2 - t1)
+    return f1 + (f2 - f1) * lam - delta * (np.abs(1.0 - lam) + np.abs(lam))
+
+
+def _piece_floors(a, c, d, b, fa, fc, fd, fb):
+    """Lower bounds of a convex map over [a, c], [c, d] and [d, b] from its
+    gauged values at a < c < d < b, each taken at its worst case: the
+    bisection brackets a gauge p to within GOLDEN_GAUGE_TOL * max(1, p),
+    doubled here for the rounding of the probe points.
+
+    Over [a, c] and [d, b] the chord (c, d) extended bounds the map; over
+    [c, d] the larger of the chords (a, c) and (d, b) extended into it,
+    whose minimum there is at c, at d or where the two lines cross. Each
+    bound is linear on its piece, so the piece's ends give its minimum. A
+    degenerate bracket (probes that rounding has merged) gives nan, which
+    never settles a row.
+    """
+    delta = 2.0 * GOLDEN_GAUGE_TOL * np.maximum(1.0, np.maximum.reduce([fa, fc, fd, fb]))
+    lo_c, lo_d = fc - delta, fd - delta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        over_ac = np.minimum(lo_c, _chord_floor(c, fc, d, fd, a, delta))
+        over_db = np.minimum(lo_d, _chord_floor(c, fc, d, fd, b, delta))
+        # over [c, d]: the line (a, c) runs from lo_c to left_d, the line
+        # (d, b) from right_c to lo_d
+        left_d = _chord_floor(a, fa, c, fc, d, delta)
+        right_c = _chord_floor(d, fd, b, fb, c, delta)
+        over_cd = np.minimum(np.maximum(lo_c, right_c), np.maximum(left_d, lo_d))
+        gap_c, gap_d = lo_c - right_c, left_d - lo_d
+        cross = lo_c + gap_c / (gap_c - gap_d) * (left_d - lo_c)
+        over_cd = np.where(gap_c * gap_d < 0, np.minimum(over_cd, cross), over_cd)
+    return over_ac, over_cd, over_db
+
+
+def _empty_sections(body, F, Ys):
+    """Rows whose section Ys + span(F) of a bounded body is provably empty.
+
+    Off the body the gauge p is >= 1, so a section is empty once p > 1 on
+    its points within the outer radius, a disc of radius R about Ys (each
+    row of Ys is orthogonal to F). At a section point x0 = Ys + z F, forward
+    differences of step EMPTY_SECTION_STEP bound the directional derivative
+    of the convex p from above along each of +/-F_i, every gauge taken at
+    its worst case within GOLDEN_GAUGE_TOL as in the golden search.
+    Subadditivity turns these into a lower bound -|v| * slope along every
+    direction v of the section, and convexity into p >= p(x0) - |v| * slope
+    on it, so p >= p(x0) - (R + |z|) * slope on the disc. A row is proved
+    empty once that exceeds 1 + GOLDEN_SETTLE_MARGIN.
+
+    x0 starts at Ys and zooms towards the section's minimum gauge: each
+    level gauges x0's stencil and a grid of EMPTY_SECTION_GRID points per
+    axis about x0 in one stacked call, moves x0 to the grid's best point and
+    halves the grid. A row leaves once it is proved empty or a probe lies
+    inside the body; a row left after EMPTY_SECTION_LEVELS levels is not
+    proved empty.
+    """
+    N, n = Ys.shape
+    m = F.shape[0]
+    axis_grid = np.linspace(-1.0, 1.0, EMPTY_SECTION_GRID)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([axis_grid] * m), indexing="ij")], axis=-1)
+    G = grid.shape[0]
+    stencil = EMPTY_SECTION_STEP * np.concatenate([np.eye(m), -np.eye(m)])
+    radius = np.sqrt(np.maximum(body.outer_radius**2 - np.sum(Ys * Ys, axis=1), 0.0))
+    empty = np.zeros(N, dtype=bool)
+    rows = np.arange(N)
+    z = np.zeros((N, m))
+    width = radius.copy()  # half the side of each row's grid
+    for _ in range(EMPTY_SECTION_LEVELS):
+        Z = np.concatenate([z[:, None, :] + stencil, z[:, None, :] + width[:, None, None] * grid], axis=1)
+        X = (Ys[rows][:, None, :] + Z @ F).reshape(-1, n)
+        q = minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(rows.size, -1)
+        err = 2.0 * GOLDEN_GAUGE_TOL * np.maximum(1.0, q)
+        p0 = q[:, 2 * m + G // 2] - err[:, 2 * m + G // 2]  # x0, the grid's centre
+        rise = (q[:, : 2 * m] + err[:, : 2 * m] - p0[:, None]) / EMPTY_SECTION_STEP
+        up = np.maximum(np.maximum(rise[:, :m], rise[:, m:]), 0.0)
+        slope = np.sqrt(np.sum(up * up, axis=1))
+        proved = p0 - (radius[rows] + np.linalg.norm(z, axis=1)) * slope > 1.0 + GOLDEN_SETTLE_MARGIN
+        empty[rows[proved]] = True
+        keep = ~proved & np.all(q + err >= 1.0, axis=1)
+        z = Z[np.arange(rows.size), 2 * m + np.argmin(q[:, 2 * m :], axis=1)][keep]
+        rows, width = rows[keep], 0.5 * width[keep]
+        if not rows.size:
+            break
+    return empty
 
 
 def _bisect_endpoint(body, Y, h, t_in, direction):
@@ -161,7 +305,8 @@ def _section_endpoints(
         far = np.linalg.norm(Y[missing], axis=1) >= body.outer_radius
         missing[np.flatnonzero(missing)[far]] = False
     if missing.any():
-        t_min, q_min = _golden_min_gauge(body, Y[missing], h)
+        # a row is kept only when its minimum gauge is below 1
+        t_min, q_min = _golden_min_gauge(body, Y[missing], h, stop=1.0)
         found = q_min < 1.0 - 1e-12
         idx = np.flatnonzero(missing)
         t_in[idx[found]] = t_min[found]
@@ -475,20 +620,11 @@ def choose_direction(body: ConvexBody, candidates, boundary_samples: int = 1000,
     candidates = [as_direction(np.asarray(c, dtype=float), dim=body.dim) for c in candidates]
     if not candidates:
         raise ParameterError("candidates must be nonempty")
-    b, nu, w = ray_cast_boundary(body, boundary_samples, seed)
-    wsum = float(np.sum(w))
+    _, nu, w = ray_cast_boundary(body, boundary_samples, seed)
     best = None
     for h in candidates:
-        vertical = np.abs(nu @ h) < math.sin(1e-3)
-        mass = float(np.sum(w * vertical) / wsum) if wsum > 0 else 1.0
-        # delta-method standard error of the weighted fraction
-        if wsum > 0:
-            resid = w * (vertical.astype(float) - mass)
-            se = float(np.sqrt(np.sum(resid**2)) / wsum)
-        else:
-            se = 1.0
-        est = EstimateWithError(value=mass, std_error=se, n_samples=len(w), method="monte_carlo")
-        if best is None or mass < best[1].value:
+        est = _vertical_mass(nu, w, h)
+        if best is None or est.value < best[1].value:
             best = (h, est)
     if best[1].value > 0.5:
         raise DegenerateDirectionError(
@@ -496,3 +632,27 @@ def choose_direction(body: ConvexBody, candidates, boundary_samples: int = 1000,
             f"{best[1].value:.3f}); supply more candidates"
         )
     return best
+
+
+def _vertical_mass(nu, w, h) -> EstimateWithError:
+    """Share of the Gaussian surface measure on the boundary set vertical to
+    h, estimated from ray-cast boundary normals nu with weights w
+    (ray_cast_boundary): a normal within 1e-3 rad of orthogonal to h counts
+    as vertical."""
+    wsum = float(np.sum(w))
+    vertical = np.abs(nu @ h) < math.sin(1e-3)
+    mass = float(np.sum(w * vertical) / wsum) if wsum > 0 else 1.0
+    # delta-method standard error of the weighted fraction
+    if wsum > 0:
+        resid = w * (vertical.astype(float) - mass)
+        se = float(np.sqrt(np.sum(resid**2)) / wsum)
+    else:
+        se = 1.0
+    return EstimateWithError(value=mass, std_error=se, n_samples=len(w), method="monte_carlo")
+
+
+def _direction_vertical_mass(body: ConvexBody, h, boundary_samples: int, seed: int):
+    """The vertical-mass estimate choose_direction makes for h, from the same
+    ray cast, without its rule that rejects a mass above 0.5."""
+    _, nu, w = ray_cast_boundary(body, boundary_samples, seed)
+    return _vertical_mass(nu, w, h)

@@ -36,10 +36,11 @@ from .errors import (
 )
 from .graphs import (
     GraphPair,
+    _direction_vertical_mass,
+    _empty_sections,
     _golden_min_gauge,
     _section_endpoints,
     _stencil_gradient,
-    choose_direction,
 )
 from .space import EstimateWithError, gaussian_density, map_chunks, sample_gaussian
 
@@ -430,15 +431,30 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
         z0[missing[anyhit]] = lattice[first[anyhit]]
         have[missing[anyhit]] = True
     # golden sweeps along F axes for the still-missing (thin) sections
-    if not have.all():
-        missing = np.flatnonzero(~have)
+    missing = np.flatnonzero(~have)
+    if missing.size and body.bounded:
+        # points beyond the outer radius cannot meet the section
+        missing = missing[np.linalg.norm(Ys[missing], axis=1) < body.outer_radius]
+    if missing.size:
         zi = z0[missing].copy()
-        for _ in range(2):
+        # the membership test below rejects a row whose section is empty
+        # whatever its sweeps return, so a row proved empty skips them; the
+        # sweeps' points are still formed for every row, so each searched
+        # row's arithmetic is that of the full batch
+        if m >= 2 and body.bounded:
+            search = ~_empty_sections(body, F, Ys[missing])
+        else:
+            search = np.ones(missing.size, dtype=bool)
+        for sweep in range(2 if search.any() else 0):
             for axis in range(m):
                 base = Ys[missing] + zi @ F - np.outer(zi[:, axis], F[axis])
-                tt, _ = _golden_min_gauge(body, base, F[axis])
-                zi[:, axis] = tt
-        got = body.contains(Ys[missing] + zi @ F)
+                # a line that is the whole section (m == 1), or the last line,
+                # only feeds the membership test below, which rejects a row
+                # whose minimum gauge is not below 1
+                last = m == 1 or (sweep == 1 and axis == m - 1)
+                tt, _ = _golden_min_gauge(body, base[search], F[axis], stop=1.0 if last else None)
+                zi[search, axis] = tt
+        got = search & body.contains(Ys[missing] + zi @ F)
         z0[missing[got]] = zi[got]
         have[missing[got]] = True
 
@@ -520,14 +536,12 @@ def _periodic_gradient(r, dx):
 
 
 def _check_vertical_mass(body, h, budget: Budget, seed: int, vmass=None):
-    """Raise DirectionError when the boundary set vertical to h carries more
-    than MAX_VERTICAL_MASS of the surface measure beyond three standard
-    errors. vmass, when given, is choose_direction's estimate for h and is
-    used instead of ray-casting the boundary again."""
+    """Raise DirectionError, naming the mass, when the boundary set vertical
+    to h carries more than MAX_VERTICAL_MASS of the surface measure beyond
+    three standard errors. vmass, when given, is choose_direction's estimate
+    for h and is used instead of ray-casting the boundary again."""
     if vmass is None:
-        _, vmass = choose_direction(
-            body, [h], boundary_samples=budget.boundary_samples, seed=seed
-        )
+        vmass = _direction_vertical_mass(body, h, budget.boundary_samples, seed)
     if vmass.value - 3.0 * vmass.std_error > MAX_VERTICAL_MASS:
         raise DirectionError(
             f"vertical boundary mass {vmass.value:.3f} exceeds {MAX_VERTICAL_MASS}; "

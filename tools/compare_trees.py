@@ -11,7 +11,10 @@ CLI calls:
 * the four shipped demo configs in ``demos/configs``;
 * three fixed 5-d calls on the Monte Carlo graph route, which neither
   reaches: ``converge-dim`` at dimension 5 and ``ibp`` on a halfspace and
-  a slab, each ``ibp`` call at one and at two threads.
+  a slab, each ``ibp`` call at one and at two threads;
+* one fixed ``surface`` call on an off-centre ellipsoid, whose golden
+  sweeps find inside points of thin sections that the lattice probe
+  misses, a path neither reaches either.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -100,6 +103,23 @@ MONTE_CARLO = {
 }
 
 
+# a fixed surface call whose sections are centred off the lattice probe's
+# points: at seed 11 the golden sweeps find 6 sections through [0] and 7
+# through [0, 1] (of 151 and 109 searched)
+OFF_CENTRE = {
+    "surface_offcentre_ellipsoid": (
+        "surface",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "ellipsoid", "semiaxes": [1.2, 1.0, 0.9], "translate": [0.25, 0.25, 0.1]},
+            "subspaces": [[0], [0, 1]],
+            "budgets": {"subspace_samples": 400, "inner_angles": 256},
+            "seed": 11,
+        },
+    ),
+}
+
+
 def jobs() -> list:
     """Every call to compare, as (label, subcommand, config, threads)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -122,6 +142,8 @@ def jobs() -> list:
     for name, (subcommand, config) in MONTE_CARLO.items():
         threads = IBP_THREADS if subcommand == "ibp" else (None,)
         out += [(f"mc/{name}" + (f"@{t}t" if t else ""), subcommand, config, t) for t in threads]
+    for name, (subcommand, config) in OFF_CENTRE.items():
+        out.append((f"fixed/{name}", subcommand, config, None))
     return out
 
 
