@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import null_space
@@ -24,7 +25,7 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
-from .space import EstimateWithError, brownian_kl_profile
+from .space import EstimateWithError, as_direction, brownian_kl_profile
 
 DEFAULT_GAUGE_TOL = 1e-10
 UNBOUNDED_REACH = 50.0
@@ -256,6 +257,17 @@ def _normalize_faces(faces, dim=None):
     return np.asarray(normals), np.asarray(offsets)
 
 
+def _row_products(x, M) -> np.ndarray:
+    """x @ M.T for points x of shape (..., n), with a lone point computed as
+    a two-row product: numpy sends one row to a matrix-vector routine that
+    rounds unlike the matrix product of a batch, so without this a point's
+    membership could depend on how many points share its call."""
+    x = np.asarray(x, float)
+    if x.size != x.shape[-1]:
+        return x @ M.T
+    return (np.concatenate([x.reshape(1, -1)] * 2) @ M.T)[0].reshape(x.shape[:-1] + (len(M),))
+
+
 def polytope(faces) -> ConvexBody:
     """Open intersection of halfspaces <a_i, x> < c_i.
 
@@ -314,7 +326,7 @@ def polytope(faces) -> ConvexBody:
     def contains(x):
         # one comparison per face, ANDed column by column: the same booleans
         # as np.all(y < c, axis=-1), without a reduction over the short axis
-        y = np.asarray(x, float) @ A.T
+        y = _row_products(x, A)
         ok = y[..., 0] < c[0]
         for i in range(1, len(c)):
             ok &= y[..., i] < c[i]
@@ -401,7 +413,7 @@ def cylinder(base: ConvexBody, axis) -> ConvexBody:
             f"cylinder: base dim {base.dim} must equal ambient dim - 1 = {dim - 1}"
         )
     B = orthonormal_complement(axis)  # (dim-1, dim) rows
-    contains = lambda x: base.contains(np.asarray(x, float) @ B.T)
+    contains = lambda x: base.contains(_row_products(x, B))
     distance = None
     if base.distance_outside is not None:
         distance = lambda x: base.distance_outside(np.asarray(x, float) @ B.T)
@@ -452,51 +464,219 @@ def from_oracle(contains, interior_point, interior_margin, outer_radius=None) ->
     return _recenter(contains, x0, interior_margin, outer_radius, "custom", x0.shape[0])
 
 
-NUMBER, VECTOR, INTEGER = "a number", "a list of numbers", "an integer"
+class _Kind(NamedTuple):
+    """A kind of config value: the words an error uses for it and a
+    predicate on (value, model dim). A list kind may name the kind (or the
+    section schema) of its entries in `each`, which are then checked one by
+    one, so an error names the entry; a `required` field must be present."""
 
-# spec fields read as numbers, by shape (polytope faces are checked face by face)
-_NUMERIC_FIELDS = {
-    "ball": {"radius": NUMBER},
-    "ellipsoid": {"semiaxes": VECTOR},
-    "halfspace": {"normal": VECTOR, "offset": NUMBER},
-    "slab": {"normal": VECTOR, "half_width": NUMBER},
-    "kl_ellipsoid": {"scale": NUMBER},
-    "random_polytope": {"faces": INTEGER, "seed": INTEGER},
-    "cylinder": {"axis": VECTOR},
-}
-# spec fields of each shape that hold no number
-_OTHER_FIELDS = {"polytope": ("faces",), "cylinder": ("base",)}
-_FACE_FIELDS = {"normal": VECTOR, "offset": NUMBER}
-
-
-def _reject_unknown(name: str, section: dict, known, error) -> None:
-    """Raise error naming the keys of section that are not in known."""
-    unknown = sorted(set(section) - set(known), key=str)
-    if unknown:
-        raise error(f"unknown {name} fields: {unknown}")
+    what: str
+    valid: Callable
+    each: object = None
+    required: bool = False
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """A finite JSON number (an integer when asked), not a boolean."""
+    """A finite JSON number (an integer when asked), not a boolean. A number
+    read as a float must fit one; an integer of any size is an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return integer
 
 
-def _is_kind(value, kind: str) -> bool:
-    """Whether a config value is NUMBER, INTEGER or VECTOR (a list of numbers)."""
-    if kind == VECTOR:
-        return isinstance(value, (list, tuple, np.ndarray)) and all(_is_number(v) for v in value)
-    return _is_number(value, integer=kind == INTEGER)
+def _is_vector(value) -> bool:
+    flat = isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)
+    return flat and all(_is_number(v) for v in value)
+
+
+def _is_unit(value, dim) -> bool:
+    """A list of numbers that as_direction takes as a direction in R^dim."""
+    if not _is_vector(value):
+        return False
+    try:
+        as_direction(value, dim=dim)
+    except DomainError:
+        return False
+    return True
+
+
+def _bounded(what: str, low, integer: bool = False, strict: bool = False) -> _Kind:
+    return _Kind(what, lambda v, n: _is_number(v, integer) and (v > low if strict else v >= low))
+
+
+def _list_of(what: str, each, nonempty: bool = False) -> _Kind:
+    return _Kind(what, lambda v, n: isinstance(v, (list, tuple)) and (bool(v) or not nonempty), each)
+
+
+def _nullable(kind: _Kind) -> _Kind:
+    return kind._replace(what=f"{kind.what} or null", valid=lambda v, n: v is None or kind.valid(v, n))
+
+
+def _required(kind: _Kind) -> _Kind:
+    return kind._replace(required=True)
+
+
+def _is_object(value, dim) -> bool:
+    return isinstance(value, dict)
+
+
+_NUMBER = _Kind("a number", lambda v, n: _is_number(v))
+_INTEGER = _Kind("an integer", lambda v, n: _is_number(v, integer=True))
+_VECTOR = _Kind("a list of numbers", lambda v, n: _is_vector(v))
+_BODY = _Kind("a body spec (a JSON object)", _is_object)
+_COUNT = _bounded("a positive integer", 1, integer=True)
+_POSITIVE = _bounded("a positive number", 0, strict=True)
+_NON_NEGATIVE = _bounded("a non-negative number", 0)
+_INDEX = _bounded("an integer >= 0", 0, integer=True)
+_UNIT = _Kind("a unit vector with model.dim entries", _is_unit)
+_PAIR = _Kind(
+    "a pair of positive integers",
+    lambda v, n: isinstance(v, (tuple, list)) and len(v) == 2 and all(_COUNT.valid(x, n) for x in v),
+)
+_FILE_NAME = _Kind(
+    "a bare file name with no directory part",
+    lambda v, n: isinstance(v, str) and v == Path(v).name and v not in ("", ".."),
+)
+
+# Every field of every config section, with its kind. A dict in place of a
+# kind is a nested section, checked as {} when absent. The "config" entry
+# is the run config; "budget" holds the fields of surface.Budget; "psi"
+# and "body" hold the fields every test function and every body shape
+# takes, and "psi.<name>" and "body.<shape>" the fields of each one.
+_SCHEMA = {
+    "config": {
+        "seed": _required(_INDEX),
+        "model": {
+            "dim": _required(_COUNT),
+            "spectral_profile": _nullable(
+                _Kind(
+                    '"brownian" or a list of numbers',
+                    lambda v, n: _is_vector(v) or (isinstance(v, str) and v == "brownian"),
+                )
+            ),
+        },
+        "body": _required(_BODY),
+        "psi": _nullable(_Kind("a test function spec (a JSON object)", _is_object)),
+        "directions": {
+            "k": _list_of("a list of unit vectors", _UNIT),
+            "h": _nullable(_UNIT),
+            "candidates": _nullable(_list_of("a list of unit vectors", _UNIT)),
+        },
+        "budgets": _Kind("a JSON object of budget fields", _is_object),
+        "tolerances": {
+            "perimeter_relative": _NON_NEGATIVE,
+            "ibp": _NON_NEGATIVE,
+            "gradcheck_median": _NON_NEGATIVE,
+        },
+        "density": {
+            "samples": _bounded("an integer >= 1000", 1000, integer=True),
+            "radius": _POSITIVE,
+            "boundary_points": _COUNT,
+            "points": _list_of(
+                "a nonempty list of points",
+                _Kind("a point with model.dim coordinates", lambda v, n: _is_vector(v) and len(v) == n),
+                nonempty=True,
+            ),
+        },
+        "grid": {
+            "dims": _list_of("a list of integers", _bounded("an integer >= 2", 2, integer=True)),
+            "scale": _POSITIVE,
+        },
+        "subspaces": _list_of(
+            "a list of axis lists",
+            _Kind(
+                "a nonempty list of distinct integer axes in [0, model.dim)",
+                lambda v, n: isinstance(v, list)
+                and bool(v)
+                and all(_is_number(a, integer=True) and 0 <= a < n for a in v)
+                and len(set(v)) == len(v),
+            ),
+        ),
+        "outputs": {"report": _FILE_NAME, "csv": _FILE_NAME},
+    },
+    "budget": {
+        "samples": _COUNT,
+        "quadrature_order": _COUNT,
+        "angles": _COUNT,
+        "sphere_grid": _PAIR,
+        "radial": _COUNT,
+        "inner_angles": _COUNT,
+        "inner_sphere_grid": _PAIR,
+        "subspace_samples": _COUNT,
+        "epsilons": _VECTOR,
+        "boundary_samples": _COUNT,
+        "fd_step": _POSITIVE,
+        "threads": _COUNT,
+    },
+    "psi": {
+        "name": _required(
+            _Kind("a test function name", lambda v, n: isinstance(v, str) and f"psi.{v}" in _SCHEMA)
+        ),
+    },
+    "psi.constant": {"value": _NUMBER},
+    "psi.coordinate": {"index": _required(_INDEX)},
+    "psi.tanh": {"weights": _required(_VECTOR), "offset": _NUMBER},
+    "psi.distance_clamp": {"center": _required(_VECTOR), "inner": _NUMBER, "outer": _NUMBER},
+    "body": {
+        "shape": _required(
+            _Kind("a body shape", lambda v, n: isinstance(v, str) and f"body.{v}" in _SCHEMA)
+        ),
+        "translate": _VECTOR,
+    },
+    "body.ball": {"radius": _required(_NUMBER)},
+    "body.ellipsoid": {"semiaxes": _required(_VECTOR)},
+    "body.halfspace": {"normal": _required(_VECTOR), "offset": _required(_NUMBER)},
+    "body.slab": {"normal": _required(_VECTOR), "half_width": _required(_NUMBER)},
+    "body.polytope": {
+        "faces": _list_of(
+            "a list of faces", {"normal": _required(_VECTOR), "offset": _required(_NUMBER)}
+        ),
+    },
+    "body.kl_ellipsoid": {"scale": _NUMBER},
+    "body.random_polytope": {"faces": _INTEGER, "seed": _INTEGER},
+    "body.cylinder": {"axis": _required(_VECTOR), "base": _required(_BODY)},
+}
+
+
+def _check_fields(path: str, section, schema: dict, error, dim=None) -> None:
+    """Check a config section against its schema (a dict of field -> kind
+    or nested schema), given the model dim for the kinds that need it.
+    Raises `error` naming the section's unknown keys, a missing required
+    field, or the first field (or list entry) whose value is not of its
+    kind."""
+    if not isinstance(section, dict):
+        raise error(f"{path} must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(schema), key=str)
+    if unknown:
+        raise error(f"unknown {path} fields: {unknown}")
+    for key, kind in schema.items():
+        if key in section or isinstance(kind, dict):
+            _check_value(f"{path}.{key}", section.get(key, {}), kind, error, dim)
+        elif kind.required:
+            raise error(f"missing field {path}.{key}")
+
+
+def _check_value(name: str, value, kind, error, dim) -> None:
+    if isinstance(kind, dict):
+        _check_fields(name, value, kind, error, dim)
+        return
+    if not kind.valid(value, dim):
+        raise error(f"{name} must be {kind.what}, got {value!r}")
+    if kind.each is not None and value is not None:
+        for i, entry in enumerate(value):
+            _check_value(f"{name}[{i}]", entry, kind.each, error, dim)
 
 
 def load_body_spec(spec: dict, dim: Optional[int] = None) -> ConvexBody:
     """Build a body from the structured-text schema.
 
-    Shapes: ball, ellipsoid, halfspace, slab, polytope, cylinder; optional
-    "translate" applies last. Raises BodySpecError naming the offending field,
-    also for a missing or unknown field or a numeric field that holds no
-    number.
+    Shapes: ball, ellipsoid, halfspace, slab, polytope, kl_ellipsoid,
+    random_polytope, cylinder; optional "translate" applies last. Raises
+    BodySpecError naming the offending field, also for a missing or unknown
+    field or a field that holds no value of its kind.
     """
     return _load_body(spec, dim, "body")
 
@@ -507,64 +687,33 @@ def _load_body(spec: dict, dim: Optional[int], path: str) -> ConvexBody:
     if not isinstance(spec, dict) or "shape" not in spec:
         raise BodySpecError(f"{path} must be a mapping with a 'shape' field: {spec!r}")
     shape = spec["shape"]
-    if not isinstance(shape, str):
+    if not _SCHEMA["body"]["shape"].valid(shape, dim):
         raise BodySpecError(f"{path}.shape: unknown shape {shape!r}")
-    where = f"{path}.{shape}"
-    if shape in _NUMERIC_FIELDS or shape in _OTHER_FIELDS:
-        known = ("shape", "translate", *_NUMERIC_FIELDS.get(shape, ()))
-        _reject_unknown(where, spec, known + _OTHER_FIELDS.get(shape, ()), BodySpecError)
-    numeric = [
-        (f"{where}.{key}", spec[key], kind)
-        for key, kind in _NUMERIC_FIELDS.get(shape, {}).items()
-        if key in spec
-    ]
-    if shape == "polytope" and isinstance(spec.get("faces"), list):
-        for i, face in enumerate(spec["faces"]):
-            if isinstance(face, dict):
-                _reject_unknown(f"{where}.faces[{i}]", face, _FACE_FIELDS, BodySpecError)
-        numeric += [
-            (f"{where}.faces[{i}].{key}", face[key], kind)
-            for i, face in enumerate(spec["faces"])
-            if isinstance(face, dict)
-            for key, kind in _FACE_FIELDS.items()
-            if key in face
-        ]
-    if "translate" in spec:
-        numeric.append((f"{path}.translate", spec["translate"], VECTOR))
-    for name, value, kind in numeric:
-        if not _is_kind(value, kind):
-            raise BodySpecError(f"{name} must be {kind}, got {value!r}")
-    try:
-        if shape == "ball":
-            if dim is None:
-                raise BodySpecError(f"{where} requires the model dim")
-            body = ball(float(spec["radius"]), dim)
-        elif shape == "ellipsoid":
-            body = ellipsoid(spec["semiaxes"])
-        elif shape == "halfspace":
-            body = halfspace(spec["normal"], spec["offset"])
-        elif shape == "slab":
-            body = slab(spec["normal"], spec["half_width"])
-        elif shape == "polytope":
-            body = polytope(spec.get("faces", []))
-        elif shape == "kl_ellipsoid":
-            if dim is None:
-                raise BodySpecError(f"{where} requires the model dim")
-            body = kl_ellipsoid(dim, float(spec.get("scale", 1.0)))
-        elif shape == "random_polytope":
-            if dim is None:
-                raise BodySpecError(f"{where} requires the model dim")
-            body = random_polytope(
-                dim, int(spec.get("faces", 8)), int(spec.get("seed", 0))
-            )
-        elif shape == "cylinder":
-            axis = np.asarray(spec["axis"], dtype=float)
-            base = _load_body(spec["base"], axis.shape[0] - 1, f"{where}.base")
-            body = cylinder(base, axis)
-        else:
-            raise BodySpecError(f"{path}.shape: unknown shape {shape!r}")
-    except KeyError as exc:
-        raise BodySpecError(f"{where}: missing field {exc.args[0]!r}") from exc
+    # the fields every shape takes are named at `path`, the shape's own at `where`
+    where, common = f"{path}.{shape}", _SCHEMA["body"]
+    _check_fields(path, {k: v for k, v in spec.items() if k in common}, common, BodySpecError)
+    own = {k: v for k, v in spec.items() if k not in common}
+    _check_fields(where, own, _SCHEMA[f"body.{shape}"], BodySpecError)
+    if dim is None and shape in ("ball", "kl_ellipsoid", "random_polytope"):
+        raise BodySpecError(f"{where} requires the model dim")
+    if shape == "ball":
+        body = ball(float(spec["radius"]), dim)
+    elif shape == "ellipsoid":
+        body = ellipsoid(spec["semiaxes"])
+    elif shape == "halfspace":
+        body = halfspace(spec["normal"], spec["offset"])
+    elif shape == "slab":
+        body = slab(spec["normal"], spec["half_width"])
+    elif shape == "polytope":
+        body = polytope(spec.get("faces", []))
+    elif shape == "kl_ellipsoid":
+        body = kl_ellipsoid(dim, float(spec.get("scale", 1.0)))
+    elif shape == "random_polytope":
+        body = random_polytope(dim, int(spec.get("faces", 8)), int(spec.get("seed", 0)))
+    else:
+        axis = np.asarray(spec["axis"], dtype=float)
+        base = _load_body(spec["base"], axis.shape[0] - 1, f"{where}.base")
+        body = cylinder(base, axis)
     if dim is not None and body.dim != dim:
         raise BodySpecError(f"{path} has dim {body.dim}, expected {dim}")
     if "translate" in spec:

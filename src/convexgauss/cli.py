@@ -27,20 +27,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bodies import (
-    VECTOR,
-    ConvexBody,
-    _is_kind,
-    _is_number,
-    _reject_unknown,
-    kl_ellipsoid,
-    lebesgue_density,
-    load_body_spec,
-)
+from .bodies import _SCHEMA, ConvexBody, _check_fields, kl_ellipsoid, lebesgue_density, load_body_spec
 from .errors import ConvexGaussError, ParameterError
 from .graphs import choose_direction, decompose, default_direction_candidates, ray_cast_boundary
 from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, verify_ibp
-from .space import GaussianModel, as_direction, brownian_kl_profile
+from .space import GaussianModel, brownian_kl_profile
 from .surface import (
     Budget,
     _check_vertical_mass,
@@ -61,36 +52,13 @@ SUBCOMMANDS = (
 
 __all__ = ["RunConfig", "run", "main"]
 
-# the fields the config and each of its sections may hold
-_CONFIG_FIELDS = {
-    "config": (
-        "seed",
-        "model",
-        "body",
-        "psi",
-        "directions",
-        "budgets",
-        "tolerances",
-        "density",
-        "grid",
-        "subspaces",
-        "outputs",
-    ),
-    "config.model": ("dim", "spectral_profile"),
-    "config.directions": ("k", "h", "candidates"),
-    "config.tolerances": ("perimeter_relative", "ibp", "gradcheck_median"),
-    "config.density": ("samples", "radius", "boundary_points", "points"),
-    "config.grid": ("dims", "scale"),
-    "config.outputs": ("report", "csv"),
-}
-
-
 @dataclass
 class RunConfig:
-    """Validated run configuration; mirrors the JSON schema."""
+    """Validated run configuration; mirrors the JSON schema (bodies._SCHEMA
+    "config")."""
 
     model: GaussianModel
-    body_spec: dict
+    body: ConvexBody
     seed: int
     psi_spec: Optional[dict] = None
     k_list: list = field(default_factory=list)
@@ -104,161 +72,46 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
-    @property
-    def body(self) -> ConvexBody:
-        return load_body_spec(self.body_spec, dim=self.model.dim)
-
     @staticmethod
     def from_dict(cfg: dict, threads_override: Optional[int] = None) -> "RunConfig":
         if not isinstance(cfg, dict):
             raise ParameterError("config must be a JSON object")
-        _reject_unknown("config", cfg, _CONFIG_FIELDS["config"], ParameterError)
-        if "seed" not in cfg:
-            raise ParameterError("config.seed is required (no wall-clock seeding)")
-        if not (_is_number(cfg["seed"], integer=True) and cfg["seed"] >= 0):
-            raise ParameterError(f"config.seed must be an integer >= 0, got {cfg['seed']!r}")
         model_cfg = cfg.get("model")
-        if not isinstance(model_cfg, dict) or "dim" not in model_cfg:
-            raise ParameterError("config.model.dim is required")
-        _reject_unknown("config.model", model_cfg, _CONFIG_FIELDS["config.model"], ParameterError)
-        dim = model_cfg["dim"]
-        if not (_is_number(dim, integer=True) and dim >= 1):
-            raise ParameterError(f"config.model.dim must be an integer >= 1, got {dim!r}")
+        dim = model_cfg.get("dim") if isinstance(model_cfg, dict) else None
+        _check_fields("config", cfg, _SCHEMA["config"], ParameterError, dim)
         profile = model_cfg.get("spectral_profile")
-        if profile == "brownian":
-            profile = brownian_kl_profile(dim)
-        elif profile is not None and not _is_kind(profile, VECTOR):
-            raise ParameterError(
-                f'config.model.spectral_profile must be "brownian" or a list of numbers, '
-                f"got {profile!r}"
-            )
-        model = GaussianModel(dim, profile)
-        if "body" not in cfg:
-            raise ParameterError("config.body is required")
-        directions = cfg.get("directions", {})
-        if not isinstance(directions, dict):
-            raise ParameterError(f"config.directions must be a JSON object: {directions!r}")
-        _reject_unknown(
-            "config.directions", directions, _CONFIG_FIELDS["config.directions"], ParameterError
-        )
-        k_list = [
-            _direction(f"directions.k[{i}]", k, model.dim)
-            for i, k in enumerate(_vector_list("directions.k", directions.get("k", [])))
-        ]
-        h = directions.get("h")
-        if h is not None:
-            h = _direction("directions.h", h, model.dim)
-        candidates = directions.get("candidates")
-        if candidates is not None:
-            candidates = [
-                _direction(f"directions.candidates[{i}]", c, model.dim)
-                for i, c in enumerate(_vector_list("directions.candidates", candidates))
-            ]
-        budgets = cfg.get("budgets", {})
-        if not isinstance(budgets, dict):
-            raise ParameterError(f"config.budgets must be a JSON object: {budgets!r}")
-        budget = Budget.from_any(budgets)
+        model = GaussianModel(dim, brownian_kl_profile(dim) if profile == "brownian" else profile)
+        budget = Budget.from_any(cfg.get("budgets", {}))
         if threads_override is not None:
             budget = replace(budget, threads=threads_override)
         psi_spec = cfg.get("psi")
         if psi_spec is not None:
             psi = psi_from_spec(psi_spec)
             try:
-                psi(np.zeros((1, model.dim)))
+                psi(np.zeros((1, dim)))
             except Exception as exc:
                 raise ParameterError(
-                    f"config.psi is inconsistent with model.dim={model.dim}: {exc}"
+                    f"config.psi is inconsistent with model.dim={dim}: {exc}"
                 ) from exc
-        load_body_spec(cfg["body"], dim=model.dim)  # validate early
-        density = cfg.get("density", {})
-        tolerances = cfg.get("tolerances", {})
-        grid = cfg.get("grid", {})
-        outputs = cfg.get("outputs", {})
-        for name, section in (
-            ("density", density),
-            ("tolerances", tolerances),
-            ("grid", grid),
-            ("outputs", outputs),
-        ):
-            if not isinstance(section, dict):
-                raise ParameterError(f"config.{name} must be a JSON object: {section!r}")
-            fields = _CONFIG_FIELDS[f"config.{name}"]
-            _reject_unknown(f"config.{name}", section, fields, ParameterError)
-        for key, what, valid in (
-            ("samples", "an integer >= 1000", lambda v: _is_number(v, integer=True) and v >= 1000),
-            ("radius", "a positive number", lambda v: _is_number(v) and v > 0),
-            ("boundary_points", "a positive integer", lambda v: _is_number(v, integer=True) and v >= 1),
-        ):
-            if key in density and not valid(density[key]):
-                raise ParameterError(f"config.density.{key} must be {what}, got {density[key]!r}")
-        for key in _CONFIG_FIELDS["config.tolerances"]:
-            if key in tolerances and not (_is_number(tolerances[key]) and tolerances[key] >= 0):
-                raise ParameterError(
-                    f"config.tolerances.{key} must be a non-negative number, got {tolerances[key]!r}"
-                )
-        points = density.get("points")
-        if "points" in density and not (
-            isinstance(points, list)
-            and points
-            and all(_is_kind(p, VECTOR) and len(p) == model.dim for p in points)
-        ):
-            raise ParameterError(
-                f"config.density.points must be a list of points with "
-                f"model.dim={model.dim} coordinates each: {points!r}"
-            )
-        subspaces = cfg.get("subspaces", [])
-        if not isinstance(subspaces, list):
-            raise ParameterError(f"config.subspaces must be a list of axis lists: {subspaces!r}")
-        for i, axes in enumerate(subspaces):
-            valid = isinstance(axes, list) and all(
-                _is_number(a, integer=True) and 0 <= a < model.dim for a in axes
-            )
-            if not valid or not axes or len(set(axes)) != len(axes):
-                raise ParameterError(
-                    f"config.subspaces[{i}] must list distinct integer axes in "
-                    f"[0, {model.dim}): {axes!r}"
-                )
-        dims = grid.get("dims", [])
-        if not (isinstance(dims, list) and all(_is_number(d, integer=True) and d >= 2 for d in dims)):
-            raise ParameterError(f"config.grid.dims must be a list of integers >= 2, got {dims!r}")
-        if "scale" in grid and not (_is_number(grid["scale"]) and grid["scale"] > 0):
-            raise ParameterError(f"config.grid.scale must be a positive number, got {grid['scale']!r}")
-        # output files go inside --out: a bare file name, no directory part
-        for key, name in outputs.items():
-            if not (isinstance(name, str) and name == Path(name).name and name not in ("", "..")):
-                raise ParameterError(
-                    f"config.outputs.{key} must be a bare file name with no directory part, "
-                    f"got {name!r}"
-                )
+        directions = cfg.get("directions", {})
+        h = directions.get("h")
+        candidates = directions.get("candidates")
         return RunConfig(
             model=model,
-            body_spec=cfg["body"],
+            body=load_body_spec(cfg["body"], dim=dim),
             seed=int(cfg["seed"]),
             psi_spec=psi_spec,
-            k_list=k_list,
-            h=h,
-            candidates=candidates,
+            k_list=[np.asarray(k, dtype=float) for k in directions.get("k", [])],
+            h=None if h is None else np.asarray(h, dtype=float),
+            candidates=None if candidates is None else [np.asarray(c, dtype=float) for c in candidates],
             budget=budget,
-            outputs=outputs,
-            grid=grid,
-            density=density,
-            subspaces=subspaces,
-            tolerances=tolerances,
+            outputs=cfg.get("outputs", {}),
+            grid=cfg.get("grid", {}),
+            density=cfg.get("density", {}),
+            subspaces=cfg.get("subspaces", []),
+            tolerances=cfg.get("tolerances", {}),
             raw=cfg,
         )
-
-
-def _vector_list(name: str, value):
-    if not isinstance(value, (list, tuple)):
-        raise ParameterError(f"config.{name} must be a list of vectors, got {value!r}")
-    return value
-
-
-def _direction(name: str, value, dim: int) -> np.ndarray:
-    """A config direction: numbers only, unit norm, model dim."""
-    if not _is_kind(value, VECTOR):
-        raise ParameterError(f"config.{name} must be a list of numbers, got {value!r}")
-    return as_direction(np.asarray(value, dtype=float), dim=dim)
 
 
 def _canonical(obj) -> str:

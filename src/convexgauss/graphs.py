@@ -138,10 +138,7 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None)
         fc, fd = gauge(c, d)
     t = 0.5 * (a + b)
     t_min[rows] = t
-    # a lone row would take numpy's matrix-vector product in a polytope's or
-    # cylinder's oracle, which rounds unlike the matrix product of a larger
-    # batch; gauged twice, it keeps the value it has in the full batch
-    q_min[rows] = gauge(t, t)[0] if rows.size == 1 < N else gauge(t)[0]
+    q_min[rows] = gauge(t)[0]
     return t_min, q_min
 
 

@@ -18,15 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import (
-    INTEGER,
-    NUMBER,
-    VECTOR,
-    ConvexBody,
-    _is_kind,
-    _reject_unknown,
-    minkowski_gradient_fd,
-)
+from .bodies import _SCHEMA, ConvexBody, _check_fields, minkowski_gradient_fd
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -152,42 +144,25 @@ def distance_clamp(center, inner: float = 1.0, outer: float = 2.0) -> TestFuncti
     )
 
 
-# numeric fields of each test function, with the kind of value each holds
-_PSI_FIELDS = {
-    "constant": {"value": NUMBER},
-    "coordinate": {"index": INTEGER},
-    "tanh": {"weights": VECTOR, "offset": NUMBER},
-    "distance_clamp": {"center": VECTOR, "inner": NUMBER, "outer": NUMBER},
-}
-
-
 def psi_from_spec(spec: dict) -> TestFunction:
     """Build a test function from a config mapping {"name": ..., params}.
 
-    Raises ParameterError naming a missing or unknown field or a numeric
-    field that holds no value of its kind.
+    Raises ParameterError naming a missing or unknown field or a field that
+    holds no value of its kind.
     """
     if not isinstance(spec, dict) or "name" not in spec:
         raise ParameterError(f"psi spec must be a mapping with 'name': {spec!r}")
     name = spec["name"]
-    if not isinstance(name, str) or name not in _PSI_FIELDS:
+    if not _SCHEMA["psi"]["name"].valid(name, None):
         raise ParameterError(f"psi.name: unknown test function {name!r}")
-    _reject_unknown("psi", spec, ("name", *_PSI_FIELDS[name]), ParameterError)
-    for key, kind in _PSI_FIELDS[name].items():
-        if key in spec and not _is_kind(spec[key], kind):
-            raise ParameterError(f"psi.{key} must be {kind}, got {spec[key]!r}")
-    try:
-        if name == "constant":
-            return constant(spec.get("value", 1.0))
-        if name == "coordinate":
-            if spec["index"] < 0:
-                raise ParameterError(f"psi.index must be >= 0, got {spec['index']!r}")
-            return coordinate(int(spec["index"]))
-        if name == "tanh":
-            return tanh_of(spec["weights"], spec.get("offset", 0.0))
-        return distance_clamp(spec["center"], spec.get("inner", 1.0), spec.get("outer", 2.0))
-    except KeyError as exc:
-        raise ParameterError(f"psi.{exc.args[0]} is required for {name}") from exc
+    _check_fields("psi", spec, {**_SCHEMA["psi"], **_SCHEMA[f"psi.{name}"]}, ParameterError)
+    if name == "constant":
+        return constant(spec.get("value", 1.0))
+    if name == "coordinate":
+        return coordinate(int(spec["index"]))
+    if name == "tanh":
+        return tanh_of(spec["weights"], spec.get("offset", 0.0))
+    return distance_clamp(spec["center"], spec.get("inner", 1.0), spec.get("outer", 2.0))
 
 
 def validate_test_function(psi: TestFunction, dim: int, seed: int = 0) -> None:

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import space
-from .bodies import ConvexBody, _is_number, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -63,8 +63,8 @@ __all__ = [
 class Budget:
     """Resolution knobs for the estimators; any field may come from a dict.
 
-    Counts and grid sizes must be positive integers, fd_step a positive
-    number; a bad field raises ParameterError naming it.
+    Each field's kind is its entry in the config schema (bodies._SCHEMA
+    "budget"); a bad field raises ParameterError naming it.
     """
 
     samples: int = 200_000
@@ -86,26 +86,7 @@ class Budget:
             value = getattr(self, name)
             if isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim == 1):
                 object.__setattr__(self, name, tuple(value))
-        counts = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
-        for name in ("sphere_grid", "inner_sphere_grid"):
-            grid = getattr(self, name)
-            if not isinstance(grid, (tuple, list)) or len(grid) != 2:
-                raise ParameterError(
-                    f"budget.{name} must be a pair of positive integers, got {grid!r}"
-                )
-            counts += [(name, value) for value in grid]
-        for name, value in counts:
-            if not (_is_number(value, integer=True) and value >= 1):
-                raise ParameterError(
-                    f"budget.{name} must be a positive integer, got {value!r}"
-                )
-        eps = self.epsilons
-        if not isinstance(eps, (tuple, list)) or not all(_is_number(e) for e in eps):
-            raise ParameterError(f"budget.epsilons must be a list of numbers, got {eps!r}")
-        if not (_is_number(self.fd_step) and self.fd_step > 0):
-            raise ParameterError(
-                f"budget.fd_step must be a positive number, got {self.fd_step!r}"
-            )
+        _check_fields("budget", vars(self), _SCHEMA["budget"], ParameterError)
 
     @staticmethod
     def from_any(budget) -> "Budget":
@@ -114,10 +95,7 @@ class Budget:
         if isinstance(budget, Budget):
             return budget
         if isinstance(budget, dict):
-            known = {f for f in Budget.__dataclass_fields__}
-            bad = set(budget) - known
-            if bad:
-                raise ParameterError(f"unknown budget fields: {sorted(bad)}")
+            _check_fields("budget", budget, _SCHEMA["budget"], ParameterError)
             return Budget(**budget)
         raise ParameterError(f"budget must be a Budget or dict, got {type(budget)}")
 
@@ -445,13 +423,14 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
             search = ~_empty_sections(body, F, Ys[missing])
         else:
             search = np.ones(missing.size, dtype=bool)
-        for sweep in range(2 if search.any() else 0):
+        # with m == 1 the line is the whole section: one sweep finds it
+        sweeps = 1 if m == 1 else 2
+        for sweep in range(sweeps if search.any() else 0):
             for axis in range(m):
                 base = Ys[missing] + zi @ F - np.outer(zi[:, axis], F[axis])
-                # a line that is the whole section (m == 1), or the last line,
-                # only feeds the membership test below, which rejects a row
-                # whose minimum gauge is not below 1
-                last = m == 1 or (sweep == 1 and axis == m - 1)
+                # the last line only feeds the membership test below, which
+                # rejects a row whose minimum gauge is not below 1
+                last = sweep == sweeps - 1 and axis == m - 1
                 tt, _ = _golden_min_gauge(body, base[search], F[axis], stop=1.0 if last else None)
                 zi[search, axis] = tt
         got = search & body.contains(Ys[missing] + zi @ F)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import convexgauss as cg
-from convexgauss.bodies import bisect
+from convexgauss.bodies import bisect, orthonormal_complement
 from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError
 
 TOL = 1e-10
@@ -248,6 +248,30 @@ def test_loader_rejects_unknown_shape_and_bad_fields():
         cg.load_body_spec({"shape": "ball", "radius": 1.0}, dim=None)
     with pytest.raises(BodySpecError):
         cg.load_body_spec({"shape": "ellipsoid", "semiaxes": [1.0, -2.0]}, dim=2)
+
+
+@pytest.mark.parametrize("kind", ["polytope", "cylinder"])
+def test_membership_of_one_point_matches_its_batch(kind):
+    # points on a face, where the last bit of <a, x> decides membership: a
+    # point alone, as one row or as a vector, gets its answer in the batch
+    rng = np.random.default_rng(1)
+    for s in range(20):
+        if kind == "polytope":
+            body = cg.random_polytope(3, 8, s)
+            faces = body.spec["faces"]
+        else:
+            base = cg.random_polytope(2, 6, s)
+            body = cg.cylinder(base, [0.0, 0.6, 0.8])
+            B = orthonormal_complement(np.array([0.0, 0.6, 0.8]))
+            faces = [{"normal": B.T @ f["normal"], "offset": f["offset"]} for f in base.spec["faces"]]
+        X = rng.uniform(-2.0, 2.0, (500, 3))
+        for i, x in enumerate(X):
+            face = faces[i % len(faces)]
+            a = np.asarray(face["normal"])
+            X[i] = x - (x @ a - face["offset"]) * a
+        batch = body.contains(X)
+        assert [bool(body.contains(X[i : i + 1])[0]) for i in range(len(X))] == batch.tolist()
+        assert [bool(body.contains(x)) for x in X] == batch.tolist()
 
 
 def test_distance_oracles_keep_batch_shape_for_one_row():

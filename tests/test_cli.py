@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexgauss.bodies import _SCHEMA
 from convexgauss.cli import exit_code_for_verdicts, main
+from convexgauss.surface import Budget
 
 from conftest import DISK_PERIM, G1_AT_1
 
@@ -376,3 +379,129 @@ def test_exit_code_contract(verdicts):
         assert code == 2
     else:
         assert code == 0
+
+
+# a valid spec of each test function and of each body shape in two
+# dimensions, into which the schema-driven test below puts a bad value
+_PSI_SPECS = {
+    "constant": {},
+    "coordinate": {"index": 0},
+    "tanh": {"weights": [1.0, 0.0]},
+    "distance_clamp": {"center": [0.0, 0.0]},
+}
+_BODY_SPECS = {
+    "ball": {"radius": 1.0},
+    "ellipsoid": {"semiaxes": [1.0, 0.5]},
+    "halfspace": {"normal": [1.0, 0.0], "offset": 1.0},
+    "slab": {"normal": [1.0, 0.0], "half_width": 1.0},
+    "polytope": {"faces": [{"normal": [1.0, 0.0], "offset": 1.0}]},
+    "kl_ellipsoid": {},
+    "random_polytope": {},
+    "cylinder": {"axis": [0.0, 1.0], "base": {"shape": "ball", "radius": 1.0}},
+}
+_FACE = "body.polytope.faces[i]"
+
+
+def _schema_fields():
+    """(section, field, kind) for every field of every schema entry; a
+    nested section, and the section each polytope face is, flattened."""
+    out = []
+
+    def walk(section, schema):
+        for key, kind in schema.items():
+            out.append((section, key, kind))
+            if isinstance(kind, dict):
+                walk(f"{section}.{key}", kind)
+            elif isinstance(kind.each, dict):
+                walk(f"{section}.{key}[i]", kind.each)
+
+    for section, schema in _SCHEMA.items():
+        walk(section, schema)
+    return out
+
+
+def _with_bad_value(section, key, value):
+    """perimeter_ball.json with `value` at section.key, and the name the
+    error must give."""
+    cfg = _load("perimeter_ball.json")
+    head, _, rest = section.partition(".")
+    if head == "config":
+        target = cfg
+        for part in filter(None, rest.split(".")):
+            target = target.setdefault(part, {})
+        target[key] = value
+        return cfg, f"{section}.{key}"
+    if head == "budget":
+        cfg["budgets"] = {key: value}
+        return cfg, f"budget.{key}"
+    if head == "psi":
+        cfg["psi"] = {"name": rest or "constant", **_PSI_SPECS.get(rest, {}), key: value}
+        return cfg, f"psi.{key}"
+    if section == _FACE:
+        cfg["body"] = {"shape": "polytope", "faces": [{"normal": [1.0, 0.0], "offset": 1.0, key: value}]}
+        return cfg, f"body.polytope.faces[0].{key}"
+    shape = rest or "ball"
+    cfg["body"] = {"shape": shape, **_BODY_SPECS[shape], key: value}
+    return cfg, f"{section}.{key}"
+
+
+@pytest.mark.parametrize(
+    "section, key, kind", _schema_fields(), ids=[f"{s}.{k}" for s, k, _ in _schema_fields()]
+)
+def test_every_schema_field_rejects_a_wrong_kind(tmp_path, capsys, section, key, kind):
+    # True, a string and an out-of-range number: each one the kind forbids
+    # must make the run fail with an error naming the field
+    bad = [v for v in (True, "x", -1) if isinstance(kind, dict) or not kind.valid(v, 2)]
+    assert bad
+    for value in bad:
+        cfg, name = _with_bad_value(section, key, value)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["perimeter", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and name in err, (value, err)
+
+
+def _kind_text(section, key, kind):
+    """A field's kind as the README's config-schema table words it."""
+    if isinstance(kind, dict):
+        return f"a JSON object: section `{section}.{key}`"
+    text = kind.what
+    if isinstance(kind.each, dict):
+        text += f"; each a JSON object: section `{section}.{key}[i]`"
+    elif kind.each is not None:
+        text += f"; each {kind.each.what}"
+    return text + ("; required" if kind.required else "")
+
+
+def test_readme_schema_table_lists_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = set()
+    for line in readme.split("Config schema")[1].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows.add(tuple(c.strip("`") if i < 2 else c for i, c in enumerate(cells)))
+    expected = {(s, k, _kind_text(s, k, kind)) for s, k, kind in _schema_fields()}
+    assert rows == expected
+
+
+def test_budget_schema_lists_every_budget_field():
+    assert list(_SCHEMA["budget"]) == [f.name for f in fields(Budget)]
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"directions": {"h": [10**400, 0]}}, "directions.h"),
+        ({"body": {"shape": "ball", "radius": 10**400}}, "body.ball.radius"),
+        ({"tolerances": {"perimeter_relative": 10**400}}, "tolerances.perimeter_relative"),
+    ],
+    ids=["direction", "radius", "tolerance"],
+)
+def test_number_too_large_for_a_float_names_field(tmp_path, capsys, overrides, field):
+    # read as floats these would overflow; the config error names them instead
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(_load("perimeter_ball.json", **overrides)))
+    code = main(["perimeter", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and field in err

@@ -141,8 +141,8 @@ def test_golden_stop_keeps_every_found_row(kind, seed, rows):
 
 def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
     # one line through the body among lines far outside it: once those
-    # settle, the last gauge is of one row, where a polytope's oracle takes
-    # numpy's matrix-vector product and could round unlike the full batch
+    # settle, the last gauge is of one row, which a polytope's oracle must
+    # round as it does in the full batch
     rng = np.random.default_rng(0)
     for seed in range(40):
         body = cg.random_polytope(3, 9, seed)
@@ -250,9 +250,10 @@ def test_subspace_measure_equals_full_golden_search(monkeypatch, body, F):
     )
     est = cg.subspace_hausdorff(body, F, budget=budget, seed=3)
     m = F.shape[0]
-    # every sweep of a line that is the section settles, else only the last;
-    # with m >= 2 the sweeps run only when some section is not proved empty
-    sweeps = [1.0, 1.0] if m == 1 else [None] * (2 * m - 1) + [1.0]
+    # a line that is the section is swept once and settles, else only the
+    # last line settles; with m >= 2 the sweeps run only when some section
+    # is not proved empty
+    sweeps = [1.0] if m == 1 else [None] * (2 * m - 1) + [1.0]
     assert stops == sweeps or (m >= 2 and stops == [])
     _with_reference_golden(monkeypatch)
     _without_empty_section_proofs(monkeypatch)
