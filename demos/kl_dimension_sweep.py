@@ -17,9 +17,7 @@ prev = None
 for dim in (2, 3, 4, 5):
     body = cg.kl_ellipsoid(dim, scale=1.0)
     pair = cg.decompose(body, np.eye(dim)[0])
-    est = cg.total_boundary_measure(
-        body, pair, budget=budget, seed=23, check_vertical=False
-    )
+    est = cg.total_boundary_measure(body, pair, budget=budget, seed=23)
     diff = "" if prev is None else f"{est.value - prev:+.6f}"
     print(f"{dim:4d} {est.value:11.6f} {est.std_error:9.1e} {diff:>10s}")
     prev = est.value

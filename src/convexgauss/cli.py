@@ -31,24 +31,8 @@ from .bodies import _SCHEMA, ConvexBody, _check_fields, kl_ellipsoid, lebesgue_d
 from .errors import ConvexGaussError, ParameterError
 from .graphs import choose_direction, decompose, default_direction_candidates, ray_cast_boundary
 from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, verify_ibp
-from .space import GaussianModel, brownian_kl_profile
-from .surface import (
-    Budget,
-    _check_vertical_mass,
-    minkowski_content_perimeter,
-    subspace_hausdorff,
-    total_boundary_measure,
-)
-
-SUBCOMMANDS = (
-    "perimeter",
-    "ibp",
-    "surface",
-    "gradcheck",
-    "converge-dim",
-    "converge-subspace",
-    "density",
-)
+from .space import GaussianModel, TestFunction, brownian_kl_profile
+from .surface import Budget, minkowski_content_perimeter, subspace_hausdorff, total_boundary_measure
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -60,7 +44,7 @@ class RunConfig:
     model: GaussianModel
     body: ConvexBody
     seed: int
-    psi_spec: Optional[dict] = None
+    psi: Optional[TestFunction] = None
     k_list: list = field(default_factory=list)
     h: Optional[np.ndarray] = None
     candidates: Optional[list] = None
@@ -84,9 +68,9 @@ class RunConfig:
         budget = Budget.from_any(cfg.get("budgets", {}))
         if threads_override is not None:
             budget = replace(budget, threads=threads_override)
-        psi_spec = cfg.get("psi")
-        if psi_spec is not None:
-            psi = psi_from_spec(psi_spec)
+        psi = None
+        if cfg.get("psi") is not None:
+            psi = psi_from_spec(cfg["psi"])
             try:
                 psi(np.zeros((1, dim)))
             except Exception as exc:
@@ -100,7 +84,7 @@ class RunConfig:
             model=model,
             body=load_body_spec(cfg["body"], dim=dim),
             seed=int(cfg["seed"]),
-            psi_spec=psi_spec,
+            psi=psi,
             k_list=[np.asarray(k, dtype=float) for k in directions.get("k", [])],
             h=None if h is None else np.asarray(h, dtype=float),
             candidates=None if candidates is None else [np.asarray(c, dtype=float) for c in candidates],
@@ -151,19 +135,21 @@ def _record_from_report(name: str, report: VerificationReport, extra=None) -> di
     )
 
 
-def _pinned_direction(config: RunConfig, body: ConvexBody):
-    """The configured h with no vertical-mass estimate, or the direction
-    choose_direction picks among the candidates with its estimate."""
+def _pinned_pair(config: RunConfig, body: ConvexBody):
+    """The GraphPair along the configured h, or along the direction
+    choose_direction picks among the candidates, keeping its vertical-mass
+    estimate."""
     if config.h is not None:
-        return config.h, None
+        return decompose(body, config.h, seed=config.seed)
     cands = (
         config.candidates
         if config.candidates is not None
         else default_direction_candidates(body.dim, seed=config.seed)
     )
-    return choose_direction(
+    h, vertical_mass = choose_direction(
         body, cands, boundary_samples=config.budget.boundary_samples, seed=config.seed
     )
+    return decompose(body, h, seed=config.seed, vertical_mass=vertical_mass)
 
 
 # ------------------------------------------------------------- subcommands
@@ -171,14 +157,8 @@ def _pinned_direction(config: RunConfig, body: ConvexBody):
 
 def _run_perimeter(config: RunConfig):
     body = config.body
-    h, vertical_mass = _pinned_direction(config, body)
-    pair = decompose(body, h, seed=config.seed)
-    # a chosen direction already carries its vertical-mass estimate
-    if vertical_mass is not None:
-        _check_vertical_mass(body, h, config.budget, config.seed, vertical_mass)
-    graph_est = total_boundary_measure(
-        body, pair, budget=config.budget, seed=config.seed, check_vertical=vertical_mass is None
-    )
+    pair = _pinned_pair(config, body)
+    graph_est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
     content_est = minkowski_content_perimeter(body, budget=config.budget, seed=config.seed)
     rel_tol = config.tolerances.get("perimeter_relative", 0.02)
     tol = max(
@@ -200,15 +180,14 @@ def _run_perimeter(config: RunConfig):
 
 
 def _run_ibp(config: RunConfig):
-    if config.psi_spec is None:
+    if config.psi is None:
         raise ParameterError("config.psi is required for the ibp subcommand")
     if not config.k_list:
         raise ParameterError("config.directions.k must be nonempty for ibp")
     body = config.body
-    psi = psi_from_spec(config.psi_spec)
     reports = verify_ibp(
         body,
-        psi,
+        config.psi,
         np.stack(config.k_list),
         budget=config.budget,
         seed=config.seed,
@@ -270,8 +249,7 @@ def _run_surface(config: RunConfig):
 
 def _run_gradcheck(config: RunConfig):
     body = config.body
-    h, _ = _pinned_direction(config, body)
-    pair = decompose(body, h, seed=config.seed)
+    pair = _pinned_pair(config, body)
     pts, _, _ = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
     errs = gradient_formula_check(body, pair, pts)
     usable = errs[~np.isnan(errs)]  # nan: vertical or degenerate points
@@ -337,9 +315,7 @@ def _run_converge_dim(config: RunConfig):
         body = kl_ellipsoid(d, scale)
         t0 = time.perf_counter()
         pair = decompose(body, np.eye(d)[0], seed=config.seed)
-        est = total_boundary_measure(
-            body, pair, budget=config.budget, seed=config.seed, check_vertical=False
-        )
+        est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
         wall = time.perf_counter() - t0
         rows.append(
             {
@@ -375,9 +351,9 @@ _DISPATCH = {
     "ibp": _run_ibp,
     "surface": _run_surface,
     "gradcheck": _run_gradcheck,
-    "density": _run_density,
     "converge-dim": _run_converge_dim,
     "converge-subspace": _run_surface,
+    "density": _run_density,
 }
 
 
@@ -439,7 +415,7 @@ def main(argv=None) -> int:
         description="Gaussian surface-measure and integration-by-parts checks "
         "for convex bodies",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=".", help="output directory")

@@ -353,6 +353,9 @@ class GraphPair:
     projected-rim and section searches made for them, and each graph's
     values, gradients and usable mask there, so both graphs and every
     integrand (one per direction k) share one set of searches.
+    _vertical_mass is the surface-mass share of the boundary set vertical
+    to the direction: choose_direction's estimate when decompose was given
+    it, else made once by the first boundary sum (surface._check_vertical_mass).
     """
 
     direction: np.ndarray
@@ -362,6 +365,7 @@ class GraphPair:
     body: Optional[ConvexBody] = None
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _vertical_mass: Optional[EstimateWithError] = field(default=None, compare=False, repr=False)
 
     @property
     def f_finite(self) -> bool:
@@ -425,8 +429,12 @@ def classify_case(body: ConvexBody, h, probes: int = 16, seed: int = 0) -> str:
     return CASE_BOTH_FINITE
 
 
-def decompose(body: ConvexBody, h, seed: int = 0) -> GraphPair:
-    """Build the GraphPair of a body along h."""
+def decompose(
+    body: ConvexBody, h, seed: int = 0, vertical_mass: Optional[EstimateWithError] = None
+) -> GraphPair:
+    """Build the GraphPair of a body along h. vertical_mass, when given, is
+    choose_direction's estimate for h; the pair's boundary sums check it
+    instead of ray-casting the boundary again."""
     h = as_direction(h, dim=body.dim)
     tag = classify_case(body, h, seed=seed)
     basis = orthonormal_complement(h)
@@ -438,7 +446,14 @@ def decompose(body: ConvexBody, h, seed: int = 0) -> GraphPair:
         )
         return np.where(nonempty, upper if which == "upper" else lower, np.nan)
 
-    return GraphPair(direction=h, basis=basis, case_tag=tag, values=values, body=body)
+    return GraphPair(
+        direction=h,
+        basis=basis,
+        case_tag=tag,
+        values=values,
+        body=body,
+        _vertical_mass=vertical_mass,
+    )
 
 
 def function_graph(

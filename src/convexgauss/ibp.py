@@ -48,7 +48,6 @@ from .surface import (  # noqa: F401
     Budget,
     EstimateWithError,
     _boundary_sum,
-    _check_vertical_mass,
     graph_surface_integral,
 )
 
@@ -298,7 +297,6 @@ def rhs_surface_integral(
     k,
     budget=None,
     seed: int = 0,
-    check_vertical: bool = True,
 ) -> EstimateWithError:
     """Boundary integral of psi * (d_k p)/|grad p| = psi * <nu, k>, nu the
     outward unit normal, summed over the finite graphs; infinite graphs
@@ -306,12 +304,7 @@ def rhs_surface_integral(
     budget = Budget.from_any(budget)
     k = as_direction(k, dim=body.dim)
     return _boundary_sum(
-        body,
-        pair,
-        lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k),
-        budget,
-        seed,
-        check_vertical,
+        body, pair, lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k), budget, seed
     )
 
 
@@ -347,23 +340,13 @@ def verify_ibp(
         h, vertical_mass = choose_direction(
             body, candidates, boundary_samples=budget.boundary_samples, seed=seed
         )
-    pair = decompose(body, h, seed=seed)
+    # the pair keeps a chosen direction's vertical-mass estimate; a given
+    # direction gets its estimate from the first right side
+    pair = decompose(body, h, seed=seed, vertical_mass=vertical_mass)
     lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
-    # a chosen direction already carries its vertical-mass estimate; a given
-    # one is checked by the first right side after its finite-graph check
-    if vertical_mass is not None:
-        _check_vertical_mass(body, h, budget, seed, vertical_mass)
     reports = []
-    for j, (kj, lhs_j) in enumerate(zip(ks, lhs)):
-        rhs = rhs_surface_integral(
-            body,
-            pair,
-            psi,
-            kj,
-            budget=budget,
-            seed=seed,
-            check_vertical=vertical_mass is None and j == 0,
-        )
+    for kj, lhs_j in zip(ks, lhs):
+        rhs = rhs_surface_integral(body, pair, psi, kj, budget=budget, seed=seed)
         metadata = {
             "body": body.spec or {"shape": body.shape_tag},
             "psi": psi.name,

@@ -514,13 +514,16 @@ def _periodic_gradient(r, dx):
     return (np.roll(r, -1, axis=-1) - np.roll(r, 1, axis=-1)) / (2.0 * dx)
 
 
-def _check_vertical_mass(body, h, budget: Budget, seed: int, vmass=None):
+def _check_vertical_mass(body, pair: GraphPair, budget: Budget, seed: int):
     """Raise DirectionError, naming the mass, when the boundary set vertical
-    to h carries more than MAX_VERTICAL_MASS of the surface measure beyond
-    three standard errors. vmass, when given, is choose_direction's estimate
-    for h and is used instead of ray-casting the boundary again."""
-    if vmass is None:
-        vmass = _direction_vertical_mass(body, h, budget.boundary_samples, seed)
+    to the pair's direction carries more than MAX_VERTICAL_MASS of the
+    surface measure beyond three standard errors. A pair without an estimate
+    gets one here, from one ray cast at budget.boundary_samples and seed,
+    and keeps it for every later boundary sum."""
+    if pair._vertical_mass is None:  # set once on the frozen pair
+        est = _direction_vertical_mass(body, pair.direction, budget.boundary_samples, seed)
+        object.__setattr__(pair, "_vertical_mass", est)
+    vmass = pair._vertical_mass
     if vmass.value - 3.0 * vmass.std_error > MAX_VERTICAL_MASS:
         raise DirectionError(
             f"vertical boundary mass {vmass.value:.3f} exceeds {MAX_VERTICAL_MASS}; "
@@ -528,22 +531,21 @@ def _check_vertical_mass(body, h, budget: Budget, seed: int, vmass=None):
         )
 
 
-def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int, check_vertical: bool):
+def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int):
     """Sum over the finite graphs of the surface integrals of phi(x, nu),
     nu the outward unit normal: the graph normal on the upper graph, its
     negation (exact in floating point) on the lower one.
 
-    Raises DirectionError when no graph is finite and, with check_vertical,
-    when the boundary set vertical to the pair's direction is not
-    negligible, for bounded and unbounded bodies alike.
+    Raises DirectionError when no graph is finite and when the boundary set
+    vertical to the pair's direction is not negligible, for bounded and
+    unbounded bodies alike.
     """
     if not (pair.f_finite or pair.g_finite):
         raise DirectionError(
             "both graphs are infinite along this direction (cylinder-like body); "
             "pick a transverse direction"
         )
-    if check_vertical:
-        _check_vertical_mass(body, pair.direction, budget, seed)
+    _check_vertical_mass(body, pair, budget, seed)
     total = None
     for which, finite, outward in (
         ("upper", pair.f_finite, phi),
@@ -556,11 +558,7 @@ def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int, check_v
 
 
 def total_boundary_measure(
-    body: ConvexBody,
-    pair: GraphPair,
-    budget=None,
-    seed: int = 0,
-    check_vertical: bool = True,
+    body: ConvexBody, pair: GraphPair, budget=None, seed: int = 0
 ) -> EstimateWithError:
     """Total Gaussian surface measure of the boundary: the sum of the
     area-formula integrals (integrand 1) over the finite graphs.
@@ -570,9 +568,7 @@ def total_boundary_measure(
     graphed across two of its faces) raises DirectionError naming the fix.
     """
     budget = Budget.from_any(budget)
-    return _boundary_sum(
-        body, pair, lambda x, nu: np.ones(x.shape[0]), budget, seed, check_vertical
-    )
+    return _boundary_sum(body, pair, lambda x, nu: np.ones(x.shape[0]), budget, seed)
 
 
 def minkowski_content_perimeter(

@@ -175,9 +175,7 @@ def test_criterion_7_oracle_cross_agreement():
         for name, body, h in _matrix_shapes(dim, seed=70 + dim):
             pair = cg.decompose(body, h)
             budget = budget4 if dim == 4 else None
-            graph = cg.total_boundary_measure(
-                body, pair, budget=budget, seed=700 + dim, check_vertical=False
-            )
+            graph = cg.total_boundary_measure(body, pair, budget=budget, seed=700 + dim)
             content = cg.minkowski_content_perimeter(
                 body, budget={"samples": 300_000}, seed=701 + dim
             )

@@ -483,7 +483,7 @@ def test_slab_rhs_matches_closed_form():
     body = cg.slab(n, w)
     pair = cg.decompose(body, n)
     est = cg.rhs_surface_integral(
-        body, pair, cg.coordinate(i), k, budget={"quadrature_order": 16}, check_vertical=False
+        body, pair, cg.coordinate(i), k, budget={"quadrature_order": 16}
     )
     g1 = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
     expected = 2.0 * w * n[i] * (n @ k) * g1

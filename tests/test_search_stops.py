@@ -444,12 +444,18 @@ def test_given_direction_reports_its_vertical_mass():
     assert f"{graphs._direction_vertical_mass(prism, E1_3, 1000, 0).value:.3f}" in message
 
 
-def test_chosen_perimeter_direction_casts_rays_once(monkeypatch, tmp_path):
+@pytest.fixture
+def casts(monkeypatch):
+    """Arguments of every ray_cast_boundary call made during the test."""
+    made = []
+    cast = graphs.ray_cast_boundary
+    monkeypatch.setattr(graphs, "ray_cast_boundary", lambda *a, **kw: made.append(a) or cast(*a, **kw))
+    return made
+
+
+def test_chosen_perimeter_direction_casts_rays_once(casts, tmp_path):
     from convexgauss import cli
 
-    casts = []
-    cast = graphs.ray_cast_boundary
-    monkeypatch.setattr(graphs, "ray_cast_boundary", lambda *a, **kw: casts.append(a) or cast(*a, **kw))
     config = {
         "model": {"dim": 3},
         "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
@@ -460,3 +466,36 @@ def test_chosen_perimeter_direction_casts_rays_once(monkeypatch, tmp_path):
     assert len(casts) == 1
     (report,) = tmp_path.glob("*.json")
     assert math.isfinite(json.loads(report.read_text())["results"][0]["lhs"])
+
+
+def test_pair_casts_rays_once_for_all_its_boundary_sums(casts):
+    body = cg.ellipsoid([1.2, 0.8])
+    pair = cg.decompose(body, [1.0, 0.0])
+    budget = {"angles": 64, "radial": 8}
+    cg.total_boundary_measure(body, pair, budget=budget, seed=2)
+    for k in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
+        cg.rhs_surface_integral(body, pair, cg.coordinate(0), k, budget=budget, seed=2)
+    assert len(casts) == 1
+
+
+def test_pair_checks_the_estimate_it_was_given(casts):
+    ball = cg.ball(1.0, 3)
+    given = cg.EstimateWithError(0.7, 0.01, 100, "monte_carlo")
+    pair = cg.decompose(ball, E1_3, vertical_mass=given)
+    with pytest.raises(DirectionError, match=r"vertical boundary mass 0\.700"):
+        cg.total_boundary_measure(ball, pair, budget={"angles": 32}, seed=0)
+    assert casts == []
+
+
+def test_converge_dim_checks_each_dimension(casts, tmp_path):
+    from convexgauss import cli
+
+    config = {
+        "model": {"dim": 3, "spectral_profile": "brownian"},
+        "body": {"shape": "kl_ellipsoid", "scale": 1.0},
+        "grid": {"dims": [2, 3], "scale": 1.0},
+        "budgets": {"angles": 64, "radial": 8, "sphere_grid": [8, 16], "boundary_samples": 200},
+        "seed": 5,
+    }
+    assert cli.run("converge-dim", cli.RunConfig.from_dict(config), tmp_path) == 0
+    assert [(body.dim, count) for body, count, _ in casts] == [(2, 200), (3, 200)]

@@ -422,7 +422,7 @@ def test_graph_integrals_finite_for_all_shapes():
     ]
     for body, h in shapes:
         pair = cg.decompose(body, h)
-        est = cg.total_boundary_measure(body, pair, seed=1, check_vertical=False)
+        est = cg.total_boundary_measure(body, pair, seed=1)
         assert np.isfinite(est.value) and np.isfinite(est.std_error)
         assert est.value > 0
 
@@ -462,9 +462,7 @@ def test_estimate_invariant_deterministic_methods_have_zero_se():
 def test_monte_carlo_branch_high_dimension():
     body = cg.ball(1.5, 5)
     pair = cg.decompose(body, np.eye(5)[0])
-    est = cg.total_boundary_measure(
-        body, pair, budget={"samples": 20_000}, seed=7, check_vertical=False
-    )
+    est = cg.total_boundary_measure(body, pair, budget={"samples": 20_000}, seed=7)
     assert est.method == "monte_carlo"
     assert est.std_error > 0
     # cross-check against the full-dimensional deterministic value in 3-d:
