@@ -29,7 +29,16 @@ import scipy
 from . import __version__
 from .bodies import _SCHEMA, ConvexBody, _check_fields, kl_ellipsoid, lebesgue_density, load_body_spec
 from .errors import ConvexGaussError, ParameterError
-from .graphs import choose_direction, decompose, default_direction_candidates, ray_cast_boundary
+# choose_direction is not called here: it stays imported because
+# perfbench/tracer.py wraps it in this module, until the in-library run
+# recorder of ROADMAP item 7 replaces that tracer
+from .graphs import (  # noqa: F401
+    _pick_direction,
+    choose_direction,
+    decompose,
+    default_direction_candidates,
+    ray_cast_boundary,
+)
 from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, verify_ibp
 from .space import GaussianModel, TestFunction, brownian_kl_profile
 from .surface import Budget, minkowski_content_perimeter, subspace_hausdorff, total_boundary_measure
@@ -135,10 +144,11 @@ def _record_from_report(name: str, report: VerificationReport, extra=None) -> di
     )
 
 
-def _pinned_pair(config: RunConfig, body: ConvexBody):
+def _pinned_pair(config: RunConfig, body: ConvexBody, cast=None):
     """The GraphPair along the configured h, or along the direction
-    choose_direction picks among the candidates, keeping its vertical-mass
-    estimate."""
+    choose_direction's rule picks among the candidates from cast, a
+    ray_cast_boundary result for the config's boundary_samples and seed
+    (made here when not given), keeping its vertical-mass estimate."""
     if config.h is not None:
         return decompose(body, config.h, seed=config.seed)
     cands = (
@@ -146,9 +156,8 @@ def _pinned_pair(config: RunConfig, body: ConvexBody):
         if config.candidates is not None
         else default_direction_candidates(body.dim, seed=config.seed)
     )
-    h, vertical_mass = choose_direction(
-        body, cands, boundary_samples=config.budget.boundary_samples, seed=config.seed
-    )
+    _, nu, w = cast or ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
+    h, vertical_mass = _pick_direction(cands, nu, w)
     return decompose(body, h, seed=config.seed, vertical_mass=vertical_mass)
 
 
@@ -249,9 +258,9 @@ def _run_surface(config: RunConfig):
 
 def _run_gradcheck(config: RunConfig):
     body = config.body
-    pair = _pinned_pair(config, body)
-    pts, _, _ = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
-    errs = gradient_formula_check(body, pair, pts)
+    cast = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
+    pair = _pinned_pair(config, body, cast)
+    errs = gradient_formula_check(body, pair, cast[0])
     usable = errs[~np.isnan(errs)]  # nan: vertical or degenerate points
     if not usable.size:
         raise ConvexGaussError("no usable boundary points for the gradient check")

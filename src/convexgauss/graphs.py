@@ -257,19 +257,15 @@ def _bisect_endpoint(body, Y, h, t_in, direction):
 
 
 def _section_endpoints(
-    body: ConvexBody,
-    h: np.ndarray,
-    Y: np.ndarray,
-    t_hint: Optional[np.ndarray] = None,
-    want_lower: bool = True,
-    want_upper: bool = True,
+    body: ConvexBody, h: np.ndarray, Y: np.ndarray, t_hint: Optional[np.ndarray] = None
 ):
     """Locate (g(y), f(y)) for a batch of y orthogonal to h.
 
-    Returns (lower, upper, nonempty). Empty sections give (nan, nan, False);
-    a side not requested stays nan. Finding an inside parameter goes coarse
-    grid -> hint -> golden section on the gauge (convex in t), so thin
-    sections near the projected rim are still resolved.
+    Returns (lower, upper, nonempty). Empty sections give (nan, nan, False).
+    Finding an inside parameter tries the hint, then a 34-point probe (0 and
+    33 points across the reach), then golden section on the gauge (convex in
+    t), so thin sections near the projected rim are still resolved; each end
+    is bisected from it on its own.
     """
     N = Y.shape[0]
     lower = np.full(N, np.nan)
@@ -277,36 +273,28 @@ def _section_endpoints(
     t_in = np.full(N, np.nan)
 
     if t_hint is not None:
-        ok = np.isfinite(t_hint)
-        if ok.any():
-            pts = Y[ok] + t_hint[ok][:, None] * h
-            hit = body.contains(pts)
-            idx = np.flatnonzero(ok)[hit]
-            t_in[idx] = t_hint[np.flatnonzero(ok)[hit]]
+        idx = np.flatnonzero(np.isfinite(t_hint))
+        if idx.size:
+            idx = idx[body.contains(Y[idx] + t_hint[idx][:, None] * h)]
+            t_in[idx] = t_hint[idx]
 
-    missing = np.isnan(t_in)
-    if missing.any():
-        T = body.reach
-        grid = np.concatenate([[0.0], np.linspace(-T, T, 33)])
+    missing = np.flatnonzero(np.isnan(t_in))
+    if missing.size:
+        grid = np.concatenate([[0.0], np.linspace(-body.reach, body.reach, 33)])
         pts = Y[missing][:, None, :] + grid[None, :, None] * h
         hits = body.contains(pts.reshape(-1, body.dim)).reshape(-1, grid.shape[0])
         any_hit = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        vals = grid[first]
-        idx = np.flatnonzero(missing)
-        t_in[idx[any_hit]] = vals[any_hit]
+        t_in[missing[any_hit]] = grid[np.argmax(hits, axis=1)][any_hit]
 
-    missing = np.isnan(t_in)
-    if missing.any() and body.bounded:
+    missing = np.flatnonzero(np.isnan(t_in))
+    if missing.size and body.bounded:
         # points beyond the outer radius cannot meet the projected domain
-        far = np.linalg.norm(Y[missing], axis=1) >= body.outer_radius
-        missing[np.flatnonzero(missing)[far]] = False
-    if missing.any():
+        missing = missing[np.linalg.norm(Y[missing], axis=1) < body.outer_radius]
+    if missing.size:
         # a row is kept only when its minimum gauge is below 1
         t_min, q_min = _golden_min_gauge(body, Y[missing], h, stop=1.0)
         found = q_min < 1.0 - 1e-12
-        idx = np.flatnonzero(missing)
-        t_in[idx[found]] = t_min[found]
+        t_in[missing[found]] = t_min[found]
 
     nonempty = np.isfinite(t_in)
     if nonempty.any():
@@ -316,10 +304,8 @@ def _section_endpoints(
             raise OracleIntegrityError(
                 "section probe accepted by the gauge but rejected by membership"
             )
-        if want_upper:
-            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
-        if want_lower:
-            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
+        upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
+        lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
     return lower, upper, nonempty
 
 
@@ -343,25 +329,24 @@ def section_interval(body: ConvexBody, h, y) -> Optional[tuple]:
 class GraphPair:
     """Upper/lower boundary functions along a direction.
 
-    values(which, Y, t_hint=None) acts on a batch Y of ambient points in the
-    hyperplane orthogonal to h and returns f ("upper") or g ("lower"), with
-    +/-inf for a missing graph and nan outside the projected domain; t_hint,
-    per-row section parameters that may lie inside the body, only speeds up
-    the section search; a point is in the domain where values is not nan.
-    basis rows span that hyperplane. _nodes holds one surface-integral node
-    set per (budget, seed) (surface._NodeSet): its nodes and weights, the
-    projected-rim and section searches made for them, and each graph's
-    values, gradients and usable mask there, so both graphs and every
-    integrand (one per direction k) share one set of searches.
-    _vertical_mass is the surface-mass share of the boundary set vertical
-    to the direction: choose_direction's estimate when decompose was given
-    it, else made once by the first boundary sum (surface._check_vertical_mass).
+    ends(Y, t_hint=None) maps a batch Y of ambient points in the hyperplane
+    orthogonal to h to (g, f), both ends of each section from one search,
+    with +/-inf for a missing graph and nan outside the projected domain
+    (its domain test); t_hint, per-row section parameters that may lie
+    inside the body, only speeds up the search. basis rows span that
+    hyperplane. analytic_f_gradient is set by function_graph, whose only
+    finite graph is f. _nodes holds one surface-integral node set per
+    (budget, seed) (surface._NodeSet), shared by both graphs and every
+    integrand. _vertical_mass is the surface-mass share of the boundary set
+    vertical to the direction: choose_direction's estimate when decompose
+    was given it, else made once by the first boundary sum
+    (surface._check_vertical_mass).
     """
 
     direction: np.ndarray
     basis: np.ndarray
     case_tag: str
-    values: Callable[..., np.ndarray]
+    ends: Callable[..., tuple]
     body: Optional[ConvexBody] = None
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -439,18 +424,15 @@ def decompose(
     tag = classify_case(body, h, seed=seed)
     basis = orthonormal_complement(h)
 
-    def values(which, Y, t_hint=None):
+    def ends(Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        lower, upper, nonempty = _section_endpoints(
-            body, h, Y, t_hint=t_hint, want_lower=which == "lower", want_upper=which == "upper"
-        )
-        return np.where(nonempty, upper if which == "upper" else lower, np.nan)
+        return _section_endpoints(body, h, Y, t_hint=t_hint)[:2]
 
     return GraphPair(
         direction=h,
         basis=basis,
         case_tag=tag,
-        values=values,
+        ends=ends,
         body=body,
         _vertical_mass=vertical_mass,
     )
@@ -471,21 +453,18 @@ def function_graph(
     h = as_direction(h)
     basis = orthonormal_complement(h)
 
-    def values(which, Y, t_hint=None):
+    def ends(Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if which == "upper":
-            vals = np.asarray(f(Y), dtype=float)
-        else:
-            vals = np.full(Y.shape[0], -np.inf)
+        ends = np.stack([np.full(Y.shape[0], -np.inf), np.asarray(f(Y), dtype=float)])
         if domain is not None:
-            vals = np.where(np.asarray(domain(Y), bool), vals, np.nan)
-        return vals
+            ends = np.where(np.asarray(domain(Y), bool), ends, np.nan)
+        return ends[0], ends[1]
 
     return GraphPair(
         direction=h,
         basis=basis,
         case_tag=CASE_F_FINITE_ONLY,
-        values=values,
+        ends=ends,
         body=None,
         analytic_f_gradient=gradient,
     )
@@ -504,37 +483,45 @@ def graph_value_and_gradient(pair: GraphPair, which: str, y):
     Y = np.asarray(y, dtype=float)
     scalar = Y.ndim == 1
     Y = np.atleast_2d(Y)
-    vals = pair.values(which, Y)
+    g, f = pair.ends(Y)
+    vals = f if which == "upper" else g
     if np.any(~np.isfinite(vals)):
         raise MarginError("graph is infinite or y is outside the projected domain")
-
-    if pair.analytic_f_gradient is not None and which == "upper":
-        grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
-    else:
-        grads, ok = _stencil_gradient(pair, which, Y, DEFAULT_FD_STEP)
-        if not ok.all():
-            raise MarginError(
-                f"{int((~ok).sum())} stencil point(s) exit the projected domain even "
-                "at the smallest step; move y inward"
-            )
+    grads, ok = _stencil_gradient(pair, Y, DEFAULT_FD_STEP)[which]
+    _require_fit(ok)
     if scalar:
         return float(vals[0]), grads[0]
     return vals, grads
 
 
-def _stencil_gradient(pair, which, Y, steps, t_hint=None):
-    """In-plane central-difference gradients of one graph of a pair at
-    hyperplane points Y.
+def _require_fit(ok):
+    """Raise MarginError unless every stencil fit (ok from _stencil_gradient)."""
+    if not ok.all():
+        raise MarginError(
+            f"{int((~ok).sum())} stencil point(s) exit the projected domain even "
+            "at the smallest step; move y inward"
+        )
 
-    Stencil values come from pair.values with t_hint repeated over each
-    row's stencil. A row whose stencil leaves the domain retries with its
-    step divided by 8, for up to 7 tries while the step stays >= 1e-10.
-    Returns (ambient gradients (N, n), ok mask); rows that never fit are nan
-    and flagged False.
+
+def _stencil_gradient(pair, Y, steps, t_hint=None):
+    """In-plane gradients of every finite graph of a pair at hyperplane
+    points Y: f's analytic gradient where the pair has one, else central
+    differences.
+
+    All stencil values of a try come from one pair.ends call, with t_hint
+    repeated over each row's stencil. A row whose stencil leaves the domain
+    retries with its step divided by 8, for up to 7 tries while the step
+    stays >= 1e-10. Returns {"upper" / "lower": (ambient gradients (N, n),
+    ok mask)} over the finite graphs; rows that never fit are nan and
+    flagged False.
     """
+    if pair.analytic_f_gradient is not None:  # function_graph: f is the only finite graph
+        grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
+        return {"upper": (grads, np.ones(Y.shape[0], dtype=bool))}
+    which = [w for w, finite in (("upper", pair.f_finite), ("lower", pair.g_finite)) if finite]
     basis = pair.basis
     N, d = Y.shape[0], basis.shape[0]
-    grads_c = np.full((N, d), np.nan)
+    grads_c = np.full((len(which), N, d), np.nan)
     step = np.asarray(steps, dtype=float) * np.ones(N)
     todo = np.ones(N, dtype=bool)
     offsets = np.stack([basis, -basis], axis=0)  # (2, d, n)
@@ -546,30 +533,26 @@ def _stencil_gradient(pair, which, Y, steps, t_hint=None):
             Y[idx][:, None, None, :] + offsets[None, :, :, :] * step[idx, None, None, None]
         ).reshape(-1, Y.shape[1])
         hint = None if t_hint is None else np.repeat(t_hint[idx], 2 * d)
-        vals = pair.values(which, stencil, hint).reshape(len(idx), 2, d)
-        good = np.isfinite(vals).all(axis=(1, 2))
+        g, f = pair.ends(stencil, hint)
+        vals = np.stack([f if w == "upper" else g for w in which])
+        vals = vals.reshape(len(which), len(idx), 2, d)
+        good = np.isfinite(vals).all(axis=(0, 2, 3))
         if good.any():
-            g = (vals[good, 0, :] - vals[good, 1, :]) / (2.0 * step[idx[good], None])
-            grads_c[idx[good]] = g
+            g = (vals[:, good, 0, :] - vals[:, good, 1, :]) / (2.0 * step[idx[good], None])
+            grads_c[:, idx[good]] = g
             todo[idx[good]] = False
         step[todo] /= 8.0
         if float(step[todo].max(initial=0.0)) < 1e-10:
             break
-    return grads_c @ basis, ~todo  # ambient gradients, orthogonal to h
+    # ambient gradients, orthogonal to h
+    return {w: (grads @ basis, ~todo) for w, grads in zip(which, grads_c)}
 
 
-def boundary_classify(body: ConvexBody, pair: GraphPair, x):
-    """Classify boundary points as upper_graph / lower_graph / vertical.
-
-    x: one point (n,), giving one label, or a batch (N, n), giving a list of
-    N labels. With tol = DEFAULT_GAUGE_TOL, the precondition is
-    |gauge(x) - 1| <= 10*tol at every point, else DomainError, and the match
-    tolerance is 100*tol.
-    """
+def _classify(body: ConvexBody, pair: GraphPair, X: np.ndarray):
+    """Labels (upper_graph / lower_graph / vertical) of boundary points X
+    (N, n) and the ends (g, f) of their sections, from one section search;
+    boundary_classify states the precondition and the match tolerance."""
     tol = DEFAULT_GAUGE_TOL
-    X = np.asarray(x, dtype=float)
-    scalar = X.ndim == 1
-    X = np.atleast_2d(X)
     p = minkowski_functional(body, X, tol=tol)
     off = np.abs(p - 1.0) > 10.0 * tol
     if off.any():
@@ -580,7 +563,20 @@ def boundary_classify(body: ConvexBody, pair: GraphPair, x):
     # empty sections give nan endpoints and missing graphs +/-inf: neither is near
     near = lambda end: np.abs(t - end) <= 100.0 * tol
     labels = np.where(near(upper), "upper_graph", np.where(near(lower), "lower_graph", "vertical"))
-    return str(labels[0]) if scalar else labels.tolist()
+    return labels, lower, upper
+
+
+def boundary_classify(body: ConvexBody, pair: GraphPair, x):
+    """Classify boundary points as upper_graph / lower_graph / vertical.
+
+    x: one point (n,), giving one label, or a batch (N, n), giving a list of
+    N labels. With tol = DEFAULT_GAUGE_TOL, the precondition is
+    |gauge(x) - 1| <= 10*tol at every point, else DomainError, and the match
+    tolerance is 100*tol.
+    """
+    X = np.asarray(x, dtype=float)
+    labels, _, _ = _classify(body, pair, np.atleast_2d(X))
+    return str(labels[0]) if X.ndim == 1 else labels.tolist()
 
 
 def ray_cast_boundary(body: ConvexBody, count: int, seed: int):
@@ -629,10 +625,15 @@ def choose_direction(body: ConvexBody, candidates, boundary_samples: int = 1000,
     Returns (direction, vertical_mass EstimateWithError). Raises
     DegenerateDirectionError when every candidate exceeds mass 0.5.
     """
-    candidates = [as_direction(np.asarray(c, dtype=float), dim=body.dim) for c in candidates]
+    _, nu, w = ray_cast_boundary(body, boundary_samples, seed)
+    return _pick_direction(candidates, nu, w)
+
+
+def _pick_direction(candidates, nu, w):
+    """choose_direction's rule on one ray cast's normals nu and weights w."""
+    candidates = [as_direction(np.asarray(c, dtype=float), dim=nu.shape[1]) for c in candidates]
     if not candidates:
         raise ParameterError("candidates must be nonempty")
-    _, nu, w = ray_cast_boundary(body, boundary_samples, seed)
     best = None
     for h in candidates:
         est = _vertical_mass(nu, w, h)

@@ -26,8 +26,15 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
-from .graphs import (
+# boundary_classify and graph_value_and_gradient are not called here, and
+# neither is graph_surface_integral below: they stay imported because
+# perfbench/tracer.py wraps them in this module, until the in-library run
+# recorder of ROADMAP item 7 replaces that tracer
+from .graphs import (  # noqa: F401
     GraphPair,
+    _classify,
+    _require_fit,
+    _stencil_gradient,
     boundary_classify,
     choose_direction,
     decompose,
@@ -35,15 +42,13 @@ from .graphs import (
     graph_value_and_gradient,
 )
 from .space import (
+    DEFAULT_FD_STEP,
     TestFunction,
     _direction_stack,
     adjoint_derivative,
     as_direction,
     map_chunks,
 )
-# graph_surface_integral is not called here: it stays imported because
-# perfbench/tracer.py wraps it in this module, until the in-library run
-# recorder of ROADMAP item 7 replaces that tracer
 from .surface import (  # noqa: F401
     Budget,
     EstimateWithError,
@@ -381,19 +386,23 @@ def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
-    labels = np.asarray(boundary_classify(body, pair, X))
+    labels, lower, upper = _classify(body, pair, X)
     if scalar and labels[0] == "vertical":
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
     Y = X - np.outer(X @ h, h)
+    on_graph = np.flatnonzero(labels != "vertical")
+    stencils = _stencil_gradient(pair, Y[on_graph], DEFAULT_FD_STEP)
     formula = np.full(X.shape, np.nan)
     graph = np.zeros(X.shape[0], dtype=bool)  # rows with a usable formula
-    for which, sign in (("upper", 1.0), ("lower", -1.0)):
-        rows = np.flatnonzero(labels == f"{which}_graph")
-        if not rows.size:
+    for which, sign, ends in (("upper", 1.0, upper), ("lower", -1.0, lower)):
+        mine = labels[on_graph] == f"{which}_graph"
+        if not mine.any():
             continue
-        val, grad = graph_value_and_gradient(pair, which, Y[rows])
-        den = sign * (val - np.einsum("ij,ij->i", grad, Y[rows]))
+        rows = on_graph[mine]
+        grad, ok = (v[mine] for v in stencils[which])
+        _require_fit(ok)
+        den = sign * (ends[rows] - np.einsum("ij,ij->i", grad, Y[rows]))
         degenerate = np.abs(den) < 1e-8
         if scalar and degenerate[0]:
             raise DegeneracyError(f"gauge-formula denominator {den[0]:.2e} is numerically zero")

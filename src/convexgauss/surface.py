@@ -34,7 +34,10 @@ from .errors import (
     ParameterError,
     UnsupportedOrderError,
 )
-from .graphs import (
+# _section_endpoints is not called here: it stays imported because
+# perfbench/tracer.py wraps it in this module, until the in-library run
+# recorder of ROADMAP item 7 replaces that tracer
+from .graphs import (  # noqa: F401
     GraphPair,
     _direction_vertical_mass,
     _empty_sections,
@@ -151,13 +154,8 @@ class _NodeSet:
     Y holds the ambient nodes, steps their stencil steps and t_hint section
     parameters that may lie inside the body (or None). A quadrature rule
     carries weights shaped as its node grid, Monte Carlo the keep-mask of
-    draws inside DOMAIN_TRUNCATION_RADIUS. graphs holds each graph's
-    (values, gradients, usable mask), filled on first use. When a body's two
-    graphs are both finite, sections holds the (lower, upper, nonempty) ends
-    of every node's section from one search, which both graphs' values and
-    stencil hints read: a row's ends are those of a search for one end
-    alone, since the inside parameter does not depend on which ends are
-    asked for and each end is bisected from it on its own.
+    draws inside DOMAIN_TRUNCATION_RADIUS. graphs holds each finite graph's
+    (values, gradients, usable mask), all filled on first use.
     """
 
     Y: np.ndarray
@@ -167,49 +165,30 @@ class _NodeSet:
     keep: Optional[np.ndarray] = None
     t_hint: Optional[np.ndarray] = None
     details: Optional[dict] = None
-    sections: Optional[tuple] = None
     graphs: dict = field(default_factory=dict)
 
     def graph(self, pair: GraphPair, which: str):
-        """Values, in-plane gradients and usable mask of one graph."""
-        if which in self.graphs:
-            return self.graphs[which]
-        Y = self.Y
-        if pair.body is not None and pair.f_finite and pair.g_finite:
-            if self.sections is None:
-                self.sections = _section_endpoints(
-                    pair.body, pair.direction, Y, t_hint=self.t_hint
-                )
-            lower, upper, nonempty = self.sections
-            vals = np.where(nonempty, upper if which == "upper" else lower, np.nan)
-        else:
-            vals = pair.values(which, Y, self.t_hint)
-        usable = np.isfinite(vals)
-        if which == "upper" and pair.analytic_f_gradient is not None:
-            grads = np.atleast_2d(np.asarray(pair.analytic_f_gradient(Y), dtype=float))
-        else:
-            grads = np.full_like(Y, np.nan)
-            idx = np.flatnonzero(usable)
-            if idx.size:
-                hint = self._inside_hint(which, vals[idx], idx)
-                grads[idx], usable[idx] = _stencil_gradient(
-                    pair, which, Y[idx], self.steps[idx], t_hint=hint
-                )
-        self.graphs[which] = vals, grads, usable
+        """Values, in-plane gradients and usable mask of one graph. The first
+        call fills every finite graph from one section search of the nodes
+        and one stencil call, whose hints are t_hint, else the midpoint of
+        both ends, else one unit inward from the finite end."""
+        if not self.graphs:
+            g, f = pair.ends(self.Y, self.t_hint)
+            idx = np.flatnonzero(np.isfinite(f if pair.f_finite else g))
+            if self.t_hint is not None:
+                hint = self.t_hint[idx]
+            elif pair.f_finite and pair.g_finite:
+                hint = 0.5 * (g[idx] + f[idx])
+            else:  # the section is a ray: one unit inward is inside
+                hint = f[idx] - 1.0 if pair.f_finite else g[idx] + 1.0
+            stencils = _stencil_gradient(pair, self.Y[idx], self.steps[idx], t_hint=hint)
+            for w, vals, finite in (("upper", f, pair.f_finite), ("lower", g, pair.g_finite)):
+                if finite:
+                    grads = np.full_like(self.Y, np.nan)
+                    usable = np.isfinite(vals)
+                    grads[idx], usable[idx] = stencils[w]
+                    self.graphs[w] = vals, grads, usable
         return self.graphs[which]
-
-    def _inside_hint(self, which, vals, idx):
-        """A parameter strictly inside the section at nodes idx, for stencil
-        bisection seeds."""
-        if self.t_hint is not None:
-            return self.t_hint[idx]
-        inward = vals + (-1.0 if which == "upper" else 1.0)
-        if self.sections is None:
-            # the section is a ray: one unit inward is always inside
-            return inward
-        other = self.sections[0 if which == "upper" else 1][idx]
-        both = np.isfinite(other)
-        return np.where(both, 0.5 * (vals + np.where(both, other, 0.0)), inward)
 
 
 def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:

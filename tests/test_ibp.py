@@ -336,6 +336,58 @@ def test_gradient_formula_batch_gives_nan_at_vertical_point(cyl3):
         cg.gradient_formula_check(cyl3, pair, pts[1])
 
 
+def _ellipsoid_points_on_both_graphs():
+    body = cg.ellipsoid([1.2, 0.9, 0.7])
+    pair = cg.decompose(body, np.array([0.0, 0.0, 1.0]))
+    pts, _, _ = ray_cast_boundary(body, 40, seed=5)
+    assert {"upper_graph", "lower_graph"} <= set(cg.boundary_classify(body, pair, pts))
+    return body, pair, pts
+
+
+def test_gradient_check_searches_its_points_once(monkeypatch):
+    body, pair, pts = _ellipsoid_points_on_both_graphs()
+    search, stencil = cg.graphs._section_endpoints, cg.graphs._stencil_gradient
+    searches, in_stencil = [], []
+
+    def counted_search(*args, **kwargs):
+        if not in_stencil:
+            searches.append(args[2].shape[0])
+        return search(*args, **kwargs)
+
+    def flagged_stencil(*args, **kwargs):
+        in_stencil.append(True)
+        try:
+            return stencil(*args, **kwargs)
+        finally:
+            in_stencil.pop()
+
+    monkeypatch.setattr(cg.graphs, "_section_endpoints", counted_search)
+    monkeypatch.setattr(cg.graphs, "_stencil_gradient", flagged_stencil)
+    monkeypatch.setattr(cg.ibp, "_stencil_gradient", flagged_stencil, raising=False)
+    cg.gradient_formula_check(body, pair, pts)
+    assert searches == [len(pts)]
+
+
+def test_gradient_check_equals_classification_then_per_graph_gradients():
+    body, pair, pts = _ellipsoid_points_on_both_graphs()
+    errs = cg.gradient_formula_check(body, pair, pts)
+    # the reference: labels, then each graph's own values and gradients
+    labels = np.asarray(cg.boundary_classify(body, pair, pts))
+    h = pair.direction
+    Y = pts - np.outer(pts @ h, h)
+    formula = np.full(pts.shape, np.nan)
+    for which, sign in (("upper", 1.0), ("lower", -1.0)):
+        rows = np.flatnonzero(labels == f"{which}_graph")
+        val, grad = cg.graph_value_and_gradient(pair, which, Y[rows])
+        den = sign * (val - np.einsum("ij,ij->i", grad, Y[rows]))
+        formula[rows] = sign * (h - grad) / den[:, None]
+    rows = np.flatnonzero(~np.isnan(formula[:, 0]))
+    fd = cg.minkowski_gradient_fd(body, pts[rows])
+    ref = np.full(len(pts), np.nan)
+    ref[rows] = np.linalg.norm(formula[rows] - fd, axis=1) / np.linalg.norm(fd, axis=1)
+    assert np.array_equal(errs, ref, equal_nan=True)
+
+
 def test_alfred_denominator_positive_on_upper_graph():
     body = cg.random_polytope(3, 8, seed=29)
     h = cg.normalize_direction([0.1, 0.2, 0.97])
@@ -343,7 +395,7 @@ def test_alfred_denominator_positive_on_upper_graph():
     rng = np.random.default_rng(30)
     y = rng.uniform(-0.3, 0.3, size=(50, 3))
     y -= np.outer(y @ h, h)
-    inside = ~np.isnan(pair.values("upper", y))
+    inside = ~np.isnan(pair.ends(y)[1])
     vals, grads = cg.graph_value_and_gradient(pair, "upper", y[inside])
     dens = vals - np.einsum("ij,ij->i", grads, y[inside])
     assert np.all(dens > 0)

@@ -446,10 +446,15 @@ def test_given_direction_reports_its_vertical_mass():
 
 @pytest.fixture
 def casts(monkeypatch):
-    """Arguments of every ray_cast_boundary call made during the test."""
+    """Arguments of every ray_cast_boundary call made during the test, in
+    graphs or in the CLI."""
+    from convexgauss import cli
+
     made = []
     cast = graphs.ray_cast_boundary
-    monkeypatch.setattr(graphs, "ray_cast_boundary", lambda *a, **kw: made.append(a) or cast(*a, **kw))
+    counted = lambda *a, **kw: made.append(a) or cast(*a, **kw)
+    monkeypatch.setattr(graphs, "ray_cast_boundary", counted)
+    monkeypatch.setattr(cli, "ray_cast_boundary", counted)
     return made
 
 
@@ -466,6 +471,28 @@ def test_chosen_perimeter_direction_casts_rays_once(casts, tmp_path):
     assert len(casts) == 1
     (report,) = tmp_path.glob("*.json")
     assert math.isfinite(json.loads(report.read_text())["results"][0]["lhs"])
+
+
+def test_chosen_gradcheck_direction_casts_rays_once(casts, tmp_path):
+    from convexgauss import cli
+
+    config = {
+        "model": {"dim": 3},
+        "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
+        "budgets": {"boundary_samples": 100},
+        "seed": 3,
+    }
+    parsed = cli.RunConfig.from_dict(config)
+    cli.run("gradcheck", parsed, tmp_path)
+    assert [args[1:] for args in casts] == [(100, 3)]
+    (report,) = tmp_path.glob("*.json")
+    # the same median as choosing the direction and casting its points apart
+    body = parsed.body
+    cands = cg.default_direction_candidates(3, seed=3)
+    h, mass = cg.choose_direction(body, cands, boundary_samples=100, seed=3)
+    pts, _, _ = graphs.ray_cast_boundary(body, 100, 3)
+    errs = cg.gradient_formula_check(body, cg.decompose(body, h, seed=3, vertical_mass=mass), pts)
+    assert json.loads(report.read_text())["results"][0]["lhs"] == float(np.median(errs[~np.isnan(errs)]))
 
 
 def test_pair_casts_rays_once_for_all_its_boundary_sums(casts):

@@ -261,28 +261,49 @@ def test_graph_nodes_are_evaluated_once_per_budget_and_seed(body, h, budget, cha
     # another budget field that sets the nodes, or another seed, evaluates them anew
     cg.graph_surface_integral(pair, "upper", integrands[0], budget={**budget, **changed}, seed=seed)
     assert sum(rows) > 0
-    if pair.g_finite:  # the other graph has nodes of its own
+    if pair.g_finite:  # the other graph costs no oracle rows: it was filled with the first
         rows.clear()
         cg.graph_surface_integral(pair, "lower", integrands[0], budget=budget)
-        assert sum(rows) > 0
+        assert rows == []
 
 
 def _separate_graph_nodes(pair, which, Y, fd_steps, t_hint):
-    """Node values, gradients and usable mask of one graph from its own
-    values and stencil calls, the other end searched again for the hint."""
-    vals = pair.values(which, Y, t_hint)
+    """Node values, gradients and usable mask of one graph of a pair whose
+    graphs are both finite, worked out for that graph alone: its end of a
+    section search of the nodes, the other end searched again for the
+    stencil hint, and a shrinking central-difference stencil of its own."""
+    end = 1 if which == "upper" else 0
+
+    def values(Z, hint=None):
+        return graphs._section_endpoints(pair.body, pair.direction, Z, t_hint=hint)[end]
+
+    vals = values(Y, t_hint)
     usable = np.isfinite(vals)
     idx = np.flatnonzero(usable)
     if t_hint is not None:
         hint = t_hint[idx]
     else:
-        other = pair.values("lower" if which == "upper" else "upper", Y[idx])
-        both = np.isfinite(other)
-        inward = vals[idx] + (-1.0 if which == "upper" else 1.0)
-        hint = np.where(both, 0.5 * (vals[idx] + np.where(both, other, 0.0)), inward)
-    grads = np.full_like(Y, np.nan)
-    grads[idx], usable[idx] = _stencil_gradient(pair, which, Y[idx], fd_steps[idx], t_hint=hint)
-    return vals, grads, usable
+        other = graphs._section_endpoints(pair.body, pair.direction, Y[idx])[1 - end]
+        hint = 0.5 * (vals[idx] + other)
+    B = pair.basis
+    d = B.shape[0]
+    step = fd_steps[idx].copy()
+    grads = np.full((idx.size, d), np.nan)
+    todo = np.ones(idx.size, dtype=bool)
+    for _ in range(7):
+        rows = np.flatnonzero(todo)
+        Z = Y[idx][rows][:, None, None, :] + np.stack([B, -B])[None] * step[rows, None, None, None]
+        v = values(Z.reshape(-1, Y.shape[1]), np.repeat(hint[rows], 2 * d)).reshape(-1, 2, d)
+        good = np.isfinite(v).all(axis=(1, 2))
+        grads[rows[good]] = (v[good, 0] - v[good, 1]) / (2.0 * step[rows[good], None])
+        todo[rows[good]] = False
+        step[todo] /= 8.0
+        if not todo.any() or step[todo].max() < 1e-10:
+            break
+    ambient = np.full_like(Y, np.nan)
+    ambient[idx] = grads @ B
+    usable[idx] = ~todo
+    return vals, ambient, usable
 
 
 @pytest.mark.parametrize(
@@ -327,6 +348,24 @@ def test_both_graphs_share_one_section_search(monkeypatch, body, h, budget, meth
         assert est.method == method
     # one search over the node set, where separate graphs searched 2 or 4 times
     assert len(node_searches) == 1
+    monkeypatch.undo()
+    (nodes,) = pair._nodes.values()
+    for which in ("upper", "lower"):
+        separate = _separate_graph_nodes(pair, which, nodes.Y, nodes.steps, nodes.t_hint)
+        for got, want in zip(nodes.graphs[which], separate):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_both_graphs_share_one_stencil_call(monkeypatch):
+    pair = cg.decompose(cg.ellipsoid([1.2, 0.8, 0.6]), E1_3)
+    budget = {"angles": 64, "radial": 6}
+    stencils = []
+    monkeypatch.setattr(
+        surface, "_stencil_gradient", lambda *a, **kw: stencils.append(a) or _stencil_gradient(*a, **kw)
+    )
+    for which in ("upper", "lower"):
+        cg.graph_surface_integral(pair, which, lambda x, nu: nu[:, 0], budget=budget)
+    assert len(stencils) == 1
     monkeypatch.undo()
     (nodes,) = pair._nodes.values()
     for which in ("upper", "lower"):

@@ -12,9 +12,11 @@ CLI calls:
 * three fixed 5-d calls on the Monte Carlo graph route, which neither
   reaches: ``converge-dim`` at dimension 5 and ``ibp`` on a halfspace and
   a slab, each ``ibp`` call at one and at two threads;
-* one fixed ``surface`` call on an off-centre ellipsoid, whose golden
-  sweeps find inside points of thin sections that the lattice probe
-  misses, a path neither reaches either.
+* two fixed calls on paths neither reaches either: a ``surface`` call on
+  an off-centre ellipsoid, whose golden sweeps find inside points of thin
+  sections that the lattice probe misses, and a ``gradcheck`` call with no
+  ``directions.h``, whose one ray cast both chooses the direction and
+  gives the check points.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -103,10 +105,11 @@ MONTE_CARLO = {
 }
 
 
-# a fixed surface call whose sections are centred off the lattice probe's
-# points: at seed 11 the golden sweeps find 6 sections through [0] and 7
-# through [0, 1] (of 151 and 109 searched)
-OFF_CENTRE = {
+# fixed calls on paths the benchmark does not reach: a surface call whose
+# sections are centred off the lattice probe's points (at seed 11 the golden
+# sweeps find 6 sections through [0] and 7 through [0, 1], of 151 and 109
+# searched), and a gradcheck call that chooses its direction
+FIXED = {
     "surface_offcentre_ellipsoid": (
         "surface",
         {
@@ -115,6 +118,15 @@ OFF_CENTRE = {
             "subspaces": [[0], [0, 1]],
             "budgets": {"subspace_samples": 400, "inner_angles": 256},
             "seed": 11,
+        },
+    ),
+    "gradcheck_chosen_ellipsoid": (
+        "gradcheck",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
+            "budgets": {"boundary_samples": 24},
+            "seed": 12,
         },
     ),
 }
@@ -142,7 +154,7 @@ def jobs() -> list:
     for name, (subcommand, config) in MONTE_CARLO.items():
         threads = IBP_THREADS if subcommand == "ibp" else (None,)
         out += [(f"mc/{name}" + (f"@{t}t" if t else ""), subcommand, config, t) for t in threads]
-    for name, (subcommand, config) in OFF_CENTRE.items():
+    for name, (subcommand, config) in FIXED.items():
         out.append((f"fixed/{name}", subcommand, config, None))
     return out
 
