@@ -34,6 +34,6 @@ print("  case along e3:", cg.classify_case(cyl, e3))
 print("  case along e1:", cg.classify_case(cyl, e1))
 pair3 = cg.decompose(cyl, e3)
 x = np.array([1.0, 0.0, 5.0])
-print("  lateral point classified:", cg.boundary_classify(cyl, pair3, x))
+print("  lateral point classified:", cg.boundary_classify(pair3, x))
 h, mass = cg.choose_direction(cyl, [e3, e1], boundary_samples=800, seed=3)
 print(f"  chooser picks {h} with vertical mass {mass.value:.4f}")

@@ -37,9 +37,8 @@ runs = [
 ]
 
 for name, body, psi, k, h in runs:
-    report = cg.verify_ibp(
-        body, psi, np.asarray(k), budget={"samples": 400_000}, seed=11, h=np.asarray(h)
-    )
+    pair = cg.decompose(body, np.asarray(h), seed=11)
+    report = cg.verify_ibp(pair, psi, np.asarray(k), budget={"samples": 400_000}, seed=11)
     print(name)
     print(
         f"  lhs {report.lhs.value:+.6f} (se {report.lhs.std_error:.1e})   "

@@ -23,7 +23,7 @@ SHAPES = [
 print(f"{'shape':24s} {'graph route':>12s} {'content route':>14s} {'closed form':>12s}")
 for name, body, h, truth in SHAPES:
     pair = cg.decompose(body, np.asarray(h))
-    graph = cg.total_boundary_measure(body, pair, seed=1)
+    graph = cg.total_boundary_measure(pair, seed=1)
     content = cg.minkowski_content_perimeter(body, budget={"samples": 400_000}, seed=1)
     truth_s = f"{truth:.7f}" if truth is not None else "-"
     print(f"{name:24s} {graph.value:12.7f} {content.value:14.7f} {truth_s:>12s}")

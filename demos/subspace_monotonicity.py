@@ -23,7 +23,7 @@ for axes in ([0], [0, 1], [0, 1, 2]):
     print(f"  F = {axes_s:10s} value {est.value:.5f}  se {est.std_error:.5f}  ({est.method})")
 
 pair = cg.decompose(body, h)
-perim = cg.total_boundary_measure(body, pair, seed=17)
+perim = cg.total_boundary_measure(pair, seed=17)
 print(f"  graph-route perimeter (reference): {perim.value:.5f}")
 print("  monotone:", all(a.value <= b.value + 1e-9 + 3*(a.std_error+b.std_error)
                          for a, b in zip(values, values[1:])))

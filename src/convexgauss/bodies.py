@@ -563,7 +563,7 @@ _SCHEMA = {
         "directions": {
             "k": _list_of("a list of unit vectors", _UNIT),
             "h": _nullable(_UNIT),
-            "candidates": _nullable(_list_of("a list of unit vectors", _UNIT)),
+            "candidates": _nullable(_list_of("a nonempty list of unit vectors", _UNIT, nonempty=True)),
         },
         "budgets": _Kind("a JSON object of budget fields", _is_object),
         "tolerances": {
@@ -588,9 +588,9 @@ _SCHEMA = {
         "subspaces": _list_of(
             "a list of axis lists",
             _Kind(
-                "a nonempty list of distinct integer axes in [0, model.dim)",
+                "a list of 1 to 3 distinct integer axes in [0, model.dim)",
                 lambda v, n: isinstance(v, list)
-                and bool(v)
+                and 1 <= len(v) <= 3
                 and all(_is_number(a, integer=True) and 0 <= a < n for a in v)
                 and len(set(v)) == len(v),
             ),

@@ -72,6 +72,9 @@ class RunConfig:
         model_cfg = cfg.get("model")
         dim = model_cfg.get("dim") if isinstance(model_cfg, dict) else None
         _check_fields("config", cfg, _SCHEMA["config"], ParameterError, dim)
+        outputs = cfg.get("outputs", {})
+        if outputs.get("csv", "table.csv") == outputs.get("report", "report.json"):
+            raise ParameterError("config.outputs.csv must differ from the report's file name")
         profile = model_cfg.get("spectral_profile")
         model = GaussianModel(dim, brownian_kl_profile(dim) if profile == "brownian" else profile)
         budget = Budget.from_any(cfg.get("budgets", {}))
@@ -98,7 +101,7 @@ class RunConfig:
             h=None if h is None else np.asarray(h, dtype=float),
             candidates=None if candidates is None else [np.asarray(c, dtype=float) for c in candidates],
             budget=budget,
-            outputs=cfg.get("outputs", {}),
+            outputs=outputs,
             grid=cfg.get("grid", {}),
             density=cfg.get("density", {}),
             subspaces=cfg.get("subspaces", []),
@@ -167,7 +170,7 @@ def _pinned_pair(config: RunConfig, body: ConvexBody, cast=None):
 def _run_perimeter(config: RunConfig):
     body = config.body
     pair = _pinned_pair(config, body)
-    graph_est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
+    graph_est = total_boundary_measure(pair, budget=config.budget, seed=config.seed)
     content_est = minkowski_content_perimeter(body, budget=config.budget, seed=config.seed)
     rel_tol = config.tolerances.get("perimeter_relative", 0.02)
     tol = max(
@@ -193,15 +196,12 @@ def _run_ibp(config: RunConfig):
         raise ParameterError("config.psi is required for the ibp subcommand")
     if not config.k_list:
         raise ParameterError("config.directions.k must be nonempty for ibp")
-    body = config.body
     reports = verify_ibp(
-        body,
+        _pinned_pair(config, config.body),
         config.psi,
         np.stack(config.k_list),
         budget=config.budget,
         seed=config.seed,
-        h=config.h,
-        candidates=config.candidates,
         tol=config.tolerances.get("ibp"),
     )
     records = [
@@ -260,7 +260,7 @@ def _run_gradcheck(config: RunConfig):
     body = config.body
     cast = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
     pair = _pinned_pair(config, body, cast)
-    errs = gradient_formula_check(body, pair, cast[0])
+    errs = gradient_formula_check(pair, cast[0])
     usable = errs[~np.isnan(errs)]  # nan: vertical or degenerate points
     if not usable.size:
         raise ConvexGaussError("no usable boundary points for the gradient check")
@@ -324,7 +324,7 @@ def _run_converge_dim(config: RunConfig):
         body = kl_ellipsoid(d, scale)
         t0 = time.perf_counter()
         pair = decompose(body, np.eye(d)[0], seed=config.seed)
-        est = total_boundary_measure(body, pair, budget=config.budget, seed=config.seed)
+        est = total_boundary_measure(pair, budget=config.budget, seed=config.seed)
         wall = time.perf_counter() - t0
         rows.append(
             {

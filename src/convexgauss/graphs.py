@@ -334,10 +334,12 @@ class GraphPair:
     with +/-inf for a missing graph and nan outside the projected domain
     (its domain test); t_hint, per-row section parameters that may lie
     inside the body, only speeds up the search. basis rows span that
-    hyperplane. analytic_f_gradient is set by function_graph, whose only
-    finite graph is f. _nodes holds one surface-integral node set per
-    (budget, seed) (surface._NodeSet), shared by both graphs and every
-    integrand. _vertical_mass is the surface-mass share of the boundary set
+    hyperplane. body is the body decompose was given, which every route
+    that needs a body reads; a function_graph pair has none.
+    analytic_f_gradient is set by function_graph, whose only finite graph
+    is f. _nodes holds one surface-integral node set per (budget, seed)
+    (surface._NodeSet), shared by both graphs and every integrand.
+    _vertical_mass is the surface-mass share of the boundary set
     vertical to the direction: choose_direction's estimate when decompose
     was given it, else made once by the first boundary sum
     (surface._check_vertical_mass).
@@ -548,26 +550,36 @@ def _stencil_gradient(pair, Y, steps, t_hint=None):
     return {w: (grads @ basis, ~todo) for w, grads in zip(which, grads_c)}
 
 
-def _classify(body: ConvexBody, pair: GraphPair, X: np.ndarray):
+def _pair_body(pair: GraphPair) -> ConvexBody:
+    """The body a pair was decomposed from. A function_graph pair has none,
+    so it raises ParameterError for every route that needs the body."""
+    if pair.body is None:
+        raise ParameterError("a function_graph pair has no body; decompose a body for this")
+    return pair.body
+
+
+def _classify(pair: GraphPair, X: np.ndarray):
     """Labels (upper_graph / lower_graph / vertical) of boundary points X
-    (N, n) and the ends (g, f) of their sections, from one section search;
-    boundary_classify states the precondition and the match tolerance."""
+    (N, n) of the pair's body and the ends (g, f) of their sections, from
+    one pair.ends call; boundary_classify states the precondition and the
+    match tolerance."""
     tol = DEFAULT_GAUGE_TOL
-    p = minkowski_functional(body, X, tol=tol)
+    p = minkowski_functional(_pair_body(pair), X, tol=tol)
     off = np.abs(p - 1.0) > 10.0 * tol
     if off.any():
         raise DomainError(f"x is not near the boundary: gauge(x) = {float(p[off][0])}")
     h = pair.direction
     t = X @ h
-    lower, upper, _ = _section_endpoints(body, h, X - np.outer(t, h))
+    lower, upper = pair.ends(X - np.outer(t, h))
     # empty sections give nan endpoints and missing graphs +/-inf: neither is near
     near = lambda end: np.abs(t - end) <= 100.0 * tol
     labels = np.where(near(upper), "upper_graph", np.where(near(lower), "lower_graph", "vertical"))
     return labels, lower, upper
 
 
-def boundary_classify(body: ConvexBody, pair: GraphPair, x):
-    """Classify boundary points as upper_graph / lower_graph / vertical.
+def boundary_classify(pair: GraphPair, x):
+    """Classify boundary points of the pair's body as upper_graph /
+    lower_graph / vertical.
 
     x: one point (n,), giving one label, or a batch (N, n), giving a list of
     N labels. With tol = DEFAULT_GAUGE_TOL, the precondition is
@@ -575,7 +587,7 @@ def boundary_classify(body: ConvexBody, pair: GraphPair, x):
     tolerance is 100*tol.
     """
     X = np.asarray(x, dtype=float)
-    labels, _, _ = _classify(body, pair, np.atleast_2d(X))
+    labels, _, _ = _classify(pair, np.atleast_2d(X))
     return str(labels[0]) if X.ndim == 1 else labels.tolist()
 
 

@@ -26,13 +26,15 @@ from .errors import (
     OracleIntegrityError,
     ParameterError,
 )
-# boundary_classify and graph_value_and_gradient are not called here, and
-# neither is graph_surface_integral below: they stay imported because
-# perfbench/tracer.py wraps them in this module, until the in-library run
-# recorder of ROADMAP item 7 replaces that tracer
+# boundary_classify, choose_direction, decompose,
+# default_direction_candidates and graph_value_and_gradient are not called
+# here, and neither is graph_surface_integral below: they stay imported
+# because perfbench/tracer.py wraps them in this module, until the
+# in-library run recorder of ROADMAP item 7 replaces that tracer
 from .graphs import (  # noqa: F401
     GraphPair,
     _classify,
+    _pair_body,
     _require_fit,
     _stencil_gradient,
     boundary_classify,
@@ -296,83 +298,59 @@ def lhs_volume_integral(
 
 
 def rhs_surface_integral(
-    body: ConvexBody,
-    pair: GraphPair,
-    psi: TestFunction,
-    k,
-    budget=None,
-    seed: int = 0,
+    pair: GraphPair, psi: TestFunction, k, budget=None, seed: int = 0
 ) -> EstimateWithError:
-    """Boundary integral of psi * (d_k p)/|grad p| = psi * <nu, k>, nu the
-    outward unit normal, summed over the finite graphs; infinite graphs
-    contribute nothing."""
+    """Boundary integral of psi * (d_k p)/|grad p| = psi * <nu, k> over the
+    boundary of the pair's body, nu the outward unit normal, summed over the
+    finite graphs; infinite graphs contribute nothing."""
     budget = Budget.from_any(budget)
-    k = as_direction(k, dim=body.dim)
-    return _boundary_sum(
-        body, pair, lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k), budget, seed
-    )
+    k = as_direction(k, dim=pair.direction.size)
+    return _boundary_sum(pair, lambda x, nu: np.asarray(psi(x), dtype=float) * (nu @ k), budget, seed)
 
 
 def verify_ibp(
-    body: ConvexBody,
-    psi: TestFunction,
-    k,
-    budget=None,
-    seed: int = 0,
-    h=None,
-    candidates=None,
-    tol: Optional[float] = None,
+    pair: GraphPair, psi: TestFunction, k, budget=None, seed: int = 0, tol: Optional[float] = None
 ):
-    """Run both sides of the boundary integration-by-parts identity and
-    compare them at tolerance `tol` (default: three summed standard errors).
+    """Run both sides of the boundary integration-by-parts identity on the
+    pair's body, the right side along the pair's direction, and compare them
+    at tolerance `tol` (default: three summed standard errors).
 
-    Without `h` the graph direction is chosen among `candidates` (default:
-    the coordinate axes plus random directions) by least vertical mass.
+    To choose the direction, pass the pair of decompose(body, h,
+    vertical_mass=...) with choose_direction's h and estimate.
     k: one direction (n,), giving one VerificationReport, or a stack (K, n),
-    giving a list of K. A stack chooses the direction, decomposes the body
-    and checks the vertical mass once, shares one pass over the draws on
-    the left side and one set of graph nodes on the right; each report
-    equals the one-direction call bit for bit.
+    giving a list of K. A stack checks the vertical mass once, shares one
+    pass over the draws on the left side and one set of graph nodes on the
+    right; each report equals the one-direction call bit for bit.
     """
+    body = _pair_body(pair)
     budget = Budget.from_any(budget)
     ks, single = _direction_stack(k, body.dim)
-    if h is not None:
-        h = as_direction(np.asarray(h, dtype=float), dim=body.dim)
-        vertical_mass = None
-    else:
-        if candidates is None:
-            candidates = default_direction_candidates(body.dim, seed=seed)
-        h, vertical_mass = choose_direction(
-            body, candidates, boundary_samples=budget.boundary_samples, seed=seed
-        )
-    # the pair keeps a chosen direction's vertical-mass estimate; a given
-    # direction gets its estimate from the first right side
-    pair = decompose(body, h, seed=seed, vertical_mass=vertical_mass)
     lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
     reports = []
     for kj, lhs_j in zip(ks, lhs):
-        rhs = rhs_surface_integral(body, pair, psi, kj, budget=budget, seed=seed)
+        rhs = rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed)
         metadata = {
             "body": body.spec or {"shape": body.shape_tag},
             "psi": psi.name,
             "k": [float(v) for v in kj],
-            "h": [float(v) for v in h],
+            "h": [float(v) for v in pair.direction],
             "dim": body.dim,
             "seed": seed,
             "samples": budget.samples,
             "case": pair.case_tag,
+            # the estimate the right side checked
+            "vertical_mass": pair._vertical_mass.value,
         }
-        if vertical_mass is not None:
-            metadata["vertical_mass"] = vertical_mass.value
         reports.append(
             VerificationReport.from_estimates(lhs_j, rhs, configured_tol=tol, metadata=metadata)
         )
     return reports[0] if single else reports
 
 
-def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
+def gradient_formula_check(pair: GraphPair, x):
     """Relative deviation between the graph-based gauge gradient formula and
-    the central-difference gauge gradient at boundary points x.
+    the central-difference gauge gradient at boundary points x of the pair's
+    body.
 
     On the upper graph the formula is (-grad f(y) + h) / (f(y) - <grad f, y>);
     on the lower graph (grad g(y) - h) / (<grad g, y> - g(y)). Also enforces
@@ -386,7 +364,7 @@ def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
-    labels, lower, upper = _classify(body, pair, X)
+    labels, lower, upper = _classify(pair, X)
     if scalar and labels[0] == "vertical":
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
@@ -423,7 +401,7 @@ def gradient_formula_check(body: ConvexBody, pair: GraphPair, x):
     errs = np.full(X.shape[0], np.nan)
     rows = np.flatnonzero(graph)
     if rows.size:
-        fd_grad = minkowski_gradient_fd(body, X[rows])
+        fd_grad = minkowski_gradient_fd(pair.body, X[rows])
         denom = np.linalg.norm(fd_grad, axis=1)
         if scalar and denom[0] == 0:
             raise DegeneracyError("finite-difference gauge gradient vanished")

@@ -42,6 +42,7 @@ from .graphs import (  # noqa: F401
     _direction_vertical_mass,
     _empty_sections,
     _golden_min_gauge,
+    _pair_body,
     _section_endpoints,
     _stencil_gradient,
 )
@@ -493,14 +494,14 @@ def _periodic_gradient(r, dx):
     return (np.roll(r, -1, axis=-1) - np.roll(r, 1, axis=-1)) / (2.0 * dx)
 
 
-def _check_vertical_mass(body, pair: GraphPair, budget: Budget, seed: int):
+def _check_vertical_mass(pair: GraphPair, budget: Budget, seed: int):
     """Raise DirectionError, naming the mass, when the boundary set vertical
     to the pair's direction carries more than MAX_VERTICAL_MASS of the
     surface measure beyond three standard errors. A pair without an estimate
-    gets one here, from one ray cast at budget.boundary_samples and seed,
-    and keeps it for every later boundary sum."""
+    gets one here, from one ray cast of its body at budget.boundary_samples
+    and seed, and keeps it for every later boundary sum."""
     if pair._vertical_mass is None:  # set once on the frozen pair
-        est = _direction_vertical_mass(body, pair.direction, budget.boundary_samples, seed)
+        est = _direction_vertical_mass(_pair_body(pair), pair.direction, budget.boundary_samples, seed)
         object.__setattr__(pair, "_vertical_mass", est)
     vmass = pair._vertical_mass
     if vmass.value - 3.0 * vmass.std_error > MAX_VERTICAL_MASS:
@@ -510,21 +511,22 @@ def _check_vertical_mass(body, pair: GraphPair, budget: Budget, seed: int):
         )
 
 
-def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int):
+def _boundary_sum(pair: GraphPair, phi, budget: Budget, seed: int):
     """Sum over the finite graphs of the surface integrals of phi(x, nu),
     nu the outward unit normal: the graph normal on the upper graph, its
     negation (exact in floating point) on the lower one.
 
     Raises DirectionError when no graph is finite and when the boundary set
     vertical to the pair's direction is not negligible, for bounded and
-    unbounded bodies alike.
+    unbounded bodies alike, and ParameterError for a function_graph pair,
+    which has no body to ray-cast for that check.
     """
     if not (pair.f_finite or pair.g_finite):
         raise DirectionError(
             "both graphs are infinite along this direction (cylinder-like body); "
             "pick a transverse direction"
         )
-    _check_vertical_mass(body, pair, budget, seed)
+    _check_vertical_mass(pair, budget, seed)
     total = None
     for which, finite, outward in (
         ("upper", pair.f_finite, phi),
@@ -536,18 +538,16 @@ def _boundary_sum(body, pair: GraphPair, phi, budget: Budget, seed: int):
     return total
 
 
-def total_boundary_measure(
-    body: ConvexBody, pair: GraphPair, budget=None, seed: int = 0
-) -> EstimateWithError:
-    """Total Gaussian surface measure of the boundary: the sum of the
-    area-formula integrals (integrand 1) over the finite graphs.
+def total_boundary_measure(pair: GraphPair, budget=None, seed: int = 0) -> EstimateWithError:
+    """Total Gaussian surface measure of the boundary of the pair's body: the
+    sum of the area-formula integrals (integrand 1) over the finite graphs.
 
     Requires the direction's vertical boundary set to be negligible; a
     vertical-dominated direction (e.g. a cylinder along h, or a prism
     graphed across two of its faces) raises DirectionError naming the fix.
     """
     budget = Budget.from_any(budget)
-    return _boundary_sum(body, pair, lambda x, nu: np.ones(x.shape[0]), budget, seed)
+    return _boundary_sum(pair, lambda x, nu: np.ones(x.shape[0]), budget, seed)
 
 
 def minkowski_content_perimeter(

@@ -35,7 +35,7 @@ def test_criterion_1_halfspace_ibp():
     checks = []
     for psi, k, target in cases:
         rep = cg.verify_ibp(
-            body, psi, k, budget={"samples": 1_000_000}, seed=2024, h=E1_3
+            cg.decompose(body, E1_3, seed=2024), psi, k, budget={"samples": 1_000_000}, seed=2024
         )
         ok = rep.abs_diff <= 3.0 * (rep.lhs.std_error + rep.rhs.std_error) + 1e-9
         if target is not None:
@@ -53,7 +53,7 @@ def test_criterion_2_ball_perimeter():
     t0 = time.perf_counter()
     disk = cg.ball(1.0, 2)
     pair = cg.decompose(disk, E2_2)
-    graph = cg.total_boundary_measure(disk, pair, seed=7)
+    graph = cg.total_boundary_measure(pair, seed=7)
     content = cg.minkowski_content_perimeter(disk, budget={"samples": 400_000}, seed=7)
     elapsed = time.perf_counter() - t0
     ok_graph = abs(graph.value - DISK_PERIM) <= 0.01 * DISK_PERIM
@@ -92,7 +92,7 @@ def test_criterion_4_gradient_formula_polytope():
     # raises if the normalized formula deviates from the graph normal
     # beyond 1e-6, so each finite value certifies that too; nan marks a
     # vertical or degenerate point
-    errs = cg.gradient_formula_check(body, pair, pts)
+    errs = cg.gradient_formula_check(pair, pts)
     errs = errs[~np.isnan(errs)]
     median = float(np.median(errs))
     ok = median <= 1e-3 and len(errs) >= 90
@@ -127,13 +127,13 @@ def test_criterion_6_boundary_decomposition():
     h = cg.normalize_direction([0.3, -0.5, 0.8])
     pair = cg.decompose(disk3, h)
     pts, _, _ = ray_cast_boundary(disk3, 1000, seed=61)
-    labels = cg.boundary_classify(disk3, pair, pts)
+    labels = cg.boundary_classify(pair, pts)
     frac_graph = np.mean([lab in ("upper_graph", "lower_graph") for lab in labels])
 
     cyl = cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0])
     pair_c = cg.decompose(cyl, E3_3)
     pts_c, _, _ = ray_cast_boundary(cyl, 1000, seed=62)
-    labels_c = cg.boundary_classify(cyl, pair_c, pts_c)
+    labels_c = cg.boundary_classify(pair_c, pts_c)
     frac_vert = np.mean([lab == "vertical" for lab in labels_c])
 
     chosen, _ = cg.choose_direction(cyl, [E3_3, E1_3], boundary_samples=800, seed=63)
@@ -175,7 +175,7 @@ def test_criterion_7_oracle_cross_agreement():
         for name, body, h in _matrix_shapes(dim, seed=70 + dim):
             pair = cg.decompose(body, h)
             budget = budget4 if dim == 4 else None
-            graph = cg.total_boundary_measure(body, pair, budget=budget, seed=700 + dim)
+            graph = cg.total_boundary_measure(pair, budget=budget, seed=700 + dim)
             content = cg.minkowski_content_perimeter(
                 body, budget={"samples": 300_000}, seed=701 + dim
             )
@@ -195,7 +195,9 @@ def test_criterion_7_oracle_cross_agreement():
 def test_criterion_8_vector_measure_signs():
     slab = cg.slab([1.0, 0.0], 1.0)
     budget = {"samples": 400_000}
-    report = cg.verify_ibp(slab, cg.constant(1.0), E1_2, budget=budget, seed=80, h=E1_2)
+    report = cg.verify_ibp(
+        cg.decompose(slab, E1_2, seed=80), cg.constant(1.0), E1_2, budget=budget, seed=80
+    )
     # each graph's term of <nu, k> against its own graph normal
     pair = cg.decompose(slab, E1_2)
     integrand = lambda x, nu: nu @ E1_2

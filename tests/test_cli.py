@@ -146,6 +146,12 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ),
         ("perimeter", {"budgets": None}, "config.budgets"),
         ("perimeter", {"budgets": [1000]}, "config.budgets"),
+        ("perimeter", {"directions": {"candidates": []}}, "config.directions.candidates"),
+        (
+            "surface",
+            {"model": {"dim": 4}, "directions": {}, "subspaces": [[0], [0, 1, 2, 3]]},
+            "config.subspaces[1]",
+        ),
     ],
     ids=[
         "density_point_dim",
@@ -197,6 +203,8 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "cylinder_base_radius",
         "budgets_null",
         "budgets_list",
+        "candidates_empty",
+        "subspace_four_axes",
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, subcommand, overrides, field):
@@ -224,6 +232,19 @@ def test_output_names_stay_inside_out(tmp_path, capsys, key, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"outputs.{key}" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
+
+
+@pytest.mark.parametrize("outputs", [{"csv": "report.json"}, {"report": "out.json", "csv": "out.json"}])
+def test_csv_may_not_overwrite_the_report(tmp_path, capsys, outputs):
+    cfg = _load("subspace_ellipsoid.json", outputs=outputs)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["surface", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.outputs.csv" in err
+    assert not out.exists()
 
 
 def test_missing_seed_rejected(tmp_path, capsys):

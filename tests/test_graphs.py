@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from convexgauss.errors import (
     DomainError,
     MarginError,
     OracleIntegrityError,
+    ParameterError,
 )
 from convexgauss.graphs import GOLDEN, GOLDEN_STEPS, _golden_min_gauge
 
@@ -101,16 +103,42 @@ def test_graph_margin_error_outside_domain(disk):
 
 def test_boundary_classify_examples(disk, cyl3):
     pair = cg.decompose(disk, E2_2)
-    assert cg.boundary_classify(disk, pair, np.array([0.6, 0.8])) == "upper_graph"
-    assert cg.boundary_classify(disk, pair, np.array([0.6, -0.8])) == "lower_graph"
+    assert cg.boundary_classify(pair, np.array([0.6, 0.8])) == "upper_graph"
+    assert cg.boundary_classify(pair, np.array([0.6, -0.8])) == "lower_graph"
     pair3 = cg.decompose(cyl3, E3_3)
-    assert cg.boundary_classify(cyl3, pair3, np.array([1.0, 0.0, 5.0])) == "vertical"
+    assert cg.boundary_classify(pair3, np.array([1.0, 0.0, 5.0])) == "vertical"
 
 
 def test_boundary_classify_requires_boundary(disk):
     pair = cg.decompose(disk, E2_2)
     with pytest.raises(DomainError):
-        cg.boundary_classify(disk, pair, np.array([0.2, 0.2]))
+        cg.boundary_classify(pair, np.array([0.2, 0.2]))
+
+
+def test_boundary_classify_searches_its_points_once(ball3):
+    calls = []
+    pair = cg.decompose(ball3, E3_3)
+    counting = lambda Y, t_hint=None: calls.append(len(Y)) or pair.ends(Y, t_hint)
+    pts = 1.5 * np.array([[0.6, 0.0, 0.8], [0.0, 0.6, -0.8], [0.28, 0.96, 0.0]])
+    labels = cg.boundary_classify(dataclasses.replace(pair, ends=counting), pts)
+    assert labels == cg.boundary_classify(pair, pts) == ["upper_graph", "lower_graph", "vertical"]
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair: cg.total_boundary_measure(pair, budget={"quadrature_order": 8}),
+        lambda pair: cg.verify_ibp(pair, cg.constant(1.0), E1_2, budget={"samples": 1000}),
+        lambda pair: cg.boundary_classify(pair, np.array([0.5, 0.0])),
+        lambda pair: cg.gradient_formula_check(pair, np.array([0.5, 0.0])),
+    ],
+    ids=["total_boundary_measure", "verify_ibp", "boundary_classify", "gradient_formula_check"],
+)
+def test_function_graph_pair_has_no_body(call):
+    pair = cg.function_graph(E2_2, lambda y: np.full(len(np.atleast_2d(y)), 0.5))
+    with pytest.raises(ParameterError, match="function_graph"):
+        call(pair)
 
 
 def test_choose_direction_ball(disk):
@@ -192,7 +220,7 @@ def test_classification_coverage_ball(ball3):
     from convexgauss.graphs import ray_cast_boundary
 
     pts, _, _ = ray_cast_boundary(ball3, 300, seed=10)
-    labels = cg.boundary_classify(ball3, pair, pts)
+    labels = cg.boundary_classify(pair, pts)
     frac = np.mean([lab in ("upper_graph", "lower_graph") for lab in labels])
     assert frac >= 0.99
 

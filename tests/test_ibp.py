@@ -74,20 +74,20 @@ def test_lhs_se_scaling(halfspace3):
 
 def test_rhs_halfspace_flat(halfspace3):
     pair = cg.decompose(halfspace3, E1_3)
-    est = cg.rhs_surface_integral(halfspace3, pair, cg.constant(1.0), E1_3, seed=5)
+    est = cg.rhs_surface_integral(pair, cg.constant(1.0), E1_3, seed=5)
     assert est.value == pytest.approx(G1_AT_1, rel=1e-9)
 
 
 def test_rhs_ball_odd_integrand(disk):
     pair = cg.decompose(disk, E2_2)
-    est = cg.rhs_surface_integral(disk, pair, cg.constant(1.0), E1_2, seed=6)
+    est = cg.rhs_surface_integral(pair, cg.constant(1.0), E1_2, seed=6)
     assert abs(est.value) <= 1e-8
 
 
 def test_rhs_ball_coordinate_squared(disk):
     # x1 against <nu, e1> integrates cos^2 over the circle: e^{-1/2}/2
     pair = cg.decompose(disk, E2_2)
-    est = cg.rhs_surface_integral(disk, pair, cg.coordinate(0), E1_2, seed=7)
+    est = cg.rhs_surface_integral(pair, cg.coordinate(0), E1_2, seed=7)
     assert est.value == pytest.approx(HALF_PERIM, rel=2e-4)
 
 
@@ -96,12 +96,11 @@ def test_rhs_ball_coordinate_squared(disk):
 
 def test_verify_halfspace_closed_form(halfspace3):
     report = cg.verify_ibp(
-        halfspace3,
+        cg.decompose(halfspace3, E1_3, seed=8),
         cg.constant(1.0),
         E1_3,
         budget={"samples": 400_000},
         seed=8,
-        h=E1_3,
     )
     assert report.verdict == "pass"
     assert abs(report.lhs.value - G1_AT_1) <= 3 * report.lhs.std_error
@@ -110,12 +109,11 @@ def test_verify_halfspace_closed_form(halfspace3):
 
 def test_verify_ball3_tanh(ball3):
     report = cg.verify_ibp(
-        ball3,
+        cg.decompose(ball3, np.array([0.0, 0.0, 1.0]), seed=9),
         cg.tanh_of([1.0, 1.0, 0.0]),
         E2_3,
         budget={"samples": 400_000},
         seed=9,
-        h=np.array([0.0, 0.0, 1.0]),
     )
     assert report.verdict == "pass"
 
@@ -123,12 +121,11 @@ def test_verify_ball3_tanh(ball3):
 def test_verify_direction_invariance(disk):
     reports = [
         cg.verify_ibp(
-            disk,
+            cg.decompose(disk, h, seed=10),
             cg.tanh_of([0.5, -1.0]),
             E1_2,
             budget={"samples": 300_000},
             seed=10,
-            h=h,
         )
         for h in (E1_2, E2_2, cg.normalize_direction([1.0, 1.0]))
     ]
@@ -148,20 +145,30 @@ def test_verify_level_set_matches_shape_spec():
         outer_radius=2.0,
     )
     psi = cg.coordinate(1)  # nonzero two-sided value ~0.21
-    cfgs = {"budget": {"samples": 200_000}, "seed": 11, "h": E2_2}
-    ra = cg.verify_ibp(spec_body, psi, E2_2, **cfgs)
-    rb = cg.verify_ibp(level_body, psi, E2_2, **cfgs)
+    cfgs = {"budget": {"samples": 200_000}, "seed": 11}
+    ra = cg.verify_ibp(cg.decompose(spec_body, E2_2, seed=11), psi, E2_2, **cfgs)
+    rb = cg.verify_ibp(cg.decompose(level_body, E2_2, seed=11), psi, E2_2, **cfgs)
     assert ra.verdict == "pass" and rb.verdict == "pass"
     assert ra.rhs.value == pytest.approx(rb.rhs.value, abs=1e-6)
     assert ra.lhs.value == pytest.approx(rb.lhs.value, abs=1e-12)
 
 
+def _chosen_pair(body, seed):
+    """The pair along the default candidate choose_direction picks, keeping
+    its vertical-mass estimate."""
+    cands = cg.default_direction_candidates(body.dim, seed=seed)
+    h, mass = cg.choose_direction(body, cands, seed=seed)
+    return cg.decompose(body, h, seed=seed, vertical_mass=mass)
+
+
 def test_verify_auto_direction(disk):
-    report = cg.verify_ibp(
-        disk, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 150_000}, seed=12
-    )
+    pair = _chosen_pair(disk, 12)
+    mass = pair._vertical_mass
+    report = cg.verify_ibp(pair, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 150_000}, seed=12)
     assert report.verdict == "pass"
-    assert "vertical_mass" in report.metadata
+    assert report.metadata["h"] == pair.direction.tolist()
+    assert report.metadata["vertical_mass"] == mass.value
+    assert pair._vertical_mass is mass
 
 
 def test_verify_auto_direction_ray_casts_once(disk, monkeypatch):
@@ -173,10 +180,8 @@ def test_verify_auto_direction_ray_casts_once(disk, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cg.graphs, "ray_cast_boundary", counting)
-    report = cg.verify_ibp(
-        disk, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 20_000}, seed=12
-    )
-    assert "vertical_mass" in report.metadata
+    pair = _chosen_pair(disk, 12)
+    cg.verify_ibp(pair, cg.tanh_of([1.0, 0.0]), E1_2, budget={"samples": 20_000}, seed=12)
     assert len(calls) == 1
 
 
@@ -184,7 +189,7 @@ def test_verify_zero_identity_is_inconclusive_not_fail(disk):
     # psi == 1, k = e1 on a centered ball: both sides are 0 by symmetry, so
     # the noise-dominance rule must flag the run instead of passing on luck
     report = cg.verify_ibp(
-        disk, cg.constant(1.0), E1_2, budget={"samples": 50_000}, seed=12, h=E2_2
+        cg.decompose(disk, E2_2, seed=12), cg.constant(1.0), E1_2, budget={"samples": 50_000}, seed=12
     )
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
     assert abs(report.rhs.value) <= 1e-8
@@ -241,8 +246,10 @@ def _tanh_without_gradient(weights):
 )
 def test_verify_stack_equals_one_call_per_k(body, psi, ks, h, budget, threads):
     budget = {**budget, "threads": threads}
-    stacked = cg.verify_ibp(body, psi, np.stack(ks), budget=budget, seed=13, h=h)
-    single = [cg.verify_ibp(body, psi, k, budget=budget, seed=13, h=h) for k in ks]
+    # a fresh pair per call, so no call reuses another's nodes
+    pair = lambda: _chosen_pair(body, 13) if h is None else cg.decompose(body, h, seed=13)
+    stacked = cg.verify_ibp(pair(), psi, np.stack(ks), budget=budget, seed=13)
+    single = [cg.verify_ibp(pair(), psi, k, budget=budget, seed=13) for k in ks]
     assert len(stacked) == len(ks)
     for a, b in zip(stacked, single):
         assert a.lhs == b.lhs
@@ -259,7 +266,7 @@ def test_verify_stack_equals_one_call_per_k(body, psi, ks, h, budget, threads):
 def test_gradient_formula_ball(disk):
     pair = cg.decompose(disk, E2_2)
     for x in (np.array([0.6, 0.8]), np.array([0.6, -0.8]), np.array([0.0, 1.0])):
-        rel = cg.gradient_formula_check(disk, pair, x)
+        rel = cg.gradient_formula_check(pair, x)
         assert rel <= 1e-6
 
 
@@ -267,14 +274,14 @@ def test_gradient_formula_halfspace():
     hs = cg.halfspace([0.6, 0.8], 1.0)
     pair = cg.decompose(hs, E2_2)
     x = np.array([0.0, 1.25])  # on the boundary: <a, x> = 1
-    rel = cg.gradient_formula_check(hs, pair, x)
+    rel = cg.gradient_formula_check(pair, x)
     assert rel <= 1e-6
 
 
 def test_gradient_formula_vertical_raises(cyl3):
     pair = cg.decompose(cyl3, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DomainError):
-        cg.gradient_formula_check(cyl3, pair, np.array([1.0, 0.0, 2.0]))
+        cg.gradient_formula_check(pair, np.array([1.0, 0.0, 2.0]))
 
 
 def test_gradient_formula_polytope_median():
@@ -282,7 +289,7 @@ def test_gradient_formula_polytope_median():
     h = cg.normalize_direction([0.23, -0.44, 0.87])
     pair = cg.decompose(body, h)
     pts, _, _ = ray_cast_boundary(body, 100, seed=24)
-    errs = cg.gradient_formula_check(body, pair, pts)
+    errs = cg.gradient_formula_check(pair, pts)
     errs = errs[~np.isnan(errs)]
     assert len(errs) >= 90
     assert float(np.median(errs)) <= 1e-3
@@ -312,12 +319,12 @@ def _benchmark_gradcheck_bodies():
 def test_gradient_formula_batch_matches_single_points():
     for body, h, pts in _benchmark_gradcheck_bodies():
         pair = cg.decompose(body, h)
-        labels = cg.boundary_classify(body, pair, pts)
-        assert labels == [cg.boundary_classify(body, pair, x) for x in pts]
-        errs = cg.gradient_formula_check(body, pair, pts)
+        labels = cg.boundary_classify(pair, pts)
+        assert labels == [cg.boundary_classify(pair, x) for x in pts]
+        errs = cg.gradient_formula_check(pair, pts)
         for x, err in zip(pts, errs):
             try:
-                single = cg.gradient_formula_check(body, pair, x)
+                single = cg.gradient_formula_check(pair, x)
             except (DomainError, DegeneracyError):
                 assert np.isnan(err)
             else:
@@ -328,19 +335,19 @@ def test_gradient_formula_batch_gives_nan_at_vertical_point(cyl3):
     # along e1 the cylinder's boundary points (0, +-1, z) are vertical
     pair = cg.decompose(cyl3, np.array([1.0, 0.0, 0.0]))
     pts = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.3]])
-    errs = cg.gradient_formula_check(cyl3, pair, pts)
+    errs = cg.gradient_formula_check(pair, pts)
     assert errs.shape == (2,)
     assert errs[0] <= 1e-6 and np.isnan(errs[1])
-    assert errs[0] == pytest.approx(cg.gradient_formula_check(cyl3, pair, pts[0]), rel=1e-8)
+    assert errs[0] == pytest.approx(cg.gradient_formula_check(pair, pts[0]), rel=1e-8)
     with pytest.raises(DomainError):
-        cg.gradient_formula_check(cyl3, pair, pts[1])
+        cg.gradient_formula_check(pair, pts[1])
 
 
 def _ellipsoid_points_on_both_graphs():
     body = cg.ellipsoid([1.2, 0.9, 0.7])
     pair = cg.decompose(body, np.array([0.0, 0.0, 1.0]))
     pts, _, _ = ray_cast_boundary(body, 40, seed=5)
-    assert {"upper_graph", "lower_graph"} <= set(cg.boundary_classify(body, pair, pts))
+    assert {"upper_graph", "lower_graph"} <= set(cg.boundary_classify(pair, pts))
     return body, pair, pts
 
 
@@ -364,15 +371,15 @@ def test_gradient_check_searches_its_points_once(monkeypatch):
     monkeypatch.setattr(cg.graphs, "_section_endpoints", counted_search)
     monkeypatch.setattr(cg.graphs, "_stencil_gradient", flagged_stencil)
     monkeypatch.setattr(cg.ibp, "_stencil_gradient", flagged_stencil, raising=False)
-    cg.gradient_formula_check(body, pair, pts)
+    cg.gradient_formula_check(pair, pts)
     assert searches == [len(pts)]
 
 
 def test_gradient_check_equals_classification_then_per_graph_gradients():
     body, pair, pts = _ellipsoid_points_on_both_graphs()
-    errs = cg.gradient_formula_check(body, pair, pts)
+    errs = cg.gradient_formula_check(pair, pts)
     # the reference: labels, then each graph's own values and gradients
-    labels = np.asarray(cg.boundary_classify(body, pair, pts))
+    labels = np.asarray(cg.boundary_classify(pair, pts))
     h = pair.direction
     Y = pts - np.outer(pts @ h, h)
     formula = np.full(pts.shape, np.nan)
@@ -436,7 +443,9 @@ def test_two_rhs_routes_agree_pointwise(disk):
 
 def test_vector_measure_slab_cancellation(slab2):
     budget = {"samples": 200_000}
-    report = cg.verify_ibp(slab2, cg.constant(1.0), E1_2, budget=budget, seed=13, h=E1_2)
+    report = cg.verify_ibp(
+        cg.decompose(slab2, E1_2, seed=13), cg.constant(1.0), E1_2, budget=budget, seed=13
+    )
     pair = cg.decompose(slab2, E1_2)
     # both graph terms of <nu, k>, each against its own graph normal, equal
     # G1(1) and cancel in the signed assembly
@@ -449,7 +458,11 @@ def test_vector_measure_slab_cancellation(slab2):
 
 def test_vector_measure_orthogonal_direction(halfspace3):
     report = cg.verify_ibp(
-        halfspace3, cg.constant(1.0), E2_3, budget={"samples": 100_000}, seed=14, h=E1_3
+        cg.decompose(halfspace3, E1_3, seed=14),
+        cg.constant(1.0),
+        E2_3,
+        budget={"samples": 100_000},
+        seed=14,
     )
     assert abs(report.rhs.value) <= 1e-9
     assert abs(report.lhs.value) <= 3 * report.lhs.std_error
@@ -457,7 +470,11 @@ def test_vector_measure_orthogonal_direction(halfspace3):
 
 def test_vector_measure_ball_coordinate(disk):
     report = cg.verify_ibp(
-        disk, cg.coordinate(1), E2_2, budget={"samples": 400_000}, seed=15, h=E2_2
+        cg.decompose(disk, E2_2, seed=15),
+        cg.coordinate(1),
+        E2_2,
+        budget={"samples": 400_000},
+        seed=15,
     )
     assert report.verdict == "pass"
     assert report.rhs.value == pytest.approx(HALF_PERIM, rel=1e-3)

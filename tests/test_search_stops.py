@@ -198,7 +198,7 @@ def test_rim_search_runs_every_golden_step(monkeypatch):
         return out
 
     monkeypatch.setattr(surface, "_golden_min_gauge", recorded)
-    cg.total_boundary_measure(body, pair, budget={"angles": 48, "radial": 6}, seed=1)
+    cg.total_boundary_measure(pair, budget={"angles": 48, "radial": 6}, seed=1)
     (Y, kw, gauges, (t, q)), = searches
     # one stacked gauge per step, one before the first and one at the end
     assert kw == {} and gauges == GOLDEN_STEPS + 2
@@ -374,10 +374,10 @@ def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
         return t, q
 
     monkeypatch.setattr(graphs, "_golden_min_gauge", recorded)
-    errs = cg.gradient_formula_check(body, pair, X)
+    errs = cg.gradient_formula_check(pair, X)
     assert rows["found"] > 0 and rows["settled"] > 0
     _with_reference_golden(monkeypatch)
-    ref = cg.gradient_formula_check(body, pair, X)
+    ref = cg.gradient_formula_check(pair, X)
     assert np.array_equal(errs, ref, equal_nan=True)
 
 
@@ -435,7 +435,7 @@ def test_given_direction_reports_its_vertical_mass():
     prism = cg.polytope(faces)
     pair = cg.decompose(prism, E1_3)
     with pytest.raises(DirectionError) as err:
-        cg.total_boundary_measure(prism, pair, budget={"angles": 32}, seed=0)
+        cg.total_boundary_measure(pair, budget={"angles": 32}, seed=0)
     assert not isinstance(err.value, DegenerateDirectionError)
     message = str(err.value)
     assert "vertical boundary mass 0.7" in message and "transverse direction" in message
@@ -491,17 +491,47 @@ def test_chosen_gradcheck_direction_casts_rays_once(casts, tmp_path):
     cands = cg.default_direction_candidates(3, seed=3)
     h, mass = cg.choose_direction(body, cands, boundary_samples=100, seed=3)
     pts, _, _ = graphs.ray_cast_boundary(body, 100, 3)
-    errs = cg.gradient_formula_check(body, cg.decompose(body, h, seed=3, vertical_mass=mass), pts)
+    errs = cg.gradient_formula_check(cg.decompose(body, h, seed=3, vertical_mass=mass), pts)
     assert json.loads(report.read_text())["results"][0]["lhs"] == float(np.median(errs[~np.isnan(errs)]))
+
+
+def test_chosen_ibp_direction_casts_rays_once(casts, tmp_path):
+    from convexgauss import cli
+
+    config = {
+        "model": {"dim": 3},
+        "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
+        "psi": {"name": "tanh", "weights": [0.5, -1.0, 0.3]},
+        "directions": {"k": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+        "budgets": {"samples": 20000, "sphere_grid": [8, 16], "radial": 8, "boundary_samples": 100},
+        "seed": 3,
+    }
+    parsed = cli.RunConfig.from_dict(config)
+    cli.run("ibp", parsed, tmp_path)
+    assert [args[1:] for args in casts] == [(100, 3)]
+    (report,) = tmp_path.glob("*.json")
+    # the same right sides as choosing the direction in the library
+    body = parsed.body
+    cands = cg.default_direction_candidates(3, seed=3)
+    h, mass = cg.choose_direction(body, cands, boundary_samples=100, seed=3)
+    reports = cg.verify_ibp(
+        cg.decompose(body, h, seed=3, vertical_mass=mass),
+        parsed.psi,
+        np.stack(parsed.k_list),
+        budget=parsed.budget,
+        seed=3,
+    )
+    records = json.loads(report.read_text())["results"]
+    assert [r["rhs"] for r in records] == [r.rhs.value for r in reports]
 
 
 def test_pair_casts_rays_once_for_all_its_boundary_sums(casts):
     body = cg.ellipsoid([1.2, 0.8])
     pair = cg.decompose(body, [1.0, 0.0])
     budget = {"angles": 64, "radial": 8}
-    cg.total_boundary_measure(body, pair, budget=budget, seed=2)
+    cg.total_boundary_measure(pair, budget=budget, seed=2)
     for k in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
-        cg.rhs_surface_integral(body, pair, cg.coordinate(0), k, budget=budget, seed=2)
+        cg.rhs_surface_integral(pair, cg.coordinate(0), k, budget=budget, seed=2)
     assert len(casts) == 1
 
 
@@ -510,7 +540,7 @@ def test_pair_checks_the_estimate_it_was_given(casts):
     given = cg.EstimateWithError(0.7, 0.01, 100, "monte_carlo")
     pair = cg.decompose(ball, E1_3, vertical_mass=given)
     with pytest.raises(DirectionError, match=r"vertical boundary mass 0\.700"):
-        cg.total_boundary_measure(ball, pair, budget={"angles": 32}, seed=0)
+        cg.total_boundary_measure(pair, budget={"angles": 32}, seed=0)
     assert casts == []
 
 

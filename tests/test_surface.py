@@ -190,7 +190,7 @@ def test_subspace_monotone_nested_chain():
         assert a.value <= b.value + tol
     # the full-space value equals the perimeter computed through the graphs
     pair = cg.decompose(body, E1_3)
-    perim = cg.total_boundary_measure(body, pair, seed=3)
+    perim = cg.total_boundary_measure(pair, seed=3)
     assert vals[-1].value == pytest.approx(perim.value, rel=5e-3)
 
 
@@ -205,7 +205,7 @@ def test_subspace_rejects_large_m():
 
 def test_total_boundary_disk(disk):
     pair = cg.decompose(disk, E2_2)
-    est = cg.total_boundary_measure(disk, pair, seed=0)
+    est = cg.total_boundary_measure(pair, seed=0)
     assert est.value == pytest.approx(DISK_PERIM, rel=1e-4)
 
 
@@ -221,7 +221,7 @@ def test_total_boundary_searches_the_rim_once(monkeypatch):
     monkeypatch.setattr(
         surface, "_golden_min_gauge", lambda *args: searches.append(args) or search(*args)
     )
-    est = cg.total_boundary_measure(body, cg.decompose(body, h), budget=budget)
+    est = cg.total_boundary_measure(cg.decompose(body, h), budget=budget)
     assert len(searches) == 1
     assert est.value == (upper + lower).value
 
@@ -393,21 +393,19 @@ def test_one_node_set_serves_both_graphs_and_every_integrand(
     pair = cg.decompose(body, h)
     ks = np.eye(body.dim)[:3]
     psi = cg.tanh_of(np.linspace(0.5, -0.5, body.dim))
-    one = [cg.rhs_surface_integral(body, pair, psi, k, budget=budget, seed=2) for k in ks]
-    both = cg.total_boundary_measure(body, pair, budget=budget, seed=2)
+    one = [cg.rhs_surface_integral(pair, psi, k, budget=budget, seed=2) for k in ks]
+    both = cg.total_boundary_measure(pair, budget=budget, seed=2)
     assert len(calls) == 1 and len(pair._nodes) == 1
     assert set(next(iter(pair._nodes.values())).graphs) == {"upper", "lower"}
     # each integrand equals its own call on a fresh pair bit for bit
     for k, est in zip(ks, one):
-        fresh = cg.rhs_surface_integral(
-            body, cg.decompose(body, h), psi, k, budget=budget, seed=2
-        )
+        fresh = cg.rhs_surface_integral(cg.decompose(body, h), psi, k, budget=budget, seed=2)
         assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
-    fresh = cg.total_boundary_measure(body, cg.decompose(body, h), budget=budget, seed=2)
+    fresh = cg.total_boundary_measure(cg.decompose(body, h), budget=budget, seed=2)
     assert (both.value, both.std_error) == (fresh.value, fresh.std_error)
     # another seed is another node set
     calls.clear()
-    cg.total_boundary_measure(body, pair, budget=budget, seed=3)
+    cg.total_boundary_measure(pair, budget=budget, seed=3)
     assert len(calls) == 1 and len(pair._nodes) == 2
 
 
@@ -420,29 +418,29 @@ def test_total_boundary_rejects_vertical_faces_of_unbounded_prism():
     assert not prism.bounded
     pair = cg.decompose(prism, E1_3)
     with pytest.raises(DirectionError, match="vertical boundary mass"):
-        cg.total_boundary_measure(prism, pair, seed=0)
+        cg.total_boundary_measure(pair, seed=0)
     with pytest.raises(DirectionError, match="vertical boundary mass"):
-        cg.rhs_surface_integral(prism, pair, cg.constant(1.0), E1_3, seed=0)
+        cg.rhs_surface_integral(pair, cg.constant(1.0), E1_3, seed=0)
 
 
 def test_total_boundary_halfspace():
     hs = cg.halfspace([1.0, 0.0], 1.0)
     pair = cg.decompose(hs, E1_2)
-    est = cg.total_boundary_measure(hs, pair, seed=0)
+    est = cg.total_boundary_measure(pair, seed=0)
     assert est.method == "gauss_hermite"
     assert est.value == pytest.approx(G1_AT_1, rel=1e-10)
 
 
 def test_total_boundary_slab(slab2):
     pair = cg.decompose(slab2, E1_2)
-    est = cg.total_boundary_measure(slab2, pair, seed=0)
+    est = cg.total_boundary_measure(pair, seed=0)
     assert est.value == pytest.approx(2 * G1_AT_1, rel=1e-10)
 
 
 def test_total_boundary_cylinder_needs_transverse_direction(cyl3):
     pair = cg.decompose(cyl3, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DirectionError):
-        cg.total_boundary_measure(cyl3, pair, seed=0)
+        cg.total_boundary_measure(pair, seed=0)
 
 
 def test_symmetric_body_has_equal_graph_halves(disk):
@@ -461,7 +459,7 @@ def test_graph_integrals_finite_for_all_shapes():
     ]
     for body, h in shapes:
         pair = cg.decompose(body, h)
-        est = cg.total_boundary_measure(body, pair, seed=1)
+        est = cg.total_boundary_measure(pair, seed=1)
         assert np.isfinite(est.value) and np.isfinite(est.std_error)
         assert est.value > 0
 
@@ -501,7 +499,7 @@ def test_estimate_invariant_deterministic_methods_have_zero_se():
 def test_monte_carlo_branch_high_dimension():
     body = cg.ball(1.5, 5)
     pair = cg.decompose(body, np.eye(5)[0])
-    est = cg.total_boundary_measure(body, pair, budget={"samples": 20_000}, seed=7)
+    est = cg.total_boundary_measure(pair, budget={"samples": 20_000}, seed=7)
     assert est.method == "monte_carlo"
     assert est.std_error > 0
     # cross-check against the full-dimensional deterministic value in 3-d:

@@ -12,11 +12,15 @@ CLI calls:
 * three fixed 5-d calls on the Monte Carlo graph route, which neither
   reaches: ``converge-dim`` at dimension 5 and ``ibp`` on a halfspace and
   a slab, each ``ibp`` call at one and at two threads;
-* two fixed calls on paths neither reaches either: a ``surface`` call on
-  an off-centre ellipsoid, whose golden sweeps find inside points of thin
-  sections that the lattice probe misses, and a ``gradcheck`` call with no
-  ``directions.h``, whose one ray cast both chooses the direction and
-  gives the check points.
+* three fixed calls on paths neither reaches either: a ``surface`` call
+  on an off-centre ellipsoid, whose golden sweeps find inside points of
+  thin sections that the lattice probe misses, a ``gradcheck`` call with
+  no ``directions.h``, whose one ray cast both chooses the direction and
+  gives the check points, and an ``ibp`` call with no ``directions.h``,
+  whose pair keeps the chosen direction's vertical-mass estimate, at one
+  and at two threads.
+
+That is 47 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -108,7 +112,7 @@ MONTE_CARLO = {
 # fixed calls on paths the benchmark does not reach: a surface call whose
 # sections are centred off the lattice probe's points (at seed 11 the golden
 # sweeps find 6 sections through [0] and 7 through [0, 1], of 151 and 109
-# searched), and a gradcheck call that chooses its direction
+# searched), and a gradcheck and an ibp call that choose their direction
 FIXED = {
     "surface_offcentre_ellipsoid": (
         "surface",
@@ -127,6 +131,17 @@ FIXED = {
             "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
             "budgets": {"boundary_samples": 24},
             "seed": 12,
+        },
+    ),
+    "ibp_chosen_ellipsoid": (
+        "ibp",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "ellipsoid", "semiaxes": [1.2, 0.9, 0.8]},
+            "psi": {"name": "tanh", "weights": [0.5, -1.0, 0.3], "offset": 0.2},
+            "directions": {"k": [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]},
+            "budgets": {"samples": 20000, "sphere_grid": [8, 16], "radial": 8, "boundary_samples": 200},
+            "seed": 13,
         },
     ),
 }
@@ -151,11 +166,11 @@ def jobs() -> list:
     for name, subcommand in DEMOS.items():
         config = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())
         out.append((f"demo/{name}", subcommand, config, None))
-    for name, (subcommand, config) in MONTE_CARLO.items():
-        threads = IBP_THREADS if subcommand == "ibp" else (None,)
-        out += [(f"mc/{name}" + (f"@{t}t" if t else ""), subcommand, config, t) for t in threads]
-    for name, (subcommand, config) in FIXED.items():
-        out.append((f"fixed/{name}", subcommand, config, None))
+    for group, calls in (("mc", MONTE_CARLO), ("fixed", FIXED)):
+        for name, (subcommand, config) in calls.items():
+            threads = IBP_THREADS if subcommand == "ibp" else (None,)
+            label = f"{group}/{name}"
+            out += [(label + (f"@{t}t" if t else ""), subcommand, config, t) for t in threads]
     return out
 
 
