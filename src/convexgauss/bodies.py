@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .errors import (
     BodySpecError,
@@ -133,12 +131,29 @@ def _recenter(contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None
     )
 
 
+def _row_sum(q) -> np.ndarray:
+    """np.sum(q, axis=-1), bit for bit, without a reduction over a short
+    last axis.
+
+    numpy adds fewer than eight terms in order, so one to seven columns are
+    added column by column; from eight on numpy sums pairwise, and np.sum
+    itself is the only bit-equal route (as it is for an empty axis).
+    """
+    n = q.shape[-1]
+    if not 0 < n < 8:
+        return np.sum(q, axis=-1)
+    s = q[..., 0]
+    for i in range(1, n):
+        s = s + q[..., i]
+    return s
+
+
 def ball(radius: float, dim: int) -> ConvexBody:
     """Open Euclidean ball of given radius centred at the origin (translate
     shifts it)."""
     if radius <= 0:
         raise BodySpecError("ball: radius must be positive")
-    contains = lambda x: np.linalg.norm(np.asarray(x, float), axis=-1) < radius
+    contains = lambda x: np.sqrt(_row_sum(np.square(np.asarray(x, float)))) < radius
     distance = lambda x: np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
     return _recenter(
         contains,
@@ -164,7 +179,7 @@ def ellipsoid(semiaxes) -> ConvexBody:
         raise BodySpecError("ellipsoid: semiaxes must be a vector of positives")
     dim = s.shape[0]
     inv2 = 1.0 / (s * s)
-    contains = lambda x: np.sum(np.square(np.asarray(x, float)) * inv2, axis=-1) < 1.0
+    contains = lambda x: _row_sum(np.square(np.asarray(x, float)) * inv2) < 1.0
 
     def distance(x0):
         x = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -279,7 +294,13 @@ def polytope(faces) -> ConvexBody:
     Its distance oracle runs Dykstra's alternating projections onto the
     faces, each row until a sweep moves it by less than 1e-13 or for
     DYKSTRA_SWEEPS sweeps, on compact arrays of the rows still moving.
+
+    The LPs use scipy.optimize.linprog, imported here on the first build
+    (of a slab or random polytope too), so a process that builds no
+    polytope never loads scipy.optimize.
     """
+    from scipy.optimize import linprog
+
     if not faces:
         raise BodySpecError(f"polytope: face list is empty: {faces!r}")
     A, c = _normalize_faces(faces)
@@ -390,10 +411,15 @@ def slab(normal, half_width: float) -> ConvexBody:
 
 
 def orthonormal_complement(h: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis (rows) of the hyperplane orthogonal to h."""
+    """Deterministic orthonormal basis (rows) of the hyperplane orthogonal to
+    a unit h: rows 1: of vh in the full SVD of h as one row, from the LAPACK
+    gesdd that scipy.linalg.null_space(h.reshape(1, -1)).T also calls, with
+    the same bits. The rows are column-major like null_space's result,
+    since a matrix-vector product with them (the cylinder's interior point,
+    say) rounds by their layout."""
     h = np.asarray(h, dtype=float)
-    basis = null_space(h.reshape(1, -1)).T
-    return basis
+    vh = np.linalg.svd(h.reshape(1, -1), full_matrices=True)[2]
+    return np.asfortranarray(vh)[1:]
 
 
 def cylinder(base: ConvexBody, axis) -> ConvexBody:

@@ -92,6 +92,10 @@ class RunConfig:
         directions = cfg.get("directions", {})
         h = directions.get("h")
         candidates = directions.get("candidates")
+        if h is not None and candidates is not None:
+            raise ParameterError(
+                "config.directions.candidates is unused when config.directions.h is set; give one of them"
+            )
         return RunConfig(
             model=model,
             body=load_body_spec(cfg["body"], dim=dim),

@@ -13,6 +13,11 @@ the geometry of the projected domain:
 Also here: finite-dimensional-subspace boundary measures with the polar
 section parameterization, total boundary measure, and the independent
 Minkowski-content perimeter oracle.
+
+The Gauss-Jacobi and Gauss-Legendre nodes come from scipy.special, imported
+by the functions that build the polar rules (_radial_rule, _angular_rule,
+_inner_polar_boundary) on first use, so a run with no polar rule never
+loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import space
 from .bodies import _SCHEMA, ConvexBody, _check_fields, bisect
@@ -107,6 +111,8 @@ class Budget:
 def _radial_rule(order: int):
     """Nodes s in (0,1) and weights for int_0^1 F(s) ds when F may carry an
     integrable (1-s)^(-1/2) rim singularity."""
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(order, -0.5, 0.0)
     s = 0.5 * (x + 1.0)
     weights = (w / math.sqrt(2.0)) * np.sqrt(1.0 - s)
@@ -123,6 +129,8 @@ def _angular_rule(d: int, budget: Budget, inner: bool = False):
         u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return u, np.full(k, 2.0 * math.pi / k)
     if d == 3:
+        from scipy.special import roots_legendre
+
         n_mu, n_th = budget.inner_sphere_grid if inner else budget.sphere_grid
         mu, glw = roots_legendre(n_mu)
         theta = (np.arange(n_th) + 0.5) * (2.0 * math.pi / n_th)
@@ -471,6 +479,8 @@ def _inner_polar_boundary(body, F, Ys, zc, budget: Budget, reach):
             surfel = np.sqrt(r * r + dr * dr)
             out[sl] = np.sum(gm * surfel * dth, axis=1)
         else:
+            from scipy.special import roots_legendre
+
             n_mu, n_th = budget.inner_sphere_grid
             rg = r.reshape(nb, n_mu, n_th)
             mu, glw = roots_legendre(n_mu)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 import convexgauss as cg
-from convexgauss.bodies import bisect, orthonormal_complement
+from convexgauss.bodies import _row_sum, bisect, orthonormal_complement
 from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError
 
 TOL = 1e-10
@@ -272,6 +273,37 @@ def test_membership_of_one_point_matches_its_batch(kind):
         batch = body.contains(X)
         assert [bool(body.contains(X[i : i + 1])[0]) for i in range(len(X))] == batch.tolist()
         assert [bool(body.contains(x)) for x in X] == batch.tolist()
+
+
+def test_orthonormal_complement_is_scipy_null_space():
+    # the same rows, bits and column-major layout as scipy's null space: a
+    # matrix-vector product with the basis rounds by its layout
+    rng = np.random.default_rng(14)
+    for n in range(1, 17):
+        axes = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
+        draws = rng.standard_normal((40, n))
+        for h in axes + list(draws / np.linalg.norm(draws, axis=1, keepdims=True)):
+            ref = null_space(h.reshape(1, -1)).T
+            basis = orthonormal_complement(h)
+            assert basis.shape == ref.shape == (n - 1, n)
+            assert np.array_equal(basis, ref) and basis.strides == ref.strides
+
+
+def test_ball_and_ellipsoid_sums_keep_numpy_bits():
+    rng = np.random.default_rng(15)
+    for n in range(1, 17):
+        semi = rng.uniform(0.3, 2.0, n)
+        inv2 = 1.0 / (semi * semi)  # as the ellipsoid computes it
+        for shape in [(), (5,), (4, 3)]:
+            x = rng.standard_normal(shape + (n,)) * 10.0 ** rng.uniform(-3, 3, shape + (1,))
+            q = np.square(x) * inv2
+            assert np.array_equal(_row_sum(q), np.sum(q, axis=-1))
+            assert np.array_equal(np.sqrt(_row_sum(np.square(x))), np.linalg.norm(x, axis=-1))
+            # points at the boundary to rounding, where a last bit decides
+            y = x / np.linalg.norm(x, axis=-1, keepdims=True)
+            assert np.array_equal(cg.ball(1.0, n).contains(y), np.linalg.norm(y, axis=-1) < 1.0)
+            z = y / np.sqrt(np.sum(np.square(y) * inv2, axis=-1, keepdims=True))
+            assert np.array_equal(cg.ellipsoid(semi).contains(z), np.sum(np.square(z) * inv2, axis=-1) < 1.0)
 
 
 def test_distance_oracles_keep_batch_shape_for_one_row():

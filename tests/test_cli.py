@@ -148,6 +148,11 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"budgets": [1000]}, "config.budgets"),
         ("perimeter", {"directions": {"candidates": []}}, "config.directions.candidates"),
         (
+            "perimeter",
+            {"directions": {"h": [0.0, 1.0], "candidates": [[1.0, 0.0]]}},
+            "config.directions.candidates",
+        ),
+        (
             "surface",
             {"model": {"dim": 4}, "directions": {}, "subspaces": [[0], [0, 1, 2, 3]]},
             "config.subspaces[1]",
@@ -204,6 +209,7 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "budgets_null",
         "budgets_list",
         "candidates_empty",
+        "candidates_with_h",
         "subspace_four_axes",
     ],
 )
