@@ -889,19 +889,30 @@ def lebesgue_density(
 ):
     """Monte Carlo estimate of vol(body ∩ B(x, radius)) / vol(B(x, radius)).
 
-    Returns an EstimateWithError (monte_carlo method).
+    x is one point, shape (n,), which gives one EstimateWithError
+    (monte_carlo method), or a batch, shape (N, n), which gives a list of
+    them. Every point uses the same draws (offsets within the ball) and the
+    batch shares one contains call, so each estimate equals the one-point
+    call's bit for bit.
     """
     if radius <= 0:
         raise ParameterError("radius must be positive")
     if samples < 1000:
         raise ParameterError("samples must be >= 1e3")
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != body.dim:
+        raise ParameterError(f"x must have shape (n,) or (N, n) with n={body.dim}, got {x.shape}")
     rng = np.random.default_rng([seed, 0])
     d = rng.standard_normal((samples, body.dim))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     r = radius * rng.uniform(size=samples) ** (1.0 / body.dim)
-    pts = x + d * r[:, None]
-    hits = body.contains(pts).astype(float)
-    p = float(np.mean(hits))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-    return EstimateWithError(value=p, std_error=se, n_samples=samples, method="monte_carlo")
+    pts = x[..., None, :] + d * r[:, None]
+    hits = body.contains(pts.reshape(-1, body.dim)).reshape(-1, samples).astype(float)
+    estimates = []
+    for row in hits:
+        p = float(np.mean(row))
+        se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+        estimates.append(
+            EstimateWithError(value=p, std_error=se, n_samples=samples, method="monte_carlo")
+        )
+    return estimates if x.ndim == 2 else estimates[0]

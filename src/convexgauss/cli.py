@@ -39,18 +39,19 @@ from .graphs import (  # noqa: F401
     default_direction_candidates,
     ray_cast_boundary,
 )
-from .ibp import VerificationReport, gradient_formula_check, psi_from_spec, verify_ibp
-from .space import GaussianModel, TestFunction, brownian_kl_profile
+from .ibp import gradient_formula_check, psi_from_spec, verify_ibp
+from .space import EstimateWithError, GaussianModel, TestFunction, brownian_kl_profile
 from .surface import Budget, minkowski_content_perimeter, subspace_hausdorff, total_boundary_measure
 
 __all__ = ["RunConfig", "run", "main"]
+
+_OUTPUTS = {"report": "report.json", "csv": "table.csv"}  # default file names
 
 @dataclass
 class RunConfig:
     """Validated run configuration; mirrors the JSON schema (bodies._SCHEMA
     "config")."""
 
-    model: GaussianModel
     body: ConvexBody
     seed: int
     psi: Optional[TestFunction] = None
@@ -58,7 +59,7 @@ class RunConfig:
     h: Optional[np.ndarray] = None
     candidates: Optional[list] = None
     budget: Budget = field(default_factory=Budget)
-    outputs: dict = field(default_factory=dict)
+    outputs: dict = field(default_factory=lambda: dict(_OUTPUTS))
     grid: dict = field(default_factory=dict)
     density: dict = field(default_factory=dict)
     subspaces: list = field(default_factory=list)
@@ -72,11 +73,12 @@ class RunConfig:
         model_cfg = cfg.get("model")
         dim = model_cfg.get("dim") if isinstance(model_cfg, dict) else None
         _check_fields("config", cfg, _SCHEMA["config"], ParameterError, dim)
-        outputs = cfg.get("outputs", {})
-        if outputs.get("csv", "table.csv") == outputs.get("report", "report.json"):
+        outputs = {**_OUTPUTS, **cfg.get("outputs", {})}
+        if outputs["csv"] == outputs["report"]:
             raise ParameterError("config.outputs.csv must differ from the report's file name")
+        # validates the profile, which no subcommand reads (ROADMAP item 8)
         profile = model_cfg.get("spectral_profile")
-        model = GaussianModel(dim, brownian_kl_profile(dim) if profile == "brownian" else profile)
+        GaussianModel(dim, brownian_kl_profile(dim) if profile == "brownian" else profile)
         budget = Budget.from_any(cfg.get("budgets", {}))
         if threads_override is not None:
             budget = replace(budget, threads=threads_override)
@@ -97,7 +99,6 @@ class RunConfig:
                 "config.directions.candidates is unused when config.directions.h is set; give one of them"
             )
         return RunConfig(
-            model=model,
             body=load_body_spec(cfg["body"], dim=dim),
             seed=int(cfg["seed"]),
             psi=psi,
@@ -122,8 +123,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _record(name, lhs, rhs, se_l, se_r, tol, verdict, extra=None) -> dict:
-    rec = {
+def _record(name, lhs, rhs, tol, verdict, **extra) -> dict:
+    """One result record; each side is an EstimateWithError or a bare
+    number, whose standard error is 0, and extra adds subcommand fields."""
+    (lhs, se_l), (rhs, se_r) = (
+        (side.value, side.std_error) if isinstance(side, EstimateWithError) else (side, 0.0)
+        for side in (lhs, rhs)
+    )
+    return {
         "name": name,
         "lhs": float(lhs),
         "rhs": float(rhs),
@@ -132,30 +139,37 @@ def _record(name, lhs, rhs, se_l, se_r, tol, verdict, extra=None) -> dict:
         "diff": float(abs(lhs - rhs)),
         "tol": float(tol),
         "verdict": verdict,
+        **extra,
     }
-    if extra:
-        rec.update(extra)
-    return rec
 
 
-def _record_from_report(name: str, report: VerificationReport, extra=None) -> dict:
-    return _record(
-        name,
-        report.lhs.value,
-        report.rhs.value,
-        report.lhs.std_error,
-        report.rhs.std_error,
-        report.tolerance,
-        report.verdict,
-        extra,
-    )
+def _sweep(axis: str, points, label, estimate):
+    """estimate(point) at each grid point, timed, with its CSV row (grid_point
+    label(point)): returns the estimates and the rows."""
+    estimates, rows = [], []
+    for point in points:
+        t0 = time.perf_counter()
+        est = estimate(point)
+        wall = time.perf_counter() - t0
+        estimates.append(est)
+        rows.append(
+            {
+                "axis": axis,
+                "grid_point": label(point),
+                "value": est.value,
+                "std_error": est.std_error,
+                "wall_time_s": wall,
+            }
+        )
+    return estimates, rows
 
 
-def _pinned_pair(config: RunConfig, body: ConvexBody, cast=None):
-    """The GraphPair along the configured h, or along the direction
-    choose_direction's rule picks among the candidates from cast, a
-    ray_cast_boundary result for the config's boundary_samples and seed
+def _pinned_pair(config: RunConfig, cast=None):
+    """The GraphPair of config.body along the configured h, or along the
+    direction choose_direction's rule picks among the candidates from cast,
+    a ray_cast_boundary result for the config's boundary_samples and seed
     (made here when not given), keeping its vertical-mass estimate."""
+    body = config.body
     if config.h is not None:
         return decompose(body, config.h, seed=config.seed)
     cands = (
@@ -172,26 +186,16 @@ def _pinned_pair(config: RunConfig, body: ConvexBody, cast=None):
 
 
 def _run_perimeter(config: RunConfig):
-    body = config.body
-    pair = _pinned_pair(config, body)
-    graph_est = total_boundary_measure(pair, budget=config.budget, seed=config.seed)
-    content_est = minkowski_content_perimeter(body, budget=config.budget, seed=config.seed)
+    graph_est = total_boundary_measure(_pinned_pair(config), budget=config.budget, seed=config.seed)
+    content_est = minkowski_content_perimeter(config.body, budget=config.budget, seed=config.seed)
     rel_tol = config.tolerances.get("perimeter_relative", 0.02)
     tol = max(
         3.0 * (graph_est.std_error + content_est.std_error),
         rel_tol * max(abs(graph_est.value), abs(content_est.value)),
     )
     verdict = "pass" if abs(graph_est.value - content_est.value) <= tol else "fail"
-    rec = _record(
-        "perimeter_graph_vs_content",
-        graph_est.value,
-        content_est.value,
-        graph_est.std_error,
-        content_est.std_error,
-        tol,
-        verdict,
-        extra={"methods": [graph_est.method, content_est.method]},
-    )
+    methods = [graph_est.method, content_est.method]
+    rec = _record("perimeter_graph_vs_content", graph_est, content_est, tol, verdict, methods=methods)
     return [rec], []
 
 
@@ -201,7 +205,7 @@ def _run_ibp(config: RunConfig):
     if not config.k_list:
         raise ParameterError("config.directions.k must be nonempty for ibp")
     reports = verify_ibp(
-        _pinned_pair(config, config.body),
+        _pinned_pair(config),
         config.psi,
         np.stack(config.k_list),
         budget=config.budget,
@@ -209,8 +213,8 @@ def _run_ibp(config: RunConfig):
         tol=config.tolerances.get("ibp"),
     )
     records = [
-        _record_from_report(f"ibp[k{i}]", report, extra={"k": report.metadata["k"]})
-        for i, report in enumerate(reports)
+        _record(f"ibp[k{i}]", r.lhs, r.rhs, r.tolerance, r.verdict, k=r.metadata["k"])
+        for i, r in enumerate(reports)
     ]
     return records, []
 
@@ -219,98 +223,60 @@ def _run_surface(config: RunConfig):
     if not config.subspaces:
         raise ParameterError("config.subspaces is required for the surface subcommand")
     body = config.body
-    n = body.dim
-    values = []
-    rows = []
-    for axes in config.subspaces:
-        F = np.eye(n)[list(axes)]
-        t0 = time.perf_counter()
-        est = subspace_hausdorff(body, F, budget=config.budget, seed=config.seed)
-        wall = time.perf_counter() - t0
-        values.append((axes, est))
-        rows.append(
-            {
-                "axis": "subspace",
-                "grid_point": "+".join(str(a) for a in axes),
-                "value": est.value,
-                "std_error": est.std_error,
-                "wall_time_s": wall,
-            }
-        )
+    label = lambda axes: "+".join(map(str, axes))
+    ests, rows = _sweep(
+        "subspace",
+        config.subspaces,
+        label,
+        lambda axes: subspace_hausdorff(
+            body, np.eye(body.dim)[list(axes)], budget=config.budget, seed=config.seed
+        ),
+    )
     records = []
-    for (axes_a, a), (axes_b, b) in zip(values, values[1:]):
+    for axes_a, axes_b, a, b in zip(config.subspaces, config.subspaces[1:], ests, ests[1:]):
         tol = 3.0 * (a.std_error + b.std_error)
         verdict = "pass" if a.value <= b.value + tol else "fail"
-        records.append(
-            _record(
-                f"monotone[{'+'.join(map(str, axes_a))}<={'+'.join(map(str, axes_b))}]",
-                a.value,
-                b.value,
-                a.std_error,
-                b.std_error,
-                tol,
-                verdict,
-            )
-        )
+        records.append(_record(f"monotone[{label(axes_a)}<={label(axes_b)}]", a, b, tol, verdict))
     if not records:
-        est = values[0][1]
-        records.append(
-            _record("subspace_value", est.value, est.value, est.std_error, est.std_error, 0.0, "pass")
-        )
+        records.append(_record("subspace_value", ests[0], ests[0], 0.0, "pass"))
     return records, rows
 
 
 def _run_gradcheck(config: RunConfig):
-    body = config.body
-    cast = ray_cast_boundary(body, config.budget.boundary_samples, config.seed)
-    pair = _pinned_pair(config, body, cast)
-    errs = gradient_formula_check(pair, cast[0])
+    cast = ray_cast_boundary(config.body, config.budget.boundary_samples, config.seed)
+    errs = gradient_formula_check(_pinned_pair(config, cast), cast[0])
     usable = errs[~np.isnan(errs)]  # nan: vertical or degenerate points
     if not usable.size:
         raise ConvexGaussError("no usable boundary points for the gradient check")
     median = float(np.median(usable))
     tol = config.tolerances.get("gradcheck_median", 1e-3)
     verdict = "pass" if median <= tol else "fail"
-    rec = _record(
-        "gradient_formula_median",
-        median,
-        0.0,
-        0.0,
-        0.0,
-        tol,
-        verdict,
-        extra={"points": int(usable.size), "skipped": int(errs.size - usable.size)},
-    )
-    return [rec], []
+    counts = {"points": int(usable.size), "skipped": int(errs.size - usable.size)}
+    return [_record("gradient_formula_median", median, 0.0, tol, verdict, **counts)], []
 
 
 def _run_density(config: RunConfig):
     body = config.body
-    radius = config.density.get("radius", 0.1)
-    samples = config.density.get("samples", 20000)
     if "points" in config.density:
-        pts = [np.asarray(p, dtype=float) for p in config.density["points"]]
+        pts = np.asarray(config.density["points"], dtype=float)
     else:
         count = config.density.get("boundary_points", 16)
         pts, _, _ = ray_cast_boundary(body, count, config.seed)
+    ests = lebesgue_density(
+        body,
+        pts,
+        config.density.get("radius", 0.1),
+        samples=config.density.get("samples", 20000),
+        seed=config.seed,
+    )
     records = []
-    for i, x in enumerate(pts):
-        est = lebesgue_density(body, x, radius, samples=samples, seed=config.seed)
+    for i, (x, est) in enumerate(zip(pts, ests)):
         lo = est.value - 3.0 * est.std_error
         hi = est.value + 3.0 * est.std_error
         verdict = "pass" if (lo > 0.0 and hi < 1.0) else "fail"
-        records.append(
-            _record(
-                f"density[{i}]",
-                est.value,
-                0.5,
-                est.std_error,
-                0.0,
-                3.0 * est.std_error,
-                verdict,
-                extra={"point": [float(v) for v in np.atleast_1d(x)]},
-            )
-        )
+        point = [float(v) for v in x]
+        tol = 3.0 * est.std_error
+        records.append(_record(f"density[{i}]", est, 0.5, tol, verdict, point=point))
     return records, []
 
 
@@ -321,38 +287,17 @@ def _run_converge_dim(config: RunConfig):
     if not dims:
         raise ParameterError("config.grid.dims is required for converge-dim")
     scale = float(config.grid.get("scale", 1.0))
-    rows = []
+
+    def perimeter(d):
+        pair = decompose(kl_ellipsoid(d, scale), np.eye(d)[0], seed=config.seed)
+        return total_boundary_measure(pair, budget=config.budget, seed=config.seed)
+
+    ests, rows = _sweep("dimension", dims, lambda d: d, perimeter)
     records = []
-    prev = None
-    for d in dims:
-        body = kl_ellipsoid(d, scale)
-        t0 = time.perf_counter()
-        pair = decompose(body, np.eye(d)[0], seed=config.seed)
-        est = total_boundary_measure(pair, budget=config.budget, seed=config.seed)
-        wall = time.perf_counter() - t0
-        rows.append(
-            {
-                "axis": "dimension",
-                "grid_point": d,
-                "value": est.value,
-                "std_error": est.std_error,
-                "wall_time_s": wall,
-            }
-        )
-        extra = {"successive_diff": (est.value - prev) if prev is not None else 0.0}
-        records.append(
-            _record(
-                f"dim[{d}]",
-                est.value,
-                prev if prev is not None else est.value,
-                est.std_error,
-                0.0,
-                0.0,
-                "pass",
-                extra=extra,
-            )
-        )
-        prev = est.value
+    for d, est, prev in zip(dims, ests, [None] + ests[:-1]):
+        prev_value = est.value if prev is None else prev.value
+        diff = 0.0 if prev is None else est.value - prev.value
+        records.append(_record(f"dim[{d}]", est, prev_value, 0.0, "pass", successive_diff=diff))
     return records, rows
 
 
@@ -398,12 +343,10 @@ def run(
     report["meta"] = {"timestamp": time.time(), "wall_time_s": wall}
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_name = config.outputs.get("report", "report.json")
-    report_path = out_dir / report_name
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (out_dir / config.outputs["report"]).write_text(report_text)
     if rows:
-        csv_name = config.outputs.get("csv", "table.csv")
-        with open(out_dir / csv_name, "w", newline="") as fh:
+        with open(out_dir / config.outputs["csv"], "w", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["axis", "grid_point", "value", "std_error", "wall_time_s"]
             )

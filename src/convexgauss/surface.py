@@ -15,9 +15,9 @@ section parameterization, total boundary measure, and the independent
 Minkowski-content perimeter oracle.
 
 The Gauss-Jacobi and Gauss-Legendre nodes come from scipy.special, imported
-by the functions that build the polar rules (_radial_rule, _angular_rule,
-_inner_polar_boundary) on first use, so a run with no polar rule never
-loads it.
+by the two functions that build the polar rules (_radial_rule and
+_angular_rule, whose d = 3 rule the m = 3 subspace sections reuse) on first
+use, so a run with no polar rule never loads it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .graphs import (  # noqa: F401
 )
 from .space import EstimateWithError, gaussian_density, map_chunks, sample_gaussian
 
-DOMAIN_TRUNCATION_RADIUS = 12.0  # Gaussian tail mass beyond is < 1e-30
 MAX_VERTICAL_MASS = 0.01  # boundary share a graph route may leave unparameterized
 
 __all__ = [
@@ -162,16 +161,15 @@ class _NodeSet:
 
     Y holds the ambient nodes, steps their stencil steps and t_hint section
     parameters that may lie inside the body (or None). A quadrature rule
-    carries weights shaped as its node grid, Monte Carlo the keep-mask of
-    draws inside DOMAIN_TRUNCATION_RADIUS. graphs holds each finite graph's
-    (values, gradients, usable mask), all filled on first use.
+    carries weights shaped as its node grid; Monte Carlo draws carry none
+    and are averaged. graphs holds each finite graph's (values, gradients,
+    usable mask), all filled on first use.
     """
 
     Y: np.ndarray
     steps: np.ndarray
     method: str
     weights: Optional[np.ndarray] = None
-    keep: Optional[np.ndarray] = None
     t_hint: Optional[np.ndarray] = None
     details: Optional[dict] = None
     graphs: dict = field(default_factory=dict)
@@ -241,14 +239,10 @@ def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
             details={"order": budget.quadrature_order},
         )
     coords = sample_gaussian(d, budget.samples, seed, threads=budget.threads)
-    # truncate the transverse domain; the dropped tail mass is < 1e-30
-    keep = np.linalg.norm(coords, axis=1) <= DOMAIN_TRUNCATION_RADIUS
-    coords = np.where(keep[:, None], coords, 0.0)
     return _NodeSet(
         Y=coords @ B,
         steps=np.full(budget.samples, budget.fd_step),
         method="monte_carlo",
-        keep=keep,
     )
 
 
@@ -267,10 +261,10 @@ def graph_surface_integral(
     integrand over it share its nodes, its section search and each graph's
     values and gradients. This call reduces phi(x, nu) G1(f) sqrt(1 +
     |grad f|^2) at the graph's usable nodes with the rule's weights, or
-    averages it over the kept Monte Carlo draws. More than 0.5% unusable
-    polar nodes raise OracleIntegrityError: every polar node lies strictly
-    inside the projected domain, so that many failures mean the oracle
-    contradicts itself.
+    averages it over all Monte Carlo draws, an unusable draw counting 0.
+    More than 0.5% unusable polar nodes raise OracleIntegrityError: every
+    polar node lies strictly inside the projected domain, so that many
+    failures mean the oracle contradicts itself.
     """
     budget = Budget.from_any(budget)
     if which not in ("upper", "lower"):
@@ -292,10 +286,9 @@ def graph_surface_integral(
         nu, root = _graph_normal(grads[idx], pair.direction)
         x = nodes.Y[idx] + vals[idx][:, None] * pair.direction
         contrib[idx] = np.asarray(integrand2(x, nu), dtype=float) * _g1(vals[idx]) * root
-    if nodes.keep is None:
+    if nodes.weights is not None:
         total = float(np.sum(nodes.weights * contrib.reshape(nodes.weights.shape)))
         return EstimateWithError(total, 0.0, usable.size, nodes.method, dict(nodes.details))
-    contrib = np.where(nodes.keep, contrib, 0.0)
     mean = float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(len(contrib)))
     return EstimateWithError(mean, se, usable.size, "monte_carlo")
@@ -479,11 +472,10 @@ def _inner_polar_boundary(body, F, Ys, zc, budget: Budget, reach):
             surfel = np.sqrt(r * r + dr * dr)
             out[sl] = np.sum(gm * surfel * dth, axis=1)
         else:
-            from scipy.special import roots_legendre
-
+            # the (mu, theta) grid and weights of _angular_rule's one rule
             n_mu, n_th = budget.inner_sphere_grid
             rg = r.reshape(nb, n_mu, n_th)
-            mu, glw = roots_legendre(n_mu)
+            mu = U[::n_th, 2]
             dth = 2.0 * math.pi / n_th
             r_th = _periodic_gradient(rg.reshape(nb * n_mu, n_th), dth).reshape(
                 nb, n_mu, n_th
@@ -493,9 +485,8 @@ def _inner_polar_boundary(body, F, Ys, zc, budget: Budget, reach):
             r_phi = -sin_phi * r_mu
             grad_sq = r_phi**2 + (r_th / np.maximum(sin_phi, 1e-9)) ** 2
             surfel = rg * np.sqrt(rg * rg + grad_sq)
-            w = (glw[None, :, None] * dth) * np.ones_like(rg)
             out[sl] = np.sum(
-                gm.reshape(nb, n_mu, n_th) * surfel * w, axis=(1, 2)
+                gm.reshape(nb, n_mu, n_th) * surfel * w_ang.reshape(n_mu, n_th), axis=(1, 2)
             )
     return out
 

@@ -151,6 +151,38 @@ def test_boundary_density_strictly_between_zero_and_one():
             assert est.value + 3 * est.std_error < 1.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"shape": "ball", "radius": 1.0},
+        {"shape": "ellipsoid", "semiaxes": [1.2, 1.0, 0.9]},
+        {"shape": "random_polytope", "faces": 9, "seed": 4},
+        {"shape": "cylinder", "axis": [0.0, 0.0, 1.0], "base": {"shape": "ball", "radius": 1.0}},
+        {"shape": "slab", "normal": [0.6, 0.8, 0.0], "half_width": 0.7},
+        {"shape": "ellipsoid", "semiaxes": [1.2, 1.0, 0.9], "translate": [0.3, -0.2, 0.1]},
+    ],
+    ids=["ball", "ellipsoid", "random_polytope", "cylinder", "slab", "translated_ellipsoid"],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_density_batch_equals_one_point_calls(spec, seed):
+    # one contains call for the batch, on the draws every point shares
+    from convexgauss.graphs import ray_cast_boundary
+
+    body = cg.load_body_spec(spec, dim=3)
+    pts, _, _ = ray_cast_boundary(body, 6, seed)
+    pts = np.vstack([pts, body.interior_point])
+    batch = cg.lebesgue_density(body, pts, 0.1, samples=4000, seed=seed)
+    assert isinstance(batch, list) and len(batch) == len(pts)
+    for x, est in zip(pts, batch):
+        assert est == cg.lebesgue_density(body, x, 0.1, samples=4000, seed=seed)
+    assert cg.lebesgue_density(body, pts[:0], 0.1, samples=4000, seed=seed) == []
+
+
+def test_density_rejects_a_point_of_the_wrong_dimension():
+    with pytest.raises(cg.ParameterError):
+        cg.lebesgue_density(cg.ball(1.0, 3), [1.0, 0.0], 0.1)
+
+
 def test_body_certified_interior_ball():
     for body in (cg.ball(1.0, 3), cg.random_polytope(3, 8, seed=2), cg.ellipsoid([1, 0.5, 0.4])):
         rng = np.random.default_rng(8)

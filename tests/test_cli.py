@@ -4,6 +4,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,8 +349,25 @@ def test_converge_dim_subcommand(tmp_path):
     assert code == 0
     rows = (tmp_path / "kl_dim_table.csv").read_text().strip().splitlines()
     assert len(rows) == 4
+    grid = json.loads((CONFIG_DIR / "kl_dimension_sweep.json").read_text())["grid"]
+    assert [int(row.split(",")[1]) for row in rows[1:]] == grid["dims"]
     report = json.loads((tmp_path / "kl_dim_report.json").read_text())
     assert "successive_diff" in report["results"][1]
+
+
+def test_surface_with_one_subspace_writes_its_value(tmp_path):
+    cfg = _load(
+        "subspace_ellipsoid.json",
+        subspaces=[[0, 1]],
+        budgets={"subspace_samples": 200, "inner_angles": 128},
+    )
+    cfg_path = tmp_path / "one.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["surface", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    (rec,) = json.loads((tmp_path / "subspace_report.json").read_text())["results"]
+    assert rec["name"] == "subspace_value" and rec["lhs"] == rec["rhs"] and rec["se_l"] > 0.0
+    rows = (tmp_path / "subspace_table.csv").read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("subspace,0+1,")
 
 
 def test_density_subcommand(tmp_path):
@@ -365,6 +383,24 @@ def test_density_subcommand(tmp_path):
     report = json.loads((tmp_path / "density_report.json").read_text())
     for rec in report["results"]:
         assert 0.0 < rec["lhs"] < 1.0
+
+
+def test_density_points_share_one_estimator_call(tmp_path, monkeypatch):
+    import convexgauss.cli as cli
+
+    calls = []
+    density = cli.lebesgue_density
+    monkeypatch.setattr(
+        cli, "lebesgue_density", lambda body, x, *a, **k: calls.append(x) or density(body, x, *a, **k)
+    )
+    points = [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]
+    cfg = _load("perimeter_ball.json", density={"points": points, "samples": 2000})
+    cfg_path = tmp_path / "density.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["density", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1 and np.shape(calls[0]) == (3, 2)
+    results = json.loads((tmp_path / "perimeter_ball_report.json").read_text())["results"]
+    assert [r["point"] for r in results] == points
 
 
 def test_gradcheck_subcommand(tmp_path):

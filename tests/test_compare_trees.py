@@ -69,5 +69,5 @@ def test_monte_carlo_calls_are_valid_configs_past_dimension_four():
     assert set(tool.MONTE_CARLO) == {"converge_dim5", "ibp_halfspace5d", "ibp_slab5d"}
     for _, config in tool.MONTE_CARLO.values():
         parsed = RunConfig.from_dict(copy.deepcopy(config))
-        dims = config.get("grid", {}).get("dims", [parsed.model.dim])
+        dims = config.get("grid", {}).get("dims", [parsed.body.dim])
         assert min(dims) >= 5

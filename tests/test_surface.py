@@ -194,6 +194,21 @@ def test_subspace_monotone_nested_chain():
     assert vals[-1].value == pytest.approx(perim.value, rel=5e-3)
 
 
+def test_subspace_m3_builds_one_gauss_legendre_rule(monkeypatch):
+    # the m = 3 sections reuse _angular_rule's nodes and weights
+    import scipy.special
+
+    calls = []
+    roots_legendre = scipy.special.roots_legendre
+    monkeypatch.setattr(
+        scipy.special, "roots_legendre", lambda n: calls.append(n) or roots_legendre(n)
+    )
+    body = cg.ellipsoid([1.0, 0.7, 0.5])
+    est = cg.subspace_hausdorff(body, np.eye(3), budget={"inner_sphere_grid": [12, 24]}, seed=3)
+    assert calls == [12]
+    assert est.method == "polar" and est.value > 0.0
+
+
 def test_subspace_rejects_large_m():
     body = cg.ball(1.0, 4)
     with pytest.raises(UnsupportedOrderError):
@@ -429,6 +444,17 @@ def test_total_boundary_halfspace():
     est = cg.total_boundary_measure(pair, seed=0)
     assert est.method == "gauss_hermite"
     assert est.value == pytest.approx(G1_AT_1, rel=1e-10)
+
+
+def test_monte_carlo_nodes_are_not_truncated():
+    # on a 100-d hyperplane the Gaussian tail beyond radius 12 holds 0.26%
+    # of the mass; every draw counts and the integrand is constant, so the
+    # route is exact up to rounding
+    n = 101
+    pair = cg.decompose(cg.halfspace(np.eye(n)[0], 1.0), np.eye(n)[0])
+    est = cg.total_boundary_measure(pair, budget={"samples": 400}, seed=1)
+    assert est.method == "monte_carlo"
+    assert est.value == pytest.approx(G1_AT_1, abs=1e-12)
 
 
 def test_total_boundary_slab(slab2):

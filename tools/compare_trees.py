@@ -12,15 +12,16 @@ CLI calls:
 * three fixed 5-d calls on the Monte Carlo graph route, which neither
   reaches: ``converge-dim`` at dimension 5 and ``ibp`` on a halfspace and
   a slab, each ``ibp`` call at one and at two threads;
-* three fixed calls on paths neither reaches either: a ``surface`` call
+* four fixed calls on paths neither reaches either: a ``surface`` call
   on an off-centre ellipsoid, whose golden sweeps find inside points of
   thin sections that the lattice probe misses, a ``gradcheck`` call with
   no ``directions.h``, whose one ray cast both chooses the direction and
-  gives the check points, and an ``ibp`` call with no ``directions.h``,
+  gives the check points, an ``ibp`` call with no ``directions.h``,
   whose pair keeps the chosen direction's vertical-mass estimate, at one
-  and at two threads.
+  and at two threads, and a ``density`` call on a random polytope, whose
+  boundary points share one batched membership pass.
 
-That is 47 calls in all.
+That is 48 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -112,7 +113,8 @@ MONTE_CARLO = {
 # fixed calls on paths the benchmark does not reach: a surface call whose
 # sections are centred off the lattice probe's points (at seed 11 the golden
 # sweeps find 6 sections through [0] and 7 through [0, 1], of 151 and 109
-# searched), and a gradcheck and an ibp call that choose their direction
+# searched), a gradcheck and an ibp call that choose their direction, and a
+# density call
 FIXED = {
     "surface_offcentre_ellipsoid": (
         "surface",
@@ -142,6 +144,15 @@ FIXED = {
             "directions": {"k": [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]},
             "budgets": {"samples": 20000, "sphere_grid": [8, 16], "radial": 8, "boundary_samples": 200},
             "seed": 13,
+        },
+    ),
+    "density_random_polytope": (
+        "density",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "random_polytope", "faces": 9, "seed": 4},
+            "density": {"radius": 0.1, "samples": 5000, "boundary_points": 8},
+            "seed": 14,
         },
     ),
 }
