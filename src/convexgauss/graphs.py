@@ -257,7 +257,11 @@ def _bisect_endpoint(body, Y, h, t_in, direction):
 
 
 def _section_endpoints(
-    body: ConvexBody, h: np.ndarray, Y: np.ndarray, t_hint: Optional[np.ndarray] = None
+    body: ConvexBody,
+    h: np.ndarray,
+    Y: np.ndarray,
+    t_hint: Optional[np.ndarray] = None,
+    case: Optional[str] = None,
 ):
     """Locate (g(y), f(y)) for a batch of y orthogonal to h.
 
@@ -265,7 +269,10 @@ def _section_endpoints(
     Finding an inside parameter tries the hint, then a 34-point probe (0 and
     33 points across the reach), then golden section on the gauge (convex in
     t), so thin sections near the projected rim are still resolved; each end
-    is bisected from it on its own.
+    is bisected from it on its own. An end that the body's case along h
+    (classify_case) marks infinite is +/-inf on every nonempty section with
+    no search: a recession direction of a convex body is a recession
+    direction of each of its nonempty sections.
     """
     N = Y.shape[0]
     lower = np.full(N, np.nan)
@@ -304,8 +311,14 @@ def _section_endpoints(
             raise OracleIntegrityError(
                 "section probe accepted by the gauge but rejected by membership"
             )
-        upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
-        lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
+        if case in (CASE_G_FINITE_ONLY, CASE_BOTH_INFINITE):
+            upper[nonempty] = np.inf
+        else:
+            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
+        if case in (CASE_F_FINITE_ONLY, CASE_BOTH_INFINITE):
+            lower[nonempty] = -np.inf
+        else:
+            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
     return lower, upper, nonempty
 
 
@@ -428,7 +441,7 @@ def decompose(
 
     def ends(Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return _section_endpoints(body, h, Y, t_hint=t_hint)[:2]
+        return _section_endpoints(body, h, Y, t_hint=t_hint, case=tag)[:2]
 
     return GraphPair(
         direction=h,

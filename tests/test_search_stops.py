@@ -9,6 +9,7 @@ ellipsoid distance by doubling and 200 bisection steps, and Dykstra's sweep
 gathering its rows once per face.
 """
 
+import dataclasses
 import json
 import math
 
@@ -420,6 +421,110 @@ def test_dykstra_distance_equals_per_face_gathering(dim, n_faces, seed):
     # a re-centred body's oracles see x + its interior point
     shifted = x if body.recentered_by is None else x - body.recentered_by
     assert np.array_equal(body.distance_outside(x), _dykstra_reference(A, c, shifted))
+
+
+# ------------------------------------------------ content-route screen
+
+
+def _screen_body(kind, seed):
+    """One body of the content-route screen tests, built from a seed."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    if kind == "polytope":
+        # offsets as in the Dykstra test above: some bodies come out re-centred
+        n_faces = int(rng.integers(dim + 1, 11))
+        normals = rng.standard_normal((n_faces, dim))
+        offsets = rng.uniform(0.3, 1.5, n_faces)
+        return cg.polytope([{"normal": a, "offset": c} for a, c in zip(normals, offsets)])
+    if kind == "ellipsoid":
+        return cg.ellipsoid(rng.uniform(0.3, 2.0, dim))
+    if kind == "translated_ellipsoid":
+        s = rng.uniform(0.5, 2.0, dim)
+        v = rng.standard_normal(dim)
+        return cg.translate(cg.ellipsoid(s), 0.6 * s.min() * v / np.linalg.norm(v))
+    if kind == "slab":
+        return cg.slab(rng.standard_normal(dim), rng.uniform(0.2, 1.5))
+    if kind == "halfspace":
+        return cg.halfspace(rng.standard_normal(dim), rng.uniform(0.01, 0.1))
+    base = cg.ellipsoid(rng.uniform(0.3, 2.0, dim - 1))
+    return cg.cylinder(base, rng.standard_normal(dim))
+
+
+SCREEN_KINDS = ["polytope", "ellipsoid", "translated_ellipsoid", "slab", "halfspace", "cylinder"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(SCREEN_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_content_screen_equals_distances_of_every_draw(kind, seed):
+    body = _screen_body(kind, seed)
+    rows = []
+
+    def distance(x):
+        rows.append(len(x))
+        return body.distance_outside(x)
+
+    budget, seed = surface.Budget(samples=6000), seed % 1000
+    counted = dataclasses.replace(body, distance_outside=distance)
+    est = cg.minkowski_content_perimeter(counted, budget=budget, seed=seed)
+    # the unscreened reference: a membership oracle that keeps every draw,
+    # so each draw gets a distance, counted into the same shells
+    everything = dataclasses.replace(body, contains=lambda x: np.ones(np.shape(x)[:-1], dtype=bool))
+    ref = cg.minkowski_content_perimeter(everything, budget=budget, seed=seed)
+    assert est.value == ref.value
+    assert est.std_error == ref.std_error
+    assert est.details == ref.details
+    # on the same draws: only those the screen keeps got a distance, and
+    # every draw closer than max(eps) is one of them
+    x = cg.space.sample_gaussian(body.dim, budget.samples, seed)
+    eps = max(budget.epsilons)
+    kept = body.contains(x / (1.0 + 2.0 * eps / body.margin_at_zero))
+    assert sum(rows) == int(np.count_nonzero(kept))
+    near = body.distance_outside(x) < eps
+    assert near.any()
+    assert kept[near].all()
+
+
+# ------------------------------------------------- known-infinite section ends
+
+
+# an unbounded polytope with one infinite graph along e2
+WEDGE = cg.polytope([{"normal": [1.0, 0.2, 0.0], "offset": 0.8}, {"normal": [-0.3, 1.0, 0.0], "offset": 1.1}])
+
+
+@pytest.mark.parametrize(
+    "body, h, infinite_ends",
+    [
+        (cg.halfspace([1.0, -0.5, 0.3], 0.7), [0.6, 0.0, 0.8], 1),
+        (cg.halfspace([0.2, 0.4, 0.1, -0.9], 0.4), [0.0, 0.0, 0.0, -1.0], 1),
+        (WEDGE, [0.0, 1.0, 0.0], 1),
+        (cg.cylinder(cg.ellipsoid([1.1, 0.8]), [0.0, 0.0, 1.0]), [0.0, 0.0, 1.0], 2),
+    ],
+)
+def test_known_infinite_section_ends_skip_their_search(body, h, infinite_ends):
+    calls = []  # rows of each membership call
+
+    def contains(x):
+        calls.append(np.size(x) // body.dim)
+        return body.contains(x)
+
+    counted = dataclasses.replace(body, contains=contains)
+    pair = cg.decompose(counted, h, seed=2)
+    rng = np.random.default_rng(5)
+    X = 3.0 * rng.standard_normal((400, body.dim))
+    Y = X - np.outer(X @ pair.direction, pair.direction)
+    calls.clear()
+    g, f = pair.ends(Y)
+    with_case = list(calls)
+    calls.clear()
+    lower, upper, _ = graphs._section_endpoints(counted, pair.direction, Y)
+    # the same ends bit for bit, with one far-point pass fewer per infinite end
+    assert np.array_equal(g, lower, equal_nan=True)
+    assert np.array_equal(f, upper, equal_nan=True)
+    nonempty = ~np.isnan(g)
+    assert nonempty.any()
+    assert np.all(np.isinf(g[nonempty]).astype(int) + np.isinf(f[nonempty]) == infinite_ends)
+    assert len(calls) - len(with_case) == infinite_ends
+    assert sum(calls) - sum(with_case) == infinite_ends * int(np.count_nonzero(nonempty))
 
 
 # ---------------------------------------------------- vertical mass of h

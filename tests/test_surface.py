@@ -506,6 +506,33 @@ def test_minkowski_content_slab(slab2):
     assert abs(est.value - 2 * G1_AT_1) <= max(3 * est.std_error, 0.04 * G1_AT_1)
 
 
+def _polygon_perimeter(vertices):
+    """Exact Gaussian perimeter of the convex polygon with counter-clockwise
+    vertices: on the edge line <a, x> = c (unit outward a) the surface
+    density is phi(c) times the 1-d Gaussian about the foot point c a, so
+    each edge adds phi(c) (Phi(s_hi) - Phi(s_lo)), s running along the edge
+    from the foot point."""
+    from scipy.special import ndtr
+
+    total, faces = 0.0, []
+    for p, q in zip(vertices, np.roll(vertices, -1, axis=0)):
+        t = (q - p) / np.linalg.norm(q - p)
+        a = np.array([t[1], -t[0]])
+        c = float(a @ p)
+        total += G1(c) * (ndtr(t @ q) - ndtr(t @ p))
+        faces.append({"normal": a, "offset": c})
+    return total, faces
+
+
+def test_minkowski_content_polygon_matches_exact_perimeter():
+    vertices = np.array([[1.3, 0.1], [0.2, 1.0], [-0.9, 0.6], [-0.7, -0.8], [0.6, -1.1]])
+    exact, faces = _polygon_perimeter(vertices)
+    body = cg.polytope(faces)
+    assert body.recentered_by is None
+    est = cg.minkowski_content_perimeter(body, budget={"samples": 300_000}, seed=8)
+    assert abs(est.value - exact) <= 3 * est.std_error
+
+
 def test_minkowski_content_validates_epsilons(disk):
     with pytest.raises(ParameterError):
         cg.minkowski_content_perimeter(disk, budget={"epsilons": (0.5, 0.2, 0.1)})

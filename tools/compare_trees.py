@@ -19,9 +19,13 @@ CLI calls:
   gives the check points, an ``ibp`` call with no ``directions.h``,
   whose pair keeps the chosen direction's vertical-mass estimate, at one
   and at two threads, and a ``density`` call on a random polytope, whose
-  boundary points share one batched membership pass.
+  boundary points share one batched membership pass;
+* two fixed ``perimeter`` calls whose content route screens its draws on
+  bodies the benchmark does not hold: an ellipsoid translated off the
+  origin, whose margin at the origin is below its semiaxes, and an
+  unbounded cylinder over an ellipse.
 
-That is 48 calls in all.
+That is 50 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -113,8 +117,10 @@ MONTE_CARLO = {
 # fixed calls on paths the benchmark does not reach: a surface call whose
 # sections are centred off the lattice probe's points (at seed 11 the golden
 # sweeps find 6 sections through [0] and 7 through [0, 1], of 151 and 109
-# searched), a gradcheck and an ibp call that choose their direction, and a
-# density call
+# searched), a gradcheck and an ibp call that choose their direction, a
+# density call, and two perimeter calls whose content route screens draws
+# on bodies unlike the benchmark's: a translated ellipsoid, whose origin
+# margin is below its semiaxes, and an unbounded cylinder
 FIXED = {
     "surface_offcentre_ellipsoid": (
         "surface",
@@ -152,6 +158,29 @@ FIXED = {
             "model": {"dim": 3},
             "body": {"shape": "random_polytope", "faces": 9, "seed": 4},
             "density": {"radius": 0.1, "samples": 5000, "boundary_points": 8},
+            "seed": 14,
+        },
+    ),
+    "perimeter_translated_ellipsoid": (
+        "perimeter",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "ellipsoid", "semiaxes": [1.2, 1.0, 0.9], "translate": [0.3, -0.2, 0.1]},
+            "directions": {"h": [0.0, 0.0, 1.0]},
+            "seed": 13,
+        },
+    ),
+    "perimeter_cylinder": (
+        "perimeter",
+        {
+            "model": {"dim": 3},
+            "body": {
+                "shape": "cylinder",
+                "axis": [0.0, 0.0, 1.0],
+                "base": {"shape": "ellipsoid", "semiaxes": [1.1, 0.8]},
+            },
+            "directions": {"h": [0.6, 0.0, 0.8]},
+            "budgets": {"quadrature_order": 64},
             "seed": 14,
         },
     ),
