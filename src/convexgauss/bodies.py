@@ -791,6 +791,13 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
     of its ends again, so for a predicate that gives the same answer at the
     same point, further steps cannot move it and the result equals running
     every step.
+
+    The first steps skip the stop tests while a bound proves that no row can
+    stop in them. With g the narrowest active gap, M the largest active |t|
+    and e = 2^-53 M, after j steps every active gap is at least
+    g 2^-j - 2 j e; while that exceeds twice both stop levels (the tolerance
+    and 4e), step j stops no row. The results are those of testing every
+    step, whatever the predicate.
     """
     t_in = np.asarray(t_in, dtype=float)
     t_out = np.asarray(t_out, dtype=float)
@@ -805,17 +812,43 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
             active = unresolved(t_in, t_out)
     if active is None:
         active = np.ones(t_in.shape, dtype=bool)
-    for _ in range(steps):
-        if not active.any():
+    partial = not active.all()
+    # Why free steps stop no row: a computed midpoint lies between its ends
+    # and within e of the exact one (e's smallest-normal term covers
+    # subnormal sums), so |t| <= M holds throughout, each step leaves at
+    # least half a gap less e, and the true loss after j steps is below
+    # 2e <= 2 j e. A midpoint can equal an end only when the gap before the
+    # step is <= 2e, and the tolerance test stops a row only when the gap
+    # after it is <= tol * max(1, M) (or tol). A gap after the step above
+    # 2 * max(that level, 4e) rules out both, the one before being at least
+    # twice it less 2e; the factor 2 also covers the rounding of the tests.
+    free = 0
+    if active.any():
+        lo, hi = (t_in[active], t_out[active]) if partial else (t_in, t_out)
+        M = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+        g = float(np.min(np.abs(hi - lo)))
+        e = 2.0**-53 * M + 2.0**-1022
+        level = 2.0 * max(4.0 * e, 0.0 if tol is None else tol * max(1.0, M) if relative else tol)
+        while free < steps and g * 0.5 ** (free + 1) - 2 * (free + 1) * e > level:
+            free += 1
+    for step in range(steps):
+        stops = step >= free  # whether a row may stop in this step
+        if stops and not active.any():
             break
         mid = 0.5 * (t_in + t_out)
         inside = inside_at(mid)
-        fixed = (mid == t_in) | (mid == t_out)
+        if not (stops or partial):
+            t_in = np.where(inside, mid, t_in)
+            t_out = np.where(inside, t_out, mid)
+            continue
+        if stops:
+            fixed = (mid == t_in) | (mid == t_out)
         t_in = np.where(active & inside, mid, t_in)
         t_out = np.where(active & ~inside, mid, t_out)
-        active = active & ~fixed
-        if tol is not None:
-            active = active & unresolved(t_in, t_out)
+        if stops:
+            active = active & ~fixed
+            if tol is not None:
+                active = active & unresolved(t_in, t_out)
     return t_in, t_out
 
 
@@ -823,9 +856,10 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge p(x) = inf{lam > 0 : x in lam * body}, by bisection on lam.
 
     Accepts a single point (n,) or a batch (N, n); p(0) = 0 exactly.
-    The bracket [|x|/outer_radius, |x|/margin] comes from the certified radii;
-    a membership failure at the certified inner bracket raises
-    OracleIntegrityError.
+    The bracket [|x| (1 - 1e-12) / outer_radius, |x| / (0.9 margin_at_zero)]
+    comes from the certified radii (its lower end is 0 on an unbounded
+    body); a membership failure at its upper end, whose point the certified
+    interior ball contains, raises OracleIntegrityError.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")

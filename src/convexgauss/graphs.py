@@ -37,6 +37,8 @@ from .space import DEFAULT_FD_STEP, EstimateWithError, as_direction
 DEFAULT_SECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 80  # golden-section steps of every row that does not settle
+GOLDEN_LOOKAHEAD = 5  # most golden steps served by one stacked gauge call
+GOLDEN_LOOKAHEAD_ROWS = 512  # most rows of a stacked call that serves more than one step
 GOLDEN_GAUGE_TOL = 1e-12  # relative tolerance of every golden-section gauge
 GOLDEN_SETTLE_MARGIN = 1e-9  # a row settles once its minimum is provably this far above the stop level
 EMPTY_SECTION_GRID = 5  # probes per axis of each zoom level of the empty-section proof
@@ -66,10 +68,17 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None)
     [-T, T], T just past the body's reach.
 
     Returns (t_min, q_min) per row. The map is convex in t, so golden section
-    is valid; it is the membership-only fallback for thin sections. Each step
-    gauges both probes c and d of every searching row in one stacked call; a
-    row's gauge depends only on that row, so the values are those of
-    separate calls. Without `stop` every row runs GOLDEN_STEPS steps.
+    is valid; it is the membership-only fallback for thin sections. Without
+    `stop` every row runs GOLDEN_STEPS steps.
+
+    One stacked gauge call serves D steps: it gauges the probes c and d of
+    every searching row's bracket and of each bracket that D - 1 more steps
+    can lead to, 2^(D+1) - 2 probes a row, and the next D steps choose among
+    them. D is the largest depth, up to GOLDEN_LOOKAHEAD, whose probes of all
+    searching rows number at most GOLDEN_LOOKAHEAD_ROWS (1 beyond that). A
+    row's gauge depends only on that row, and every row of the shared
+    bisection meets its tolerance within the bisection's step cap, so each
+    value is the one a separate call gives.
 
     `stop` is for callers that discard every row whose minimum is not below
     it. Such a row also gauges its bracket ends a and b once, and before
@@ -89,24 +98,36 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None)
     rows = np.arange(N)
     t_min = np.empty(N)
     q_min = np.empty(N)
-    Yr, Y2 = Y, np.concatenate([Y, Y])  # the searching rows, alone and twice
+    Yr = Y  # the searching rows
 
-    def gauge(*params):
-        # one stacked call: the searching rows at each parameter in turn
-        k = len(params)
-        X = (Y2 if k == 2 else np.concatenate([Yr] * k)) + np.concatenate(params)[:, None] * h
-        return minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(k, -1)
+    def gauge(params):
+        # one stacked call: the searching rows at each row of params in turn
+        P = np.concatenate(params)
+        X = np.tile(Yr, (P.shape[0], 1)) + P.reshape(-1)[:, None] * h
+        return minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(P.shape)
 
     a = np.full(N, -T)
     b = np.full(N, T)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    if stop is None:
-        fc, fd = gauge(c, d)
-    else:
-        fc, fd, fa, fb = gauge(c, d, a, b)
+    if stop is not None:
         given_up = np.full(N, np.inf)  # bound of the map over the pieces given up
-    for _ in range(GOLDEN_STEPS):
+    level = depth = 0
+    for step in range(GOLDEN_STEPS):
+        if level == depth:
+            # the largest D with (2^(D+1) - 2) * rows <= GOLDEN_LOOKAHEAD_ROWS
+            fit = (GOLDEN_LOOKAHEAD_ROWS // rows.size + 2).bit_length() - 2
+            depth = min(max(fit, 1), GOLDEN_LOOKAHEAD, GOLDEN_STEPS - step)
+            ends = [a[None], b[None]] if stop is not None and step == 0 else []
+            vals = gauge(_probe_tree(a, b, depth) + ends)
+            if ends:
+                fa, fb = vals[-2], vals[-1]
+            node = np.zeros(rows.size, dtype=np.intp)  # each row's bracket at this level
+            cols = np.arange(rows.size)
+            level = 0
+        off = 2 ** (level + 1) - 2
+        fc = vals[off + node, cols]
+        fd = vals[off + 2**level + node, cols]
         if stop is not None:
             floors = _piece_floors(a, c, d, b, fa, fc, fd, fb)
             settled = np.minimum.reduce([given_up, *floors]) > stop + GOLDEN_SETTLE_MARGIN
@@ -115,12 +136,13 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None)
                 t_min[done] = np.where(fc < fd, c, d)[settled]
                 q_min[done] = np.minimum(fc, fd)[settled]
                 keep = ~settled
-                rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, *floors = (
-                    v[keep] for v in (rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, *floors)
+                rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, node, *floors = (
+                    v[keep] for v in (rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, node, *floors)
                 )
                 if not rows.size:
                     return t_min, q_min
-                Y2 = np.concatenate([Yr, Yr])
+                vals = vals[:, keep]
+                cols = np.arange(rows.size)
             if np.all(np.minimum(fc, fd) < stop):
                 # a probe below stop caps every bound below it: no row left
                 # can settle, so the rest is the plain search
@@ -135,11 +157,29 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None)
         a = np.where(left, a, c)
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
-        fc, fd = gauge(c, d)
+        node = np.where(left, node, node + 2**level)
+        level += 1
     t = 0.5 * (a + b)
     t_min[rows] = t
-    q_min[rows] = gauge(t)[0]
+    q_min[rows] = gauge([t[None]])[0]
     return t_min, q_min
+
+
+def _probe_tree(a, b, depth):
+    """Golden probes of the brackets (a, b) and of every bracket the next
+    depth - 1 steps can lead to, as a list of (2^l, N) arrays: for each
+    level l in turn the probes c, then the probes d, of its 2^l brackets.
+    A step to the left, to (a, d), keeps a bracket's index in the next
+    level; a step to the right, to (c, b), adds 2^l. Each bracket's probes
+    are computed from its ends as the search computes them."""
+    A, B = a[None], b[None]
+    out = []
+    for _ in range(depth):
+        C = B - GOLDEN * (B - A)
+        D = A + GOLDEN * (B - A)
+        out += [C, D]
+        A, B = np.concatenate([A, C]), np.concatenate([D, B])
+    return out
 
 
 def _chord_floor(t1, f1, t2, f2, s, delta):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import minimize
@@ -479,6 +479,99 @@ def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, mode, steps
     got = bisect(inside_at, t_in, t_out, **kwargs)
     want = _bisect_every_step(inside_at, t_in, t_out, **kwargs)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _bisect_testing_every_step(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+    """bisect with both stop tests in every step, no free steps."""
+    t_in = np.asarray(t_in, dtype=float)
+    t_out = np.asarray(t_out, dtype=float)
+
+    def unresolved(a, b):
+        return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
+
+    if tol is not None:
+        gap0 = float(np.max(np.abs(t_out - t_in))) if t_in.size else 0.0
+        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
+        if active is None:
+            active = unresolved(t_in, t_out)
+    if active is None:
+        active = np.ones(t_in.shape, dtype=bool)
+    for _ in range(steps):
+        if not active.any():
+            break
+        mid = 0.5 * (t_in + t_out)
+        inside = inside_at(mid)
+        fixed = (mid == t_in) | (mid == t_out)
+        t_in = np.where(active & inside, mid, t_in)
+        t_out = np.where(active & ~inside, mid, t_out)
+        active = active & ~fixed
+        if tol is not None:
+            active = active & unresolved(t_in, t_out)
+    return t_in, t_out
+
+
+def _bracket_end(t_in, gap, level):
+    """t_out of a bracket from t_in: ("wide", x) at x; ("ulps", k) k ulps
+    away; ("above", f) f times the stop level away, so that with 1 < f <= 2
+    the row stops after one step; ("zero", _) at 0, as an unbounded body's
+    gauge bracket."""
+    kind, x = gap
+    if kind == "wide":
+        return t_in + x
+    if kind == "ulps":
+        return _far_end(t_in, ("ulps", x))
+    if kind == "above":
+        return t_in + x * level
+    return 0.0
+
+
+_FREE_BRACKET = st.tuples(
+    st.floats(-8.0, 8.0),
+    st.sampled_from([1.0, 1e6]),
+    st.one_of(
+        st.tuples(st.just("wide"), st.floats(-16.0, 16.0)),
+        st.tuples(st.just("ulps"), st.integers(-12, 12)),
+        st.tuples(st.just("above"), st.sampled_from([-2.0, -1.5, 1.0 + 2.0**-40, 1.01, 2.0 + 2.0**-10, 2.5, 5.0])),
+        st.tuples(st.just("zero"), st.just(0.0)),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(_FREE_BRACKET, min_size=1, max_size=6),
+    mode=st.sampled_from(["steps", "absolute", "relative"]),
+    steps=st.integers(0, 80),
+    tol=st.sampled_from([1e-2, 1e-9, 1e-12, 1e-15]),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a gap just over twice the tolerance at |t| ~ 2e6: its first midpoint
+# rounds the gap to within the tolerance, which a bound without both its
+# rounding term and its factor 2 misses
+@example(
+    rows=[(1.7061724122748778, 1e6, ("above", 2.0 + 2.0**-10), False)],
+    mode="absolute", steps=0, tol=1e-9, masked=False, seed=2,
+)
+def test_bisect_free_steps_equal_testing_every_step(rows, mode, steps, tol, masked, seed):
+    # brackets of mixed widths at |t| up to 8 or 8e6 (where an ulp exceeds
+    # the smaller tolerances), some a few ulps wide, some just wider than
+    # the stop level, some ending at 0; the predicate answers at random, so
+    # a row that moves in a step it should have stopped before changes the
+    # result whatever its midpoint
+    t_in = np.array([r[0] * r[1] for r in rows])
+    level = tol * np.maximum(1.0, t_in) if mode == "relative" else np.full(len(rows), tol)
+    t_out = np.array([_bracket_end(t, r[2], lv) for t, r, lv in zip(t_in, rows, level)])
+    kwargs = {"steps": steps} if mode == "steps" else {"tol": tol, "relative": mode == "relative"}
+    if masked:
+        kwargs["active"] = np.array([r[3] for r in rows])
+    runs = []
+    for run in (bisect, _bisect_testing_every_step):
+        rng = np.random.default_rng(seed)
+        runs.append(run(lambda t: rng.random(t.shape) < 0.5, t_in, t_out, **kwargs))
+    (got_in, got_out), (want_in, want_out) = runs
+    assert np.array_equal(got_in, want_in) and np.array_equal(got_out, want_out)
 
 
 @settings(max_examples=60, deadline=None)

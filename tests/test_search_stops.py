@@ -107,9 +107,10 @@ def _random_body(kind, rng):
     return cg.translate(cg.ellipsoid(rng.uniform(0.3, 2.0, 3)), rng.uniform(-1.5, 1.5, 3))
 
 
-def _random_lines(body, rng, rows):
-    h = rng.standard_normal(3)
-    h /= np.linalg.norm(h)
+def _random_lines(body, rng, rows, h=None):
+    if h is None:
+        h = rng.standard_normal(3)
+        h /= np.linalg.norm(h)
     Y = rng.standard_normal((rows, 3))
     Y -= np.outer(Y @ h, h)
     Y *= (rng.uniform(0.0, 1.6, rows) * min(body.reach, 3.0) / np.linalg.norm(Y, axis=1))[:, None]
@@ -158,6 +159,37 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
         assert (t[0], q[0]) == (t_ref[0], q_ref[0])
 
 
+@pytest.mark.parametrize("rows, depth", [(1, 5), (3, 5), (40, 2), (300, 1)])
+@pytest.mark.parametrize(
+    "body, h",
+    [
+        (cg.ellipsoid([1.3, 0.8, 1.1]), E3_3),
+        (cg.random_polytope(3, 10, 4), E3_3),
+        (cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]), E1_3),
+        (cg.translate(cg.ball(0.7, 3), [2.0, 0.5, 0.0]), E3_3),
+    ],
+    ids=["ellipsoid", "polytope", "cylinder", "recentered"],
+)
+def test_golden_lookahead_equals_one_step_a_gauge(monkeypatch, body, h, rows, depth):
+    # rows sets the lookahead depth: (2^(depth+1) - 2) * rows probes fit 512
+    # rows, up to depth 5; without stop the search makes one stacked gauge
+    # call per depth steps and one more for its result
+    rng = np.random.default_rng(rows)
+    Y, _ = _random_lines(body, rng, rows, h)
+    t_ref, q_ref = _golden_reference(body, Y, h)
+    calls = _counting_gauge(monkeypatch)
+    t, q = graphs._golden_min_gauge(body, Y, h)
+    assert len(calls) == -(-GOLDEN_STEPS // depth) + 1
+    assert calls[0] == (2 ** (depth + 1) - 2) * rows
+    assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
+    t, q = graphs._golden_min_gauge(body, Y, h, stop=1.0)
+    found = q < 1.0 - 1e-12
+    assert np.array_equal(found, q_ref < 1.0 - 1e-12)
+    assert np.array_equal(t[found], t_ref[found]) and np.array_equal(q[found], q_ref[found])
+    settled = (t != t_ref) | (q != q_ref)
+    assert np.all(q[settled] >= 1.0)
+
+
 def _counting_gauge(monkeypatch):
     calls = []
     gauge = graphs.minkowski_functional
@@ -201,8 +233,9 @@ def test_rim_search_runs_every_golden_step(monkeypatch):
     monkeypatch.setattr(surface, "_golden_min_gauge", recorded)
     cg.total_boundary_measure(pair, budget={"angles": 48, "radial": 6}, seed=1)
     (Y, kw, gauges, (t, q)), = searches
-    # one stacked gauge per step, one before the first and one at the end
-    assert kw == {} and gauges == GOLDEN_STEPS + 2
+    # 48 rows fit a lookahead of two steps, 6 probes a row in 288 rows, so
+    # one stacked gauge serves every two steps; one more gauges the result
+    assert kw == {} and gauges == GOLDEN_STEPS // 2 + 1 == 41
     t_ref, q_ref = _golden_reference(body, Y, E3_3)
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
 

@@ -533,6 +533,19 @@ def test_minkowski_content_polygon_matches_exact_perimeter():
     assert abs(est.value - exact) <= 3 * est.std_error
 
 
+@pytest.mark.parametrize("h", [[0.0, 1.0], [1.0, 0.0]], ids=["e2", "e1"])
+def test_polar_route_polygon_error_is_within_four_per_mille(h):
+    # the polar graph route on the pentagon above, at the default budget,
+    # reads 0.645418 along e2 (-2.68e-3 relative) and 0.648092 along e1
+    # (+1.46e-3) against the exact 0.647150, each with a stated error of 0:
+    # the route's polytope error (ROADMAP items 3 and 11), pinned here
+    vertices = np.array([[1.3, 0.1], [0.2, 1.0], [-0.9, 0.6], [-0.7, -0.8], [0.6, -1.1]])
+    exact, faces = _polygon_perimeter(vertices)
+    est = cg.total_boundary_measure(cg.decompose(cg.polytope(faces), np.array(h)), seed=1)
+    assert est.method == "polar" and est.std_error == 0.0
+    assert abs(est.value - exact) <= 4e-3 * exact
+
+
 def test_minkowski_content_validates_epsilons(disk):
     with pytest.raises(ParameterError):
         cg.minkowski_content_perimeter(disk, budget={"epsilons": (0.5, 0.2, 0.1)})

@@ -23,9 +23,13 @@ CLI calls:
 * two fixed ``perimeter`` calls whose content route screens its draws on
   bodies the benchmark does not hold: an ellipsoid translated off the
   origin, whose margin at the origin is below its semiaxes, and an
-  unbounded cylinder over an ellipse.
+  unbounded cylinder over an ellipse;
+* two fixed calls on a random polytope along a tilted direction: a
+  ``gradcheck`` call whose section searches take the golden-section
+  fallback that stops early, and a ``perimeter`` call whose projected-rim
+  search runs 40 directions, two golden steps to each stacked gauge call.
 
-That is 50 calls in all.
+That is 52 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -120,7 +124,11 @@ MONTE_CARLO = {
 # searched), a gradcheck and an ibp call that choose their direction, a
 # density call, and two perimeter calls whose content route screens draws
 # on bodies unlike the benchmark's: a translated ellipsoid, whose origin
-# margin is below its semiaxes, and an unbounded cylinder
+# margin is below its semiaxes, and an unbounded cylinder; and two calls on
+# a polytope along a tilted direction: a gradcheck whose line searches take
+# the golden fallback, and a perimeter whose projected-rim search gauges 40
+# directions, two golden steps to each stacked gauge call
+_POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
     "surface_offcentre_ellipsoid": (
         "surface",
@@ -182,6 +190,26 @@ FIXED = {
             "directions": {"h": [0.6, 0.0, 0.8]},
             "budgets": {"quadrature_order": 64},
             "seed": 14,
+        },
+    ),
+    "gradcheck_polytope": (
+        "gradcheck",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "random_polytope", "faces": 10, "seed": 4},
+            "directions": {"h": _POLY_H},
+            "budgets": {"boundary_samples": 24},
+            "seed": 15,
+        },
+    ),
+    "perimeter_polytope_rim": (
+        "perimeter",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "random_polytope", "faces": 10, "seed": 4},
+            "directions": {"h": _POLY_H},
+            "budgets": {"angles": 40, "radial": 8, "samples": 20000},
+            "seed": 16,
         },
     ),
 }
