@@ -62,6 +62,14 @@ class ConvexBody:
                     mass cost
     distance_outside -- optional exact Euclidean distance to the closure,
                     used by the Minkowski-content perimeter oracle
+    certificate  -- optional closed form of `contains` (_Quadratic or
+                    _Faces), built by the shape's constructor from the arrays
+                    its `contains` reads. The bisections on rays and lines
+                    (_membership_along) send `contains` only the rows it
+                    leaves undecided. It stays on the body when
+                    dataclasses.replace swaps `contains`, so a wrapper of the
+                    oracle sees only those rows; a substitute oracle that must
+                    see every row belongs on a from_oracle body.
     """
 
     contains: Callable[[np.ndarray], np.ndarray]
@@ -73,6 +81,7 @@ class ConvexBody:
     distance_outside: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spec: Optional[dict] = None
     recentered_by: Optional[np.ndarray] = None
+    certificate: Optional[_Quadratic | _Faces] = None
 
     @property
     def bounded(self) -> bool:
@@ -104,12 +113,21 @@ class ConvexBody:
             )
 
 
-def _recenter(contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None) -> ConvexBody:
-    """Translate the body by -x0 when the origin is not certifiably interior."""
+def _off_centre(x0, r0) -> bool:
+    """Whether the ball B(x0, r0) leaves no certified margin about the origin."""
+    return r0 - np.linalg.norm(x0) <= 1e-6 * max(1.0, r0)
+
+
+def _recenter(
+    contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None, certificate=None
+) -> ConvexBody:
+    """Translate the body by -x0 when the origin is not certifiably interior.
+    A moved body drops its certificate, which holds the unmoved arrays."""
     x0 = np.asarray(x0, dtype=float)
     shift = None
-    if r0 - np.linalg.norm(x0) <= 1e-6 * max(1.0, r0):
+    if _off_centre(x0, r0):
         shift = -x0
+        certificate = None
         inner = contains
         contains = lambda x, fn=inner, off=x0: fn(np.asarray(x, dtype=float) + off)
         if distance is not None:
@@ -128,7 +146,265 @@ def _recenter(contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None
         distance_outside=distance,
         spec=spec,
         recentered_by=shift,
+        certificate=certificate,
     )
+
+
+# Certificates. With u = 2^-53, forming a point fl(U + fl(s V)) or fl(V / lam)
+# puts coordinate i within 2u w_i of the exact point, w_i = |U_i| + |s||V_i|
+# (s = 1/lam on a ray, U = 0). The oracle's value at the formed point is then
+# within (n+8)u sum_i inv2_i w_i^2 of the exact quadratic form, and within
+# (n+3)u sum_i |a_ji| w_i of the exact row product <a_j, x> of face j; the
+# closed form of either, evaluated from its own products, is within the same
+# bound. A row is decided only when the closed form clears its threshold by
+# CERTIFICATE_BAND times that bound, sized at the step's own |s| (plus
+# CERTIFICATE_FLOOR on lines, which covers underflow): the band is more than
+# 30 times the sum of both errors, which leaves room for the rounding of the
+# band and of the test themselves, so a decided row gets the oracle's
+# answer. On a ray the value and its bound scale alike with 1/lam, so the
+# test becomes two ends on lam per row; on a line a face's value and bound
+# are affine in |s| on each side of 0, so its decided sets have ends on s.
+# Each end a division gives is moved one float outward (_round_out). A
+# certificate needs its thresholds and weights within CERTIFIED_RANGE and
+# leaves undecided every row whose U or V lies outside it, so no product of
+# the argument above overflows or underflows unseen.
+UNIT_ROUNDOFF = 2.0**-53
+CERTIFICATE_BAND = 64.0
+CERTIFICATE_FLOOR = 1e-300
+CERTIFIED_RANGE = (1e-50, 1e50)
+CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's arrays
+
+
+def _rows_certified(W, ray: bool) -> np.ndarray:
+    """Rows of W (points or directions) a certificate may decide: entries
+    finite and at most the range's top; on a ray, the largest entry at
+    least its bottom, since the ray's point V / lam is scaled by V alone."""
+    top = np.max(np.abs(W), axis=-1)
+    ok = top <= CERTIFIED_RANGE[1]  # False on nan and inf
+    return ok & (top >= CERTIFIED_RANGE[0]) if ray else ok
+
+
+def _ray_rule(V, lam_in, lam_out):
+    """Decisions on the ray points V / lam: inside for lam > lam_in, outside
+    for lam < lam_out, per row; rows out of range are never decided."""
+    off = ~_rows_certified(V, ray=True)
+    lam_in[off], lam_out[off] = np.inf, -np.inf
+
+    def decide(lam):
+        inside = lam > lam_in
+        return inside, ~(inside | (lam < lam_out))
+
+    return decide
+
+
+class _Quadratic(NamedTuple):
+    """Certificate of sum_i inv2_i x_i^2 < 1: the ellipsoid's own test, and
+    the ball's |x| < radius with inv2_i = 1 / radius^2 (the square root and
+    the squared radius round by a few u, which the band covers)."""
+
+    inv2: np.ndarray
+    gathers = True  # the oracle's arithmetic is elementwise
+
+    def band(self, n: int) -> float:
+        return CERTIFICATE_BAND * (n + 8) * UNIT_ROUNDOFF
+
+    def ray(self, V):
+        # q(V / lam) = c2 / lam^2 and its bound is band * c2 / lam^2, so the
+        # point is inside for lam^2 > c2 (1 + band), outside below c2 (1 - band)
+        K = self.band(V.shape[-1])
+        c2 = np.square(V) @ self.inv2
+        lam_in, lam_out = np.sqrt(c2 * (1.0 + K)), np.sqrt(c2 * (1.0 - K))
+        return _ray_rule(V, _round_out(lam_in, +1.0), _round_out(lam_out, -1.0))
+
+    def line(self, U, V):
+        # q(U + s V) = c0 + 2 s c1 + s^2 c2; its bound's sum is
+        # sum_i inv2_i (|U_i| + |s||V_i|)^2 = c0 + 2 |s| a1 + s^2 c2
+        K = self.band(U.shape[-1])
+        UV = U * V
+        c0 = np.square(U) @ self.inv2
+        c1 = 2.0 * (UV @ self.inv2)
+        c2 = np.square(V) @ self.inv2
+        Kc0 = K * c0 + CERTIFICATE_FLOOR
+        Kc0[~(_rows_certified(U, ray=False) & _rows_certified(V, ray=False))] = np.inf
+        Ka1, Kc2 = 2.0 * K * (np.abs(UV) @ self.inv2), K * c2
+
+        def decide(s):
+            a = np.abs(s)
+            value = c0 + s * (c1 + s * c2)
+            band = Kc0 + a * (Ka1 + a * Kc2)
+            inside = value + band < 1.0
+            return inside, ~(inside | (value - band > 1.0))
+
+        return decide
+
+
+class _Faces(NamedTuple):
+    """Certificate of <a_j, x> < c_j for every face j (unit rows a_j of A):
+    polytope, slab and halfspace. Its arrays run face by face along their
+    first axis, so each reduction over the faces runs across the rows, not
+    along a short last axis; it happens once per ray or line set, and each
+    step of a bisection compares its parameter with per-row ends."""
+
+    A: np.ndarray
+    c: np.ndarray
+
+    @property
+    def gathers(self) -> bool:
+        # a matrix product rounds each row alike in a batch of any size;
+        # numpy sends one face's to a matrix-vector routine, which rounds a
+        # row by its place in the batch
+        return len(self.c) > 1
+
+    def band(self, n: int) -> float:
+        return CERTIFICATE_BAND * (n + 3) * UNIT_ROUNDOFF
+
+    def ray(self, V):
+        lam_in, lam_out = _by_blocks(self._ray_ends, V)
+        return _ray_rule(V, lam_in, lam_out)
+
+    def line(self, U, V):
+        (lo_p, hi_p, above_p, below_p), (lo_n, hi_n, above_n, below_n) = _by_blocks(self._line_ends, U, V)
+
+        def decide(s):
+            pos = s >= 0.0
+            r = np.abs(s)
+            inside = (r > np.where(pos, lo_p, lo_n)) & (r < np.where(pos, hi_p, hi_n))
+            outside = (r > np.where(pos, above_p, above_n)) | (r < np.where(pos, below_p, below_n))
+            return inside, ~(inside | outside)
+
+        return decide
+
+    def _ray_ends(self, V):
+        # <a_j, V> / lam against c_j > 0 (the origin is inside), with the
+        # bound K S_j / lam, S_j = sum_i |V_i a_ji|: every face holds for
+        # lam > max_j (<a_j, V> + K S_j) / c_j, and one fails for lam below
+        # max_j (<a_j, V> - K S_j) / c_j
+        K = self.band(V.shape[-1])
+        VA = self.A @ V.T
+        KS = K * (np.abs(self.A) @ np.abs(V).T)
+        c = self.c[:, None]
+        lam_in, lam_out = np.max((VA + KS) / c, axis=0), np.max((VA - KS) / c, axis=0)
+        return np.stack([_round_out(lam_in, +1.0), _round_out(lam_out, -1.0)])
+
+    def _line_ends(self, U, V):
+        # On each half-line s = sigma r, r >= 0, face j's closed form less
+        # c_j, D_j + s <a_j, V>, and its bound K (S_j(U) + r S_j(V)) are
+        # affine in r, so the r where every face holds with the bound to
+        # spare is an interval, and the r where one fails by more than its
+        # bound is a union of two half-lines
+        K = self.band(U.shape[-1])
+        absA = np.abs(self.A)
+        D = self.A @ U.T - self.c[:, None]  # <a_j, U> - c_j
+        KSU = K * (absA @ np.abs(U).T) + CERTIFICATE_FLOOR
+        VA = self.A @ V.T
+        KSV = K * (absA @ np.abs(V).T)
+        if V.ndim == 1:  # one direction for every row
+            VA, KSV = VA[:, None], KSV[:, None]
+        off = ~(_rows_certified(U, ray=False) & _rows_certified(V, ray=False))
+        return np.stack(
+            [_half_line_ends(D + KSU, sigma * VA + KSV, D - KSU, sigma * VA - KSV, off) for sigma in (1.0, -1.0)]
+        )
+
+
+def _by_blocks(ends, *arrays):
+    """ends(*arrays) on blocks of CERTIFICATE_BLOCK_ROWS rows, joined along
+    the last axis: a face certificate's arrays hold a row per face, and
+    blocks keep them as small as the oracle's own row products. A 1-d
+    array (one direction for every row) goes to each block whole."""
+    N = arrays[0].shape[0]
+    return np.concatenate(
+        [
+            ends(*(a if a.ndim == 1 else a[start : start + CERTIFICATE_BLOCK_ROWS] for a in arrays))
+            for start in range(0, N, CERTIFICATE_BLOCK_ROWS)
+        ],
+        axis=-1,
+    )
+
+
+def _round_out(x, direction: float) -> np.ndarray:
+    """x moved one float up (direction +1) or down (-1): a correctly
+    rounded ratio lies within half a float of the exact one, so the moved
+    end is past it, and a decided set only shrinks."""
+    return np.nextafter(x, direction * np.inf)
+
+
+def _half_line_ends(alpha, b, alpha_out, b_out, off):
+    """Per row, for r >= 0 and faces j along the first axis: (lo, hi), the
+    interval where alpha_j + r b_j < 0 for every j, and (above, below), where
+    alpha_out_j + r b_out_j > 0 for some j exactly when r > above or
+    r < below. Ends are rounded inward (_round_out); rows in `off` get an
+    empty interval and no outside."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho, rho_out = -alpha / b, -alpha_out / b_out
+    # a face with slope 0 bounds no r: it holds everywhere or nowhere
+    hi = np.min(np.where(b > 0.0, rho, np.where((b == 0.0) & (alpha >= 0.0), -np.inf, np.inf)), axis=0)
+    lo = np.max(np.where(b < 0.0, rho, -np.inf), axis=0)
+    above = np.min(
+        np.where(b_out > 0.0, rho_out, np.where((b_out == 0.0) & (alpha_out > 0.0), -np.inf, np.inf)),
+        axis=0,
+    )
+    below = np.max(np.where(b_out < 0.0, rho_out, -np.inf), axis=0)
+    lo, hi, above, below = (
+        _round_out(lo, +1.0), _round_out(hi, -1.0), _round_out(above, +1.0), _round_out(below, -1.0)
+    )
+    lo[off], hi[off], above[off], below[off] = np.inf, -np.inf, np.inf, -np.inf
+    return np.stack([lo, hi, above, below])
+
+
+def _certificate(kind, *arrays):
+    """kind(*arrays) when every threshold and weight lies in CERTIFIED_RANGE
+    (the last array: inv2, or the face offsets), else None."""
+    weights = np.abs(arrays[-1])
+    in_range = (weights >= CERTIFIED_RANGE[0]) & (weights <= CERTIFIED_RANGE[1])
+    return kind(*arrays) if in_range.all() else None
+
+
+def _membership_along(body: ConvexBody, V, U=None):
+    """The membership test a bisection asks of its points: U + t V on lines
+    (V one direction or one per row), or, with U None, V / t on rays, the
+    points of the gauge at t (t > 0).
+
+    Returns inside_at(t), which maps a parameter per row to
+    body.contains of those points. A body with a certificate decides the
+    rows it can from the closed form; the rows it leaves undecided go to
+    `contains` in one call, as a subset only when the certificate gathers
+    (its oracle rounds each row alike in a batch of any size) and the whole
+    batch otherwise. A point is formed by the same elementwise expression
+    on a subset as on the whole batch, so every answer is the one the whole
+    batch gets, and a bisection takes the same steps with or without the
+    certificate. Once a step leaves more than a quarter of the rows
+    undecided, most brackets lie within the band about their crossing,
+    where later steps keep them: that step and every later one go to
+    `contains` whole, without asking the certificate.
+    """
+    V = np.asarray(V, dtype=float)
+
+    def points(t, rows=slice(None)):
+        if U is None:
+            return V[rows] / t[rows][:, None]
+        return U[rows] + t[rows][:, None] * (V if V.ndim == 1 else V[rows])
+
+    if body.certificate is None:
+        return lambda t: body.contains(points(t))
+    decide = body.certificate.ray(V) if U is None else body.certificate.line(U, V)
+    gathers = body.certificate.gathers
+
+    def inside_at(t):
+        nonlocal decide
+        if decide is None:
+            return body.contains(points(t))
+        inside, undecided = decide(t)
+        if not undecided.any():
+            return inside
+        rows = np.flatnonzero(undecided)
+        if 4 * rows.size > t.size:
+            decide = None
+        if decide is None or not gathers:
+            return body.contains(points(t))
+        inside[rows] = body.contains(points(t, rows))
+        return inside
+
+    return inside_at
 
 
 def _row_sum(q) -> np.ndarray:
@@ -164,6 +440,7 @@ def ball(radius: float, dim: int) -> ConvexBody:
         dim,
         distance=distance,
         spec={"shape": "ball", "radius": radius},
+        certificate=_certificate(_Quadratic, np.full(dim, 1.0 / (radius * radius))),
     )
 
 
@@ -202,6 +479,7 @@ def ellipsoid(semiaxes) -> ConvexBody:
         dim,
         distance=distance,
         spec={"shape": "ellipsoid", "semiaxes": list(map(float, s))},
+        certificate=_certificate(_Quadratic, inv2),
     )
 
 
@@ -253,6 +531,7 @@ def halfspace(normal, offset: float) -> ConvexBody:
         dim,
         distance=distance,
         spec={"shape": "halfspace", "normal": list(map(float, a)), "offset": c},
+        certificate=_certificate(_Faces, a[None], np.array([c])),
     )
 
 
@@ -288,8 +567,10 @@ def polytope(faces) -> ConvexBody:
 
     Per-axis extent LPs decide boundedness and give the outer radius of a
     bounded polytope. The interior point and margin come from the
-    Chebyshev-center LP, except for an unbounded polytope with every offset
-    positive (a slab, say): it keeps the origin, with margin min(c_i).
+    Chebyshev-center LP, except for a polytope with every offset positive
+    that is unbounded (a slab, say) or whose Chebyshev ball leaves the origin
+    no margin: it keeps the origin, with margin min(c_i), so a body that
+    holds the origin is never moved.
 
     Its distance oracle runs Dykstra's alternating projections onto the
     faces, each row until a sweep moves it by less than 1e-13 or for
@@ -343,6 +624,11 @@ def polytope(faces) -> ConvexBody:
                 f"polytope: empty interior for face list {faces!r}"
             )
         x0, r0 = res.x[:dim], float(res.x[-1])
+        if np.all(c > 0) and _off_centre(x0, r0):
+            # the origin is interior but the Chebyshev ball gives it no
+            # margin: keep the origin, as for an unbounded polytope, rather
+            # than let _recenter move the body
+            x0, r0 = np.zeros(dim), float(np.min(c))
 
     def contains(x):
         # one comparison per face, ANDed column by column: the same booleans
@@ -387,7 +673,10 @@ def polytope(faces) -> ConvexBody:
             {"normal": list(map(float, a)), "offset": float(b)} for a, b in zip(A, c)
         ],
     }
-    return _recenter(contains, x0, r0, outer, "polytope", dim, distance=distance, spec=spec)
+    return _recenter(
+        contains, x0, r0, outer, "polytope", dim, distance=distance, spec=spec,
+        certificate=_certificate(_Faces, A, c),
+    )
 
 
 def slab(normal, half_width: float) -> ConvexBody:
@@ -859,7 +1148,9 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
     The bracket [|x| (1 - 1e-12) / outer_radius, |x| / (0.9 margin_at_zero)]
     comes from the certified radii (its lower end is 0 on an unbounded
     body); a membership failure at its upper end, whose point the certified
-    interior ball contains, raises OracleIntegrityError.
+    interior ball contains, raises OracleIntegrityError. The bisection asks
+    membership through _membership_along, so a body's certificate answers
+    every step it can place and `contains` sees only the rest.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -883,8 +1174,9 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
             lo = norms[act] / body.outer_radius * (1.0 - 1e-12)
         else:
             lo = np.zeros_like(hi)
+        inside_at = _membership_along(body, Xa)
         hi, lo = bisect(
-            lambda lam: body.contains(Xa / np.maximum(lam, 1e-250)[:, None]),
+            lambda lam: inside_at(np.maximum(lam, 1e-250)),
             hi,
             lo,
             tol=tol,

@@ -20,6 +20,7 @@ import numpy as np
 from .bodies import (
     DEFAULT_GAUGE_TOL,
     ConvexBody,
+    _membership_along,
     bisect,
     minkowski_functional,
     minkowski_gradient_fd,
@@ -285,7 +286,7 @@ def _bisect_endpoint(body, Y, h, t_in, direction):
             "membership oracle reports an inside point beyond the certified outer radius"
         )
     lo, hi = bisect(
-        lambda t: body.contains(Y + t[:, None] * h),
+        _membership_along(body, h, Y),
         t_in,
         far,
         tol=DEFAULT_SECTION_TOL,

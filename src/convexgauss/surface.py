@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -337,9 +337,7 @@ def _section_dir_bisect(body, X, u, reach):
     """Distance from inside points X to the boundary along +u (clipped)."""
     hi = np.full(X.shape[0], reach)
     far_inside = body.contains(X + hi[:, None] * u)
-    lo, hi = bisect(
-        lambda t: body.contains(X + t[:, None] * u), np.zeros(X.shape[0]), hi, steps=60
-    )
+    lo, hi = bisect(_membership_along(body, u, X), np.zeros(X.shape[0]), hi, steps=60)
     out = 0.5 * (lo + hi)
     out[far_inside] = reach
     return out

@@ -643,3 +643,167 @@ def test_slab_rhs_matches_closed_form():
     g1 = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
     expected = 2.0 * w * n[i] * (n @ k) * g1
     assert est.value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+# ------------------------------------------------------------ certificates
+
+CERTIFIED_KINDS = ["ball", "ellipsoid", "halfspace", "slab", "polytope"]
+
+
+def _certified_body(kind, n, rng):
+    """A body of each certified shape, drawn from rng, and its gauge."""
+    if kind == "ball":
+        radius = rng.uniform(0.3, 3.0)
+        return cg.ball(radius, n), lambda X: np.linalg.norm(X, axis=1) / radius
+    if kind == "ellipsoid":
+        s = rng.uniform(0.2, 3.0, n)
+        return cg.ellipsoid(s), lambda X: np.sqrt(np.sum((X / s) ** 2, axis=1))
+    if kind == "halfspace":
+        body = cg.halfspace(rng.standard_normal(n), rng.uniform(0.01, 3.0))
+    elif kind == "slab":
+        body = cg.slab(rng.standard_normal(n), rng.uniform(0.01, 3.0))
+    else:
+        body = cg.random_polytope(n, int(rng.integers(n + 1, 13)), int(rng.integers(1000)))
+    A, c = body.certificate
+    return body, lambda X: np.maximum(np.max(X @ A.T / c, axis=1), 0.0)
+
+
+def _along_faces(body, W, P, rng):
+    """W with half its rows turned nearly parallel to the face that binds
+    at the matching row of P: its component along that face's normal shrunk
+    by 1e-3 to 1e-1, so the row products cancel and the rounding bound is
+    far above the product itself. Rows of a body with no faces are kept."""
+    if not hasattr(body.certificate, "A"):
+        return W
+    A, c = body.certificate
+    normal = A[np.argmax(P @ A.T / c, axis=1)]
+    along = np.sum(W * normal, axis=1, keepdims=True)
+    shrink = 1.0 - 10.0 ** rng.uniform(-3.0, -1.0, (W.shape[0], 1))
+    return np.where(rng.random((W.shape[0], 1)) < 0.5, W - shrink * along * normal, W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(CERTIFIED_KINDS),
+    n=st.integers(2, 12),
+    mode=st.sampled_from(["ray", "line", "line_per_row"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_decides_only_what_the_oracle_answers(kind, n, mode, seed):
+    # rays and lines whose parameters lie 1e-16 to 1e-6 relative from the
+    # exact crossing, on either side: every row the certificate decides
+    # must get the oracle's answer, and the bisections' predicate must
+    # equal the oracle on every row
+    from convexgauss.bodies import _membership_along
+
+    rng = np.random.default_rng(seed)
+    n = min(n, 5) if kind == "polytope" else n
+    body, gauge = _certified_body(kind, n, rng)
+    rows = 300
+    rel = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-16.0, -6.0, rows)
+    X = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+    if mode == "ray":
+        X = _along_faces(body, X, X, rng)
+    p = gauge(X)
+    if mode == "ray":
+        # points V / lam; a ray in the recession cone gets a random lam
+        V, U = X, None
+        t = np.where(p > 0, p * (1.0 + rel), rng.uniform(0.1, 10.0, rows))
+        decide = body.certificate.ray(V)
+        pts = V / t[:, None]
+    else:
+        # lines through a boundary point x_b = X / p(X), crossing it at t_star
+        X = np.where((p > 0)[:, None], X, -X)
+        xb = X / gauge(X)[:, None]
+        V = rng.standard_normal((rows, n) if mode == "line_per_row" else n)
+        if mode == "line_per_row":
+            V = _along_faces(body, V, xb, rng)
+        V /= np.linalg.norm(V, axis=-1, keepdims=True)
+        t_star = rng.uniform(-50.0, 50.0, rows)
+        U = xb - t_star[:, None] * V
+        t = t_star * (1.0 + rel)
+        decide = body.certificate.line(U, V)
+        pts = U + t[:, None] * V
+    truth = body.contains(pts)
+    inside, undecided = decide(t)
+    decided = ~undecided
+    assert decided.sum() > rows // 4
+    assert np.array_equal(inside[decided], truth[decided])
+    assert not inside[undecided].any()
+    assert np.array_equal(_membership_along(body, V, U)(t), truth)
+
+
+def test_bodies_without_closed_form_have_no_certificate():
+    assert cg.from_oracle(lambda x: np.linalg.norm(x, axis=-1) < 1.0, np.zeros(2), 1.0).certificate is None
+    assert cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]).certificate is None
+    assert cg.translate(cg.ellipsoid([1.0, 2.0]), [0.1, 0.0]).certificate is None
+    moved = cg.halfspace([1.0, 0.0], -1.0)
+    assert moved.recentered_by is not None and moved.certificate is None
+    for body in (cg.ball(1.0, 3), cg.kl_ellipsoid(4), cg.slab([1.0, 1.0], 0.5), cg.random_polytope(3, 8, 1)):
+        assert body.certificate is not None
+
+
+def test_certificate_leaves_rows_out_of_range_to_the_oracle():
+    body = cg.ellipsoid([1.0, 2.0])
+    V = np.array([[1e60, 0.0], [1e-60, 0.0], [1.0, np.nan], [1.0, 0.0]])
+    inside, undecided = body.certificate.ray(V)(np.array([2e60, 2e-60, 1.0, 2.0]))
+    assert undecided.tolist() == [True, True, True, False] and inside[3]
+    box = cg.polytope([{"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [-1.0, 0.0], "offset": 1.0},
+                       {"normal": [0.0, 1.0], "offset": 1.0}, {"normal": [0.0, -1.0], "offset": 1.0}])
+    U = np.array([[1e60, 0.0], [0.0, 0.0]])
+    inside, undecided = box.certificate.line(U, np.array([0.0, 1.0]))(np.array([0.0, 0.5]))
+    assert undecided.tolist() == [True, False] and inside[1]
+
+
+# ------------------------------------------- polytopes that hold the origin
+
+BOX_3D = [
+    {"normal": [float(i == k) * sign for k in range(3)], "offset": w}
+    for i, w in enumerate((1.0, 0.5, 1.0))
+    for sign in (1.0, -1.0)
+]
+
+
+def test_box_off_its_chebyshev_centre_keeps_the_origin():
+    # |x1| < 1, |x2| < 0.5, |x3| < 1: the Chebyshev LP puts the centre of a
+    # ball of radius 0.5 at a point as far as 0.71 from the origin; the body
+    # keeps the origin with margin 0.5 and its perimeter is the product
+    # formula's sum_i 2 phi(w_i) prod_(k != i) (2 Phi(w_k) - 1)
+    body = cg.polytope(BOX_3D)
+    assert body.recentered_by is None
+    assert body.certificate is not None
+    assert np.array_equal(body.interior_point, np.zeros(3)) and body.interior_margin == 0.5
+    phi = lambda w: math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    mass = lambda w: math.erf(w / math.sqrt(2.0))
+    w = (1.0, 0.5, 1.0)
+    exact = sum(2.0 * phi(w[i]) * math.prod(mass(w[k]) for k in range(3) if k != i) for i in range(3))
+    assert exact == pytest.approx(0.5811934, abs=1e-7)
+    graph = cg.total_boundary_measure(cg.decompose(body, [0.48, -0.6, 0.64]))
+    assert graph.value == pytest.approx(exact, rel=0.01)
+    content = cg.minkowski_content_perimeter(body, budget={"samples": 200_000}, seed=0)
+    assert abs(content.value - exact) < 3.0 * content.std_error
+
+
+def test_random_polytopes_are_never_moved():
+    # every offset lies in (0.8, 1.6), so each holds the origin
+    assert all(cg.random_polytope(3, 8, s).recentered_by is None for s in range(200))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_face_certificate_blocks_join_to_one_block(monkeypatch, shared):
+    # a face certificate builds its per-row ends in blocks of rows; the
+    # blocks must join to what one block over every row gives
+    from convexgauss import bodies
+
+    body = cg.random_polytope(3, 12, 5)
+    rng = np.random.default_rng(3)
+    rows = 2 * bodies.CERTIFICATE_BLOCK_ROWS + 17
+    U = rng.uniform(-1.5, 1.5, (rows, 3))
+    V = rng.standard_normal(3 if shared else (rows, 3))
+    t = rng.uniform(-3.0, 3.0, rows)
+    blocked = [body.certificate.line(U, V)(t), body.certificate.ray(U)(np.abs(t) + 0.1)]
+    monkeypatch.setattr(bodies, "CERTIFICATE_BLOCK_ROWS", rows)
+    whole = [body.certificate.line(U, V)(t), body.certificate.ray(U)(np.abs(t) + 0.1)]
+    for got, want in zip(blocked, whole):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert not blocked[0][1].all() and not blocked[1][1].all()

@@ -514,3 +514,13 @@ def test_psi_from_spec_round_trip():
     for spec in specs:
         psi = cg.psi_from_spec(spec)
         assert isinstance(psi, cg.TestFunction)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 65536])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_tanh_gradient_equals_the_broadcast_product(rows, dim):
+    rng = np.random.default_rng([rows, dim])
+    w = rng.standard_normal(dim)
+    x = rng.standard_normal((rows, dim))
+    t = np.tanh(x @ w + 0.3)
+    assert np.array_equal(cg.tanh_of(w, offset=0.3).analytic_gradient(x), (1.0 - t * t)[:, None] * w)

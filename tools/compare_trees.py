@@ -27,9 +27,13 @@ CLI calls:
 * two fixed calls on a random polytope along a tilted direction: a
   ``gradcheck`` call whose section searches take the golden-section
   fallback that stops early, and a ``perimeter`` call whose projected-rim
-  search runs 40 directions, two golden steps to each stacked gauge call.
+  search runs 40 directions, two golden steps to each stacked gauge call;
+* one fixed ``perimeter`` call on an ellipsoid in dimension 12, on the
+  Monte Carlo graph route, whose gauge and section bisections decide most
+  rows from the ellipsoid's certificate at the largest dimension any
+  compared call has.
 
-That is 52 calls in all.
+That is 53 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -127,7 +131,8 @@ MONTE_CARLO = {
 # margin is below its semiaxes, and an unbounded cylinder; and two calls on
 # a polytope along a tilted direction: a gradcheck whose line searches take
 # the golden fallback, and a perimeter whose projected-rim search gauges 40
-# directions, two golden steps to each stacked gauge call
+# directions, two golden steps to each stacked gauge call; and a perimeter
+# on a 12-d ellipsoid, whose certificate's band grows with the dimension
 _POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
     "surface_offcentre_ellipsoid": (
@@ -210,6 +215,19 @@ FIXED = {
             "directions": {"h": _POLY_H},
             "budgets": {"angles": 40, "radial": 8, "samples": 20000},
             "seed": 16,
+        },
+    ),
+    "perimeter_ellipsoid12d": (
+        "perimeter",
+        {
+            "model": {"dim": 12},
+            "body": {
+                "shape": "ellipsoid",
+                "semiaxes": [3.9, 3.7, 3.5, 3.3, 3.6, 3.4, 3.8, 3.2, 3.5, 3.6, 3.4, 3.7],
+            },
+            "directions": {"h": [0.0] * 10 + [0.6, 0.8]},
+            "budgets": {"samples": 10000},
+            "seed": 17,
         },
     ),
 }
