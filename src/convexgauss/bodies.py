@@ -173,6 +173,7 @@ CERTIFICATE_BAND = 64.0
 CERTIFICATE_FLOOR = 1e-300
 CERTIFIED_RANGE = (1e-50, 1e50)
 CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's arrays
+SECTION_MISS_MARGIN = 1e-9  # a section misses once its minimum gauge clears 1 by this
 
 
 def _rows_certified(W, ray: bool) -> np.ndarray:
@@ -237,6 +238,26 @@ class _Quadratic(NamedTuple):
 
         return decide
 
+    def missed(self, U, F):
+        # The least-squares minimum of q over x = U + z F sits at z* =
+        # -C^-1 b, C = F diag(inv2) F^T, b = F diag(inv2) U. At the computed
+        # z, q is strongly convex in z with Hessian 2C >= min(inv2) I (F's
+        # rows are orthonormal to within 1e-10), so min q >= q(x) - |g|^2 /
+        # min(inv2) with g = F diag(inv2) x; the test subtracts four times
+        # that, which covers its own rounding. Forming x puts coordinate i
+        # within (m+1)u w_i of the exact point, w_i = |U_i| + sum_k |z_k
+        # F_ki|, so q and g get the band of a line with 2m more terms
+        K = self.band(U.shape[-1] + 2 * F.shape[0])
+        FW = F * self.inv2
+        z = -np.linalg.solve(FW @ F.T, FW @ U.T).T
+        x = U + z @ F
+        w = np.abs(U) + np.abs(z) @ np.abs(F)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.linalg.norm(x @ FW.T, axis=1) + K * np.linalg.norm(w @ np.abs(FW).T, axis=1)
+            low = _row_sum(np.square(x) * self.inv2) - K * (np.square(w) @ self.inv2)
+            low -= 4.0 * g * g / np.min(self.inv2)
+        return _rows_certified(U, ray=False) & np.isfinite(low) & (low > (1.0 + SECTION_MISS_MARGIN) ** 2)
+
 
 class _Faces(NamedTuple):
     """Certificate of <a_j, x> < c_j for every face j (unit rows a_j of A):
@@ -274,6 +295,19 @@ class _Faces(NamedTuple):
 
         return decide
 
+    def missed(self, U, F):
+        # On a line (m = 1) the gauge max_j <a_j, x> / c_j is above level
+        # wherever some face j fails <a_j, x> < level c_j by more than its
+        # band: the outside sets of _line_ends at level. A half-line lies
+        # wholly outside when that set, r > above or r < below, covers every
+        # r >= 0. Sections of two or more dimensions stay undecided.
+        if F.shape[0] > 1:
+            return np.zeros(U.shape[0], dtype=bool)
+        level = 1.0 + SECTION_MISS_MARGIN
+        ends = _by_blocks(lambda U, V: self._line_ends(U, V, level), U, F[0])
+        (_, _, above_p, below_p), (_, _, above_n, below_n) = ends
+        return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
+
     def _ray_ends(self, V):
         # <a_j, V> / lam against c_j > 0 (the origin is inside), with the
         # bound K S_j / lam, S_j = sum_i |V_i a_ji|: every face holds for
@@ -286,15 +320,15 @@ class _Faces(NamedTuple):
         lam_in, lam_out = np.max((VA + KS) / c, axis=0), np.max((VA - KS) / c, axis=0)
         return np.stack([_round_out(lam_in, +1.0), _round_out(lam_out, -1.0)])
 
-    def _line_ends(self, U, V):
+    def _line_ends(self, U, V, level=1.0):
         # On each half-line s = sigma r, r >= 0, face j's closed form less
-        # c_j, D_j + s <a_j, V>, and its bound K (S_j(U) + r S_j(V)) are
-        # affine in r, so the r where every face holds with the bound to
+        # level c_j, D_j + s <a_j, V>, and its bound K (S_j(U) + r S_j(V))
+        # are affine in r, so the r where every face holds with the bound to
         # spare is an interval, and the r where one fails by more than its
         # bound is a union of two half-lines
         K = self.band(U.shape[-1])
         absA = np.abs(self.A)
-        D = self.A @ U.T - self.c[:, None]  # <a_j, U> - c_j
+        D = self.A @ U.T - level * self.c[:, None]  # <a_j, U> - level c_j
         KSU = K * (absA @ np.abs(U).T) + CERTIFICATE_FLOOR
         VA = self.A @ V.T
         KSV = K * (absA @ np.abs(V).T)
@@ -310,12 +344,13 @@ def _by_blocks(ends, *arrays):
     """ends(*arrays) on blocks of CERTIFICATE_BLOCK_ROWS rows, joined along
     the last axis: a face certificate's arrays hold a row per face, and
     blocks keep them as small as the oracle's own row products. A 1-d
-    array (one direction for every row) goes to each block whole."""
+    array (one direction for every row) goes to each block whole; no rows
+    make one empty block."""
     N = arrays[0].shape[0]
     return np.concatenate(
         [
             ends(*(a if a.ndim == 1 else a[start : start + CERTIFICATE_BLOCK_ROWS] for a in arrays))
-            for start in range(0, N, CERTIFICATE_BLOCK_ROWS)
+            for start in range(0, max(N, 1), CERTIFICATE_BLOCK_ROWS)
         ],
         axis=-1,
     )
@@ -405,6 +440,22 @@ def _membership_along(body: ConvexBody, V, U=None):
         return inside
 
     return inside_at
+
+
+def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
+    """Rows (N,) whose section U + span(F) the body's certificate proves
+    misses the body, F holding 1 to 3 orthonormal rows: its minimum gauge
+    clears 1 + SECTION_MISS_MARGIN by more than the band. A quadratic
+    decides sections of any dimension, faces lines only.
+
+    Every other row is False (undecided), and so is every row of a body
+    without a certificate or whose certificate does not gather: a section
+    search drops the decided rows from its batch, which a halfspace's
+    oracle would then round differently.
+    """
+    if body.certificate is None or not body.certificate.gathers:
+        return np.zeros(U.shape[0], dtype=bool)
+    return body.certificate.missed(U, F)
 
 
 def _row_sum(q) -> np.ndarray:

@@ -21,6 +21,7 @@ from .bodies import (
     DEFAULT_GAUGE_TOL,
     ConvexBody,
     _membership_along,
+    _sections_missed,
     bisect,
     minkowski_functional,
     minkowski_gradient_fd,
@@ -41,10 +42,6 @@ GOLDEN_STEPS = 80  # golden-section steps of every row that does not settle
 GOLDEN_LOOKAHEAD = 5  # most golden steps served by one stacked gauge call
 GOLDEN_LOOKAHEAD_ROWS = 512  # most rows of a stacked call that serves more than one step
 GOLDEN_GAUGE_TOL = 1e-12  # relative tolerance of every golden-section gauge
-GOLDEN_SETTLE_MARGIN = 1e-9  # a row settles once its minimum is provably this far above the stop level
-EMPTY_SECTION_GRID = 5  # probes per axis of each zoom level of the empty-section proof
-EMPTY_SECTION_LEVELS = 30  # zoom levels, each halving the probe spacing
-EMPTY_SECTION_STEP = 1e-6  # forward-difference step of its slope bound
 
 CASE_BOTH_INFINITE = "both_infinite"
 CASE_F_FINITE_ONLY = "f_finite_only"
@@ -64,106 +61,58 @@ __all__ = [
 ]
 
 
-def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray, stop=None):
+def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
     """Vectorized golden-section minimization of t -> gauge(y + t h) over
-    [-T, T], T just past the body's reach.
+    [-T, T], T just past the body's reach, for GOLDEN_STEPS steps per row.
 
-    Returns (t_min, q_min) per row. The map is convex in t, so golden section
-    is valid; it is the membership-only fallback for thin sections. Without
-    `stop` every row runs GOLDEN_STEPS steps.
+    Returns (t_min, q_min) per row, two empty arrays for no rows. The map is
+    convex in t, so golden section is valid; it is the membership-only
+    fallback for thin sections. A caller that only asks whether a section
+    meets the body first drops the rows the body's certificate proves miss
+    it (bodies._sections_missed) and searches the rest.
 
     One stacked gauge call serves D steps: it gauges the probes c and d of
-    every searching row's bracket and of each bracket that D - 1 more steps
-    can lead to, 2^(D+1) - 2 probes a row, and the next D steps choose among
-    them. D is the largest depth, up to GOLDEN_LOOKAHEAD, whose probes of all
-    searching rows number at most GOLDEN_LOOKAHEAD_ROWS (1 beyond that). A
-    row's gauge depends only on that row, and every row of the shared
-    bisection meets its tolerance within the bisection's step cap, so each
-    value is the one a separate call gives.
-
-    `stop` is for callers that discard every row whose minimum is not below
-    it. Such a row also gauges its bracket ends a and b once, and before
-    each step bounds the map from below over all of [-T, T]: the chord
-    (c, d) extended over [a, c] and [d, b], the chords (a, c) and (d, b)
-    extended into [c, d], and for each piece given up so far the bound it
-    had then, every probe taken at its worst case within the gauge
-    tolerance. Once that bound exceeds stop + GOLDEN_SETTLE_MARGIN the row
-    settles: it leaves the search and returns its better probe and that
-    probe's gauge, which is >= stop. A probe below stop caps every later
-    bound below it, so once each searching row has had one, the bounds stop.
-    A row that never settles runs every step and returns exactly what a call
-    without `stop` returns.
+    every row's bracket and of each bracket that D - 1 more steps can lead
+    to, 2^(D+1) - 2 probes a row, and the next D steps choose among them. D
+    is the largest depth, up to GOLDEN_LOOKAHEAD, whose probes of all rows
+    number at most GOLDEN_LOOKAHEAD_ROWS (1 beyond that). A row's gauge
+    depends only on that row, and every row of the shared bisection meets
+    its tolerance within the bisection's step cap, so each value is the one
+    a separate call gives.
     """
     N = Y.shape[0]
+    if not N:
+        return np.empty(0), np.empty(0)
     T = body.reach * (1.0 + 1e-9)
-    rows = np.arange(N)
-    t_min = np.empty(N)
-    q_min = np.empty(N)
-    Yr = Y  # the searching rows
 
     def gauge(params):
-        # one stacked call: the searching rows at each row of params in turn
+        # one stacked call: the rows at each row of params in turn
         P = np.concatenate(params)
-        X = np.tile(Yr, (P.shape[0], 1)) + P.reshape(-1)[:, None] * h
+        X = np.tile(Y, (P.shape[0], 1)) + P.reshape(-1)[:, None] * h
         return minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(P.shape)
 
     a = np.full(N, -T)
     b = np.full(N, T)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    if stop is not None:
-        given_up = np.full(N, np.inf)  # bound of the map over the pieces given up
+    cols = np.arange(N)
     level = depth = 0
     for step in range(GOLDEN_STEPS):
         if level == depth:
-            # the largest D with (2^(D+1) - 2) * rows <= GOLDEN_LOOKAHEAD_ROWS
-            fit = (GOLDEN_LOOKAHEAD_ROWS // rows.size + 2).bit_length() - 2
+            # the largest D with (2^(D+1) - 2) * N <= GOLDEN_LOOKAHEAD_ROWS
+            fit = (GOLDEN_LOOKAHEAD_ROWS // N + 2).bit_length() - 2
             depth = min(max(fit, 1), GOLDEN_LOOKAHEAD, GOLDEN_STEPS - step)
-            ends = [a[None], b[None]] if stop is not None and step == 0 else []
-            vals = gauge(_probe_tree(a, b, depth) + ends)
-            if ends:
-                fa, fb = vals[-2], vals[-1]
-            node = np.zeros(rows.size, dtype=np.intp)  # each row's bracket at this level
-            cols = np.arange(rows.size)
+            vals = gauge(_probe_tree(a, b, depth))
+            node = np.zeros(N, dtype=np.intp)  # each row's bracket at this level
             level = 0
         off = 2 ** (level + 1) - 2
-        fc = vals[off + node, cols]
-        fd = vals[off + 2**level + node, cols]
-        if stop is not None:
-            floors = _piece_floors(a, c, d, b, fa, fc, fd, fb)
-            settled = np.minimum.reduce([given_up, *floors]) > stop + GOLDEN_SETTLE_MARGIN
-            if settled.any():
-                done = rows[settled]
-                t_min[done] = np.where(fc < fd, c, d)[settled]
-                q_min[done] = np.minimum(fc, fd)[settled]
-                keep = ~settled
-                rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, node, *floors = (
-                    v[keep] for v in (rows, Yr, a, b, c, d, fa, fb, fc, fd, given_up, node, *floors)
-                )
-                if not rows.size:
-                    return t_min, q_min
-                vals = vals[:, keep]
-                cols = np.arange(rows.size)
-            if np.all(np.minimum(fc, fd) < stop):
-                # a probe below stop caps every bound below it: no row left
-                # can settle, so the rest is the plain search
-                stop = None
-        left = fc < fd
-        if stop is not None:
-            # the piece given up, [d, b] or [a, c], keeps the bound it has now
-            given_up = np.minimum(given_up, np.where(left, floors[2], floors[0]))
-            fa = np.where(left, fa, fc)
-            fb = np.where(left, fd, fb)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+        left = vals[off + node, cols] < vals[off + 2**level + node, cols]
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
         node = np.where(left, node, node + 2**level)
         level += 1
     t = 0.5 * (a + b)
-    t_min[rows] = t
-    q_min[rows] = gauge([t[None]])[0]
-    return t_min, q_min
+    return t, gauge([t[None]])[0]
 
 
 def _probe_tree(a, b, depth):
@@ -181,94 +130,6 @@ def _probe_tree(a, b, depth):
         out += [C, D]
         A, B = np.concatenate([A, C]), np.concatenate([D, B])
     return out
-
-
-def _chord_floor(t1, f1, t2, f2, s, delta):
-    """Worst case at s of the line through (t1, f1) and (t2, f2) when each
-    value may be off by delta. For s outside (t1, t2) it is a lower bound of
-    any convex function within delta of f1 at t1 and of f2 at t2."""
-    lam = (s - t1) / (t2 - t1)
-    return f1 + (f2 - f1) * lam - delta * (np.abs(1.0 - lam) + np.abs(lam))
-
-
-def _piece_floors(a, c, d, b, fa, fc, fd, fb):
-    """Lower bounds of a convex map over [a, c], [c, d] and [d, b] from its
-    gauged values at a < c < d < b, each taken at its worst case: the
-    bisection brackets a gauge p to within GOLDEN_GAUGE_TOL * max(1, p),
-    doubled here for the rounding of the probe points.
-
-    Over [a, c] and [d, b] the chord (c, d) extended bounds the map; over
-    [c, d] the larger of the chords (a, c) and (d, b) extended into it,
-    whose minimum there is at c, at d or where the two lines cross. Each
-    bound is linear on its piece, so the piece's ends give its minimum. A
-    degenerate bracket (probes that rounding has merged) gives nan, which
-    never settles a row.
-    """
-    delta = 2.0 * GOLDEN_GAUGE_TOL * np.maximum(1.0, np.maximum.reduce([fa, fc, fd, fb]))
-    lo_c, lo_d = fc - delta, fd - delta
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        over_ac = np.minimum(lo_c, _chord_floor(c, fc, d, fd, a, delta))
-        over_db = np.minimum(lo_d, _chord_floor(c, fc, d, fd, b, delta))
-        # over [c, d]: the line (a, c) runs from lo_c to left_d, the line
-        # (d, b) from right_c to lo_d
-        left_d = _chord_floor(a, fa, c, fc, d, delta)
-        right_c = _chord_floor(d, fd, b, fb, c, delta)
-        over_cd = np.minimum(np.maximum(lo_c, right_c), np.maximum(left_d, lo_d))
-        gap_c, gap_d = lo_c - right_c, left_d - lo_d
-        cross = lo_c + gap_c / (gap_c - gap_d) * (left_d - lo_c)
-        over_cd = np.where(gap_c * gap_d < 0, np.minimum(over_cd, cross), over_cd)
-    return over_ac, over_cd, over_db
-
-
-def _empty_sections(body, F, Ys):
-    """Rows whose section Ys + span(F) of a bounded body is provably empty.
-
-    Off the body the gauge p is >= 1, so a section is empty once p > 1 on
-    its points within the outer radius, a disc of radius R about Ys (each
-    row of Ys is orthogonal to F). At a section point x0 = Ys + z F, forward
-    differences of step EMPTY_SECTION_STEP bound the directional derivative
-    of the convex p from above along each of +/-F_i, every gauge taken at
-    its worst case within GOLDEN_GAUGE_TOL as in the golden search.
-    Subadditivity turns these into a lower bound -|v| * slope along every
-    direction v of the section, and convexity into p >= p(x0) - |v| * slope
-    on it, so p >= p(x0) - (R + |z|) * slope on the disc. A row is proved
-    empty once that exceeds 1 + GOLDEN_SETTLE_MARGIN.
-
-    x0 starts at Ys and zooms towards the section's minimum gauge: each
-    level gauges x0's stencil and a grid of EMPTY_SECTION_GRID points per
-    axis about x0 in one stacked call, moves x0 to the grid's best point and
-    halves the grid. A row leaves once it is proved empty or a probe lies
-    inside the body; a row left after EMPTY_SECTION_LEVELS levels is not
-    proved empty.
-    """
-    N, n = Ys.shape
-    m = F.shape[0]
-    axis_grid = np.linspace(-1.0, 1.0, EMPTY_SECTION_GRID)
-    grid = np.stack([g.ravel() for g in np.meshgrid(*([axis_grid] * m), indexing="ij")], axis=-1)
-    G = grid.shape[0]
-    stencil = EMPTY_SECTION_STEP * np.concatenate([np.eye(m), -np.eye(m)])
-    radius = np.sqrt(np.maximum(body.outer_radius**2 - np.sum(Ys * Ys, axis=1), 0.0))
-    empty = np.zeros(N, dtype=bool)
-    rows = np.arange(N)
-    z = np.zeros((N, m))
-    width = radius.copy()  # half the side of each row's grid
-    for _ in range(EMPTY_SECTION_LEVELS):
-        Z = np.concatenate([z[:, None, :] + stencil, z[:, None, :] + width[:, None, None] * grid], axis=1)
-        X = (Ys[rows][:, None, :] + Z @ F).reshape(-1, n)
-        q = minkowski_functional(body, X, tol=GOLDEN_GAUGE_TOL).reshape(rows.size, -1)
-        err = 2.0 * GOLDEN_GAUGE_TOL * np.maximum(1.0, q)
-        p0 = q[:, 2 * m + G // 2] - err[:, 2 * m + G // 2]  # x0, the grid's centre
-        rise = (q[:, : 2 * m] + err[:, : 2 * m] - p0[:, None]) / EMPTY_SECTION_STEP
-        up = np.maximum(np.maximum(rise[:, :m], rise[:, m:]), 0.0)
-        slope = np.sqrt(np.sum(up * up, axis=1))
-        proved = p0 - (radius[rows] + np.linalg.norm(z, axis=1)) * slope > 1.0 + GOLDEN_SETTLE_MARGIN
-        empty[rows[proved]] = True
-        keep = ~proved & np.all(q + err >= 1.0, axis=1)
-        z = Z[np.arange(rows.size), 2 * m + np.argmin(q[:, 2 * m :], axis=1)][keep]
-        rows, width = rows[keep], 0.5 * width[keep]
-        if not rows.size:
-            break
-    return empty
 
 
 def _bisect_endpoint(body, Y, h, t_in, direction):
@@ -339,8 +200,10 @@ def _section_endpoints(
         # points beyond the outer radius cannot meet the projected domain
         missing = missing[np.linalg.norm(Y[missing], axis=1) < body.outer_radius]
     if missing.size:
-        # a row is kept only when its minimum gauge is below 1
-        t_min, q_min = _golden_min_gauge(body, Y[missing], h, stop=1.0)
+        # a row is kept only when its minimum gauge is below 1, so a row the
+        # certificate proves misses the body needs no search
+        missing = missing[~_sections_missed(body, Y[missing], h[None])]
+        t_min, q_min = _golden_min_gauge(body, Y[missing], h)
         found = q_min < 1.0 - 1e-12
         t_in[missing[found]] = t_min[found]
 

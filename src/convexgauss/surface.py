@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, _sections_missed, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -44,7 +44,6 @@ from .errors import (
 from .graphs import (  # noqa: F401
     GraphPair,
     _direction_vertical_mass,
-    _empty_sections,
     _golden_min_gauge,
     _pair_body,
     _section_endpoints,
@@ -395,23 +394,16 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
     if missing.size:
         zi = z0[missing].copy()
         # the membership test below rejects a row whose section is empty
-        # whatever its sweeps return, so a row proved empty skips them; the
-        # sweeps' points are still formed for every row, so each searched
-        # row's arithmetic is that of the full batch
-        if m >= 2 and body.bounded:
-            search = ~_empty_sections(body, F, Ys[missing])
-        else:
-            search = np.ones(missing.size, dtype=bool)
+        # whatever its sweeps return, so a row the certificate proves empty
+        # skips them; the sweeps' points are still formed for every row, so
+        # each searched row's arithmetic is that of the full batch
+        search = ~_sections_missed(body, Ys[missing], F)
         # with m == 1 the line is the whole section: one sweep finds it
         sweeps = 1 if m == 1 else 2
-        for sweep in range(sweeps if search.any() else 0):
+        for _ in range(sweeps if search.any() else 0):
             for axis in range(m):
                 base = Ys[missing] + zi @ F - np.outer(zi[:, axis], F[axis])
-                # the last line only feeds the membership test below, which
-                # rejects a row whose minimum gauge is not below 1
-                last = sweep == sweeps - 1 and axis == m - 1
-                tt, _ = _golden_min_gauge(body, base[search], F[axis], stop=1.0 if last else None)
-                zi[search, axis] = tt
+                zi[search, axis], _ = _golden_min_gauge(body, base[search], F[axis])
         got = search & body.contains(Ys[missing] + zi @ F)
         z0[missing[got]] = zi[got]
         have[missing[got]] = True

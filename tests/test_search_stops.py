@@ -1,17 +1,20 @@
-"""Early stops of the boundary searches against the loops they replace.
+"""Early exits of the boundary searches against the loops they replace.
 
-The golden-section search settles a row once a lower bound proves that its
-line misses the body, the ellipsoid distance solves its secular equation by
+A section search skips the rows whose section the body's certificate
+proves misses the body, the golden search serves several steps from one
+stacked gauge call, the ellipsoid distance solves its secular equation by
 Newton's method, and Dykstra's polytope projection gathers its active rows
 once per sweep. The references below are the loops each of these replaced:
-the golden search run for every one of its GOLDEN_STEPS steps, the
-ellipsoid distance by doubling and 200 bisection steps, and Dykstra's sweep
-gathering its rows once per face.
+the golden search on every row, one gauge call a step, for every one of its
+GOLDEN_STEPS steps, the ellipsoid distance by doubling and 200 bisection
+steps, and Dykstra's sweep gathering its rows once per face. The
+certificates' section test is audited against exact references.
 """
 
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,16 +24,16 @@ from hypothesis import strategies as st
 import convexgauss as cg
 import convexgauss.graphs as graphs
 import convexgauss.surface as surface
-from convexgauss.bodies import bisect, minkowski_functional
+from convexgauss.bodies import SECTION_MISS_MARGIN, _sections_missed, bisect, minkowski_functional
 from convexgauss.errors import DegenerateDirectionError, DirectionError
 from convexgauss.graphs import GOLDEN, GOLDEN_STEPS
 
 E1_3, E3_3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 
 
-def _golden_reference(body, Y, h, stop=None):
-    """Golden section on t -> gauge(y + t h) for every one of GOLDEN_STEPS
-    steps, whatever `stop` says."""
+def _golden_reference(body, Y, h):
+    """Golden section on t -> gauge(y + t h), one gauge call a step, for
+    every one of GOLDEN_STEPS steps."""
     N = Y.shape[0]
     T = body.reach * (1.0 + 1e-9)
     a = np.full(N, -T)
@@ -126,25 +129,28 @@ def _random_lines(body, rng, rows, h=None):
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 24),
 )
-def test_golden_stop_keeps_every_found_row(kind, seed, rows):
+def test_section_search_keeps_every_found_row(kind, seed, rows):
     rng = np.random.default_rng(seed)
     body = _random_body(kind, rng)
     Y, h = _random_lines(body, rng, rows)
     t_ref, q_ref = _golden_reference(body, Y, h)
     t, q = graphs._golden_min_gauge(body, Y, h)
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
-    t, q = graphs._golden_min_gauge(body, Y, h, stop=1.0)
-    found = q < 1.0 - 1e-12
-    assert np.array_equal(found, q_ref < 1.0 - 1e-12)
-    assert np.array_equal(t[found], t_ref[found]) and np.array_equal(q[found], q_ref[found])
-    settled = (t != t_ref) | (q != q_ref)
-    assert np.all(q[settled] >= 1.0)
+    # a row the certificate proves misses is one the search rejects, and
+    # every other row gets the ends of the search on every row
+    missed = _sections_missed(body, Y, h[None])
+    assert np.all(q_ref[missed] >= 1.0)
+    ends = graphs._section_endpoints(body, h, Y)
+    with pytest.MonkeyPatch.context() as patch:
+        _reference_sections(patch)
+        ref = graphs._section_endpoints(body, h, Y)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ends, ref))
 
 
 def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
-    # one line through the body among lines far outside it: once those
-    # settle, the last gauge is of one row, which a polytope's oracle must
-    # round as it does in the full batch
+    # one line through the body among lines far outside it: the certificate
+    # decides those, so the search gauges one row, which a polytope's oracle
+    # must round as it does in the full batch
     rng = np.random.default_rng(0)
     for seed in range(40):
         body = cg.random_polytope(3, 9, seed)
@@ -153,9 +159,9 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
         Y = rng.standard_normal((6, 3))
         Y -= np.outer(Y @ h, h)
         Y *= (np.r_[0.2, np.full(5, 3.0 * body.outer_radius)] / np.linalg.norm(Y, axis=1))[:, None]
-        t, q = graphs._golden_min_gauge(body, Y, h, stop=1.0)
+        assert _sections_missed(body, Y, h[None]).tolist() == [False] + [True] * 5
+        t, q = graphs._golden_min_gauge(body, Y[:1], h)
         t_ref, q_ref = _golden_reference(body, Y, h)
-        assert np.all(q[1:] >= 1.0)
         assert (t[0], q[0]) == (t_ref[0], q_ref[0])
 
 
@@ -172,8 +178,8 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
 )
 def test_golden_lookahead_equals_one_step_a_gauge(monkeypatch, body, h, rows, depth):
     # rows sets the lookahead depth: (2^(depth+1) - 2) * rows probes fit 512
-    # rows, up to depth 5; without stop the search makes one stacked gauge
-    # call per depth steps and one more for its result
+    # rows, up to depth 5; the search makes one stacked gauge call per
+    # depth steps and one more for its result
     rng = np.random.default_rng(rows)
     Y, _ = _random_lines(body, rng, rows, h)
     t_ref, q_ref = _golden_reference(body, Y, h)
@@ -182,12 +188,12 @@ def test_golden_lookahead_equals_one_step_a_gauge(monkeypatch, body, h, rows, de
     assert len(calls) == -(-GOLDEN_STEPS // depth) + 1
     assert calls[0] == (2 ** (depth + 1) - 2) * rows
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
-    t, q = graphs._golden_min_gauge(body, Y, h, stop=1.0)
-    found = q < 1.0 - 1e-12
-    assert np.array_equal(found, q_ref < 1.0 - 1e-12)
-    assert np.array_equal(t[found], t_ref[found]) and np.array_equal(q[found], q_ref[found])
-    settled = (t != t_ref) | (q != q_ref)
-    assert np.all(q[settled] >= 1.0)
+
+
+def test_golden_search_of_no_rows_returns_empty_arrays(monkeypatch):
+    calls = _counting_gauge(monkeypatch)
+    t, q = graphs._golden_min_gauge(cg.ellipsoid([1.2, 0.8, 0.6]), np.zeros((0, 3)), E3_3)
+    assert t.shape == q.shape == (0,) and calls == []
 
 
 def _counting_gauge(monkeypatch):
@@ -202,19 +208,19 @@ def _counting_gauge(monkeypatch):
 @pytest.mark.parametrize(
     "body", [cg.ellipsoid([1.2, 0.8, 0.6]), cg.random_polytope(3, 10, 4)], ids=["ellipsoid", "polytope"]
 )
-def test_golden_settles_lines_that_miss_within_twenty_gauges(monkeypatch, body):
+def test_section_search_skips_lines_proved_to_miss(monkeypatch, body):
+    # lines along e3 within the outer radius whose every point has gauge
+    # above 1.01: the certificate decides each, so no golden search gauges
     rng = np.random.default_rng(8)
-    Y = rng.standard_normal((300, 3))
+    Y = rng.standard_normal((600, 3))
     Y[:, 2] = 0.0
-    # every point of a line lies at least 1.1 outer radii from the origin
-    Y *= (rng.uniform(1.1, 2.0, 300) * body.outer_radius / np.linalg.norm(Y, axis=1))[:, None]
-    calls = _counting_gauge(monkeypatch)
-    t, q = graphs._golden_min_gauge(body, Y, E3_3, stop=1.0)
-    assert len(calls) < 20
-    assert np.all(q >= 1.0)
-    monkeypatch.undo()
+    Y *= (rng.uniform(0.5, 1.0, 600) * body.outer_radius / np.linalg.norm(Y, axis=1))[:, None]
     _, q_ref = _golden_reference(body, Y, E3_3)
-    assert np.all(q_ref >= 1.0 - 1e-12)
+    Y = Y[q_ref > 1.01]
+    assert len(Y) > 100
+    calls = _counting_gauge(monkeypatch)
+    _, _, nonempty = graphs._section_endpoints(body, E3_3, Y)
+    assert calls == [] and not nonempty.any()
 
 
 def test_rim_search_runs_every_golden_step(monkeypatch):
@@ -224,29 +230,37 @@ def test_rim_search_runs_every_golden_step(monkeypatch):
     searches = []
     search = surface._golden_min_gauge
 
-    def recorded(body, Y, h, **kw):
+    def recorded(body, Y, h):
         start = len(calls)
-        out = search(body, Y, h, **kw)
-        searches.append((Y, kw, len(calls) - start, out))
+        out = search(body, Y, h)
+        searches.append((Y, len(calls) - start, out))
         return out
 
     monkeypatch.setattr(surface, "_golden_min_gauge", recorded)
     cg.total_boundary_measure(pair, budget={"angles": 48, "radial": 6}, seed=1)
-    (Y, kw, gauges, (t, q)), = searches
+    (Y, gauges, (t, q)), = searches
     # 48 rows fit a lookahead of two steps, 6 probes a row in 288 rows, so
     # one stacked gauge serves every two steps; one more gauges the result
-    assert kw == {} and gauges == GOLDEN_STEPS // 2 + 1 == 41
+    assert gauges == GOLDEN_STEPS // 2 + 1 == 41
     t_ref, q_ref = _golden_reference(body, Y, E3_3)
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
 
 
-def _with_reference_golden(monkeypatch):
-    monkeypatch.setattr(surface, "_golden_min_gauge", _golden_reference)
-    monkeypatch.setattr(graphs, "_golden_min_gauge", _golden_reference)
+def _reference_sections(patch):
+    """Section searches as they ran before certificates decided sections:
+    the reference golden search on every row."""
+    undecided = lambda body, U, F: np.zeros(U.shape[0], dtype=bool)
+    for module in (graphs, surface):
+        patch.setattr(module, "_golden_min_gauge", _golden_reference)
+        patch.setattr(module, "_sections_missed", undecided)
 
 
-def _without_empty_section_proofs(monkeypatch):
-    monkeypatch.setattr(surface, "_empty_sections", lambda body, F, Ys: np.zeros(Ys.shape[0], dtype=bool))
+def _recorded_golden(monkeypatch):
+    """The lines Y of every golden search the subspace route makes."""
+    searched = []
+    search = surface._golden_min_gauge
+    monkeypatch.setattr(surface, "_golden_min_gauge", lambda body, Y, h: searched.append(Y) or search(body, Y, h))
+    return searched
 
 
 def _orthonormal_rows(m, n, seed):
@@ -255,7 +269,7 @@ def _orthonormal_rows(m, n, seed):
 
 
 # sections centred off the lattice probe's points, so that the golden sweeps
-# find inside points of thin sections as well as settle empty ones
+# find inside points of thin sections as well as search empty ones
 _OFF3 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9]), [0.25, 0.25, 0.1])
 _OFF4 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9, 0.8]), [0.25, 0.25, 0.1, 0.1])
 
@@ -270,119 +284,212 @@ _OFF4 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9, 0.8]), [0.25, 0.25, 0.1, 0.1])
         (_OFF3, _orthonormal_rows(2, 3, 2)),
         (_OFF4, _orthonormal_rows(3, 4, 3)),
         (cg.random_polytope(3, 9, 2), _orthonormal_rows(2, 3, 4)),
+        (cg.random_polytope(3, 10, 4), _orthonormal_rows(1, 3, 5)),
+        (cg.ellipsoid([1.2, 1.0, 0.9]), _orthonormal_rows(2, 3, 6)),
+        (cg.cylinder(cg.ellipsoid([1.1, 0.8]), [0.0, 0.0, 1.0]), _orthonormal_rows(1, 3, 7)),
     ],
-    ids=["m1_axis", "m2_axis", "m3_axis", "m1_oblique", "m2_oblique", "m3_oblique", "m2_polytope"],
+    ids=[
+        "m1_axis", "m2_axis", "m3_axis", "m1_oblique", "m2_oblique", "m3_oblique",
+        "m2_polytope", "m1_polytope", "m2_ellipsoid", "m1_cylinder",
+    ],
 )
 def test_subspace_measure_equals_full_golden_search(monkeypatch, body, F):
     budget = {"subspace_samples": 120, "inner_angles": 128, "inner_sphere_grid": (8, 16)}
-    stops = []
-    search = surface._golden_min_gauge
-    monkeypatch.setattr(
-        surface,
-        "_golden_min_gauge",
-        lambda body, Y, h, stop=None: stops.append(stop) or search(body, Y, h, stop=stop),
-    )
+    searched = _recorded_golden(monkeypatch)
     est = cg.subspace_hausdorff(body, F, budget=budget, seed=3)
-    m = F.shape[0]
-    # a line that is the section is swept once and settles, else only the
-    # last line settles; with m >= 2 the sweeps run only when some section
-    # is not proved empty
-    sweeps = [1.0] if m == 1 else [None] * (2 * m - 1) + [1.0]
-    assert stops == sweeps or (m >= 2 and stops == [])
-    _with_reference_golden(monkeypatch)
-    _without_empty_section_proofs(monkeypatch)
+    # each searched row runs every sweep: one line for m = 1, 2m for m >= 2
+    assert searched and len(searched) == (1 if F.shape[0] == 1 else 2 * F.shape[0])
+    _reference_sections(monkeypatch)
     ref = cg.subspace_hausdorff(body, F, budget=budget, seed=3)
     assert (est.value, est.std_error) == (ref.value, ref.std_error)
 
 
 def test_subspace_sweeps_skip_rows_beyond_the_outer_radius(monkeypatch):
-    body = cg.ellipsoid([1.0, 0.7, 0.5])
-    searched = []
-    search = surface._golden_min_gauge
-    monkeypatch.setattr(
-        surface,
-        "_golden_min_gauge",
-        lambda body, Y, h, stop=None: searched.append(Y) or search(body, Y, h, stop=stop),
-    )
+    # a translated body has no certificate, so every row within the outer
+    # radius that the lattice probe misses is searched
+    body = cg.translate(cg.ellipsoid([1.0, 0.7, 0.5]), [0.1, 0.05, 0.05])
+    assert body.certificate is None
+    searched = _recorded_golden(monkeypatch)
     est = cg.subspace_hausdorff(body, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
     # the first sweep's lines pass through the projected draws themselves
     assert searched and np.all(np.linalg.norm(searched[0], axis=1) < body.outer_radius)
-    _with_reference_golden(monkeypatch)
+    _reference_sections(monkeypatch)
     ref = cg.subspace_hausdorff(body, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
     assert (est.value, est.std_error) == (ref.value, ref.std_error)
 
 
-def _section_rows(rng, F, outer, rows):
-    """Rows orthogonal to F, spread over the outer radius."""
-    Y = rng.standard_normal((rows, F.shape[1]))
-    Y -= (Y @ F.T) @ F
-    return Y * (rng.uniform(0.0, outer, rows) / np.linalg.norm(Y, axis=1))[:, None]
+# The audit of the certificates' section test against exact references, in
+# rational arithmetic on the same floats: the quadratic's least-squares
+# minimum from its normal equations, and a line's section of the polytope
+# at the test's level by the ratio test. Double precision (lstsq, the
+# ratio test's crossing pair) only sizes the rows: near the level it cannot
+# tell a decision a few units in the last place wrong. Each example draws rows
+# whose minimum gauge is spread over (0.5, 3), near-tangent rows at 1 +/-
+# 10^(-12 .. -6), and rows within 8 units in the last place of the level.
+LEVEL = Fraction(1.0 + SECTION_MISS_MARGIN)
+ULP = 2.0**-52
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), m=st.sampled_from([2, 3]))
-def test_empty_section_proof_holds_on_ellipsoids(seed, n, m):
+def _solve_exact(C, b):
+    """C z = b by Gaussian elimination in rationals (C symmetric positive)."""
+    m = len(b)
+    M = [list(row) + [rhs] for row, rhs in zip(C, b)]
+    for k in range(m):
+        for r in range(k + 1, m):
+            f = M[r][k] / M[k][k]
+            M[r] = [x - f * y for x, y in zip(M[r], M[k])]
+    z = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        z[k] = (M[k][m] - sum(M[k][j] * z[j] for j in range(k + 1, m))) / M[k][k]
+    return z
+
+
+def _form_minimum(inv2, F, u):
+    """Exact minimum of sum_i inv2_i x_i^2 over x in u + span(F)."""
+    f = [[Fraction(v) for v in row] for row in F]
+    u = [Fraction(v) for v in u]
+    n = len(u)
+    C = [[sum(inv2[i] * fk[i] * fl[i] for i in range(n)) for fl in f] for fk in f]
+    b = [sum(inv2[i] * fk[i] * u[i] for i in range(n)) for fk in f]
+    z = _solve_exact(C, [-v for v in b])
+    return sum(inv2[i] * u[i] * u[i] for i in range(n)) + sum(bk * zk for bk, zk in zip(b, z))
+
+
+def _line_misses(A, c, u, v, level):
+    """Whether the closed section {s : <a_j, u + s v> <= level c_j for all
+    j} is empty, in rationals: the gauge max_j <a_j, x> / c_j exceeds
+    level on the whole line."""
+    lo, hi = None, None
+    for a, cj in zip(A, c):
+        alpha = sum(Fraction(x) * Fraction(y) for x, y in zip(a, u)) - level * Fraction(cj)
+        beta = sum(Fraction(x) * Fraction(y) for x, y in zip(a, v))
+        if beta == 0:
+            if alpha > 0:
+                return True
+        elif beta > 0:
+            hi = -alpha / beta if hi is None else min(hi, -alpha / beta)
+        else:
+            lo = -alpha / beta if lo is None else max(lo, -alpha / beta)
+    return lo is not None and hi is not None and lo > hi
+
+
+def _audit_rows(rng, F, min_gauge, rows=8):
+    """Rows u (general, with components along F) scaled so the section u +
+    span(F) has each drawn minimum gauge; min_gauge maps rows to their
+    double-precision minimum gauges, which scale linearly with the row."""
+    n = F.shape[1]
+    U = rng.standard_normal((3 * rows, n))
+    U += 10.0 ** rng.uniform(-1.0, 3.0, (3 * rows, 1)) * (rng.standard_normal((3 * rows, F.shape[0])) @ F)
+    target = np.concatenate([
+        rng.uniform(0.5, 3.0, rows),
+        1.0 + rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-12.0, -6.0, rows),
+        (1.0 + SECTION_MISS_MARGIN) * (1.0 + rng.uniform(-8.0, 8.0, rows) * ULP),
+    ])
+    mu = min_gauge(U)
+    keep = mu > 0.0
+    return U[keep] * (target[keep] / mu[keep])[:, None], target[keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans())
+def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball):
     m = min(m, n - 1)
     rng = np.random.default_rng(seed)
-    s = rng.uniform(0.4, 2.0, n)
-    v = rng.uniform(-0.3, 0.3, n) * s.min()  # the origin stays inside
-    body = cg.translate(cg.ellipsoid(s), v)
+    if ball:
+        r = rng.uniform(0.3, 2.0)
+        body, inv2 = cg.ball(r, n), [1 / Fraction(r) ** 2] * n
+    else:
+        body = cg.ellipsoid(rng.uniform(0.3, 2.0, n))
+        inv2 = [Fraction(v) for v in body.certificate.inv2]
     F = _orthonormal_rows(m, n, int(rng.integers(0, 1000)))
-    Y = _section_rows(rng, F, body.outer_radius, 60)
-    empty = graphs._empty_sections(body, F, Y)
-    # least squares gives each section's smallest (x - v)^T diag(s^-2) (x - v)
-    D = 1.0 / s
-    for y in Y[empty]:
-        z = np.linalg.lstsq((D * F).T, -D * (y - v), rcond=None)[0]
-        assert np.sum((D * (y + z @ F - v)) ** 2) > 1.0
+    D = np.sqrt(np.asarray(inv2, dtype=float))
+
+    def min_gauge(U):
+        # the least-squares minimum of |D (u + z F)| over z
+        z = np.linalg.lstsq((D * F).T, -(D * U).T, rcond=None)[0]
+        return np.linalg.norm(D * (U + z.T @ F), axis=1)
+
+    U, target = _audit_rows(rng, F, min_gauge)
+    missed = _sections_missed(body, U, F)
+    for u, decided in zip(U, missed):
+        if decided:
+            assert _form_minimum(inv2, F, u) > LEVEL * LEVEL
+    assert missed[target > 1.01].all()
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_faces=st.integers(5, 12))
-def test_empty_section_proof_holds_on_polytopes(seed, n_faces):
-    from scipy.optimize import linprog
+def _faces_min_gauge(A, c, V, U):
+    """Minimum over each line u + s V of the gauge max_j <a_j, x> / c_j,
+    0 where it is unbounded below: the ratio test in doubles picks each
+    row's pair of crossing faces, and rationals give the gauge where that
+    pair crosses, which sizes a row to within a few units in the last place
+    of its own magnitude."""
+    beta = (A @ V) / c
+    if not ((beta > 0.0).any() and (beta < 0.0).any()):
+        return np.zeros(len(U))
+    alpha = (U @ A.T) / c
+    j, k = np.triu_indices(len(c), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (alpha[:, k] - alpha[:, j]) / (beta[j] - beta[k])
+    s = np.where(np.isfinite(s), s, 0.0)
+    best = np.argmin(np.max(alpha[:, :, None] + beta[None, :, None] * s[:, None, :], axis=1), axis=1)
+    out = []
+    for u, pair in zip(U, best):
+        a = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, u)) / Fraction(cj) for row, cj in zip(A, c)]
+        b = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, V)) / Fraction(cj) for row, cj in zip(A, c)]
+        jj, kk = j[pair], k[pair]
+        t = (a[kk] - a[jj]) / (b[jj] - b[kk]) if b[jj] != b[kk] else Fraction(0)
+        out.append(float(max(0, max(ai + t * bi for ai, bi in zip(a, b)))))
+    return np.array(out)
 
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_faces=st.integers(2, 12))
+def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n_faces, 3))
-    A /= np.linalg.norm(A, axis=1, keepdims=True)
-    c = rng.uniform(0.6, 1.5, n_faces)
-    body = cg.polytope([{"normal": a, "offset": ci} for a, ci in zip(A, c)])
-    if not body.bounded:
-        return
-    F = _orthonormal_rows(2, 3, int(rng.integers(0, 1000)))
-    Y = _section_rows(rng, F, body.outer_radius, 40)
-    empty = graphs._empty_sections(body, F, Y)
-    for y in Y[empty]:
-        # the largest slack t of A (y + z F) + t <= c over the section
-        res = linprog(
-            np.r_[0.0, 0.0, -1.0],
-            A_ub=np.c_[A @ F.T, np.ones(n_faces)],
-            b_ub=c - A @ y,
-            bounds=[(None, None), (None, None), (None, 1.0)],
-        )
-        assert res.status == 0 and -res.fun <= 0.0
+    A = rng.standard_normal((n_faces, n))
+    body = cg.polytope([{"normal": a, "offset": c} for a, c in zip(A, rng.uniform(0.3, 1.5, n_faces))])
+    assert body.certificate is not None
+    A, c = body.certificate.A, body.certificate.c
+    F = _orthonormal_rows(1, n, int(rng.integers(0, 1000)))
+    U, target = _audit_rows(rng, F, lambda U: _faces_min_gauge(A, c, F[0], U))
+    missed = _sections_missed(body, U, F)
+    for u, decided in zip(U, missed):
+        if decided:
+            assert _line_misses(A, c, u, F[0], LEVEL)
+    assert missed[target > 1.01].all()
+    # sections of two dimensions are left to the search
+    if n > 2:
+        assert not _sections_missed(body, U, _orthonormal_rows(2, n, 0)).any()
+
+
+def test_halfspace_sections_are_never_decided():
+    # a halfspace's oracle rounds a row by its place in the batch, so a
+    # search must keep its batch whole: lines parallel to its face, far
+    # outside, stay undecided
+    body = cg.halfspace([0.6, 0.8, 0.0], 0.5)
+    U = np.outer(np.linspace(1.0, 40.0, 30), [0.6, 0.8, 0.0])
+    assert not _sections_missed(body, U, np.array([[0.8, -0.6, 0.0]])).any()
 
 
 def test_empty_sections_near_the_support_are_proved(monkeypatch):
-    # planes z = y3 of the benchmark's seed-1 ellipsoid whose smallest gauge
-    # is at most 0.2% above 1: every one is proved empty, no sweep runs, and
-    # the measure is that of the full sweeps
+    # the benchmark's seed-1 surface call (boundary workload): every plane
+    # and line of its ellipsoid that the lattice probe misses, the nearest
+    # 0.2% above the support, is proved empty, so no golden search runs,
+    # and the measure is that of the full sweeps
     s = np.array([0.828637, 1.310211, 0.921074])
     body = cg.ellipsoid(s)
-    F = np.eye(3)[[0, 1]]
     Y = np.outer(s[2] * np.linspace(1.002, 1.4, 50), [0.0, 0.0, 1.0])
-    assert graphs._empty_sections(body, F, Y).all()
-    searches = []
-    search = surface._golden_min_gauge
-    monkeypatch.setattr(
-        surface, "_golden_min_gauge", lambda *a, **kw: searches.append(a) or search(*a, **kw)
-    )
-    budget = {"subspace_samples": 80, "inner_angles": 128}
-    est = cg.subspace_hausdorff(body, F, budget=budget, seed=5)
-    assert searches == []
-    _without_empty_section_proofs(monkeypatch)
-    ref = cg.subspace_hausdorff(body, F, budget=budget, seed=5)
-    assert searches and (est.value, est.std_error) == (ref.value, ref.std_error)
+    assert _sections_missed(body, Y, np.eye(3)[[0, 1]]).all()
+    searches = _recorded_golden(monkeypatch)
+    budget = {"subspace_samples": 80, "inner_angles": 256, "inner_sphere_grid": (12, 24)}
+    for F in (np.eye(3)[[0]], np.eye(3)[[0, 1]]):
+        est = cg.subspace_hausdorff(body, F, budget=budget, seed=127943183)
+        assert searches == []
+        with monkeypatch.context() as patch:
+            patch.setattr(surface, "_sections_missed", lambda body, U, F: np.zeros(U.shape[0], dtype=bool))
+            ref = cg.subspace_hausdorff(body, F, budget=budget, seed=127943183)
+        assert searches and (est.value, est.std_error) == (ref.value, ref.std_error)
+        searches.clear()
 
 
 def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
@@ -398,19 +505,19 @@ def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
         axis=-1,
     )
     pair = cg.decompose(body, E3_3)
-    rows = {"found": 0, "settled": 0}
+    rows = {"found": 0, "missed": 0}
     search = graphs._golden_min_gauge
 
-    def recorded(body, Y, h, stop=None):
-        t, q = search(body, Y, h, stop=stop)
+    def recorded(body, Y, h):
+        t, q = search(body, Y, h)
         rows["found"] += int(np.sum(q < 1.0 - 1e-12))
-        rows["settled"] += int(np.sum(q >= 1.0))
+        rows["missed"] += int(np.sum(q >= 1.0))
         return t, q
 
     monkeypatch.setattr(graphs, "_golden_min_gauge", recorded)
     errs = cg.gradient_formula_check(pair, X)
-    assert rows["found"] > 0 and rows["settled"] > 0
-    _with_reference_golden(monkeypatch)
+    assert rows["found"] > 0 and rows["missed"] > 0
+    _reference_sections(monkeypatch)
     ref = cg.gradient_formula_check(pair, X)
     assert np.array_equal(errs, ref, equal_nan=True)
 

@@ -31,9 +31,13 @@ CLI calls:
 * one fixed ``perimeter`` call on an ellipsoid in dimension 12, on the
   Monte Carlo graph route, whose gauge and section bisections decide most
   rows from the ellipsoid's certificate at the largest dimension any
-  compared call has.
+  compared call has;
+* one fixed ``surface`` call on a random polytope through ``[0]`` and
+  ``[0, 1]``, whose line sections the faces' closed form proves empty and
+  whose plane sections, which it leaves undecided, the golden sweeps
+  search.
 
-That is 53 calls in all.
+That is 54 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -131,8 +135,10 @@ MONTE_CARLO = {
 # margin is below its semiaxes, and an unbounded cylinder; and two calls on
 # a polytope along a tilted direction: a gradcheck whose line searches take
 # the golden fallback, and a perimeter whose projected-rim search gauges 40
-# directions, two golden steps to each stacked gauge call; and a perimeter
-# on a 12-d ellipsoid, whose certificate's band grows with the dimension
+# directions, two golden steps to each stacked gauge call; a perimeter on
+# a 12-d ellipsoid, whose certificate's band grows with the dimension; and a
+# surface call on a polytope, whose empty line sections the faces' closed
+# form decides and whose plane sections all take the golden sweeps
 _POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
     "surface_offcentre_ellipsoid": (
@@ -228,6 +234,16 @@ FIXED = {
             "directions": {"h": [0.0] * 10 + [0.6, 0.8]},
             "budgets": {"samples": 10000},
             "seed": 17,
+        },
+    ),
+    "surface_polytope": (
+        "surface",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "random_polytope", "faces": 10, "seed": 4},
+            "subspaces": [[0], [0, 1]],
+            "budgets": {"subspace_samples": 400, "inner_angles": 256},
+            "seed": 18,
         },
     ),
 }
