@@ -62,7 +62,6 @@ from .ibp import (
 )
 from .space import (
     EstimateWithError,
-    GaussianModel,
     TestFunction,
     adjoint_derivative,
     as_direction,

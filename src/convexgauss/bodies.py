@@ -919,8 +919,14 @@ _SCHEMA = {
             "dim": _required(_COUNT),
             "spectral_profile": _nullable(
                 _Kind(
-                    '"brownian" or a list of numbers',
-                    lambda v, n: _is_vector(v) or (isinstance(v, str) and v == "brownian"),
+                    '"brownian" or a list of model.dim positive non-increasing numbers',
+                    lambda v, n: (isinstance(v, str) and v == "brownian")
+                    or (
+                        _is_vector(v)
+                        and len(v) == n
+                        and all(x > 0 for x in v)
+                        and all(b <= a for a, b in zip(v, v[1:]))
+                    ),
                 )
             ),
         },
@@ -972,7 +978,10 @@ _SCHEMA = {
         "inner_angles": _COUNT,
         "inner_sphere_grid": _PAIR,
         "subspace_samples": _COUNT,
-        "epsilons": _VECTOR,
+        "epsilons": _Kind(
+            "a list of at least 3 numbers in (0, 0.1]",
+            lambda v, n: _is_vector(v) and len(v) >= 3 and all(0 < e <= 0.1 for e in v),
+        ),
         "boundary_samples": _COUNT,
         "fd_step": _POSITIVE,
         "threads": _COUNT,

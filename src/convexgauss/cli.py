@@ -40,7 +40,7 @@ from .graphs import (  # noqa: F401
     ray_cast_boundary,
 )
 from .ibp import gradient_formula_check, psi_from_spec, verify_ibp
-from .space import EstimateWithError, GaussianModel, TestFunction, brownian_kl_profile
+from .space import EstimateWithError, TestFunction
 from .surface import Budget, minkowski_content_perimeter, subspace_hausdorff, total_boundary_measure
 
 __all__ = ["RunConfig", "run", "main"]
@@ -76,9 +76,6 @@ class RunConfig:
         outputs = {**_OUTPUTS, **cfg.get("outputs", {})}
         if outputs["csv"] == outputs["report"]:
             raise ParameterError("config.outputs.csv must differ from the report's file name")
-        # validates the profile, which no subcommand reads (ROADMAP item 8)
-        profile = model_cfg.get("spectral_profile")
-        GaussianModel(dim, brownian_kl_profile(dim) if profile == "brownian" else profile)
         budget = Budget.from_any(cfg.get("budgets", {}))
         if threads_override is not None:
             budget = replace(budget, threads=threads_override)

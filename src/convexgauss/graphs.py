@@ -42,6 +42,7 @@ GOLDEN_STEPS = 80  # golden-section steps of every row that does not settle
 GOLDEN_LOOKAHEAD = 5  # most golden steps served by one stacked gauge call
 GOLDEN_LOOKAHEAD_ROWS = 512  # most rows of a stacked call that serves more than one step
 GOLDEN_GAUGE_TOL = 1e-12  # relative tolerance of every golden-section gauge
+SECTION_PROBE_POINTS = (33, 7, 7)  # probe points per axis of a line, a plane, a 3-space
 
 CASE_BOTH_INFINITE = "both_infinite"
 CASE_F_FINITE_ONLY = "f_finite_only"
@@ -67,9 +68,9 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
 
     Returns (t_min, q_min) per row, two empty arrays for no rows. The map is
     convex in t, so golden section is valid; it is the membership-only
-    fallback for thin sections. A caller that only asks whether a section
-    meets the body first drops the rows the body's certificate proves miss
-    it (bodies._sections_missed) and searches the rest.
+    fallback of _inside_points for thin sections, which first drops the rows
+    the body's certificate proves miss it (bodies._sections_missed), and
+    the projected-rim search of the polar nodes.
 
     One stacked gauge call serves D steps: it gauges the probes c and d of
     every row's bracket and of each bracket that D - 1 more steps can lead
@@ -158,6 +159,59 @@ def _bisect_endpoint(body, Y, h, t_in, direction):
     return out
 
 
+def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
+    """An inside point of each section Y + span(F), F holding 1 to 3
+    orthonormal rows, in F's coordinates: (N, m), nan on empty sections.
+
+    A row keeps its hint (z_hint, (N, m), may be nan) when `contains`
+    accepts it. Of the rest, rows beyond a bounded body's outer radius and
+    rows the body's certificate proves empty (bodies._sections_missed) are
+    dropped before any probe; the others probe 0 and then a lattice of
+    SECTION_PROBE_POINTS[m - 1] points per axis across the reach, the
+    first accepted point winning. A row that no probe finds runs
+    golden-section sweeps of the gauge (convex along each axis) along F's
+    axes, once for a line and twice otherwise, and is kept when its gauge
+    ends below 1 - 1e-12; `contains` must accept every such point, else
+    OracleIntegrityError.
+    """
+    N, m = Y.shape[0], F.shape[0]
+    z = np.full((N, m), np.nan)
+    if z_hint is not None:
+        idx = np.flatnonzero(np.isfinite(z_hint).all(axis=1))
+        if idx.size:
+            idx = idx[body.contains(Y[idx] + z_hint[idx] @ F)]
+            z[idx] = z_hint[idx]
+    missing = np.flatnonzero(np.isnan(z[:, 0]))
+    if missing.size and body.bounded:
+        # points beyond the outer radius cannot meet the projected domain
+        missing = missing[np.linalg.norm(Y[missing], axis=1) < body.outer_radius]
+    if missing.size:
+        missing = missing[~_sections_missed(body, Y[missing], F)]
+    if missing.size:
+        axis = np.linspace(-body.reach, body.reach, SECTION_PROBE_POINTS[m - 1])
+        lattice = np.stack([g.ravel() for g in np.meshgrid(*([axis] * m), indexing="ij")], axis=-1)
+        probes = np.concatenate([np.zeros((1, m)), lattice])
+        pts = Y[missing][:, None, :] + (probes @ F)[None, :, :]
+        hits = body.contains(pts.reshape(-1, body.dim)).reshape(missing.size, -1)
+        found = hits.any(axis=1)
+        z[missing[found]] = probes[np.argmax(hits, axis=1)[found]]
+        missing = missing[~found]
+    if missing.size:
+        zi = np.zeros((missing.size, m))
+        for _ in range(1 if m == 1 else 2):
+            for k in range(m):
+                base = Y[missing] + zi @ F - np.outer(zi[:, k], F[k])
+                zi[:, k], q_min = _golden_min_gauge(body, base, F[k])
+        found = q_min < 1.0 - 1e-12
+        missing, zi = missing[found], zi[found]
+        if not body.contains(Y[missing] + zi @ F).all():
+            raise OracleIntegrityError(
+                "section probe accepted by the gauge but rejected by membership"
+            )
+        z[missing] = zi
+    return z
+
+
 def _section_endpoints(
     body: ConvexBody,
     h: np.ndarray,
@@ -168,53 +222,19 @@ def _section_endpoints(
     """Locate (g(y), f(y)) for a batch of y orthogonal to h.
 
     Returns (lower, upper, nonempty). Empty sections give (nan, nan, False).
-    Finding an inside parameter tries the hint, then a 34-point probe (0 and
-    33 points across the reach), then golden section on the gauge (convex in
-    t), so thin sections near the projected rim are still resolved; each end
-    is bisected from it on its own. An end that the body's case along h
-    (classify_case) marks infinite is +/-inf on every nonempty section with
-    no search: a recession direction of a convex body is a recession
-    direction of each of its nonempty sections.
+    The inside parameter of each section comes from _inside_points (the
+    hint, a 34-point probe of 0 and 33 points across the reach, then golden
+    section on the gauge, so thin sections near the projected rim are still
+    resolved); each end is bisected from it on its own. An end that the
+    body's case along h (classify_case) marks infinite is +/-inf on every
+    nonempty section with no search: a recession direction of a convex body
+    is a recession direction of each of its nonempty sections.
     """
-    N = Y.shape[0]
-    lower = np.full(N, np.nan)
-    upper = np.full(N, np.nan)
-    t_in = np.full(N, np.nan)
-
-    if t_hint is not None:
-        idx = np.flatnonzero(np.isfinite(t_hint))
-        if idx.size:
-            idx = idx[body.contains(Y[idx] + t_hint[idx][:, None] * h)]
-            t_in[idx] = t_hint[idx]
-
-    missing = np.flatnonzero(np.isnan(t_in))
-    if missing.size:
-        grid = np.concatenate([[0.0], np.linspace(-body.reach, body.reach, 33)])
-        pts = Y[missing][:, None, :] + grid[None, :, None] * h
-        hits = body.contains(pts.reshape(-1, body.dim)).reshape(-1, grid.shape[0])
-        any_hit = hits.any(axis=1)
-        t_in[missing[any_hit]] = grid[np.argmax(hits, axis=1)][any_hit]
-
-    missing = np.flatnonzero(np.isnan(t_in))
-    if missing.size and body.bounded:
-        # points beyond the outer radius cannot meet the projected domain
-        missing = missing[np.linalg.norm(Y[missing], axis=1) < body.outer_radius]
-    if missing.size:
-        # a row is kept only when its minimum gauge is below 1, so a row the
-        # certificate proves misses the body needs no search
-        missing = missing[~_sections_missed(body, Y[missing], h[None])]
-        t_min, q_min = _golden_min_gauge(body, Y[missing], h)
-        found = q_min < 1.0 - 1e-12
-        t_in[missing[found]] = t_min[found]
-
+    lower, upper = np.full((2, Y.shape[0]), np.nan)
+    t_in = _inside_points(body, Y, h[None], None if t_hint is None else t_hint[:, None])[:, 0]
     nonempty = np.isfinite(t_in)
     if nonempty.any():
-        Yn = Y[nonempty]
-        tn = t_in[nonempty]
-        if not body.contains(Yn + tn[:, None] * h).all():
-            raise OracleIntegrityError(
-                "section probe accepted by the gauge but rejected by membership"
-            )
+        Yn, tn = Y[nonempty], t_in[nonempty]
         if case in (CASE_G_FINITE_ONLY, CASE_BOTH_INFINITE):
             upper[nonempty] = np.inf
         else:

@@ -2,7 +2,7 @@
 
 All computation happens in coordinates where the reference measure is the
 standard Gaussian N(0, I_n) and the admissible-shift norm is Euclidean.
-An optional spectral profile records the eigenvalue decay of the embedding
+brownian_kl_profile gives the eigenvalue decay of the Brownian embedding
 that produced those coordinates; it is used only to build demo bodies.
 """
 
@@ -23,7 +23,6 @@ DETERMINISTIC_METHODS = ("gauss_hermite", "polar")
 
 __all__ = [
     "EstimateWithError",
-    "GaussianModel",
     "TestFunction",
     "as_direction",
     "normalize_direction",
@@ -35,35 +34,6 @@ __all__ = [
     "brownian_kl_profile",
     "map_chunks",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    """Standard Gaussian on R^dim, with optional spectral metadata.
-
-    spectral_profile, when given, must be a strictly positive non-increasing
-    sequence of length dim. It never enters the numerics directly; demo
-    configurations use it to scale body semiaxes.
-    """
-
-    dim: int
-    spectral_profile: Optional[tuple] = None
-
-    def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        if self.spectral_profile is not None:
-            prof = tuple(float(v) for v in self.spectral_profile)
-            if len(prof) != self.dim:
-                raise ParameterError(
-                    f"spectral_profile length {len(prof)} != dim {self.dim}"
-                )
-            if any(v <= 0 for v in prof):
-                raise ParameterError("spectral_profile must be strictly positive")
-            if any(b > a for a, b in zip(prof, prof[1:])):
-                raise ParameterError("spectral_profile must be non-increasing")
-            object.__setattr__(self, "spectral_profile", prof)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, _sections_missed, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -45,6 +45,7 @@ from .graphs import (  # noqa: F401
     GraphPair,
     _direction_vertical_mass,
     _golden_min_gauge,
+    _inside_points,
     _pair_body,
     _section_endpoints,
     _stencil_gradient,
@@ -319,10 +320,11 @@ def epigraph_perimeter(graph, budget=None, seed: int = 0) -> EstimateWithError:
 
 def _inner_center(body, F, Ys, z0, reach):
     """Improve an inside point of each F-section to a robust center by
-    per-axis endpoint bisection and midpointing (two passes)."""
+    per-axis endpoint bisection and midpointing (two passes). A line keeps
+    its point: the two rays from any inside point end at its two ends."""
     m = F.shape[0]
     z = z0.copy()
-    for _ in range(2):
+    for _ in range(2 if m > 1 else 0):
         for axis in range(m)[::-1]:
             e = F[axis]
             lo = _section_dir_bisect(body, Ys + z @ F, e, reach)
@@ -347,8 +349,11 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
     1 <= m <= 3): outer Monte Carlo over the complementary Gaussian, inner
     polar integral of G_m over the boundary of each m-dimensional section.
 
-    With m == dim the outer integral is a point mass and the result is
-    deterministic.
+    Each section's inside point comes from graphs._inside_points, hinted at
+    the section's own origin; an empty section contributes 0. A plane or
+    3-space section is centred by _inner_center, and every section takes
+    _inner_polar_boundary, a line's two rays included. With m == dim the
+    outer integral is a point mass and the result is deterministic.
     """
     budget = Budget.from_any(budget)
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -370,59 +375,12 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
         X = sample_gaussian(n, n_samples, seed, threads=budget.threads)
         Ys = X - (X @ F.T) @ F
 
-    # interior point of each section, in F coordinates
-    z0 = np.zeros((Ys.shape[0], m))
-    have = body.contains(Ys + z0 @ F)
-    # lattice probe for sections missing the outer point
-    if not have.all():
-        grid1 = np.linspace(-0.8 * reach, 0.8 * reach, 7)
-        lattice = np.stack(
-            [g.ravel() for g in np.meshgrid(*([grid1] * m), indexing="ij")], axis=-1
-        )
-        missing = np.flatnonzero(~have)
-        pts = Ys[missing][:, None, :] + (lattice @ F)[None, :, :]
-        hits = body.contains(pts.reshape(-1, n)).reshape(len(missing), -1)
-        anyhit = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        z0[missing[anyhit]] = lattice[first[anyhit]]
-        have[missing[anyhit]] = True
-    # golden sweeps along F axes for the still-missing (thin) sections
-    missing = np.flatnonzero(~have)
-    if missing.size and body.bounded:
-        # points beyond the outer radius cannot meet the section
-        missing = missing[np.linalg.norm(Ys[missing], axis=1) < body.outer_radius]
-    if missing.size:
-        zi = z0[missing].copy()
-        # the membership test below rejects a row whose section is empty
-        # whatever its sweeps return, so a row the certificate proves empty
-        # skips them; the sweeps' points are still formed for every row, so
-        # each searched row's arithmetic is that of the full batch
-        search = ~_sections_missed(body, Ys[missing], F)
-        # with m == 1 the line is the whole section: one sweep finds it
-        sweeps = 1 if m == 1 else 2
-        for _ in range(sweeps if search.any() else 0):
-            for axis in range(m):
-                base = Ys[missing] + zi @ F - np.outer(zi[:, axis], F[axis])
-                zi[search, axis], _ = _golden_min_gauge(body, base[search], F[axis])
-        got = search & body.contains(Ys[missing] + zi @ F)
-        z0[missing[got]] = zi[got]
-        have[missing[got]] = True
-
+    z0 = _inside_points(body, Ys, F, np.zeros((Ys.shape[0], m)))
     inner_vals = np.zeros(Ys.shape[0])
-    act = np.flatnonzero(have)
+    act = np.flatnonzero(np.isfinite(z0[:, 0]))
     if act.size:
-        if m == 1:
-            z_in = z0[act, 0]
-            base = Ys[act] + z0[act] @ F
-            up = z_in + _section_dir_bisect(body, base, F[0], reach)
-            lo = z_in - _section_dir_bisect(body, base, -F[0], reach)
-            for endpoint in (up, lo):
-                finite = np.abs(endpoint - z_in) < reach * (1 - 1e-9)
-                weight = gaussian_density(m, endpoint[:, None])
-                inner_vals[act] += np.where(finite, weight, 0.0)
-        else:
-            zc = _inner_center(body, F, Ys[act], z0[act], reach)
-            inner_vals[act] = _inner_polar_boundary(body, F, Ys[act], zc, budget, reach)
+        zc = _inner_center(body, F, Ys[act], z0[act], reach)
+        inner_vals[act] = _inner_polar_boundary(body, F, Ys[act], zc, budget, reach)
     if outer_dim == 0:
         return EstimateWithError(
             value=float(inner_vals[0]),
@@ -438,7 +396,10 @@ def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> Estim
 
 
 def _inner_polar_boundary(body, F, Ys, zc, budget: Budget, reach):
-    """Inner boundary integral of G_m over each section, polar around zc."""
+    """Inner boundary integral of G_m over each section, polar around zc:
+    the rays of _angular_rule(m, inner=True), the two ends of a line for
+    m = 1. A ray that reaches `reach` leaves an unbounded section and
+    contributes 0."""
     m = F.shape[0]
     U, w_ang = _angular_rule(m, budget, inner=True)
     n_rows = Ys.shape[0]
@@ -453,14 +414,14 @@ def _inner_polar_boundary(body, F, Ys, zc, budget: Budget, reach):
         centers = np.repeat(base, K, axis=0)
         dirs = np.tile(U @ F, (nb, 1))
         r = _section_dir_bisect(body, centers, dirs, reach).reshape(nb, K)
-        # unreached rays (unbounded section): the Gaussian factor kills them
         zbnd = zb[:, None, :] + r[:, :, None] * U[None, :, :]
         gm = gaussian_density(m, zbnd.reshape(-1, m)).reshape(nb, K)
-        if m == 2:
-            dth = 2.0 * math.pi / K
-            dr = _periodic_gradient(r, dth)
-            surfel = np.sqrt(r * r + dr * dr)
-            out[sl] = np.sum(gm * surfel * dth, axis=1)
+        gm = np.where(r < reach, gm, 0.0)
+        if m < 3:
+            # a line's boundary is its two ends; a plane section's arc
+            # element is sqrt(r^2 + r'^2) dtheta
+            surfel = 1.0 if m == 1 else np.sqrt(r * r + _periodic_gradient(r, w_ang[0]) ** 2)
+            out[sl] = np.sum(gm * surfel * w_ang, axis=1)
         else:
             # the (mu, theta) grid and weights of _angular_rule's one rule
             n_mu, n_th = budget.inner_sphere_grid
@@ -558,10 +519,6 @@ def minkowski_content_perimeter(
     budget = Budget.from_any(budget)
     samples = budget.samples
     eps = np.asarray(sorted(budget.epsilons, reverse=True), dtype=float)
-    if len(eps) < 3:
-        raise ParameterError("need at least 3 epsilon values")
-    if np.any(eps <= 0) or np.any(eps > 0.1):
-        raise ParameterError("epsilons must lie in (0, 0.1]")
     if body.distance_outside is None:
         raise ParameterError(
             f"body {body.shape_tag!r} has no distance oracle; the content "

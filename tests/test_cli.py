@@ -105,6 +105,11 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"model": {"dim": 2.7}}, "model.dim"),
         ("perimeter", {"model": {"dim": 2, "spectral_profile": "levy"}}, "model.spectral_profile"),
         ("perimeter", {"model": {"dim": 2, "spectral_profile": 3}}, "model.spectral_profile"),
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0, 2.0]}}, "config.model.spectral_profile"),
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0]}}, "config.model.spectral_profile"),
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0, 0.0]}}, "config.model.spectral_profile"),
+        ("perimeter", {"budgets": {"epsilons": [0.5, 0.2, 0.1]}}, "budget.epsilons"),
+        ("surface", {"budgets": {"epsilons": [0.05, 0.03]}}, "budget.epsilons"),
         ("ibp", {"psi": {"name": "coordinate", "index": "a"}}, "psi.index"),
         ("ibp", {"psi": {"name": "coordinate"}}, "psi.index"),
         ("ibp", {"psi": {"name": "tanh", "weights": "ab"}}, "psi.weights"),
@@ -187,6 +192,11 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "model_dim_float",
         "spectral_profile_name",
         "spectral_profile_number",
+        "spectral_profile_increasing",
+        "spectral_profile_length",
+        "spectral_profile_zero",
+        "budget_epsilons_range",
+        "budget_epsilons_count",
         "psi_index_string",
         "psi_index_missing",
         "psi_weights_string",

@@ -249,17 +249,15 @@ def test_rim_search_runs_every_golden_step(monkeypatch):
 def _reference_sections(patch):
     """Section searches as they ran before certificates decided sections:
     the reference golden search on every row."""
-    undecided = lambda body, U, F: np.zeros(U.shape[0], dtype=bool)
-    for module in (graphs, surface):
-        patch.setattr(module, "_golden_min_gauge", _golden_reference)
-        patch.setattr(module, "_sections_missed", undecided)
+    patch.setattr(graphs, "_golden_min_gauge", _golden_reference)
+    patch.setattr(graphs, "_sections_missed", lambda body, U, F: np.zeros(U.shape[0], dtype=bool))
 
 
 def _recorded_golden(monkeypatch):
     """The lines Y of every golden search the subspace route makes."""
     searched = []
-    search = surface._golden_min_gauge
-    monkeypatch.setattr(surface, "_golden_min_gauge", lambda body, Y, h: searched.append(Y) or search(body, Y, h))
+    search = graphs._golden_min_gauge
+    monkeypatch.setattr(graphs, "_golden_min_gauge", lambda body, Y, h: searched.append(Y) or search(body, Y, h))
     return searched
 
 
@@ -268,7 +266,7 @@ def _orthonormal_rows(m, n, seed):
     return q.T
 
 
-# sections centred off the lattice probe's points, so that the golden sweeps
+# sections centred off the section probe's points, so that the golden sweeps
 # find inside points of thin sections as well as search empty ones
 _OFF3 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9]), [0.25, 0.25, 0.1])
 _OFF4 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9, 0.8]), [0.25, 0.25, 0.1, 0.1])
@@ -284,7 +282,7 @@ _OFF4 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9, 0.8]), [0.25, 0.25, 0.1, 0.1])
         (_OFF3, _orthonormal_rows(2, 3, 2)),
         (_OFF4, _orthonormal_rows(3, 4, 3)),
         (cg.random_polytope(3, 9, 2), _orthonormal_rows(2, 3, 4)),
-        (cg.random_polytope(3, 10, 4), _orthonormal_rows(1, 3, 5)),
+        (cg.random_polytope(3, 10, 4), _orthonormal_rows(1, 3, 6)),
         (cg.ellipsoid([1.2, 1.0, 0.9]), _orthonormal_rows(2, 3, 6)),
         (cg.cylinder(cg.ellipsoid([1.1, 0.8]), [0.0, 0.0, 1.0]), _orthonormal_rows(1, 3, 7)),
     ],
@@ -306,7 +304,7 @@ def test_subspace_measure_equals_full_golden_search(monkeypatch, body, F):
 
 def test_subspace_sweeps_skip_rows_beyond_the_outer_radius(monkeypatch):
     # a translated body has no certificate, so every row within the outer
-    # radius that the lattice probe misses is searched
+    # radius that the section probe misses is searched
     body = cg.translate(cg.ellipsoid([1.0, 0.7, 0.5]), [0.1, 0.05, 0.05])
     assert body.certificate is None
     searched = _recorded_golden(monkeypatch)
@@ -316,6 +314,23 @@ def test_subspace_sweeps_skip_rows_beyond_the_outer_radius(monkeypatch):
     _reference_sections(monkeypatch)
     ref = cg.subspace_hausdorff(body, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
     assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("body", [_OFF3, cg.random_polytope(3, 10, 4)], ids=["off_centre", "polytope"])
+def test_line_sections_match_the_graph_routes_ends(body, k):
+    # the m = 1 subspace route against section_interval on the same projected
+    # draws: the mean of G1 at both ends, an empty section counting 0; some
+    # of these lines miss the origin
+    e = np.eye(3)[k]
+    X = cg.sample_gaussian(3, 300, 21)
+    ends = [cg.section_interval(body, e, y) for y in X - np.outer(X @ e, e)]
+    found = [end for end in ends if end is not None]
+    assert any(not g < 0.0 < f for g, f in found)
+    G1 = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    ref = sum(G1(g) + G1(f) for g, f in found) / len(ends)
+    est = cg.subspace_hausdorff(body, e[None], budget={"subspace_samples": 300}, seed=21)
+    assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # The audit of the certificates' section test against exact references, in
@@ -472,10 +487,10 @@ def test_halfspace_sections_are_never_decided():
 
 
 def test_empty_sections_near_the_support_are_proved(monkeypatch):
-    # the benchmark's seed-1 surface call (boundary workload): every plane
-    # and line of its ellipsoid that the lattice probe misses, the nearest
-    # 0.2% above the support, is proved empty, so no golden search runs,
-    # and the measure is that of the full sweeps
+    # the benchmark's seed-1 surface call (boundary workload): every empty
+    # plane and line of its ellipsoid, the nearest 0.2% above the support,
+    # is proved empty, so no golden search runs, and the measure is that of
+    # the full sweeps
     s = np.array([0.828637, 1.310211, 0.921074])
     body = cg.ellipsoid(s)
     Y = np.outer(s[2] * np.linspace(1.002, 1.4, 50), [0.0, 0.0, 1.0])
@@ -486,7 +501,7 @@ def test_empty_sections_near_the_support_are_proved(monkeypatch):
         est = cg.subspace_hausdorff(body, F, budget=budget, seed=127943183)
         assert searches == []
         with monkeypatch.context() as patch:
-            patch.setattr(surface, "_sections_missed", lambda body, U, F: np.zeros(U.shape[0], dtype=bool))
+            patch.setattr(graphs, "_sections_missed", lambda body, U, F: np.zeros(U.shape[0], dtype=bool))
             ref = cg.subspace_hausdorff(body, F, budget=budget, seed=127943183)
         assert searches and (est.value, est.std_error) == (ref.value, ref.std_error)
         searches.clear()

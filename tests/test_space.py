@@ -149,12 +149,3 @@ def test_direction_validation():
         cg.as_direction([1.0, 1.0])
     v = cg.normalize_direction([3.0, 4.0])
     assert np.allclose(v, [0.6, 0.8])
-
-
-def test_model_validation():
-    with pytest.raises(ParameterError):
-        cg.GaussianModel(0)
-    with pytest.raises(ParameterError):
-        cg.GaussianModel(3, (1.0, 2.0, 3.0))  # increasing profile
-    m = cg.GaussianModel(3, cg.brownian_kl_profile(3))
-    assert m.spectral_profile[0] > m.spectral_profile[1] > 0

@@ -14,7 +14,7 @@ CLI calls:
   a slab, each ``ibp`` call at one and at two threads;
 * four fixed calls on paths neither reaches either: a ``surface`` call
   on an off-centre ellipsoid, whose golden sweeps find inside points of
-  thin sections that the lattice probe misses, a ``gradcheck`` call with
+  thin sections that the section probe misses, a ``gradcheck`` call with
   no ``directions.h``, whose one ray cast both chooses the direction and
   gives the check points, an ``ibp`` call with no ``directions.h``,
   whose pair keeps the chosen direction's vertical-mass estimate, at one
@@ -35,9 +35,12 @@ CLI calls:
 * one fixed ``surface`` call on a random polytope through ``[0]`` and
   ``[0, 1]``, whose line sections the faces' closed form proves empty and
   whose plane sections, which it leaves undecided, the golden sweeps
-  search.
+  search;
+* one fixed ``surface`` call on an unbounded cylinder through ``[0]`` and
+  ``[0, 2]``, whose plane sections are strips: their rays along the axis
+  reach the search radius and contribute 0.
 
-That is 54 calls in all.
+That is 55 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -127,18 +130,20 @@ MONTE_CARLO = {
 
 
 # fixed calls on paths the benchmark does not reach: a surface call whose
-# sections are centred off the lattice probe's points (at seed 11 the golden
-# sweeps find 6 sections through [0] and 7 through [0, 1], of 151 and 109
-# searched), a gradcheck and an ibp call that choose their direction, a
+# sections are centred off the section probe's points (at seed 11 the golden
+# sweeps find 7 sections through [0, 1] of 109 searched; the probe finds
+# every line through [0]), a gradcheck and an ibp call that choose their direction, a
 # density call, and two perimeter calls whose content route screens draws
 # on bodies unlike the benchmark's: a translated ellipsoid, whose origin
 # margin is below its semiaxes, and an unbounded cylinder; and two calls on
 # a polytope along a tilted direction: a gradcheck whose line searches take
 # the golden fallback, and a perimeter whose projected-rim search gauges 40
 # directions, two golden steps to each stacked gauge call; a perimeter on
-# a 12-d ellipsoid, whose certificate's band grows with the dimension; and a
+# a 12-d ellipsoid, whose certificate's band grows with the dimension; a
 # surface call on a polytope, whose empty line sections the faces' closed
-# form decides and whose plane sections all take the golden sweeps
+# form decides and whose plane sections all take the golden sweeps; and a
+# surface call on a cylinder, whose strip sections have rays that reach the
+# search radius
 _POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
     "surface_offcentre_ellipsoid": (
@@ -244,6 +249,20 @@ FIXED = {
             "subspaces": [[0], [0, 1]],
             "budgets": {"subspace_samples": 400, "inner_angles": 256},
             "seed": 18,
+        },
+    ),
+    "surface_cylinder": (
+        "surface",
+        {
+            "model": {"dim": 3},
+            "body": {
+                "shape": "cylinder",
+                "axis": [0.0, 0.0, 1.0],
+                "base": {"shape": "ellipsoid", "semiaxes": [1.1, 0.8]},
+            },
+            "subspaces": [[0], [0, 2]],
+            "budgets": {"subspace_samples": 400, "inner_angles": 256},
+            "seed": 19,
         },
     ),
 }
