@@ -1,10 +1,10 @@
 """Open convex sets as membership oracles with certified structure.
 
 Every body carries a vectorized membership predicate, a certified interior
-ball, and either an outer radius or a per-direction reach bound. Bodies are
-normalized at construction so that the origin is an interior point; when a
-specification places the origin outside, the whole body is translated (the
-shift is recorded on the body) so downstream gauge computations are valid.
+ball, and either an outer radius or a per-direction reach bound. A body is
+never moved: its gauge is the Minkowski functional with respect to an inner
+point, the body's centre, which is the origin unless the certified ball
+leaves the origin no margin, and the ball's centre then.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ class ConvexBody:
     """Membership-oracle representation of an open convex set.
 
     contains   -- vectorized predicate on arrays of shape (..., dim)
-    interior_point / interior_margin -- certified open ball inside the body
+    interior_point / interior_margin -- certified open ball inside the body,
+                    about whose centre the gauge is taken when it leaves
+                    the origin no margin (centre)
     outer_radius -- None marks an unbounded body; reach (UNBOUNDED_REACH)
                     bounds every line search instead, at negligible Gaussian
                     mass cost
@@ -80,7 +82,6 @@ class ConvexBody:
     dim: int
     distance_outside: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spec: Optional[dict] = None
-    recentered_by: Optional[np.ndarray] = None
     certificate: Optional[_Quadratic | _Faces] = None
 
     @property
@@ -93,9 +94,17 @@ class ConvexBody:
         return self.outer_radius if self.bounded else UNBOUNDED_REACH
 
     @property
-    def margin_at_zero(self) -> float:
-        """Radius of a certified ball around the origin inside the body."""
-        return self.interior_margin - float(np.linalg.norm(self.interior_point))
+    def centre(self) -> np.ndarray:
+        """The inner point gauges are taken about: the origin, unless the
+        certified ball leaves it no margin (_off_centre), then the ball's."""
+        if _off_centre(self.interior_point, self.interior_margin):
+            return self.interior_point
+        return np.zeros(self.dim)
+
+    @property
+    def centre_margin(self) -> float:
+        """Radius of a certified ball about the centre inside the body."""
+        return self.interior_margin - float(np.linalg.norm(self.interior_point - self.centre))
 
     def __post_init__(self):
         object.__setattr__(
@@ -103,51 +112,15 @@ class ConvexBody:
         )
         if self.interior_margin <= 0:
             raise BodySpecError("interior_margin must be positive")
-        if self.margin_at_zero <= 0:
-            raise BodySpecError(
-                "body must contain the origin with positive margin after centering"
-            )
-        if not bool(self.contains(np.zeros(self.dim))):
+        if not bool(self.contains(self.centre)):
             raise OracleIntegrityError(
-                f"membership oracle rejects the origin for {self.shape_tag}"
+                f"membership oracle rejects the centre of {self.shape_tag}"
             )
 
 
 def _off_centre(x0, r0) -> bool:
     """Whether the ball B(x0, r0) leaves no certified margin about the origin."""
     return r0 - np.linalg.norm(x0) <= 1e-6 * max(1.0, r0)
-
-
-def _recenter(
-    contains, x0, r0, outer_radius, tag, dim, distance=None, spec=None, certificate=None
-) -> ConvexBody:
-    """Translate the body by -x0 when the origin is not certifiably interior.
-    A moved body drops its certificate, which holds the unmoved arrays."""
-    x0 = np.asarray(x0, dtype=float)
-    shift = None
-    if _off_centre(x0, r0):
-        shift = -x0
-        certificate = None
-        inner = contains
-        contains = lambda x, fn=inner, off=x0: fn(np.asarray(x, dtype=float) + off)
-        if distance is not None:
-            inner_d = distance
-            distance = lambda x, fn=inner_d, off=x0: fn(np.asarray(x, dtype=float) + off)
-        if outer_radius is not None:
-            outer_radius = outer_radius + float(np.linalg.norm(x0))
-        x0 = np.zeros(dim)
-    return ConvexBody(
-        contains=contains,
-        interior_point=x0,
-        interior_margin=r0,
-        outer_radius=outer_radius,
-        shape_tag=tag,
-        dim=dim,
-        distance_outside=distance,
-        spec=spec,
-        recentered_by=shift,
-        certificate=certificate,
-    )
 
 
 # Certificates. With u = 2^-53, forming a point fl(U + fl(s V)) or fl(V / lam)
@@ -309,7 +282,7 @@ class _Faces(NamedTuple):
         return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
 
     def _ray_ends(self, V):
-        # <a_j, V> / lam against c_j > 0 (the origin is inside), with the
+        # <a_j, V> / lam against c_j > 0 (rays start at a centre at 0), with the
         # bound K S_j / lam, S_j = sum_i |V_i a_ji|: every face holds for
         # lam > max_j (<a_j, V> + K S_j) / c_j, and one fails for lam below
         # max_j (<a_j, V> - K S_j) / c_j
@@ -328,7 +301,9 @@ class _Faces(NamedTuple):
         # bound is a union of two half-lines
         K = self.band(U.shape[-1])
         absA = np.abs(self.A)
-        D = self.A @ U.T - level * self.c[:, None]  # <a_j, U> - level c_j
+        # <a_j, U> - level c_j; a face through or behind the origin keeps
+        # its offset, which level would move inside the body
+        D = self.A @ U.T - np.maximum(level * self.c, self.c)[:, None]
         KSU = K * (absA @ np.abs(U).T) + CERTIFICATE_FLOOR
         VA = self.A @ V.T
         KSV = K * (absA @ np.abs(V).T)
@@ -396,8 +371,8 @@ def _certificate(kind, *arrays):
 
 def _membership_along(body: ConvexBody, V, U=None):
     """The membership test a bisection asks of its points: U + t V on lines
-    (V one direction or one per row), or, with U None, V / t on rays, the
-    points of the gauge at t (t > 0).
+    (V one direction or one per row), or, with U None, c + V / t on rays
+    from the body's centre c, the points of the gauge at t (t > 0).
 
     Returns inside_at(t), which maps a parameter per row to
     body.contains of those points. A body with a certificate decides the
@@ -413,6 +388,9 @@ def _membership_along(body: ConvexBody, V, U=None):
     `contains` whole, without asking the certificate.
     """
     V = np.asarray(V, dtype=float)
+    c = body.centre
+    if U is None and c.any():  # a certificate's ray rule takes rays from 0
+        return lambda t: body.contains(c + V / t[:, None])
 
     def points(t, rows=slice(None)):
         if U is None:
@@ -482,14 +460,14 @@ def ball(radius: float, dim: int) -> ConvexBody:
         raise BodySpecError("ball: radius must be positive")
     contains = lambda x: np.sqrt(_row_sum(np.square(np.asarray(x, float)))) < radius
     distance = lambda x: np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
-    return _recenter(
+    return ConvexBody(
         contains,
         np.zeros(dim),
         radius,
         radius,
         "ball",
         dim,
-        distance=distance,
+        distance_outside=distance,
         spec={"shape": "ball", "radius": radius},
         certificate=_certificate(_Quadratic, np.full(dim, 1.0 / (radius * radius))),
     )
@@ -521,14 +499,14 @@ def ellipsoid(semiaxes) -> ConvexBody:
             out[outside] = np.linalg.norm(xo - w, axis=-1)
         return out if np.ndim(x0) > 1 else float(out[0])
 
-    return _recenter(
+    return ConvexBody(
         contains,
         np.zeros(dim),
         float(np.min(s)),
         float(np.max(s)),
         "ellipsoid",
         dim,
-        distance=distance,
+        distance_outside=distance,
         spec={"shape": "ellipsoid", "semiaxes": list(map(float, s))},
         certificate=_certificate(_Quadratic, inv2),
     )
@@ -573,14 +551,14 @@ def halfspace(normal, offset: float) -> ConvexBody:
     distance = lambda x: np.maximum(0.0, np.asarray(x, float) @ a - c)
     x0 = np.zeros(dim) if c > 0 else (c - 1.0) * a
     r0 = c if c > 0 else 1.0
-    return _recenter(
+    return ConvexBody(
         contains,
         x0,
         r0,
         None,
         "halfspace",
         dim,
-        distance=distance,
+        distance_outside=distance,
         spec={"shape": "halfspace", "normal": list(map(float, a)), "offset": c},
         certificate=_certificate(_Faces, a[None], np.array([c])),
     )
@@ -621,7 +599,7 @@ def polytope(faces) -> ConvexBody:
     Chebyshev-center LP, except for a polytope with every offset positive
     that is unbounded (a slab, say) or whose Chebyshev ball leaves the origin
     no margin: it keeps the origin, with margin min(c_i), so a body that
-    holds the origin is never moved.
+    holds the origin has its centre there.
 
     Its distance oracle runs Dykstra's alternating projections onto the
     faces, each row until a sweep moves it by less than 1e-13 or for
@@ -677,8 +655,8 @@ def polytope(faces) -> ConvexBody:
         x0, r0 = res.x[:dim], float(res.x[-1])
         if np.all(c > 0) and _off_centre(x0, r0):
             # the origin is interior but the Chebyshev ball gives it no
-            # margin: keep the origin, as for an unbounded polytope, rather
-            # than let _recenter move the body
+            # margin: keep the origin as the centre, as for an unbounded
+            # polytope, rather than take the Chebyshev centre
             x0, r0 = np.zeros(dim), float(np.min(c))
 
     def contains(x):
@@ -724,8 +702,8 @@ def polytope(faces) -> ConvexBody:
             {"normal": list(map(float, a)), "offset": float(b)} for a, b in zip(A, c)
         ],
     }
-    return _recenter(
-        contains, x0, r0, outer, "polytope", dim, distance=distance, spec=spec,
+    return ConvexBody(
+        contains, x0, r0, outer, "polytope", dim, distance_outside=distance, spec=spec,
         certificate=_certificate(_Faces, A, c),
     )
 
@@ -784,21 +762,21 @@ def cylinder(base: ConvexBody, axis) -> ConvexBody:
     if base.distance_outside is not None:
         distance = lambda x: base.distance_outside(np.asarray(x, float) @ B.T)
     x0 = B.T @ base.interior_point
-    return _recenter(
+    return ConvexBody(
         contains,
         x0,
         base.interior_margin,
         None,
         f"cylinder({base.shape_tag})",
         dim,
-        distance=distance,
+        distance_outside=distance,
         spec={"shape": "cylinder", "base": base.spec, "axis": list(map(float, axis))},
     )
 
 
 def translate(body: ConvexBody, v) -> ConvexBody:
-    """Shift a body by v; re-centers (and records the shift) if the origin
-    would otherwise stop being interior."""
+    """Shift a body by v. Its centre is the origin while the shifted
+    interior ball leaves the origin a margin, else the ball's centre."""
     v = np.asarray(v, dtype=float)
     if v.shape != (body.dim,):
         raise BodySpecError(f"translate: vector has shape {v.shape}, expected ({body.dim},)")
@@ -811,14 +789,14 @@ def translate(body: ConvexBody, v) -> ConvexBody:
     outer = None if body.outer_radius is None else body.outer_radius + float(np.linalg.norm(v))
     spec = dict(body.spec or {})
     spec["translate"] = list(map(float, v))
-    return _recenter(
+    return ConvexBody(
         contains,
         body.interior_point + v,
         body.interior_margin,
         outer,
         body.shape_tag,
         body.dim,
-        distance=distance,
+        distance_outside=distance,
         spec=spec,
     )
 
@@ -827,7 +805,7 @@ def from_oracle(contains, interior_point, interior_margin, outer_radius=None) ->
     """Wrap a user membership oracle (e.g. a level set {G < 0}) as a body
     tagged "custom"."""
     x0 = np.asarray(interior_point, dtype=float)
-    return _recenter(contains, x0, interior_margin, outer_radius, "custom", x0.shape[0])
+    return ConvexBody(contains, x0, interior_margin, outer_radius, "custom", x0.shape[0])
 
 
 class _Kind(NamedTuple):
@@ -1202,15 +1180,17 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
 
 
 def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
-    """Gauge p(x) = inf{lam > 0 : x in lam * body}, by bisection on lam.
+    """Gauge p(x) = inf{lam > 0 : x - c in lam * (body - c)} with respect to
+    the body's centre c (ConvexBody.centre), by bisection on lam.
 
-    Accepts a single point (n,) or a batch (N, n); p(0) = 0 exactly.
-    The bracket [|x| (1 - 1e-12) / outer_radius, |x| / (0.9 margin_at_zero)]
-    comes from the certified radii (its lower end is 0 on an unbounded
-    body); a membership failure at its upper end, whose point the certified
-    interior ball contains, raises OracleIntegrityError. The bisection asks
-    membership through _membership_along, so a body's certificate answers
-    every step it can place and `contains` sees only the rest.
+    Accepts a single point (n,) or a batch (N, n); p(c) = 0 exactly.
+    The bracket [|x - c| (1 - 1e-12) / (outer_radius + |c|),
+    |x - c| / (0.9 centre_margin)] comes from the certified radii (its lower
+    end is 0 on an unbounded body); a membership failure at its upper end,
+    c + (x - c) / hi, whose point the certified interior ball contains,
+    raises OracleIntegrityError. The bisection asks membership through
+    _membership_along, so a body's certificate answers every step it can
+    place and `contains` sees only the rest.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -1219,22 +1199,23 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
     X = np.atleast_2d(X)
     if X.shape[1] != body.dim:
         raise DomainError(f"point dim {X.shape[1]} != body dim {body.dim}")
-    norms = np.linalg.norm(X, axis=1)
+    c = body.centre
+    D = X - c
+    norms = np.linalg.norm(D, axis=1)
     p = np.zeros(X.shape[0])
     act = norms > 0
     if act.any():
-        Xa = X[act]
-        m0 = body.margin_at_zero
-        hi = norms[act] / (0.9 * m0)
-        if not np.all(body.contains(Xa / hi[:, None])):
+        Da = D[act]
+        hi = norms[act] / (0.9 * body.centre_margin)
+        if not np.all(body.contains(c + Da / hi[:, None])):
             raise OracleIntegrityError(
                 "membership oracle rejects points inside the certified interior ball"
             )
         if body.bounded:
-            lo = norms[act] / body.outer_radius * (1.0 - 1e-12)
+            lo = norms[act] / (body.outer_radius + float(np.linalg.norm(c))) * (1.0 - 1e-12)
         else:
             lo = np.zeros_like(hi)
-        inside_at = _membership_along(body, Xa)
+        inside_at = _membership_along(body, Da)
         hi, lo = bisect(
             lambda lam: inside_at(np.maximum(lam, 1e-250)),
             hi,
@@ -1257,8 +1238,8 @@ def minkowski_gradient_fd(body: ConvexBody, x):
     X = np.asarray(x, dtype=float)
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
-    if np.any(np.linalg.norm(X, axis=1) == 0.0):
-        raise DomainError("gauge gradient is undefined at the origin")
+    if np.any(np.linalg.norm(X - body.centre, axis=1) == 0.0):
+        raise DomainError("gauge gradient is undefined at the body's centre")
     n = body.dim
     eye = np.eye(n)
     stencil = np.concatenate(

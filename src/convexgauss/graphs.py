@@ -167,7 +167,8 @@ def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
     accepts it. Of the rest, rows beyond a bounded body's outer radius and
     rows the body's certificate proves empty (bodies._sections_missed) are
     dropped before any probe; the others probe 0 and then a lattice of
-    SECTION_PROBE_POINTS[m - 1] points per axis across the reach, the
+    SECTION_PROBE_POINTS[m - 1] points per axis across the reach, less its
+    centre row (the origin, or within a few ulps of the reach of it), the
     first accepted point winning. A row that no probe finds runs
     golden-section sweeps of the gauge (convex along each axis) along F's
     axes, once for a line and twice otherwise, and is kept when its gauge
@@ -190,7 +191,7 @@ def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
     if missing.size:
         axis = np.linspace(-body.reach, body.reach, SECTION_PROBE_POINTS[m - 1])
         lattice = np.stack([g.ravel() for g in np.meshgrid(*([axis] * m), indexing="ij")], axis=-1)
-        probes = np.concatenate([np.zeros((1, m)), lattice])
+        probes = np.concatenate([np.zeros((1, m)), np.delete(lattice, len(lattice) // 2, axis=0)])
         pts = Y[missing][:, None, :] + (probes @ F)[None, :, :]
         hits = body.contains(pts.reshape(-1, body.dim)).reshape(missing.size, -1)
         found = hits.any(axis=1)
@@ -223,7 +224,7 @@ def _section_endpoints(
 
     Returns (lower, upper, nonempty). Empty sections give (nan, nan, False).
     The inside parameter of each section comes from _inside_points (the
-    hint, a 34-point probe of 0 and 33 points across the reach, then golden
+    hint, a 33-point probe of 0 and 32 points across the reach, then golden
     section on the gauge, so thin sections near the projected rim are still
     resolved); each end is bisected from it on its own. An end that the
     body's case along h (classify_case) marks infinite is +/-inf on every
@@ -318,7 +319,7 @@ def _sample_domain_points(body: ConvexBody, h: np.ndarray, count: int, seed: int
         # the certified interior ball always provides domain points
         u = rng.standard_normal((count, body.dim))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        x = 0.5 * body.margin_at_zero * u
+        x = body.centre + 0.5 * body.centre_margin * u
         pts = [x]
     x = np.concatenate(pts, axis=0)[:count]
     t = x @ h
@@ -529,20 +530,22 @@ def boundary_classify(pair: GraphPair, x):
 
 
 def ray_cast_boundary(body: ConvexBody, count: int, seed: int):
-    """Boundary points u/gauge(u) for uniformly random directions u, together
-    with surface-importance weights relative to the Gaussian surface density.
+    """Boundary points b = c + u/gauge(c + u) for uniformly random directions
+    u from the body's centre c, together with surface-importance weights
+    relative to the Gaussian surface density.
 
-    Weight = G_n(b) * |b|^(n-1) / <normal, u>, the Jacobian between direction
-    sampling and boundary-area sampling. Directions that never exit an
-    unbounded body are dropped (their boundary lies at infinity).
+    Weight = G_n(b) * |b - c|^(n-1) / <normal, u>, the Jacobian between
+    direction sampling and boundary-area sampling. Directions that never
+    exit an unbounded body are dropped (their boundary lies at infinity).
     """
     rng = np.random.default_rng([seed, 2])
     u = rng.standard_normal((count, body.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    p = minkowski_functional(body, u, tol=1e-12)
-    hits = p > 1.0 / body.reach
+    c = body.centre
+    p = minkowski_functional(body, c + u, tol=1e-12)
+    hits = p > 1.0 / (body.reach + float(np.linalg.norm(c)))
     u = u[hits]
-    b = u / p[hits][:, None]
+    b = c + u / p[hits][:, None]
     grads = minkowski_gradient_fd(body, b)
     norms = np.linalg.norm(grads, axis=1)
     ok = norms > 1e-12
@@ -550,8 +553,9 @@ def ray_cast_boundary(body: ConvexBody, count: int, seed: int):
     nu = grads / norms[:, None]
     cos = np.einsum("ij,ij->i", nu, u)
     cos = np.maximum(cos, 1e-6)
-    r = np.linalg.norm(b, axis=1)
-    dens = (2.0 * math.pi) ** (-0.5 * body.dim) * np.exp(-0.5 * r * r)
+    r = np.linalg.norm(b - c, axis=1)
+    rb = np.linalg.norm(b, axis=1)
+    dens = (2.0 * math.pi) ** (-0.5 * body.dim) * np.exp(-0.5 * rb * rb)
     w = dens * r ** (body.dim - 1) / cos
     return b, nu, w
 

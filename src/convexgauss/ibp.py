@@ -359,9 +359,11 @@ def gradient_formula_check(pair: GraphPair, x):
     the central-difference gauge gradient at boundary points x of the pair's
     body.
 
-    On the upper graph the formula is (-grad f(y) + h) / (f(y) - <grad f, y>);
-    on the lower graph (grad g(y) - h) / (<grad g, y> - g(y)). Also enforces
-    that the normalized formula equals the (signed) graph normal to 1e-6.
+    With c the body's centre, about which the gauge is taken, the formula
+    on the upper graph is (-grad f(y) + h) / ((f(y) - <c, h>) - <grad f,
+    y - c>); on the lower graph (grad g(y) - h) / (<grad g, y - c> - (g(y)
+    - <c, h>)). Also enforces that the normalized formula equals the
+    (signed) graph normal to 1e-6.
     x: one point (n,), giving a float, or a batch (N, n), giving (N,)
     deviations. A batch holds nan at vertical points and where a scaling
     denominator vanishes; a single point raises DomainError or
@@ -375,6 +377,7 @@ def gradient_formula_check(pair: GraphPair, x):
     if scalar and labels[0] == "vertical":
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
+    c = pair.body.centre
     Y = X - np.outer(X @ h, h)
     on_graph = np.flatnonzero(labels != "vertical")
     stencils = _stencil_gradient(pair, Y[on_graph], DEFAULT_FD_STEP)
@@ -387,7 +390,7 @@ def gradient_formula_check(pair: GraphPair, x):
         rows = on_graph[mine]
         grad, ok = (v[mine] for v in stencils[which])
         _require_fit(ok)
-        den = sign * (ends[rows] - np.einsum("ij,ij->i", grad, Y[rows]))
+        den = sign * ((ends[rows] - c @ h) - np.einsum("ij,ij->i", grad, Y[rows] - c))
         degenerate = np.abs(den) < 1e-8
         if scalar and degenerate[0]:
             raise DegeneracyError(f"gauge-formula denominator {den[0]:.2e} is numerically zero")

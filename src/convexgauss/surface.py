@@ -201,21 +201,26 @@ class _NodeSet:
 def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
     """Build the nodes of the pair's route: polar for a bounded body in
     dimension <= 3, tensor Gauss-Hermite for the full hyperplane in
-    dimension <= 3, Monte Carlo over the transverse Gaussian otherwise."""
+    dimension <= 3, Monte Carlo over the transverse Gaussian otherwise.
+    Polar nodes are about y_c, the body's centre c projected on the
+    hyperplane: with rho = 1 / min_t gauge(y_c + u + t h), at t_min, the
+    node y_c + s rho u has hint <c, h> + s rho (t_min - <c, h>)."""
     h, B = pair.direction, pair.basis
     d = B.shape[0]
     body = pair.body
     if body is not None and body.bounded and d <= 3:
+        c = body.centre
+        yc, ch = B @ c, float(c @ h)  # y_c in the basis, and <c, h>
         U_c, w_ang = _angular_rule(d, budget)
-        t_at_min, q = _golden_min_gauge(body, U_c @ B, h)
+        t_at_min, q = _golden_min_gauge(body, (yc + U_c) @ B, h)
         if np.any(q <= 0.0):
             raise OracleIntegrityError("projected gauge vanished for a bounded body")
         rho = 1.0 / q
-        t_rim = t_at_min * rho
+        t_rim = (t_at_min - ch) * rho
         s, w_rad = _radial_rule(budget.radial)
         # nodes: (radial, angular)
-        Yc = s[:, None, None] * (rho[None, :, None] * U_c[None, :, :])  # coords (R,K,d)
-        m0 = body.margin_at_zero
+        Yc = yc + s[:, None, None] * (rho[None, :, None] * U_c[None, :, :])  # coords (R,K,d)
+        m0 = body.centre_margin
         fd = np.minimum(budget.fd_step, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
         dens = gaussian_density(d, Yc.reshape(-1, d)).reshape(len(s), len(w_ang))
         radial_jac = (s[:, None] * rho[None, :]) ** (d - 1) * rho[None, :]
@@ -224,7 +229,7 @@ def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
             steps=fd.reshape(-1),
             method="polar",
             weights=w_rad[:, None] * w_ang[None, :] * radial_jac * dens,
-            t_hint=(s[:, None] * t_rim[None, :]).reshape(-1),
+            t_hint=(ch + s[:, None] * t_rim[None, :]).reshape(-1),
             details={"angles": len(w_ang), "radial": len(s)},
         )
     if d <= 3:
@@ -526,18 +531,21 @@ def minkowski_content_perimeter(
         )
 
     # Only draws with gauge below s can land in a shell, so only they get a
-    # distance. The body holds B(0, m0), so gauge(v) <= |v| / m0; with z the
-    # nearest point of the closure, subadditivity gives gauge(x) <= gauge(z)
-    # + gauge(x - z) <= 1 + d(x) / m0. A draw with contains(x / s) false has
-    # gauge(x) >= s, so d(x) >= 2 max(eps) and it lies in no shell; the
-    # factor 2 absorbs the rounding of x / s and the oracle's 1e-13 error.
-    s = 1.0 + 2.0 * eps[0] / body.margin_at_zero
+    # distance. With p the gauge of body - c about 0 (c the body's centre),
+    # the body holds B(c, m0), so p(v) <= |v| / m0; with z the nearest
+    # point of the closure, subadditivity gives p(x - c) <= p(z - c) +
+    # p(x - z) <= 1 + d(x) / m0. A draw with contains(c + (x - c) / s) false
+    # has p(x - c) >= s, so d(x) >= 2 max(eps) and it lies in no shell; the
+    # factor 2 absorbs the rounding of the scaled point and the oracle's
+    # 1e-13 error.
+    c = body.centre
+    s = 1.0 + 2.0 * eps[0] / body.centre_margin
 
     # chunked, deterministic: distances on common draws across all epsilons
     def chunk_stats(idx, size):
         rng = np.random.default_rng([seed, idx])
         x = rng.standard_normal((size, body.dim))
-        x = x[body.contains(x / s)]
+        x = x[body.contains(c + (x - c) / s)]
         d = np.asarray(body.distance_outside(x))
         return np.array([np.sum((d > 0) & (d < e)) for e in eps])
 

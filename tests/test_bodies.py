@@ -204,17 +204,21 @@ def test_body_midpoint_convexity_of_membership():
 
 
 def test_centering_translates_bodies_away_from_origin():
+    # a body that leaves the origin no margin stays where its spec puts it,
+    # and its gauge is taken about its interior point instead
     body = cg.halfspace([1.0, 0.0], -1.0)  # origin outside the raw spec
-    assert body.recentered_by is not None
-    assert bool(body.contains(np.zeros(2)))
+    assert not bool(body.contains(np.zeros(2)))
+    assert np.array_equal(body.centre, body.interior_point) and body.centre.any()
+    assert bool(body.contains(body.centre)) and body.centre_margin == body.interior_margin
     ball_far = cg.translate(cg.ball(0.5, 2), [5.0, 0.0])
-    assert ball_far.recentered_by is not None
-    assert bool(ball_far.contains(np.zeros(2)))
+    assert not bool(ball_far.contains(np.zeros(2)))
+    assert np.array_equal(ball_far.centre, [5.0, 0.0])
+    assert cg.minkowski_functional(ball_far, [5.25, 0.0]) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_translate_keeps_origin_when_interior():
     body = cg.translate(cg.ball(2.0, 2), [0.5, 0.0])
-    assert body.recentered_by is None
+    assert not body.centre.any()
     assert not bool(body.contains(np.array([-1.6, 0.0])))
     assert bool(body.contains(np.array([2.4, 0.0])))
 
@@ -594,9 +598,7 @@ def test_polytope_contains_equals_all_reduction(n_faces, dim, shape, seed):
     flat[::3] = 0.0
     flat[::3, 0] = c[0]  # on face 0
     flat[1::4] = np.nan
-    # a re-centred body tests x + x0
-    shifted = x if body.recentered_by is None else x + -body.recentered_by
-    expected = np.all(shifted @ A.T < c, axis=-1)
+    expected = np.all(x @ A.T < c, axis=-1)
     got = body.contains(x)
     assert np.shape(got) == shape
     assert np.array_equal(got, expected)
@@ -620,7 +622,7 @@ def test_polytope_contains_equals_all_reduction(n_faces, dim, shape, seed):
 def test_unbounded_polytope_keeps_origin_with_smallest_offset(faces):
     body = cg.polytope(faces)
     assert not body.bounded
-    assert body.recentered_by is None
+    assert not body.centre.any()
     assert np.array_equal(body.interior_point, np.zeros(3))
     smallest = min(f["offset"] / np.linalg.norm(f["normal"]) for f in faces)
     assert body.interior_margin == pytest.approx(smallest, rel=1e-15)
@@ -628,7 +630,7 @@ def test_unbounded_polytope_keeps_origin_with_smallest_offset(faces):
 
 def test_slab_keeps_origin_and_half_width_margin():
     body = cg.slab([1.0, 2.0, 3.0], 1.010956)
-    assert body.recentered_by is None
+    assert not body.centre.any()
     assert body.interior_margin == 1.010956
 
 
@@ -737,10 +739,25 @@ def test_bodies_without_closed_form_have_no_certificate():
     assert cg.from_oracle(lambda x: np.linalg.norm(x, axis=-1) < 1.0, np.zeros(2), 1.0).certificate is None
     assert cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]).certificate is None
     assert cg.translate(cg.ellipsoid([1.0, 2.0]), [0.1, 0.0]).certificate is None
-    moved = cg.halfspace([1.0, 0.0], -1.0)
-    assert moved.recentered_by is not None and moved.certificate is None
+    # a body centred off the origin keeps its closed form
+    off_centre = cg.halfspace([1.0, 0.0], -1.0)
+    assert off_centre.centre.any() and off_centre.certificate is not None
     for body in (cg.ball(1.0, 3), cg.kl_ellipsoid(4), cg.slab([1.0, 1.0], 0.5), cg.random_polytope(3, 8, 1)):
         assert body.certificate is not None
+
+
+def test_face_behind_the_origin_misses_no_line_that_meets_the_body():
+    # x1 < -0.5 leaves the origin outside, so the body keeps its place and
+    # its certificate; the line along e2 at x1 = -0.5 - 1e-10 meets it,
+    # which a miss margin scaling the negative offset would deny
+    from convexgauss.bodies import _sections_missed
+
+    body = cg.polytope([{"normal": [1.0, 0.0], "offset": -0.5}, {"normal": [-1.0, 0.0], "offset": 2.0},
+                        {"normal": [0.0, 1.0], "offset": 1.0}, {"normal": [0.0, -1.0], "offset": 1.0}])
+    assert body.centre.any() and body.certificate is not None
+    U = np.array([[-0.5 - 1e-10, 0.0]])
+    assert body.contains(U).all()
+    assert not _sections_missed(body, U, np.array([[0.0, 1.0]])).any()
 
 
 def test_certificate_leaves_rows_out_of_range_to_the_oracle():
@@ -771,7 +788,7 @@ def test_box_off_its_chebyshev_centre_keeps_the_origin():
     # keeps the origin with margin 0.5 and its perimeter is the product
     # formula's sum_i 2 phi(w_i) prod_(k != i) (2 Phi(w_k) - 1)
     body = _box((1.0, 0.5, 1.0))
-    assert body.recentered_by is None
+    assert not body.centre.any()
     assert body.certificate is not None
     assert np.array_equal(body.interior_point, np.zeros(3)) and body.interior_margin == 0.5
     phi = lambda w: math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
@@ -804,7 +821,7 @@ def test_box_off_its_chebyshev_centre_keeps_the_origin():
 def test_box_product_formula(widths, graph_budget, graph_err, subspace_err):
     n = len(widths)
     body = _box(widths)
-    assert body.recentered_by is None
+    assert not body.centre.any()
     phi = lambda w: math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
     mass = lambda w: math.erf(w / math.sqrt(2.0))
     exact = sum(2.0 * phi(widths[i]) * math.prod(mass(w) for k, w in enumerate(widths) if k != i) for i in range(n))
@@ -819,7 +836,7 @@ def test_box_product_formula(widths, graph_budget, graph_err, subspace_err):
 
 def test_random_polytopes_are_never_moved():
     # every offset lies in (0.8, 1.6), so each holds the origin
-    assert all(cg.random_polytope(3, 8, s).recentered_by is None for s in range(200))
+    assert not any(cg.random_polytope(3, 8, s).centre.any() for s in range(200))
 
 
 @pytest.mark.parametrize("shared", [True, False])

@@ -253,11 +253,11 @@ def _golden_two_calls(body, Y, h):
         (cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]), E1_3),
         (cg.translate(cg.ball(0.7, 3), [2.0, 0.5, 0.0]), E3_3),
     ],
-    ids=["ellipsoid", "polytope", "cylinder", "recentered"],
+    ids=["ellipsoid", "polytope", "cylinder", "off_centre"],
 )
 def test_golden_paired_probes_match_two_calls(body, h):
-    if body.shape_tag == "ball":  # the translated ball must have been re-centred
-        assert body.recentered_by is not None
+    if body.shape_tag == "ball":  # the translated ball's gauge is about its own centre
+        assert body.centre.any()
     rng = np.random.default_rng(5)
     Y = rng.standard_normal((24, 3))
     Y -= np.outer(Y @ h, h)
@@ -266,3 +266,23 @@ def test_golden_paired_probes_match_two_calls(body, h):
     t_ref, q_ref = _golden_two_calls(body, Y, h)
     assert np.array_equal(t, t_ref)
     assert np.array_equal(q, q_ref)
+
+
+def test_section_probe_asks_33_rows_a_line():
+    # lines along e2 through (y, 0) miss the disk about (0, 2) at t = 0 and
+    # meet it further up, so each one probes its origin and the lattice: 33
+    # rows, the lattice's centre row being that origin again
+    from convexgauss.graphs import SECTION_PROBE_POINTS, _section_endpoints
+
+    body = cg.translate(cg.ball(1.0, 2), [0.0, 2.0])
+    rows = []
+
+    def counted(x):
+        rows.append(len(np.atleast_2d(x)))
+        return body.contains(x)
+
+    Y = np.outer(np.linspace(-0.9, 0.9, 7), E1_2)
+    lower, upper, nonempty = _section_endpoints(dataclasses.replace(body, contains=counted), E2_2, Y)
+    assert nonempty.all() and np.allclose(upper - lower, 2.0 * np.sqrt(1.0 - Y[:, 0] ** 2))
+    assert SECTION_PROBE_POINTS[0] == 33
+    assert rows.count(33 * len(Y)) == 1 and 34 * len(Y) not in rows

@@ -106,7 +106,7 @@ def _random_body(kind, rng):
         return cg.ellipsoid(rng.uniform(0.3, 2.0, 3))
     if kind == "polytope":
         return cg.random_polytope(3, int(rng.integers(4, 12)), int(rng.integers(0, 1000)))
-    # translated: re-centred when the shift leaves the origin outside
+    # translated: centred off the origin when the shift leaves the origin outside
     return cg.translate(cg.ellipsoid(rng.uniform(0.3, 2.0, 3)), rng.uniform(-1.5, 1.5, 3))
 
 
@@ -512,7 +512,7 @@ def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
     # grid points, so the thin ones near the projected rim need the golden
     # search; at phi = 0.004 some stencil points leave the projected domain
     body = cg.translate(cg.ellipsoid([1.2, 0.9, 0.7]), [0.3, -0.2, 0.25])
-    assert body.recentered_by is None
+    assert not body.centre.any()
     phi = np.array([0.004, 0.004, 0.01, 0.02, 0.04, 0.06])
     theta = np.linspace(0.3, 5.9, phi.size)
     X = np.array([0.3, -0.2, 0.25]) + np.stack(
@@ -573,9 +573,7 @@ def test_dykstra_distance_equals_per_face_gathering(dim, n_faces, seed):
     A = np.array([f["normal"] for f in body.spec["faces"]])
     c = np.array([f["offset"] for f in body.spec["faces"]])
     x = 2.0 * rng.standard_normal((150, dim))
-    # a re-centred body's oracles see x + its interior point
-    shifted = x if body.recentered_by is None else x - body.recentered_by
-    assert np.array_equal(body.distance_outside(x), _dykstra_reference(A, c, shifted))
+    assert np.array_equal(body.distance_outside(x), _dykstra_reference(A, c, x))
 
 
 # ------------------------------------------------ content-route screen
@@ -586,7 +584,7 @@ def _screen_body(kind, seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     if kind == "polytope":
-        # offsets as in the Dykstra test above: some bodies come out re-centred
+        # offsets as in the Dykstra test above: some bodies are centred off the origin
         n_faces = int(rng.integers(dim + 1, 11))
         normals = rng.standard_normal((n_faces, dim))
         offsets = rng.uniform(0.3, 1.5, n_faces)
@@ -632,7 +630,8 @@ def test_content_screen_equals_distances_of_every_draw(kind, seed):
     # every draw closer than max(eps) is one of them
     x = cg.space.sample_gaussian(body.dim, budget.samples, seed)
     eps = max(budget.epsilons)
-    kept = body.contains(x / (1.0 + 2.0 * eps / body.margin_at_zero))
+    c = body.centre
+    kept = body.contains(c + (x - c) / (1.0 + 2.0 * eps / body.centre_margin))
     assert sum(rows) == int(np.count_nonzero(kept))
     near = body.distance_outside(x) < eps
     assert near.any()

@@ -528,7 +528,7 @@ def test_minkowski_content_polygon_matches_exact_perimeter():
     vertices = np.array([[1.3, 0.1], [0.2, 1.0], [-0.9, 0.6], [-0.7, -0.8], [0.6, -1.1]])
     exact, faces = _polygon_perimeter(vertices)
     body = cg.polytope(faces)
-    assert body.recentered_by is None
+    assert not body.centre.any()
     est = cg.minkowski_content_perimeter(body, budget={"samples": 300_000}, seed=8)
     assert abs(est.value - exact) <= 3 * est.std_error
 

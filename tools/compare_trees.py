@@ -38,9 +38,14 @@ CLI calls:
   search;
 * one fixed ``surface`` call on an unbounded cylinder through ``[0]`` and
   ``[0, 2]``, whose plane sections are strips: their rays along the axis
-  reach the search radius and contribute 0.
+  reach the search radius and contribute 0;
+* two fixed calls on bodies whose certified ball leaves the origin no
+  margin, so that their gauges are taken about an inner point off the
+  origin: a ``perimeter`` call on the unit disk translated to (3, 0), and
+  an ``ibp`` call on a halfspace with a negative offset, at one and at two
+  threads.
 
-That is 55 calls in all.
+That is 58 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -143,7 +148,11 @@ MONTE_CARLO = {
 # surface call on a polytope, whose empty line sections the faces' closed
 # form decides and whose plane sections all take the golden sweeps; and a
 # surface call on a cylinder, whose strip sections have rays that reach the
-# search radius
+# search radius; and two calls on bodies centred off the origin: a disk
+# translated to (3, 0), whose perimeter is 0.0328865 by quadrature, and
+# the halfspace <a, x> < -0.5, whose right side with psi = 1 and k = a is
+# phi(0.5) = 0.3520653
+_NEG_NORMAL = [0.6, 0.0, 0.8]
 _POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
     "surface_offcentre_ellipsoid": (
@@ -263,6 +272,26 @@ FIXED = {
             "subspaces": [[0], [0, 2]],
             "budgets": {"subspace_samples": 400, "inner_angles": 256},
             "seed": 19,
+        },
+    ),
+    "perimeter_translated_disk": (
+        "perimeter",
+        {
+            "model": {"dim": 2},
+            "body": {"shape": "ball", "radius": 1.0, "translate": [3.0, 0.0]},
+            "directions": {"h": [0.0, 1.0]},
+            "seed": 21,
+        },
+    ),
+    "ibp_halfspace_negative_offset": (
+        "ibp",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "halfspace", "normal": _NEG_NORMAL, "offset": -0.5},
+            "psi": {"name": "constant", "value": 1.0},
+            "directions": {"k": [_NEG_NORMAL], "h": _NEG_NORMAL},
+            "budgets": {"samples": 20000},
+            "seed": 22,
         },
     ),
 }
