@@ -4,7 +4,8 @@ Every body carries a vectorized membership predicate, a certified interior
 ball, and either an outer radius or a per-direction reach bound. A body is
 never moved: its gauge is the Minkowski functional with respect to an inner
 point, the body's centre, which is the origin unless the certified ball
-leaves the origin no margin, and the ball's centre then.
+leaves the origin no margin, and the ball's centre then. Every shipped
+shape, and a translate or cylinder of one, carries its closed form.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ class ConvexBody:
     distance_outside -- optional exact Euclidean distance to the closure,
                     used by the Minkowski-content perimeter oracle
     certificate  -- optional closed form of `contains` (_Quadratic or
-                    _Faces), built by the shape's constructor from the arrays
-                    its `contains` reads. The bisections on rays and lines
-                    (_membership_along) send `contains` only the rows it
-                    leaves undecided. It stays on the body when
-                    dataclasses.replace swaps `contains`, so a wrapper of the
-                    oracle sees only those rows; a substitute oracle that must
-                    see every row belongs on a from_oracle body.
+                    _Faces) from the arrays it reads, through the map of a
+                    translate or cylinder; from_oracle bodies and wrappers
+                    of wrappers have none. The bisections (_membership_along)
+                    send `contains` only the rows it leaves undecided, also
+                    when dataclasses.replace swaps `contains`: a substitute
+                    oracle that must see every row belongs on from_oracle.
     """
 
     contains: Callable[[np.ndarray], np.ndarray]
@@ -129,17 +129,24 @@ def _off_centre(x0, r0) -> bool:
 # within (n+8)u sum_i inv2_i w_i^2 of the exact quadratic form, and within
 # (n+3)u sum_i |a_ji| w_i of the exact row product <a_j, x> of face j; the
 # closed form of either, evaluated from its own products, is within the same
-# bound. A row is decided only when the closed form clears its threshold by
-# CERTIFICATE_BAND times that bound, sized at the step's own |s| (plus
-# CERTIFICATE_FLOOR on lines, which covers underflow): the band is more than
-# 30 times the sum of both errors, which leaves room for the rounding of the
-# band and of the test themselves, so a decided row gets the oracle's
-# answer. On a ray the value and its bound scale alike with 1/lam, so the
-# test becomes two ends on lam per row; on a line a face's value and bound
-# are affine in |s| on each side of 0, so its decided sets have ends on s.
-# Each end a division gives is moved one float outward (_round_out). A
+# bound. A map reads the line in its base's coordinates (_lift), with w =
+# WU + |s| WV: U - v and V under a shift, WU = |U| + |v|, WV = |V|; U B^T
+# and V B^T under a projection, WU = |U||B|^T, WV = |V||B|^T. The shift, or
+# the projection's sums of k = B.shape[1] terms, put the base's point and
+# the closed form's lifted line e = 1, or k, more u w_i from the exact ones;
+# a ray c + V / t, decided as the line from c at s = fl(1/t), adds e = 1.
+# Each such u adds at most 2u sum_i inv2_i w_i^2, or u sum_i |a_ji| w_i, so
+# band(n + 2e) covers both. A row is decided only when the closed form clears
+# its threshold by CERTIFICATE_BAND times that bound, sized at the step's own
+# |s| (plus CERTIFICATE_FLOOR on lines, which covers underflow): the band is
+# more than 30 times the sum of both errors, which leaves room for the
+# rounding of the band and of the test themselves, so a decided row gets the
+# oracle's answer. On a ray the value and its bound scale alike with 1/lam,
+# so the test becomes two ends on lam per row; on a line a face's value and
+# bound are affine in |s| on each side of 0, so its decided sets have ends on
+# s. Each end a division gives is moved one float outward (_round_out). A
 # certificate needs its thresholds and weights within CERTIFIED_RANGE and
-# leaves undecided every row whose U or V lies outside it, so no product of
+# leaves undecided every row whose weights lie outside it, so no product of
 # the argument above overflows or underflows unseen.
 UNIT_ROUNDOFF = 2.0**-53
 CERTIFICATE_BAND = 64.0
@@ -150,18 +157,18 @@ SECTION_MISS_MARGIN = 1e-9  # a section misses once its minimum gauge clears 1 b
 
 
 def _rows_certified(W, ray: bool) -> np.ndarray:
-    """Rows of W (points or directions) a certificate may decide: entries
-    finite and at most the range's top; on a ray, the largest entry at
-    least its bottom, since the ray's point V / lam is scaled by V alone."""
-    top = np.max(np.abs(W), axis=-1)
+    """Rows of the weights W a certificate may decide: entries finite and
+    at most the range's top; on a ray, the largest entry at least its
+    bottom, since the ray's point V / lam is scaled by V alone."""
+    top = np.max(W, axis=-1)
     ok = top <= CERTIFIED_RANGE[1]  # False on nan and inf
     return ok & (top >= CERTIFIED_RANGE[0]) if ray else ok
 
 
-def _ray_rule(V, lam_in, lam_out):
+def _ray_rule(WV, lam_in, lam_out):
     """Decisions on the ray points V / lam: inside for lam > lam_in, outside
     for lam < lam_out, per row; rows out of range are never decided."""
-    off = ~_rows_certified(V, ray=True)
+    off = ~_rows_certified(WV, ray=True)
     lam_in[off], lam_out[off] = np.inf, -np.inf
 
     def decide(lam):
@@ -171,36 +178,40 @@ def _ray_rule(V, lam_in, lam_out):
     return decide
 
 
+def _gathers(M) -> bool:
+    """Whether the map M rounds each row alike in a batch of any size: not a
+    one-row projection, which numpy sends to a matrix-vector routine."""
+    return M is None or M.ndim == 1 or len(M) > 1
+
+
 class _Quadratic(NamedTuple):
     """Certificate of sum_i inv2_i x_i^2 < 1: the ellipsoid's own test, and
     the ball's |x| < radius with inv2_i = 1 / radius^2 (the square root and
     the squared radius round by a few u, which the band covers)."""
 
     inv2: np.ndarray
-    gathers = True  # the oracle's arithmetic is elementwise
+    map: Optional[np.ndarray] = None  # a shift v or a projection B (_lift)
+
+    gathers = property(lambda self: _gathers(self.map))  # the form itself is elementwise
 
     def band(self, n: int) -> float:
         return CERTIFICATE_BAND * (n + 8) * UNIT_ROUNDOFF
 
-    def ray(self, V):
-        # q(V / lam) = c2 / lam^2 and its bound is band * c2 / lam^2, so the
-        # point is inside for lam^2 > c2 (1 + band), outside below c2 (1 - band)
-        K = self.band(V.shape[-1])
-        c2 = np.square(V) @ self.inv2
-        lam_in, lam_out = np.sqrt(c2 * (1.0 + K)), np.sqrt(c2 * (1.0 - K))
-        return _ray_rule(V, _round_out(lam_in, +1.0), _round_out(lam_out, -1.0))
+    def ray(self, V, WV, extra):
+        # q(V / lam) = c2 / lam^2 with the bound K a2 / lam^2, a2 = sum_i
+        # inv2_i WV_i^2: inside for lam^2 > c2 + K a2, outside below c2 - K a2
+        c2, Ka2 = np.square(V) @ self.inv2, self.band(V.shape[-1] + extra) * (np.square(WV) @ self.inv2)
+        lam_in, lam_out = np.sqrt(c2 + Ka2), np.sqrt(np.maximum(c2 - Ka2, 0.0))
+        return _ray_rule(WV, _round_out(lam_in, +1.0), _round_out(lam_out, -1.0))
 
-    def line(self, U, V):
+    def line(self, U, V, WU, WV, extra):
         # q(U + s V) = c0 + 2 s c1 + s^2 c2; its bound's sum is
-        # sum_i inv2_i (|U_i| + |s||V_i|)^2 = c0 + 2 |s| a1 + s^2 c2
-        K = self.band(U.shape[-1])
-        UV = U * V
-        c0 = np.square(U) @ self.inv2
-        c1 = 2.0 * (UV @ self.inv2)
-        c2 = np.square(V) @ self.inv2
-        Kc0 = K * c0 + CERTIFICATE_FLOOR
-        Kc0[~(_rows_certified(U, ray=False) & _rows_certified(V, ray=False))] = np.inf
-        Ka1, Kc2 = 2.0 * K * (np.abs(UV) @ self.inv2), K * c2
+        # sum_i inv2_i (WU_i + |s| WV_i)^2 = a0 + 2 |s| a1 + s^2 a2
+        K = self.band(U.shape[-1] + extra)
+        c0, c1, c2 = np.square(U) @ self.inv2, 2.0 * ((U * V) @ self.inv2), np.square(V) @ self.inv2
+        Kc0 = K * (np.square(WU) @ self.inv2) + CERTIFICATE_FLOOR
+        Kc0[~(_rows_certified(WU, ray=False) & _rows_certified(WV, ray=False))] = np.inf
+        Ka1, Kc2 = 2.0 * K * ((WU * WV) @ self.inv2), K * (np.square(WV) @ self.inv2)
 
         def decide(s):
             a = np.abs(s)
@@ -211,25 +222,25 @@ class _Quadratic(NamedTuple):
 
         return decide
 
-    def missed(self, U, F):
+    def missed(self, U, F, WU, extra):
         # The least-squares minimum of q over x = U + z F sits at z* =
         # -C^-1 b, C = F diag(inv2) F^T, b = F diag(inv2) U. At the computed
         # z, q is strongly convex in z with Hessian 2C >= min(inv2) I (F's
         # rows are orthonormal to within 1e-10), so min q >= q(x) - |g|^2 /
         # min(inv2) with g = F diag(inv2) x; the test subtracts four times
         # that, which covers its own rounding. Forming x puts coordinate i
-        # within (m+1)u w_i of the exact point, w_i = |U_i| + sum_k |z_k
+        # within (m+1)u w_i of the exact point, w_i = WU_i + sum_k |z_k
         # F_ki|, so q and g get the band of a line with 2m more terms
-        K = self.band(U.shape[-1] + 2 * F.shape[0])
+        K = self.band(U.shape[-1] + 2 * F.shape[0] + extra)
         FW = F * self.inv2
         z = -np.linalg.solve(FW @ F.T, FW @ U.T).T
         x = U + z @ F
-        w = np.abs(U) + np.abs(z) @ np.abs(F)
+        w = WU + np.abs(z) @ np.abs(F)
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.linalg.norm(x @ FW.T, axis=1) + K * np.linalg.norm(w @ np.abs(FW).T, axis=1)
             low = _row_sum(np.square(x) * self.inv2) - K * (np.square(w) @ self.inv2)
             low -= 4.0 * g * g / np.min(self.inv2)
-        return _rows_certified(U, ray=False) & np.isfinite(low) & (low > (1.0 + SECTION_MISS_MARGIN) ** 2)
+        return _rows_certified(WU, ray=False) & np.isfinite(low) & (low > (1.0 + SECTION_MISS_MARGIN) ** 2)
 
 
 class _Faces(NamedTuple):
@@ -241,23 +252,21 @@ class _Faces(NamedTuple):
 
     A: np.ndarray
     c: np.ndarray
+    map: Optional[np.ndarray] = None  # a shift v or a projection B (_lift)
 
-    @property
-    def gathers(self) -> bool:
-        # a matrix product rounds each row alike in a batch of any size;
-        # numpy sends one face's to a matrix-vector routine, which rounds a
-        # row by its place in the batch
-        return len(self.c) > 1
+    # numpy sends one face's matrix product to a matrix-vector routine (_gathers)
+    gathers = property(lambda self: len(self.c) > 1 and _gathers(self.map))
 
     def band(self, n: int) -> float:
         return CERTIFICATE_BAND * (n + 3) * UNIT_ROUNDOFF
 
-    def ray(self, V):
-        lam_in, lam_out = _by_blocks(self._ray_ends, V)
-        return _ray_rule(V, lam_in, lam_out)
+    def ray(self, V, WV, extra):
+        lam_in, lam_out = _by_blocks(self._ray_ends, V, WV, extra=extra)
+        return _ray_rule(WV, lam_in, lam_out)
 
-    def line(self, U, V):
-        (lo_p, hi_p, above_p, below_p), (lo_n, hi_n, above_n, below_n) = _by_blocks(self._line_ends, U, V)
+    def line(self, U, V, WU, WV, extra):
+        ends = _by_blocks(self._line_ends, U, V, WU, WV, extra=extra)
+        (lo_p, hi_p, above_p, below_p), (lo_n, hi_n, above_n, below_n) = ends
 
         def decide(s):
             pos = s >= 0.0
@@ -268,7 +277,7 @@ class _Faces(NamedTuple):
 
         return decide
 
-    def missed(self, U, F):
+    def missed(self, U, F, WU, extra):
         # On a line (m = 1) the gauge max_j <a_j, x> / c_j is above level
         # wherever some face j fails <a_j, x> < level c_j by more than its
         # band: the outside sets of _line_ends at level. A half-line lies
@@ -277,54 +286,53 @@ class _Faces(NamedTuple):
         if F.shape[0] > 1:
             return np.zeros(U.shape[0], dtype=bool)
         level = 1.0 + SECTION_MISS_MARGIN
-        ends = _by_blocks(lambda U, V: self._line_ends(U, V, level), U, F[0])
+        ends = _by_blocks(self._line_ends, U, F[0], WU, np.abs(F[0]), extra=extra, level=level)
         (_, _, above_p, below_p), (_, _, above_n, below_n) = ends
         return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
 
-    def _ray_ends(self, V):
+    def _ray_ends(self, V, WV, extra):
         # <a_j, V> / lam against c_j > 0 (rays start at a centre at 0), with the
-        # bound K S_j / lam, S_j = sum_i |V_i a_ji|: every face holds for
+        # bound K S_j / lam, S_j = sum_i |a_ji| WV_i: every face holds for
         # lam > max_j (<a_j, V> + K S_j) / c_j, and one fails for lam below
         # max_j (<a_j, V> - K S_j) / c_j
-        K = self.band(V.shape[-1])
         VA = self.A @ V.T
-        KS = K * (np.abs(self.A) @ np.abs(V).T)
+        KS = self.band(V.shape[-1] + extra) * (np.abs(self.A) @ WV.T)
         c = self.c[:, None]
         lam_in, lam_out = np.max((VA + KS) / c, axis=0), np.max((VA - KS) / c, axis=0)
         return np.stack([_round_out(lam_in, +1.0), _round_out(lam_out, -1.0)])
 
-    def _line_ends(self, U, V, level=1.0):
+    def _line_ends(self, U, V, WU, WV, extra, level=1.0):
         # On each half-line s = sigma r, r >= 0, face j's closed form less
-        # level c_j, D_j + s <a_j, V>, and its bound K (S_j(U) + r S_j(V))
+        # level c_j, D_j + s <a_j, V>, and its bound K (S_j(WU) + r S_j(WV))
         # are affine in r, so the r where every face holds with the bound to
         # spare is an interval, and the r where one fails by more than its
         # bound is a union of two half-lines
-        K = self.band(U.shape[-1])
+        K = self.band(U.shape[-1] + extra)
         absA = np.abs(self.A)
         # <a_j, U> - level c_j; a face through or behind the origin keeps
         # its offset, which level would move inside the body
         D = self.A @ U.T - np.maximum(level * self.c, self.c)[:, None]
-        KSU = K * (absA @ np.abs(U).T) + CERTIFICATE_FLOOR
+        KSU = K * (absA @ WU.T) + CERTIFICATE_FLOOR
         VA = self.A @ V.T
-        KSV = K * (absA @ np.abs(V).T)
+        KSV = K * (absA @ WV.T)
         if V.ndim == 1:  # one direction for every row
             VA, KSV = VA[:, None], KSV[:, None]
-        off = ~(_rows_certified(U, ray=False) & _rows_certified(V, ray=False))
+        off = ~(_rows_certified(WU, ray=False) & _rows_certified(WV, ray=False))
         return np.stack(
             [_half_line_ends(D + KSU, sigma * VA + KSV, D - KSU, sigma * VA - KSV, off) for sigma in (1.0, -1.0)]
         )
 
 
-def _by_blocks(ends, *arrays):
-    """ends(*arrays) on blocks of CERTIFICATE_BLOCK_ROWS rows, joined along
-    the last axis: a face certificate's arrays hold a row per face, and
-    blocks keep them as small as the oracle's own row products. A 1-d
-    array (one direction for every row) goes to each block whole; no rows
-    make one empty block."""
+def _by_blocks(ends, *arrays, **fixed):
+    """ends(*arrays, **fixed) on blocks of CERTIFICATE_BLOCK_ROWS rows,
+    joined along the last axis: a face certificate's arrays hold a row per
+    face, and blocks keep them as small as the oracle's own row products.
+    A 1-d array (one direction for every row) goes to each block whole; no
+    rows make one empty block."""
     N = arrays[0].shape[0]
     return np.concatenate(
         [
-            ends(*(a if a.ndim == 1 else a[start : start + CERTIFICATE_BLOCK_ROWS] for a in arrays))
+            ends(*(a if a.ndim == 1 else a[start : start + CERTIFICATE_BLOCK_ROWS] for a in arrays), **fixed)
             for start in range(0, max(N, 1), CERTIFICATE_BLOCK_ROWS)
         ],
         axis=-1,
@@ -369,37 +377,57 @@ def _certificate(kind, *arrays):
     return kind(*arrays) if in_range.all() else None
 
 
+def _lift(cert, U, V):
+    """(U', V', WU, WV, extra): the line U + s V through the certificate's
+    map, with the weights and extra band terms of the comment above."""
+    M = cert.map
+    if M is None:
+        return U, V, np.abs(U), np.abs(V), 0
+    if M.ndim == 1:
+        return U - M, V, np.abs(U) + np.abs(M), np.abs(V), 2
+    return U @ M.T, V @ M.T, np.abs(U) @ np.abs(M).T, np.abs(V) @ np.abs(M).T, 2 * M.shape[1]
+
+
+def _decider(cert, V, U, ray: bool):
+    """decide(t) -> (inside, undecided) at U + t V on a line, or U + V / t on
+    a ray: the ray rule when U lifts to 0 with weight 0, else s = 1/t."""
+    U, V, WU, WV, extra = _lift(cert, U, V)
+    if not ray:
+        return cert.line(U, V, WU, WV, extra)
+    if not WU.any():
+        return cert.ray(V, WV, extra)
+    decide = cert.line(*np.broadcast_arrays(U, V, WU, WV), extra + 2)
+    return lambda t: decide(1.0 / t)
+
+
 def _membership_along(body: ConvexBody, V, U=None):
     """The membership test a bisection asks of its points: U + t V on lines
     (V one direction or one per row), or, with U None, c + V / t on rays
     from the body's centre c, the points of the gauge at t (t > 0).
 
-    Returns inside_at(t), which maps a parameter per row to
-    body.contains of those points. A body with a certificate decides the
-    rows it can from the closed form; the rows it leaves undecided go to
-    `contains` in one call, as a subset only when the certificate gathers
-    (its oracle rounds each row alike in a batch of any size) and the whole
-    batch otherwise. A point is formed by the same elementwise expression
-    on a subset as on the whole batch, so every answer is the one the whole
-    batch gets, and a bisection takes the same steps with or without the
-    certificate. Once a step leaves more than a quarter of the rows
-    undecided, most brackets lie within the band about their crossing,
-    where later steps keep them: that step and every later one go to
-    `contains` whole, without asking the certificate.
+    Returns inside_at(t), which maps a parameter per row to body.contains
+    of those points. The certificate (_decider) decides the rows it can;
+    the rest go to `contains` in one call, as a subset only when the
+    certificate gathers and the whole batch otherwise. A point is formed
+    by the same elementwise expression on a subset as on the whole batch,
+    so every answer is the one the whole batch gets, and a bisection takes
+    the same steps with or without the certificate. Once a step leaves
+    more than a quarter of the rows undecided, most brackets lie within
+    the band about their crossing, where later steps keep them: that step
+    and every later one go to `contains` whole.
     """
     V = np.asarray(V, dtype=float)
     c = body.centre
-    if U is None and c.any():  # a certificate's ray rule takes rays from 0
-        return lambda t: body.contains(c + V / t[:, None])
 
     def points(t, rows=slice(None)):
         if U is None:
-            return V[rows] / t[rows][:, None]
+            P = V[rows] / t[rows][:, None]
+            return c + P if c.any() else P
         return U[rows] + t[rows][:, None] * (V if V.ndim == 1 else V[rows])
 
     if body.certificate is None:
         return lambda t: body.contains(points(t))
-    decide = body.certificate.ray(V) if U is None else body.certificate.line(U, V)
+    decide = _decider(body.certificate, V, c if U is None else U, U is None)
     gathers = body.certificate.gathers
 
     def inside_at(t):
@@ -424,16 +452,16 @@ def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
     """Rows (N,) whose section U + span(F) the body's certificate proves
     misses the body, F holding 1 to 3 orthonormal rows: its minimum gauge
     clears 1 + SECTION_MISS_MARGIN by more than the band. A quadratic
-    decides sections of any dimension, faces lines only.
-
-    Every other row is False (undecided), and so is every row of a body
-    without a certificate or whose certificate does not gather: a section
-    search drops the decided rows from its batch, which a halfspace's
-    oracle would then round differently.
+    decides sections of any dimension, faces lines only; a shift keeps F,
+    and a projection decides none, as F's image need not be orthonormal.
+    Every other row is False, and so is every row when the certificate
+    does not gather: a search drops the decided rows from its batch.
     """
-    if body.certificate is None or not body.certificate.gathers:
+    cert = body.certificate
+    if cert is None or not cert.gathers or (cert.map is not None and cert.map.ndim == 2):
         return np.zeros(U.shape[0], dtype=bool)
-    return body.certificate.missed(U, F)
+    U, _, WU, _, extra = _lift(cert, U, F)
+    return cert.missed(U, F, WU, extra)
 
 
 def _row_sum(q) -> np.ndarray:
@@ -757,21 +785,8 @@ def cylinder(base: ConvexBody, axis) -> ConvexBody:
             f"cylinder: base dim {base.dim} must equal ambient dim - 1 = {dim - 1}"
         )
     B = orthonormal_complement(axis)  # (dim-1, dim) rows
-    contains = lambda x: base.contains(_row_products(x, B))
-    distance = None
-    if base.distance_outside is not None:
-        distance = lambda x: base.distance_outside(np.asarray(x, float) @ B.T)
-    x0 = B.T @ base.interior_point
-    return ConvexBody(
-        contains,
-        x0,
-        base.interior_margin,
-        None,
-        f"cylinder({base.shape_tag})",
-        dim,
-        distance_outside=distance,
-        spec={"shape": "cylinder", "base": base.spec, "axis": list(map(float, axis))},
-    )
+    spec = {"shape": "cylinder", "base": base.spec, "axis": list(map(float, axis))}
+    return _mapped(base, B, B.T @ base.interior_point, None, f"cylinder({base.shape_tag})", spec)
 
 
 def translate(body: ConvexBody, v) -> ConvexBody:
@@ -780,24 +795,20 @@ def translate(body: ConvexBody, v) -> ConvexBody:
     v = np.asarray(v, dtype=float)
     if v.shape != (body.dim,):
         raise BodySpecError(f"translate: vector has shape {v.shape}, expected ({body.dim},)")
-    inner = body.contains
-    contains = lambda x: inner(np.asarray(x, float) - v)
-    distance = None
-    if body.distance_outside is not None:
-        inner_d = body.distance_outside
-        distance = lambda x: inner_d(np.asarray(x, float) - v)
     outer = None if body.outer_radius is None else body.outer_radius + float(np.linalg.norm(v))
-    spec = dict(body.spec or {})
-    spec["translate"] = list(map(float, v))
+    spec = {**(body.spec or {}), "translate": list(map(float, v))}
+    return _mapped(body, v, body.interior_point + v, outer, body.shape_tag, spec)
+
+
+def _mapped(base: ConvexBody, M, x0, outer, tag, spec) -> ConvexBody:
+    """The base read at x - v (M = v, translate) or x B^T (M = B, cylinder),
+    with its certificate under M; a wrapper of a wrapper keeps none."""
+    to_base = (lambda x: np.asarray(x, float) - M) if M.ndim == 1 else (lambda x: _row_products(x, M))
+    inner, dist, cert = base.contains, base.distance_outside, base.certificate
     return ConvexBody(
-        contains,
-        body.interior_point + v,
-        body.interior_margin,
-        outer,
-        body.shape_tag,
-        body.dim,
-        distance_outside=distance,
-        spec=spec,
+        lambda x: inner(to_base(x)), x0, base.interior_margin, outer, tag, x0.shape[0],
+        distance_outside=None if dist is None else lambda x: dist(to_base(x)), spec=spec,
+        certificate=None if cert is None or cert.map is not None else cert._replace(map=M),
     )
 
 
@@ -961,7 +972,6 @@ _SCHEMA = {
             lambda v, n: _is_vector(v) and len(v) >= 3 and all(0 < e <= 0.1 for e in v),
         ),
         "boundary_samples": _COUNT,
-        "fd_step": _POSITIVE,
         "threads": _COUNT,
     },
     "psi": {

@@ -166,14 +166,14 @@ def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
     A row keeps its hint (z_hint, (N, m), may be nan) when `contains`
     accepts it. Of the rest, rows beyond a bounded body's outer radius and
     rows the body's certificate proves empty (bodies._sections_missed) are
-    dropped before any probe; the others probe 0 and then a lattice of
-    SECTION_PROBE_POINTS[m - 1] points per axis across the reach, less its
-    centre row (the origin, or within a few ulps of the reach of it), the
-    first accepted point winning. A row that no probe finds runs
-    golden-section sweeps of the gauge (convex along each axis) along F's
-    axes, once for a line and twice otherwise, and is kept when its gauge
-    ends below 1 - 1e-12; `contains` must accept every such point, else
-    OracleIntegrityError.
+    dropped before any probe; the others probe 0, unless every hint was 0,
+    then a lattice of SECTION_PROBE_POINTS[m - 1] points per axis across
+    the reach, less its centre row (the origin, or within a few ulps of the
+    reach of it), the first accepted point winning. A row that no probe
+    finds runs golden-section sweeps of the gauge (convex along each axis)
+    along F's axes, once for a line and twice otherwise, and is kept when
+    its gauge ends below 1 - 1e-12; `contains` must accept every such
+    point, else OracleIntegrityError.
     """
     N, m = Y.shape[0], F.shape[0]
     z = np.full((N, m), np.nan)
@@ -191,7 +191,9 @@ def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
     if missing.size:
         axis = np.linspace(-body.reach, body.reach, SECTION_PROBE_POINTS[m - 1])
         lattice = np.stack([g.ravel() for g in np.meshgrid(*([axis] * m), indexing="ij")], axis=-1)
-        probes = np.concatenate([np.zeros((1, m)), np.delete(lattice, len(lattice) // 2, axis=0)])
+        probes = np.delete(lattice, len(lattice) // 2, axis=0)
+        if z_hint is None or np.any(z_hint):  # a hint of 0 on every row asked about 0
+            probes = np.concatenate([np.zeros((1, m)), probes])
         pts = Y[missing][:, None, :] + (probes @ F)[None, :, :]
         hits = body.contains(pts.reshape(-1, body.dim)).reshape(missing.size, -1)
         found = hits.any(axis=1)

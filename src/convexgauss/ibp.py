@@ -256,7 +256,7 @@ def lhs_volume_integral(
     """Monte Carlo estimate of the volume integral of the adjoint derivative
     of psi along k over the body, against the ambient Gaussian, from
     budget.samples draws on budget.threads workers (central differences of
-    step budget.fd_step when psi has no analytic gradient).
+    step DEFAULT_FD_STEP when psi has no analytic gradient).
 
     Uses the indicator estimator E[1_body * (d_k psi - psi <k, x>)]; the
     acceptance rate is pre-flighted and MassError raised below 1e-3.
@@ -281,7 +281,7 @@ def lhs_volume_integral(
     def chunk(idx, size):
         crng = np.random.default_rng([seed, idx])
         x = crng.standard_normal((size, body.dim))
-        vals = adjoint_derivative(psi, stack, x, fd_step=budget.fd_step)
+        vals = adjoint_derivative(psi, stack, x)
         vals = np.where(body.contains(x), vals, 0.0)
         return [np.array([np.sum(v), np.sum(v * v), size]) for v in vals]
 

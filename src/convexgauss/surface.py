@@ -50,7 +50,7 @@ from .graphs import (  # noqa: F401
     _section_endpoints,
     _stencil_gradient,
 )
-from .space import EstimateWithError, gaussian_density, map_chunks, sample_gaussian
+from .space import DEFAULT_FD_STEP, EstimateWithError, gaussian_density, map_chunks, sample_gaussian
 
 MAX_VERTICAL_MASS = 0.01  # boundary share a graph route may leave unparameterized
 
@@ -84,7 +84,6 @@ class Budget:
     subspace_samples: int = 2000  # outer Monte Carlo draws for subspace measures
     epsilons: tuple = (0.08, 0.05, 0.03, 0.02)
     boundary_samples: int = 1000
-    fd_step: float = 1e-5
     threads: int = 1
 
     def __post_init__(self):
@@ -221,7 +220,7 @@ def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
         # nodes: (radial, angular)
         Yc = yc + s[:, None, None] * (rho[None, :, None] * U_c[None, :, :])  # coords (R,K,d)
         m0 = body.centre_margin
-        fd = np.minimum(budget.fd_step, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
+        fd = np.minimum(DEFAULT_FD_STEP, 0.2 * (1.0 - s)[:, None] * m0 * np.ones_like(rho)[None, :])
         dens = gaussian_density(d, Yc.reshape(-1, d)).reshape(len(s), len(w_ang))
         radial_jac = (s[:, None] * rho[None, :]) ** (d - 1) * rho[None, :]
         return _NodeSet(
@@ -238,7 +237,7 @@ def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
         nodes_c, w = space.gauss_hermite_nodes(budget.quadrature_order, d)
         return _NodeSet(
             Y=nodes_c @ B,
-            steps=np.full(len(w), budget.fd_step),
+            steps=np.full(len(w), DEFAULT_FD_STEP),
             method="gauss_hermite",
             weights=w,
             details={"order": budget.quadrature_order},
@@ -246,7 +245,7 @@ def _node_set(pair: GraphPair, budget: Budget, seed: int) -> _NodeSet:
     coords = sample_gaussian(d, budget.samples, seed, threads=budget.threads)
     return _NodeSet(
         Y=coords @ B,
-        steps=np.full(budget.samples, budget.fd_step),
+        steps=np.full(budget.samples, DEFAULT_FD_STEP),
         method="monte_carlo",
     )
 

@@ -666,8 +666,24 @@ def _certified_body(kind, n, rng):
         body = cg.slab(rng.standard_normal(n), rng.uniform(0.01, 3.0))
     else:
         body = cg.random_polytope(n, int(rng.integers(n + 1, 13)), int(rng.integers(1000)))
-    A, c = body.certificate
+    A, c = body.certificate.A, body.certificate.c
     return body, lambda X: np.maximum(np.max(X @ A.T / c, axis=1), 0.0)
+
+
+def _wrapped(body, wrap, rng):
+    """The body under `wrap` (None, "translate" or "cylinder"), with the maps
+    of the base's points and directions (rows) to the wrapped body's."""
+    if wrap is None:
+        return body, lambda X: X, lambda V: V
+    if wrap == "translate":
+        # the shift leaves the origin outside some bodies, centring them off it
+        v = rng.uniform(-2.0, 2.0, body.dim)
+        return cg.translate(body, v), lambda X: X + v, lambda V: V
+    axis = rng.standard_normal(body.dim + 1)
+    axis /= np.linalg.norm(axis)
+    B = orthonormal_complement(axis)
+    along = lambda W: W @ B + rng.uniform(-3.0, 3.0, (W.shape[0], 1)) * axis
+    return cg.cylinder(body, axis), along, lambda V: along(np.atleast_2d(V)).reshape(V.shape[:-1] + (-1,))
 
 
 def _along_faces(body, W, P, rng):
@@ -677,57 +693,20 @@ def _along_faces(body, W, P, rng):
     far above the product itself. Rows of a body with no faces are kept."""
     if not hasattr(body.certificate, "A"):
         return W
-    A, c = body.certificate
+    A, c = body.certificate.A, body.certificate.c
     normal = A[np.argmax(P @ A.T / c, axis=1)]
     along = np.sum(W * normal, axis=1, keepdims=True)
     shrink = 1.0 - 10.0 ** rng.uniform(-3.0, -1.0, (W.shape[0], 1))
     return np.where(rng.random((W.shape[0], 1)) < 0.5, W - shrink * along * normal, W)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    kind=st.sampled_from(CERTIFIED_KINDS),
-    n=st.integers(2, 12),
-    mode=st.sampled_from(["ray", "line", "line_per_row"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_certificate_decides_only_what_the_oracle_answers(kind, n, mode, seed):
-    # rays and lines whose parameters lie 1e-16 to 1e-6 relative from the
-    # exact crossing, on either side: every row the certificate decides
-    # must get the oracle's answer, and the bisections' predicate must
-    # equal the oracle on every row
-    from convexgauss.bodies import _membership_along
+def _decided_rows_equal_the_oracle(body, V, U, t, truth, rows):
+    """Every row the certificate decides gets the oracle's answer, more
+    than a quarter of them are decided, and the bisections' predicate
+    equals the oracle on every row."""
+    from convexgauss.bodies import _decider, _membership_along
 
-    rng = np.random.default_rng(seed)
-    n = min(n, 5) if kind == "polytope" else n
-    body, gauge = _certified_body(kind, n, rng)
-    rows = 300
-    rel = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-16.0, -6.0, rows)
-    X = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
-    if mode == "ray":
-        X = _along_faces(body, X, X, rng)
-    p = gauge(X)
-    if mode == "ray":
-        # points V / lam; a ray in the recession cone gets a random lam
-        V, U = X, None
-        t = np.where(p > 0, p * (1.0 + rel), rng.uniform(0.1, 10.0, rows))
-        decide = body.certificate.ray(V)
-        pts = V / t[:, None]
-    else:
-        # lines through a boundary point x_b = X / p(X), crossing it at t_star
-        X = np.where((p > 0)[:, None], X, -X)
-        xb = X / gauge(X)[:, None]
-        V = rng.standard_normal((rows, n) if mode == "line_per_row" else n)
-        if mode == "line_per_row":
-            V = _along_faces(body, V, xb, rng)
-        V /= np.linalg.norm(V, axis=-1, keepdims=True)
-        t_star = rng.uniform(-50.0, 50.0, rows)
-        U = xb - t_star[:, None] * V
-        t = t_star * (1.0 + rel)
-        decide = body.certificate.line(U, V)
-        pts = U + t[:, None] * V
-    truth = body.contains(pts)
-    inside, undecided = decide(t)
+    inside, undecided = _decider(body.certificate, V, body.centre if U is None else U, U is None)(t)
     decided = ~undecided
     assert decided.sum() > rows // 4
     assert np.array_equal(inside[decided], truth[decided])
@@ -735,15 +714,96 @@ def test_certificate_decides_only_what_the_oracle_answers(kind, n, mode, seed):
     assert np.array_equal(_membership_along(body, V, U)(t), truth)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(CERTIFIED_KINDS),
+    wrap=st.sampled_from([None, "translate", "cylinder"]),
+    n=st.integers(2, 12),
+    mode=st.sampled_from(["ray", "line", "line_per_row"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="ellipsoid", wrap="cylinder", n=2, mode="ray", seed=0)
+@example(kind="polytope", wrap="cylinder", n=2, mode="line_per_row", seed=1)
+def test_certificate_decides_only_what_the_oracle_answers(kind, wrap, n, mode, seed):
+    # rays and lines whose parameters lie 1e-16 to 1e-6 relative from the
+    # exact crossing, on either side, on a certified body, its translate
+    # (centred off the origin when the shift leaves the origin outside) or
+    # a cylinder over it (a 1-d base at n = 2): rays from the body's centre
+    # c through a boundary point x_b at t_star, c + V / t with V = t_star
+    # (x_b - c), and lines through x_b crossing it at t_star
+    rng = np.random.default_rng(seed)
+    n = min(n, 5) if kind == "polytope" else n
+    base, gauge = _certified_body(kind, n - (wrap == "cylinder"), rng)
+    body, to_point, to_dir = _wrapped(base, wrap, rng)
+    rows = 300
+    rel = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-16.0, -6.0, rows)
+    X = rng.standard_normal((rows, base.dim)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+    if mode == "ray":
+        X = _along_faces(base, X, X, rng)
+    p = gauge(X)
+    # base points on the boundary; a row in the recession cone keeps its point
+    xb = to_point(X / np.where(p > 0, p, 1.0)[:, None])
+    t_star = 10.0 ** rng.uniform(-1.0, 1.0, rows) if mode == "ray" else rng.uniform(-50.0, 50.0, rows)
+    t = np.where(p > 0, t_star * (1.0 + rel), rng.uniform(0.1, 10.0, rows))
+    if mode == "ray":
+        c = body.centre
+        V, U = t_star[:, None] * (xb - c), None
+        pts = c + V / t[:, None] if c.any() else V / t[:, None]
+    else:
+        W = rng.standard_normal((rows, base.dim) if mode == "line_per_row" else base.dim)
+        if mode == "line_per_row":
+            W = _along_faces(base, W, X, rng)
+        V = to_dir(W)
+        V /= np.linalg.norm(V, axis=-1, keepdims=True)
+        U = xb - t_star[:, None] * V
+        pts = U + t[:, None] * V
+    _decided_rows_equal_the_oracle(body, V, U, t, body.contains(pts), rows)
+
+
+_NEG = np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize(
+    "body, crossing",
+    [
+        # <a, c + V / t> = -0.5 at t = <a, V> / (-0.5 - <a, c>), for <a, V> > 0
+        (cg.halfspace(_NEG, -0.5), lambda c, V: V @ _NEG / (-0.5 - c @ _NEG)),
+        # the centre is the disk's own, so |V / t| = 1 at t = |V|
+        (cg.translate(cg.ball(1.0, 2), [3.0, 0.0]), lambda c, V: np.linalg.norm(V, axis=1)),
+    ],
+    ids=["halfspace", "translated_disk"],
+)
+def test_rays_from_a_centre_off_the_origin_get_the_oracles_answer(body, crossing):
+    # the gauge's rays c + V / t from the centre c, with t 1e-16 to 1e-6
+    # relative from the crossing (a random t for a ray that never crosses)
+    rng = np.random.default_rng(7)
+    rows = 400
+    c = body.centre
+    assert c.any()
+    V = rng.standard_normal((rows, body.dim)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+    rel = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-16.0, -6.0, rows)
+    t_star = crossing(c, V)
+    t = np.where(t_star > 0, t_star * (1.0 + rel), rng.uniform(0.1, 10.0, rows))
+    _decided_rows_equal_the_oracle(body, V, None, t, body.contains(c + V / t[:, None]), rows)
+
+
 def test_bodies_without_closed_form_have_no_certificate():
     assert cg.from_oracle(lambda x: np.linalg.norm(x, axis=-1) < 1.0, np.zeros(2), 1.0).certificate is None
-    assert cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]).certificate is None
-    assert cg.translate(cg.ellipsoid([1.0, 2.0]), [0.1, 0.0]).certificate is None
+    # a wrapper of a wrapper keeps no certificate
+    assert cg.translate(cg.translate(cg.ball(1.0, 2), [0.1, 0.0]), [0.0, 0.1]).certificate is None
+    assert cg.cylinder(cg.translate(cg.ball(1.0, 2), [0.1, 0.0]), [0.0, 0.0, 1.0]).certificate is None
     # a body centred off the origin keeps its closed form
     off_centre = cg.halfspace([1.0, 0.0], -1.0)
     assert off_centre.centre.any() and off_centre.certificate is not None
-    for body in (cg.ball(1.0, 3), cg.kl_ellipsoid(4), cg.slab([1.0, 1.0], 0.5), cg.random_polytope(3, 8, 1)):
-        assert body.certificate is not None
+    shapes = [cg.ball(1.0, 2), cg.ellipsoid([1.0, 2.0]), cg.kl_ellipsoid(2), cg.halfspace([1.0, 1.0], 0.5),
+              cg.slab([1.0, 1.0], 0.5), _box((1.0, 0.5)), cg.random_polytope(2, 8, 1)]
+    for body in shapes:
+        assert body.certificate is not None and body.certificate.map is None
+        translated = cg.translate(body, [3.0, 0.5])
+        assert np.array_equal(translated.certificate.map, [3.0, 0.5])
+        cylinder = cg.cylinder(body, [0.0, 0.6, 0.8])
+        assert cylinder.certificate.map.shape == (2, 3)
+        assert type(translated.certificate) is type(cylinder.certificate) is type(body.certificate)
 
 
 def test_face_behind_the_origin_misses_no_line_that_meets_the_body():
@@ -761,15 +821,21 @@ def test_face_behind_the_origin_misses_no_line_that_meets_the_body():
 
 
 def test_certificate_leaves_rows_out_of_range_to_the_oracle():
+    from convexgauss.bodies import _decider
+
     body = cg.ellipsoid([1.0, 2.0])
     V = np.array([[1e60, 0.0], [1e-60, 0.0], [1.0, np.nan], [1.0, 0.0]])
-    inside, undecided = body.certificate.ray(V)(np.array([2e60, 2e-60, 1.0, 2.0]))
+    inside, undecided = _decider(body.certificate, V, np.zeros(2), True)(np.array([2e60, 2e-60, 1.0, 2.0]))
     assert undecided.tolist() == [True, True, True, False] and inside[3]
-    box = cg.polytope([{"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [-1.0, 0.0], "offset": 1.0},
-                       {"normal": [0.0, 1.0], "offset": 1.0}, {"normal": [0.0, -1.0], "offset": 1.0}])
+    box = _box((1.0, 1.0))
     U = np.array([[1e60, 0.0], [0.0, 0.0]])
-    inside, undecided = box.certificate.line(U, np.array([0.0, 1.0]))(np.array([0.0, 0.5]))
-    assert undecided.tolist() == [True, False] and inside[1]
+    for body in (box, cg.translate(box, [0.5, 0.0])):
+        inside, undecided = _decider(body.certificate, np.array([0.0, 1.0]), U, False)(np.array([0.0, 0.5]))
+        assert undecided.tolist() == [True, False] and inside[1]
+    # a shift beyond the range leaves every row undecided
+    far = cg.translate(cg.ellipsoid([1.0, 2.0]), [1e60, 0.0])
+    inside, undecided = _decider(far.certificate, np.array([0.0, 1.0]), U + [1e60, 0.0], False)(np.array([0.0, 0.5]))
+    assert undecided.all()
 
 
 # ------------------------------------------- polytopes that hold the origin
@@ -851,9 +917,14 @@ def test_face_certificate_blocks_join_to_one_block(monkeypatch, shared):
     U = rng.uniform(-1.5, 1.5, (rows, 3))
     V = rng.standard_normal(3 if shared else (rows, 3))
     t = rng.uniform(-3.0, 3.0, rows)
-    blocked = [body.certificate.line(U, V)(t), body.certificate.ray(U)(np.abs(t) + 0.1)]
+
+    def decisions():
+        return [bodies._decider(body.certificate, V, U, False)(t),
+                bodies._decider(body.certificate, U, np.zeros(3), True)(np.abs(t) + 0.1)]
+
+    blocked = decisions()
     monkeypatch.setattr(bodies, "CERTIFICATE_BLOCK_ROWS", rows)
-    whole = [body.certificate.line(U, V)(t), body.certificate.ray(U)(np.abs(t) + 0.1)]
+    whole = decisions()
     for got, want in zip(blocked, whole):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert not blocked[0][1].all() and not blocked[1][1].all()

@@ -77,7 +77,7 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("density", {"density": {"points": [[0.9, 0.0, 0.0]]}}, "density.points"),
         ("surface", {"subspaces": [[0], [0, 2]]}, "subspaces[1]"),
         ("perimeter", {"budgets": {"samples": "many"}}, "budget.samples"),
-        ("perimeter", {"budgets": {"fd_step": True}}, "budget.fd_step"),
+        ("density", {"density": {"radius": True}}, "density.radius"),
         ("perimeter", {"budgets": {"epsilons": [True, 0.05, 0.03]}}, "budget.epsilons"),
         ("density", {"density": {"points": [["0.9", 0.0]]}}, "density.points"),
         ("density", {"density": {"samples": "many"}}, "density.samples"),
@@ -168,7 +168,7 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "density_point_dim",
         "subspace_axis_range",
         "budget_count",
-        "budget_fd_step_bool",
+        "density_radius_bool",
         "budget_epsilon_bool",
         "density_point_string",
         "density_samples_type",

@@ -286,3 +286,26 @@ def test_section_probe_asks_33_rows_a_line():
     assert nonempty.all() and np.allclose(upper - lower, 2.0 * np.sqrt(1.0 - Y[:, 0] ** 2))
     assert SECTION_PROBE_POINTS[0] == 33
     assert rows.count(33 * len(Y)) == 1 and 34 * len(Y) not in rows
+
+
+def test_subspace_section_probe_asks_32_rows_a_line():
+    # the subspace route hints each section at its origin, which the hint
+    # check asks about first, so the probe skips 0 and asks the lattice
+    # alone: 32 rows a line, and the same inside points as the graph route
+    from convexgauss.graphs import _inside_points
+
+    body = cg.translate(cg.ball(1.0, 2), [0.0, 2.0])
+    rows = []
+
+    def counted(x):
+        rows.append(len(np.atleast_2d(x)))
+        return body.contains(x)
+
+    counting = dataclasses.replace(body, contains=counted)
+    rows.clear()  # the body's own check of its centre
+    Y = np.outer(np.linspace(-0.9, 0.9, 7), E1_2)
+    z = _inside_points(counting, Y, E2_2[None], np.zeros((len(Y), 1)))
+    assert rows == [len(Y), 32 * len(Y)]
+    rows.clear()
+    assert np.array_equal(_inside_points(counting, Y, E2_2[None]), z)
+    assert rows == [33 * len(Y)]

@@ -266,21 +266,29 @@ def _orthonormal_rows(m, n, seed):
     return q.T
 
 
+def _oracle_twin(body):
+    """The same set as a from_oracle body, which has no closed form: every
+    section search on it runs in full."""
+    return cg.from_oracle(body.contains, body.interior_point, body.interior_margin, body.outer_radius)
+
+
 # sections centred off the section probe's points, so that the golden sweeps
-# find inside points of thin sections as well as search empty ones
+# find inside points of thin sections as well as search empty ones; the
+# translates prove most empty sections empty, their from_oracle twins none
 _OFF3 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9]), [0.25, 0.25, 0.1])
 _OFF4 = cg.translate(cg.ellipsoid([1.2, 1.0, 0.9, 0.8]), [0.25, 0.25, 0.1, 0.1])
+_OFF3_ORACLE, _OFF4_ORACLE = _oracle_twin(_OFF3), _oracle_twin(_OFF4)
 
 
 @pytest.mark.parametrize(
     "body, F",
     [
-        (_OFF3, np.eye(3)[[0]]),
+        (_OFF3_ORACLE, np.eye(3)[[0]]),
         (_OFF3, np.eye(3)[[0, 1]]),
         (_OFF4, np.eye(4)[[0, 1, 2]]),
-        (_OFF3, _orthonormal_rows(1, 3, 1)),
-        (_OFF3, _orthonormal_rows(2, 3, 2)),
-        (_OFF4, _orthonormal_rows(3, 4, 3)),
+        (_OFF3_ORACLE, _orthonormal_rows(1, 3, 1)),
+        (_OFF3_ORACLE, _orthonormal_rows(2, 3, 2)),
+        (_OFF4_ORACLE, _orthonormal_rows(3, 4, 3)),
         (cg.random_polytope(3, 9, 2), _orthonormal_rows(2, 3, 4)),
         (cg.random_polytope(3, 10, 4), _orthonormal_rows(1, 3, 6)),
         (cg.ellipsoid([1.2, 1.0, 0.9]), _orthonormal_rows(2, 3, 6)),
@@ -303,14 +311,19 @@ def test_subspace_measure_equals_full_golden_search(monkeypatch, body, F):
 
 
 def test_subspace_sweeps_skip_rows_beyond_the_outer_radius(monkeypatch):
-    # a translated body has no certificate, so every row within the outer
-    # radius that the section probe misses is searched
-    body = cg.translate(cg.ellipsoid([1.0, 0.7, 0.5]), [0.1, 0.05, 0.05])
+    # a body without a certificate searches every row within the outer
+    # radius that the section probe misses
+    wrapper = cg.translate(cg.ellipsoid([1.0, 0.7, 0.5]), [0.1, 0.05, 0.05])
+    body = _oracle_twin(wrapper)
     assert body.certificate is None
     searched = _recorded_golden(monkeypatch)
     est = cg.subspace_hausdorff(body, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
     # the first sweep's lines pass through the projected draws themselves
     assert searched and np.all(np.linalg.norm(searched[0], axis=1) < body.outer_radius)
+    # the translate proves those sections empty and reads the same measure
+    searched.clear()
+    on_wrapper = cg.subspace_hausdorff(wrapper, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
+    assert not searched and (on_wrapper.value, on_wrapper.std_error) == (est.value, est.std_error)
     _reference_sections(monkeypatch)
     ref = cg.subspace_hausdorff(body, np.eye(3)[[0]], budget={"subspace_samples": 400}, seed=4)
     assert (est.value, est.std_error) == (ref.value, ref.std_error)
@@ -406,8 +419,12 @@ def _audit_rows(rng, F, min_gauge, rows=8):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans())
-def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball):
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans(), shift=st.booleans()
+)
+def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, shift):
+    # with `shift`, on the ellipsoid translated by v, whose sections U + v +
+    # span(F) are checked at the exact U + v - v
     m = min(m, n - 1)
     rng = np.random.default_rng(seed)
     if ball:
@@ -416,6 +433,9 @@ def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball):
     else:
         body = cg.ellipsoid(rng.uniform(0.3, 2.0, n))
         inv2 = [Fraction(v) for v in body.certificate.inv2]
+    v = rng.uniform(-3.0, 3.0, n) if shift else np.zeros(n)
+    if shift:
+        body = cg.translate(body, v)
     F = _orthonormal_rows(m, n, int(rng.integers(0, 1000)))
     D = np.sqrt(np.asarray(inv2, dtype=float))
 
@@ -425,10 +445,10 @@ def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball):
         return np.linalg.norm(D * (U + z.T @ F), axis=1)
 
     U, target = _audit_rows(rng, F, min_gauge)
-    missed = _sections_missed(body, U, F)
-    for u, decided in zip(U, missed):
+    missed = _sections_missed(body, U + v, F)
+    for u, decided in zip(U + v, missed):
         if decided:
-            assert _form_minimum(inv2, F, u) > LEVEL * LEVEL
+            assert _form_minimum(inv2, F, [Fraction(a) - Fraction(b) for a, b in zip(u, v)]) > LEVEL * LEVEL
     assert missed[target > 1.01].all()
 
 
@@ -510,8 +530,11 @@ def test_empty_sections_near_the_support_are_proved(monkeypatch):
 def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
     # sections along e3 are centred at t = 0.25, between the section probe's
     # grid points, so the thin ones near the projected rim need the golden
-    # search; at phi = 0.004 some stencil points leave the projected domain
-    body = cg.translate(cg.ellipsoid([1.2, 0.9, 0.7]), [0.3, -0.2, 0.25])
+    # search; at phi = 0.004 some stencil points leave the projected domain.
+    # The translate's certificate proves the missed sections empty, so its
+    # from_oracle twin, which has none, shows the golden search missing them
+    wrapper = cg.translate(cg.ellipsoid([1.2, 0.9, 0.7]), [0.3, -0.2, 0.25])
+    body = _oracle_twin(wrapper)
     assert not body.centre.any()
     phi = np.array([0.004, 0.004, 0.01, 0.02, 0.04, 0.06])
     theta = np.linspace(0.3, 5.9, phi.size)
@@ -532,6 +555,10 @@ def test_gradient_check_near_the_rim_equals_full_golden_search(monkeypatch):
     monkeypatch.setattr(graphs, "_golden_min_gauge", recorded)
     errs = cg.gradient_formula_check(pair, X)
     assert rows["found"] > 0 and rows["missed"] > 0
+    # the translate proves the missed sections empty and gives the same errors
+    rows["missed"] = 0
+    assert np.array_equal(cg.gradient_formula_check(cg.decompose(wrapper, E3_3), X), errs, equal_nan=True)
+    assert rows["missed"] == 0
     _reference_sections(monkeypatch)
     ref = cg.gradient_formula_check(pair, X)
     assert np.array_equal(errs, ref, equal_nan=True)

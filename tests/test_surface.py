@@ -257,12 +257,11 @@ def _row_counting(body):
     "body, h, budget, changed, seed",
     [
         (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {"radial": 9}, 0),
-        (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {"fd_step": 2e-5}, 0),
         (cg.ball(1.0, 2), E2_2, {"angles": 64, "radial": 8}, {}, 1),
         (cg.halfspace(E1_3, 1.0), E1_3, {"quadrature_order": 8}, {"quadrature_order": 9}, 0),
         (cg.halfspace(np.eye(5)[0], 1.0), np.eye(5)[0], {"samples": 500}, {}, 1),
     ],
-    ids=["polar_radial", "polar_fd_step", "polar_seed", "gh_order", "mc_seed"],
+    ids=["polar_radial", "polar_seed", "gh_order", "mc_seed"],
 )
 def test_graph_nodes_are_evaluated_once_per_budget_and_seed(body, h, budget, changed, seed):
     body, rows = _row_counting(body)

@@ -43,9 +43,14 @@ CLI calls:
   margin, so that their gauges are taken about an inner point off the
   origin: a ``perimeter`` call on the unit disk translated to (3, 0), and
   an ``ibp`` call on a halfspace with a negative offset, at one and at two
-  threads.
+  threads;
+* two fixed ``perimeter`` calls on wrappers whose certificate reads the
+  base's closed form through a map: a random polytope translated off its
+  place (faces under a shift), and a 2-d cylinder over an interval (a
+  one-row projection, which numpy sends to its matrix-vector routine, so
+  the certificate does not gather).
 
-That is 58 calls in all.
+That is 60 calls in all.
 
 The configs come from this tree and are only read. Each tree runs in its
 own Python process with that tree's ``src`` first on the path. For every
@@ -151,7 +156,10 @@ MONTE_CARLO = {
 # search radius; and two calls on bodies centred off the origin: a disk
 # translated to (3, 0), whose perimeter is 0.0328865 by quadrature, and
 # the halfspace <a, x> < -0.5, whose right side with psi = 1 and k = a is
-# phi(0.5) = 0.3520653
+# phi(0.5) = 0.3520653; and two perimeter calls on wrappers whose
+# certificate is the base's under a map: a translated random polytope, and
+# the strip |<x, (0.8, -0.6)>| < 0.8, a 2-d cylinder over an interval, whose
+# perimeter is 2 phi(0.8) = 0.5793831
 _NEG_NORMAL = [0.6, 0.0, 0.8]
 _POLY_H = [0.48, -0.6, 0.64]
 FIXED = {
@@ -292,6 +300,25 @@ FIXED = {
             "directions": {"k": [_NEG_NORMAL], "h": _NEG_NORMAL},
             "budgets": {"samples": 20000},
             "seed": 22,
+        },
+    ),
+    "perimeter_translated_polytope": (
+        "perimeter",
+        {
+            "model": {"dim": 3},
+            "body": {"shape": "random_polytope", "faces": 10, "seed": 4, "translate": [0.2, -0.1, 0.15]},
+            "directions": {"h": _POLY_H},
+            "budgets": {"sphere_grid": [32, 64], "radial": 24, "samples": 50000},
+            "seed": 23,
+        },
+    ),
+    "perimeter_strip_cylinder": (
+        "perimeter",
+        {
+            "model": {"dim": 2},
+            "body": {"shape": "cylinder", "axis": [0.6, 0.8], "base": {"shape": "ball", "radius": 0.8}},
+            "directions": {"h": [0.8, -0.6]},
+            "seed": 24,
         },
     ),
 }
