@@ -135,6 +135,13 @@ def _off_centre(x0, r0) -> bool:
 # the projection's sums of k = B.shape[1] terms, put the base's point and
 # the closed form's lifted line e = 1, or k, more u w_i from the exact ones;
 # a ray c + V / t, decided as the line from c at s = fl(1/t), adds e = 1.
+# A projection's section test reads a line U + s F as a unit line of the
+# base: G = fl(F B^T) is within k u WV_i of F B^T, so with g = fl(|G|), at
+# sigma = s g, U B^T + sigma fl(G / g) with weights WV / g is within (k + 1)
+# u (WU_i + |sigma| WV_i / g) of the exact image U B^T + sigma F B^T / g
+# (the division adds u; g's rounding sets the speed): e = k + 1. Only g >
+# CERTIFICATE_BAND k u |WV| is tested, so F B^T / g has length within 2% of
+# 1, which the quadratic's test, made for unit directions, allows.
 # Each such u adds at most 2u sum_i inv2_i w_i^2, or u sum_i |a_ji| w_i, so
 # band(n + 2e) covers both. A row is decided only when the closed form clears
 # its threshold by CERTIFICATE_BAND times that bound, sized at the step's own
@@ -222,22 +229,22 @@ class _Quadratic(NamedTuple):
 
         return decide
 
-    def missed(self, U, F, WU, extra):
+    def missed(self, U, F, WU, WF, extra):
         # The least-squares minimum of q over x = U + z F sits at z* =
         # -C^-1 b, C = F diag(inv2) F^T, b = F diag(inv2) U. At the computed
         # z, q is strongly convex in z with Hessian 2C >= min(inv2) I (F's
-        # rows are orthonormal to within 1e-10), so min q >= q(x) - |g|^2 /
-        # min(inv2) with g = F diag(inv2) x; the test subtracts four times
-        # that, which covers its own rounding. Forming x puts coordinate i
-        # within (m+1)u w_i of the exact point, w_i = WU_i + sum_k |z_k
-        # F_ki|, so q and g get the band of a line with 2m more terms
+        # rows are orthonormal to within 1e-10, or 2% on a projection), so
+        # min q >= q(x) - |g|^2 / min(inv2) with g = F diag(inv2) x; the test
+        # subtracts four times that, which covers its own rounding. Forming
+        # x puts coordinate i within (m+1)u w_i of the exact point, w_i = WU_i
+        # + sum_k |z_k| WF_ki, so q and g get a line's band with 2m more terms
         K = self.band(U.shape[-1] + 2 * F.shape[0] + extra)
         FW = F * self.inv2
         z = -np.linalg.solve(FW @ F.T, FW @ U.T).T
         x = U + z @ F
-        w = WU + np.abs(z) @ np.abs(F)
+        w = WU + np.abs(z) @ WF
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.linalg.norm(x @ FW.T, axis=1) + K * np.linalg.norm(w @ np.abs(FW).T, axis=1)
+            g = np.linalg.norm(x @ FW.T, axis=1) + K * np.linalg.norm(w @ (WF * self.inv2).T, axis=1)
             low = _row_sum(np.square(x) * self.inv2) - K * (np.square(w) @ self.inv2)
             low -= 4.0 * g * g / np.min(self.inv2)
         return _rows_certified(WU, ray=False) & np.isfinite(low) & (low > (1.0 + SECTION_MISS_MARGIN) ** 2)
@@ -248,7 +255,8 @@ class _Faces(NamedTuple):
     polytope, slab and halfspace. Its arrays run face by face along their
     first axis, so each reduction over the faces runs across the rows, not
     along a short last axis; it happens once per ray or line set, and each
-    step of a bisection compares its parameter with per-row ends."""
+    step of a bisection compares its parameter with per-row ends. line_min
+    is a value: the gauge's exact minimum along a line (_line_minimum)."""
 
     A: np.ndarray
     c: np.ndarray
@@ -277,7 +285,7 @@ class _Faces(NamedTuple):
 
         return decide
 
-    def missed(self, U, F, WU, extra):
+    def missed(self, U, F, WU, WF, extra):
         # On a line (m = 1) the gauge max_j <a_j, x> / c_j is above level
         # wherever some face j fails <a_j, x> < level c_j by more than its
         # band: the outside sets of _line_ends at level. A half-line lies
@@ -286,9 +294,37 @@ class _Faces(NamedTuple):
         if F.shape[0] > 1:
             return np.zeros(U.shape[0], dtype=bool)
         level = 1.0 + SECTION_MISS_MARGIN
-        ends = _by_blocks(self._line_ends, U, F[0], WU, np.abs(F[0]), extra=extra, level=level)
+        ends = _by_blocks(self._line_ends, U, F[0], WU, WF[0], extra=extra, level=level)
         (_, _, above_p, below_p), (_, _, above_n, below_n) = ends
         return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
+
+    def line_min(self, Y, h, p):
+        # About p (b = c + A v under a shift v) the gauge along y + t h is
+        # max_j (alpha_j + t beta_j), alpha_j = <a_j, y - p> / d_j, beta_j =
+        # <a_j, h> / d_j, d_j = b_j - <a_j, p>. By LP duality its minimum over
+        # faces with beta_j != 0 is the largest (beta_j alpha_k - beta_k
+        # alpha_j) / (beta_j - beta_k) of a pair beta_j > 0 > beta_k, at their
+        # crossing t = (alpha_k - alpha_j) / (beta_j - beta_k) (a face above
+        # it would make a larger pair); faces with beta_j = 0 add max alpha_j
+        # at every t, so q, the gauge there, is the minimum. (t, q) per row;
+        # None when the slopes (the same for every row) lack a sign.
+        b = self.c if self.map is None else self.c + _row_products(self.map, self.A)
+        d = b - _row_products(p, self.A)
+        beta = _row_products(h, self.A) / d
+        pos, neg = np.flatnonzero(beta > 0.0), np.flatnonzero(beta < 0.0)
+        if not (pos.size and neg.size):
+            return None
+        j, k = np.repeat(pos, neg.size), np.tile(neg, pos.size)
+        gap = beta[j] - beta[k]
+
+        def ends(Y):
+            alpha = _row_products(Y - p, self.A).T / d[:, None]
+            best = np.argmax((beta[j, None] * alpha[k] - beta[k, None] * alpha[j]) / gap[:, None], axis=0)
+            rows = np.arange(Y.shape[0])
+            t = (alpha[k[best], rows] - alpha[j[best], rows]) / gap[best]
+            return np.stack([t, np.max(_row_products(Y + t[:, None] * h - p, self.A).T / d[:, None], axis=0)])
+
+        return _by_blocks(ends, Y, rows=max(1, CERTIFICATE_BLOCK_ROWS * len(d) // gap.size))
 
     def _ray_ends(self, V, WV, extra):
         # <a_j, V> / lam against c_j > 0 (rays start at a centre at 0), with the
@@ -323,17 +359,17 @@ class _Faces(NamedTuple):
         )
 
 
-def _by_blocks(ends, *arrays, **fixed):
-    """ends(*arrays, **fixed) on blocks of CERTIFICATE_BLOCK_ROWS rows,
-    joined along the last axis: a face certificate's arrays hold a row per
-    face, and blocks keep them as small as the oracle's own row products.
-    A 1-d array (one direction for every row) goes to each block whole; no
-    rows make one empty block."""
+def _by_blocks(ends, *arrays, rows=CERTIFICATE_BLOCK_ROWS, **fixed):
+    """ends(*arrays, **fixed) on blocks of `rows` rows, joined along the
+    last axis: a face certificate's arrays hold a row per face, and blocks
+    keep them as small as the oracle's own row products. A 1-d array (one
+    direction for every row) goes to each block whole; no rows make one
+    empty block."""
     N = arrays[0].shape[0]
     return np.concatenate(
         [
-            ends(*(a if a.ndim == 1 else a[start : start + CERTIFICATE_BLOCK_ROWS] for a in arrays), **fixed)
-            for start in range(0, max(N, 1), CERTIFICATE_BLOCK_ROWS)
+            ends(*(a if a.ndim == 1 else a[start : start + rows] for a in arrays), **fixed)
+            for start in range(0, max(N, 1), rows)
         ],
         axis=-1,
     )
@@ -453,15 +489,45 @@ def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
     misses the body, F holding 1 to 3 orthonormal rows: its minimum gauge
     clears 1 + SECTION_MISS_MARGIN by more than the band. A quadratic
     decides sections of any dimension, faces lines only; a shift keeps F,
-    and a projection decides none, as F's image need not be orthonormal.
-    Every other row is False, and so is every row when the certificate
-    does not gather: a search drops the decided rows from its batch.
+    and a projection lines alone, as unit lines of the base whose image
+    clears its rounding (above UNIT_ROUNDOFF). Every other row is False,
+    and so is every row when the certificate does not gather: a search
+    drops the decided rows from its batch.
     """
+    none = np.zeros(U.shape[0], dtype=bool)
     cert = body.certificate
-    if cert is None or not cert.gathers or (cert.map is not None and cert.map.ndim == 2):
-        return np.zeros(U.shape[0], dtype=bool)
-    U, _, WU, _, extra = _lift(cert, U, F)
-    return cert.missed(U, F, WU, extra)
+    if cert is None or not cert.gathers:
+        return none
+    U, G, WU, WG, extra = _lift(cert, U, F)
+    if cert.map is not None and cert.map.ndim == 2:
+        g = float(np.linalg.norm(G))
+        if F.shape[0] > 1 or not g > CERTIFICATE_BAND * cert.map.shape[1] * UNIT_ROUNDOFF * np.linalg.norm(WG):
+            return none
+        G, WG, extra = G / g, WG / g, extra + 2
+    return cert.missed(U, G, WU, WG, extra)
+
+
+def _line_minimum(body: ConvexBody, Y, h):
+    """_Faces.line_min about the centre c on a bounded body whose faces have
+    no map or a shift, else None. One `contains` call checks each row at x =
+    y + t h: c + (x - c) / (q (1 +- 1e-9)) inside (+) and outside (-), and
+    minkowski_functional's certified-ball point inside; else OracleIntegrityError."""
+    cert, c = body.certificate, body.centre
+    if not (body.bounded and isinstance(cert, _Faces) and (cert.map is None or cert.map.ndim == 1)):
+        return None
+    found = cert.line_min(Y, h, c)
+    if found is None:
+        return None
+    t, q = found
+    D = Y + t[:, None] * h - c
+    norms = np.linalg.norm(D, axis=1)
+    act = (norms > 0.0) & (q > 0.0)
+    D, qa = D[act], q[act, None]
+    scale = np.concatenate([qa * (1.0 + 1e-9), qa * (1.0 - 1e-9), norms[act, None] / (0.9 * body.centre_margin)])
+    inside = body.contains(c + np.concatenate([D] * 3) / scale).reshape(3, -1)
+    if not (inside[0].all() and inside[2].all()) or inside[1].any():
+        raise OracleIntegrityError("membership oracle disagrees with the faces' minimum gauge along a line")
+    return t, q
 
 
 def _row_sum(q) -> np.ndarray:

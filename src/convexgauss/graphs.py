@@ -20,6 +20,7 @@ import numpy as np
 from .bodies import (
     DEFAULT_GAUGE_TOL,
     ConvexBody,
+    _line_minimum,
     _membership_along,
     _sections_missed,
     bisect,
@@ -63,14 +64,14 @@ __all__ = [
 
 
 def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
-    """Vectorized golden-section minimization of t -> gauge(y + t h) over
-    [-T, T], T just past the body's reach, for GOLDEN_STEPS steps per row.
-
-    Returns (t_min, q_min) per row, two empty arrays for no rows. The map is
-    convex in t, so golden section is valid; it is the membership-only
-    fallback of _inside_points for thin sections, which first drops the rows
-    the body's certificate proves miss it (bodies._sections_missed), and
-    the projected-rim search of the polar nodes.
+    """(t_min, q_min) per row, the minimum of t -> gauge(y + t h), two empty
+    arrays for no rows: the line search of _inside_points for thin sections,
+    which first drops the rows the body's certificate proves miss it
+    (bodies._sections_missed), and the projected-rim search of the polar
+    nodes. A bounded body with faces, unmapped or shifted, gives the exact
+    minimum (bodies._line_minimum); every other body runs golden-section
+    minimization (the map is convex) over [-T, T], T just past the body's
+    reach, for GOLDEN_STEPS steps per row.
 
     One stacked gauge call serves D steps: it gauges the probes c and d of
     every row's bracket and of each bracket that D - 1 more steps can lead
@@ -84,6 +85,9 @@ def _golden_min_gauge(body: ConvexBody, Y: np.ndarray, h: np.ndarray):
     N = Y.shape[0]
     if not N:
         return np.empty(0), np.empty(0)
+    exact = _line_minimum(body, Y, h)
+    if exact is not None:
+        return exact
     T = body.reach * (1.0 + 1e-9)
 
     def gauge(params):
@@ -170,7 +174,7 @@ def _inside_points(body: ConvexBody, Y: np.ndarray, F: np.ndarray, z_hint=None):
     then a lattice of SECTION_PROBE_POINTS[m - 1] points per axis across
     the reach, less its centre row (the origin, or within a few ulps of the
     reach of it), the first accepted point winning. A row that no probe
-    finds runs golden-section sweeps of the gauge (convex along each axis)
+    finds minimizes the gauge (convex along each axis, _golden_min_gauge)
     along F's axes, once for a line and twice otherwise, and is kept when
     its gauge ends below 1 - 1e-12; `contains` must accept every such
     point, else OracleIntegrityError.
@@ -226,8 +230,8 @@ def _section_endpoints(
 
     Returns (lower, upper, nonempty). Empty sections give (nan, nan, False).
     The inside parameter of each section comes from _inside_points (the
-    hint, a 33-point probe of 0 and 32 points across the reach, then golden
-    section on the gauge, so thin sections near the projected rim are still
+    hint, a 33-point probe of 0 and 32 points across the reach, then the
+    gauge's line minimum, so thin sections near the projected rim are still
     resolved); each end is bisected from it on its own. An end that the
     body's case along h (classify_case) marks infinite is +/-inf on every
     nonempty section with no search: a recession direction of a convex body

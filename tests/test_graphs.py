@@ -225,6 +225,14 @@ def test_classification_coverage_ball(ball3):
     assert frac >= 0.99
 
 
+# a bounded polytope's line minimum is exact, so its golden search runs on
+# the same set as a from_oracle body
+_POLYTOPE = cg.random_polytope(3, 10, 4)
+_POLYTOPE_ORACLE = cg.from_oracle(
+    _POLYTOPE.contains, _POLYTOPE.interior_point, _POLYTOPE.interior_margin, _POLYTOPE.outer_radius
+)
+
+
 def _golden_two_calls(body, Y, h):
     """The rim search with its two probes gauged in separate calls."""
     T = body.reach * (1.0 + 1e-9)
@@ -249,7 +257,7 @@ def _golden_two_calls(body, Y, h):
     "body, h",
     [
         (cg.ellipsoid([1.3, 0.8, 1.1]), E3_3),
-        (cg.random_polytope(3, 10, 4), E3_3),
+        (_POLYTOPE_ORACLE, E3_3),
         (cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]), E1_3),
         (cg.translate(cg.ball(0.7, 3), [2.0, 0.5, 0.0]), E3_3),
     ],

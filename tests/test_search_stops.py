@@ -25,7 +25,7 @@ import convexgauss as cg
 import convexgauss.graphs as graphs
 import convexgauss.surface as surface
 from convexgauss.bodies import SECTION_MISS_MARGIN, _sections_missed, bisect, minkowski_functional
-from convexgauss.errors import DegenerateDirectionError, DirectionError
+from convexgauss.errors import DegenerateDirectionError, DirectionError, OracleIntegrityError
 from convexgauss.graphs import GOLDEN, GOLDEN_STEPS
 
 E1_3, E3_3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
@@ -110,6 +110,13 @@ def _random_body(kind, rng):
     return cg.translate(cg.ellipsoid(rng.uniform(0.3, 2.0, 3)), rng.uniform(-1.5, 1.5, 3))
 
 
+def _oracle_twin(body):
+    """The same set as a from_oracle body, which has no closed form: every
+    section search on it runs in full, and its line searches run golden
+    section where a bounded polytope's are exact."""
+    return cg.from_oracle(body.contains, body.interior_point, body.interior_margin, body.outer_radius)
+
+
 def _random_lines(body, rng, rows, h=None):
     if h is None:
         h = rng.standard_normal(3)
@@ -132,25 +139,27 @@ def _random_lines(body, rng, rows, h=None):
 def test_section_search_keeps_every_found_row(kind, seed, rows):
     rng = np.random.default_rng(seed)
     body = _random_body(kind, rng)
+    search = _oracle_twin(body) if kind == "polytope" else body
     Y, h = _random_lines(body, rng, rows)
-    t_ref, q_ref = _golden_reference(body, Y, h)
-    t, q = graphs._golden_min_gauge(body, Y, h)
+    t_ref, q_ref = _golden_reference(search, Y, h)
+    t, q = graphs._golden_min_gauge(search, Y, h)
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
     # a row the certificate proves misses is one the search rejects, and
     # every other row gets the ends of the search on every row
     missed = _sections_missed(body, Y, h[None])
     assert np.all(q_ref[missed] >= 1.0)
-    ends = graphs._section_endpoints(body, h, Y)
+    ends = graphs._section_endpoints(search, h, Y)
     with pytest.MonkeyPatch.context() as patch:
         _reference_sections(patch)
-        ref = graphs._section_endpoints(body, h, Y)
+        ref = graphs._section_endpoints(search, h, Y)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ends, ref))
 
 
 def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
     # one line through the body among lines far outside it: the certificate
     # decides those, so the search gauges one row, which a polytope's oracle
-    # must round as it does in the full batch
+    # must round as it does in the full batch (searched on the oracle twin,
+    # as the polytope's own line minimum is exact)
     rng = np.random.default_rng(0)
     for seed in range(40):
         body = cg.random_polytope(3, 9, seed)
@@ -160,8 +169,8 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
         Y -= np.outer(Y @ h, h)
         Y *= (np.r_[0.2, np.full(5, 3.0 * body.outer_radius)] / np.linalg.norm(Y, axis=1))[:, None]
         assert _sections_missed(body, Y, h[None]).tolist() == [False] + [True] * 5
-        t, q = graphs._golden_min_gauge(body, Y[:1], h)
-        t_ref, q_ref = _golden_reference(body, Y, h)
+        t, q = graphs._golden_min_gauge(_oracle_twin(body), Y[:1], h)
+        t_ref, q_ref = _golden_reference(_oracle_twin(body), Y, h)
         assert (t[0], q[0]) == (t_ref[0], q_ref[0])
 
 
@@ -170,7 +179,7 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
     "body, h",
     [
         (cg.ellipsoid([1.3, 0.8, 1.1]), E3_3),
-        (cg.random_polytope(3, 10, 4), E3_3),
+        (_oracle_twin(cg.random_polytope(3, 10, 4)), E3_3),
         (cg.cylinder(cg.ball(1.0, 2), [0.0, 0.0, 1.0]), E1_3),
         (cg.translate(cg.ball(0.7, 3), [2.0, 0.5, 0.0]), E3_3),
     ],
@@ -194,6 +203,96 @@ def test_golden_search_of_no_rows_returns_empty_arrays(monkeypatch):
     calls = _counting_gauge(monkeypatch)
     t, q = graphs._golden_min_gauge(cg.ellipsoid([1.2, 0.8, 0.6]), np.zeros((0, 3)), E3_3)
     assert t.shape == q.shape == (0,) and calls == []
+
+
+# --------------------------------------------------------- line minimum
+
+
+def _exact_line_minimum(body, y, h, t):
+    """In rationals, on the faces of a polytope or of its translate, about
+    the body's centre p: the minimum over every t of the gauge along y + t h
+    by LP duality (the largest alpha_j over faces with beta_j = 0 and the
+    largest crossing value of a pair beta_j > 0 > beta_k), and the gauge at
+    the given t."""
+    cert = body.certificate
+    v = np.zeros(body.dim) if cert.map is None else cert.map
+    dot = lambda a, x: sum(Fraction(ai) * Fraction(xi) for ai, xi in zip(a, x))
+    alpha, beta = [], []
+    for a, cj in zip(cert.A, cert.c):
+        d = Fraction(cj) + dot(a, v) - dot(a, body.centre)
+        alpha.append((dot(a, y) - dot(a, body.centre)) / d)
+        beta.append(dot(a, h) / d)
+    pairs = [(bj * ak - bk * aj) / (bj - bk) for aj, bj in zip(alpha, beta) for ak, bk in zip(alpha, beta) if bj > 0 > bk]
+    level = [aj for aj, bj in zip(alpha, beta) if bj == 0]
+    return max(pairs + level), max(aj + Fraction(t) * bj for aj, bj in zip(alpha, beta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_faces=st.integers(3, 12), shift=st.booleans())
+def test_line_minimum_of_faces_is_the_lp_minimum(seed, n, n_faces, shift):
+    # with `shift`, on a translate that leaves the origin outside, whose
+    # gauge is taken about its certified ball's centre
+    rng = np.random.default_rng(seed)
+    body = cg.random_polytope(n, n_faces, int(rng.integers(0, 1000)))
+    if shift:
+        body = cg.translate(body, rng.choice([-1.0, 1.0], n) * rng.uniform(3.5, 5.0, n))
+        assert body.centre.any()
+    h = rng.standard_normal(n)
+    h /= np.linalg.norm(h)
+    Y = body.centre + 2.0 * rng.standard_normal((12, n))
+    t, q = graphs._golden_min_gauge(body, Y, h)
+    for y, ti, qi in zip(Y, t, q):
+        low, at_t = _exact_line_minimum(body, y, h, ti)
+        assert abs(qi - low) <= 1e-12 * max(low, 1) and at_t - low <= 1e-12 * max(low, 1)
+
+
+def test_line_minimum_of_a_box_along_an_axis():
+    # along e3 the faces x1 = +-1 and x2 = +-0.5 are parallel to h (beta_j
+    # = 0), so the gauge max(|x1|, 2 |x2|, |t| / 2) takes its minimum
+    # max(|x1|, 2 |x2|) on a whole interval of t; the last line passes
+    # through the centre
+    box = cg.polytope(
+        [{"normal": sign * e, "offset": w} for e, w in zip(np.eye(3), (1.0, 0.5, 2.0)) for sign in (1.0, -1.0)]
+    )
+    Y = np.array([[0.3, 0.1, 0.0], [0.9, -0.45, 0.0], [-1.5, 0.2, 0.0], [0.2, 0.7, 0.0], [0.0, 0.0, 0.0]])
+    t, q = graphs._golden_min_gauge(box, Y, E3_3)
+    assert np.array_equal(q, np.maximum(np.abs(Y[:, 0]), 2.0 * np.abs(Y[:, 1])))
+    assert np.all(np.abs(t) <= 2.0 * q)
+
+
+@pytest.mark.parametrize("shift", [None, [2.5, -3.0, 1.0]], ids=["polytope", "translated"])
+def test_line_minimum_agrees_with_golden_search_on_the_oracle_twin(shift):
+    body = cg.random_polytope(3, 10, 4)
+    if shift is not None:
+        body = cg.translate(body, shift)
+    Y, h = _random_lines(body, np.random.default_rng(12), 60)
+    Y += body.centre - (body.centre @ h) * h  # lines about the centre
+    t, q = graphs._golden_min_gauge(body, Y, h)
+    t_gold, q_gold = graphs._golden_min_gauge(_oracle_twin(body), Y, h)
+    # a line that meets the body has its minimum within the golden search's
+    # interval; beyond it, that interval can only raise the golden minimum.
+    # Each golden gauge is a bisection that stops within 1e-12 max(1, q)
+    err = 1e-11 * np.maximum(q, 1.0)
+    meets = q_gold < 1.0
+    assert meets.sum() > 10 and not meets.all()
+    assert np.all(np.abs(q - q_gold)[meets] <= err[meets])
+    assert np.all(q <= q_gold + err)
+    gauge = minkowski_functional(body, Y + t[:, None] * h, tol=1e-12)
+    assert np.all(np.abs(gauge - q) <= err)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_line_minimum_checks_the_oracle(scale):
+    # an oracle for the polytope with its offsets scaled: a smaller one
+    # rejects the point just inside the minimum's rim, a larger one accepts
+    # the point just outside it
+    body = cg.random_polytope(3, 10, 4)
+    cert = body.certificate
+    other = cg.polytope([{"normal": a, "offset": scale * c} for a, c in zip(cert.A, cert.c)])
+    Y, h = _random_lines(body, np.random.default_rng(3), 20)
+    graphs._golden_min_gauge(body, Y, h)
+    with pytest.raises(OracleIntegrityError):
+        graphs._golden_min_gauge(dataclasses.replace(body, contains=other.contains), Y, h)
 
 
 def _counting_gauge(monkeypatch):
@@ -246,6 +345,29 @@ def test_rim_search_runs_every_golden_step(monkeypatch):
     assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
 
 
+def test_rim_search_of_a_polytope_runs_no_golden_step(monkeypatch):
+    # the polar nodes of a bounded polytope take the faces' line minimum:
+    # the rim search gauges nothing, and the measure is the golden search's
+    # on the oracle twin within the twin's gauge tolerance
+    body = cg.random_polytope(3, 10, 4)
+    budget = {"angles": 48, "radial": 6}
+    calls = _counting_gauge(monkeypatch)
+    searches = []
+    search = surface._golden_min_gauge
+
+    def recorded(body, Y, h):
+        start = len(calls)
+        out = search(body, Y, h)
+        searches.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(surface, "_golden_min_gauge", recorded)
+    est = cg.total_boundary_measure(cg.decompose(body, E3_3), budget=budget, seed=1)
+    ref = cg.total_boundary_measure(cg.decompose(_oracle_twin(body), E3_3), budget=budget, seed=1)
+    assert searches == [0, GOLDEN_STEPS // 2 + 1]
+    assert est.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+
+
 def _reference_sections(patch):
     """Section searches as they ran before certificates decided sections:
     the reference golden search on every row."""
@@ -266,12 +388,6 @@ def _orthonormal_rows(m, n, seed):
     return q.T
 
 
-def _oracle_twin(body):
-    """The same set as a from_oracle body, which has no closed form: every
-    section search on it runs in full."""
-    return cg.from_oracle(body.contains, body.interior_point, body.interior_margin, body.outer_radius)
-
-
 # sections centred off the section probe's points, so that the golden sweeps
 # find inside points of thin sections as well as search empty ones; the
 # translates prove most empty sections empty, their from_oracle twins none
@@ -289,7 +405,7 @@ _OFF3_ORACLE, _OFF4_ORACLE = _oracle_twin(_OFF3), _oracle_twin(_OFF4)
         (_OFF3_ORACLE, _orthonormal_rows(1, 3, 1)),
         (_OFF3_ORACLE, _orthonormal_rows(2, 3, 2)),
         (_OFF4_ORACLE, _orthonormal_rows(3, 4, 3)),
-        (cg.random_polytope(3, 9, 2), _orthonormal_rows(2, 3, 4)),
+        (_oracle_twin(cg.random_polytope(3, 9, 2)), _orthonormal_rows(2, 3, 4)),
         (cg.random_polytope(3, 10, 4), _orthonormal_rows(1, 3, 6)),
         (cg.ellipsoid([1.2, 1.0, 0.9]), _orthonormal_rows(2, 3, 6)),
         (cg.cylinder(cg.ellipsoid([1.1, 0.8]), [0.0, 0.0, 1.0]), _orthonormal_rows(1, 3, 7)),
@@ -418,14 +534,25 @@ def _audit_rows(rng, F, min_gauge, rows=8):
     return U[keep] * (target[keep] / mu[keep])[:, None], target[keep]
 
 
+def _cylinder_of(base, rng):
+    """A cylinder over base along a random axis, its projection B, and the
+    exact image x B^T of a float vector x in rationals."""
+    body = cg.cylinder(base, rng.standard_normal(base.dim + 1))
+    B = body.certificate.map
+    return body, B, lambda x: [sum(Fraction(a) * Fraction(b) for a, b in zip(x, row)) for row in B]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans(), shift=st.booleans()
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans(),
+    wrap=st.sampled_from([None, "shift", "cylinder"]),
 )
-def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, shift):
-    # with `shift`, on the ellipsoid translated by v, whose sections U + v +
-    # span(F) are checked at the exact U + v - v
-    m = min(m, n - 1)
+def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, wrap):
+    # with "shift", on the ellipsoid translated by v, whose sections U + v +
+    # span(F) are checked at the exact U + v - v; with "cylinder", on a
+    # cylinder over it, whose lines U + s F are checked at their exact
+    # image U B^T + s F B^T, and whose planes stay undecided
+    m = 1 if wrap == "cylinder" else min(m, n - 1)
     rng = np.random.default_rng(seed)
     if ball:
         r = rng.uniform(0.3, 2.0)
@@ -433,23 +560,30 @@ def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, shift):
     else:
         body = cg.ellipsoid(rng.uniform(0.3, 2.0, n))
         inv2 = [Fraction(v) for v in body.certificate.inv2]
-    v = rng.uniform(-3.0, 3.0, n) if shift else np.zeros(n)
-    if shift:
+    v = rng.uniform(-3.0, 3.0, n) if wrap == "shift" else np.zeros(n)
+    image = lambda x: [Fraction(a) - Fraction(b) for a, b in zip(x, v)]
+    B = np.eye(n)
+    if wrap == "shift":
         body = cg.translate(body, v)
-    F = _orthonormal_rows(m, n, int(rng.integers(0, 1000)))
+    elif wrap == "cylinder":
+        (body, B, image), v = _cylinder_of(body, rng), np.zeros(n + 1)
+    F = _orthonormal_rows(m, B.shape[1], int(rng.integers(0, 1000)))
     D = np.sqrt(np.asarray(inv2, dtype=float))
 
     def min_gauge(U):
-        # the least-squares minimum of |D (u + z F)| over z
-        z = np.linalg.lstsq((D * F).T, -(D * U).T, rcond=None)[0]
-        return np.linalg.norm(D * (U + z.T @ F), axis=1)
+        # the least-squares minimum of |D (u + z F)| over z, in the base
+        G, Ub = F @ B.T, U @ B.T
+        z = np.linalg.lstsq((D * G).T, -(D * Ub).T, rcond=None)[0]
+        return np.linalg.norm(D * (Ub + z.T @ G), axis=1)
 
     U, target = _audit_rows(rng, F, min_gauge)
     missed = _sections_missed(body, U + v, F)
     for u, decided in zip(U + v, missed):
         if decided:
-            assert _form_minimum(inv2, F, [Fraction(a) - Fraction(b) for a, b in zip(u, v)]) > LEVEL * LEVEL
+            assert _form_minimum(inv2, [image(f) for f in F] if wrap == "cylinder" else F, image(u)) > LEVEL * LEVEL
     assert missed[target > 1.01].all()
+    if wrap == "cylinder":
+        assert not _sections_missed(body, U, _orthonormal_rows(2, n + 1, 0)).any()
 
 
 def _faces_min_gauge(A, c, V, U):
@@ -478,23 +612,29 @@ def _faces_min_gauge(A, c, V, U):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_faces=st.integers(2, 12))
-def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_faces=st.integers(2, 12), cylinder=st.booleans())
+def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces, cylinder):
+    # with `cylinder`, on a cylinder over the polytope (a polygon at n = 2),
+    # whose lines are checked at their exact image U B^T + s F B^T
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_faces, n))
     body = cg.polytope([{"normal": a, "offset": c} for a, c in zip(A, rng.uniform(0.3, 1.5, n_faces))])
     assert body.certificate is not None
     A, c = body.certificate.A, body.certificate.c
-    F = _orthonormal_rows(1, n, int(rng.integers(0, 1000)))
-    U, target = _audit_rows(rng, F, lambda U: _faces_min_gauge(A, c, F[0], U))
+    B, image = np.eye(n), lambda x: x
+    if cylinder:
+        body, B, image = _cylinder_of(body, rng)
+    dim = B.shape[1]
+    F = _orthonormal_rows(1, dim, int(rng.integers(0, 1000)))
+    U, target = _audit_rows(rng, F, lambda U: _faces_min_gauge(A, c, (F @ B.T)[0], U @ B.T))
     missed = _sections_missed(body, U, F)
     for u, decided in zip(U, missed):
         if decided:
-            assert _line_misses(A, c, u, F[0], LEVEL)
+            assert _line_misses(A, c, image(u), image(F[0]), LEVEL)
     assert missed[target > 1.01].all()
     # sections of two dimensions are left to the search
-    if n > 2:
-        assert not _sections_missed(body, U, _orthonormal_rows(2, n, 0)).any()
+    if dim > 2:
+        assert not _sections_missed(body, U, _orthonormal_rows(2, dim, 0)).any()
 
 
 def test_halfspace_sections_are_never_decided():

@@ -25,17 +25,19 @@ CLI calls:
   origin, whose margin at the origin is below its semiaxes, and an
   unbounded cylinder over an ellipse;
 * two fixed calls on a random polytope along a tilted direction: a
-  ``gradcheck`` call whose section searches take the golden-section
-  fallback that stops early, and a ``perimeter`` call whose projected-rim
-  search runs 40 directions, two golden steps to each stacked gauge call;
+  ``gradcheck`` call whose section searches reach the line minimization
+  of thin sections, and a ``perimeter`` call whose projected-rim search
+  runs 40 directions; both take the faces' exact line minimum, not the
+  golden search, whose two-step lookahead ``perimeter_ball4d`` (72
+  directions) covers;
 * one fixed ``perimeter`` call on an ellipsoid in dimension 12, on the
   Monte Carlo graph route, whose gauge and section bisections decide most
   rows from the ellipsoid's certificate at the largest dimension any
   compared call has;
 * one fixed ``surface`` call on a random polytope through ``[0]`` and
   ``[0, 1]``, whose line sections the faces' closed form proves empty and
-  whose plane sections, which it leaves undecided, the golden sweeps
-  search;
+  whose plane sections, which it leaves undecided, the sweeps of exact
+  line minima search;
 * one fixed ``surface`` call on an unbounded cylinder through ``[0]`` and
   ``[0, 2]``, whose plane sections are strips: their rays along the axis
   reach the search radius and contribute 0;
@@ -146,12 +148,12 @@ MONTE_CARLO = {
 # density call, and two perimeter calls whose content route screens draws
 # on bodies unlike the benchmark's: a translated ellipsoid, whose origin
 # margin is below its semiaxes, and an unbounded cylinder; and two calls on
-# a polytope along a tilted direction: a gradcheck whose line searches take
-# the golden fallback, and a perimeter whose projected-rim search gauges 40
-# directions, two golden steps to each stacked gauge call; a perimeter on
+# a polytope along a tilted direction: a gradcheck whose line searches
+# reach the line minimization, and a perimeter whose projected-rim search
+# takes 40 directions, both exact on a polytope; a perimeter on
 # a 12-d ellipsoid, whose certificate's band grows with the dimension; a
 # surface call on a polytope, whose empty line sections the faces' closed
-# form decides and whose plane sections all take the golden sweeps; and a
+# form decides and whose plane sections all take the line sweeps; and a
 # surface call on a cylinder, whose strip sections have rays that reach the
 # search radius; and two calls on bodies centred off the origin: a disk
 # translated to (3, 0), whose perimeter is 0.0328865 by quadrature, and
