@@ -5,7 +5,9 @@ ball, and either an outer radius or a per-direction reach bound. A body is
 never moved: its gauge is the Minkowski functional with respect to an inner
 point, the body's centre, which is the origin unless the certified ball
 leaves the origin no margin, and the ball's centre then. Every shipped
-shape, and a translate or cylinder of one, carries its closed form.
+shape, and a translate or cylinder of one, carries its closed form; a
+bounded polytope, or a translate of one, takes its gauge, section ends and
+line minima from that form as values (_exact_faces).
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class ConvexBody:
                     send `contains` only the rows it leaves undecided, also
                     when dataclasses.replace swaps `contains`: a substitute
                     oracle that must see every row belongs on from_oracle.
+                    On a bounded body with faces, unmapped or shifted
+                    (_exact_faces), the faces give the gauge, section ends,
+                    ray exits and line minima as values, which `contains`
+                    only checks (_check_rim); replacing the certificate
+                    with None makes any body membership-only.
     """
 
     contains: Callable[[np.ndarray], np.ndarray]
@@ -159,8 +166,9 @@ UNIT_ROUNDOFF = 2.0**-53
 CERTIFICATE_BAND = 64.0
 CERTIFICATE_FLOOR = 1e-300
 CERTIFIED_RANGE = (1e-50, 1e50)
-CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's arrays
+CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's arrays and oracle checks
 SECTION_MISS_MARGIN = 1e-9  # a section misses once its minimum gauge clears 1 by this
+CHECK_MARGIN = 1e-9  # least relative gauge margin of a closed form's oracle check (_check_rim)
 
 
 def _rows_certified(W, ray: bool) -> np.ndarray:
@@ -255,8 +263,12 @@ class _Faces(NamedTuple):
     polytope, slab and halfspace. Its arrays run face by face along their
     first axis, so each reduction over the faces runs across the rows, not
     along a short last axis; it happens once per ray or line set, and each
-    step of a bisection compares its parameter with per-row ends. line_min
-    is a value: the gauge's exact minimum along a line (_line_minimum)."""
+    step of a bisection compares its parameter with per-row ends. gauge,
+    line_section and line_min are values, the gauge, a line's section and
+    the gauge's minimum along a line, which a bounded body takes in place
+    of its searches (_exact_faces); they read each row's face products
+    elementwise (_face_products), so a row's value never depends on its
+    batch."""
 
     A: np.ndarray
     c: np.ndarray
@@ -298,19 +310,45 @@ class _Faces(NamedTuple):
         (_, _, above_p, below_p), (_, _, above_n, below_n) = ends
         return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
 
+    def depths(self, p):
+        """d_j = b_j - <a_j, p>, the offset of face j from p (b = c + A v
+        under a shift v)."""
+        b = self.c if self.map is None else self.c + _face_products(self.map[None], self.A)[:, 0]
+        return b - _face_products(p[None], self.A)[:, 0]
+
+    def gauge(self, X, p):
+        # about p the gauge is max_j <a_j, x - p> / d_j: x is inside exactly
+        # when every face's term is below 1
+        return np.max(_face_products(X - p, self.A) / self.depths(p)[:, None], axis=0)
+
+    def line_section(self, Y, h):
+        # {t : <a_j, y + t h - v> < c_j for every j} (v = 0 without a shift),
+        # as the oracle reads it: face j's slack s_j = c_j - <a_j, y - v>
+        # against its slope g_j = <a_j, h> gives t < s_j / g_j where g_j > 0
+        # and t > s_j / g_j where g_j < 0, and a face with g_j = 0 holds
+        # everywhere (s_j > 0) or nowhere. (lo, hi) per row, h one direction
+        # or one per row; both nan where the line misses.
+        slack = self.c[:, None] - _face_products(Y if self.map is None else Y - self.map, self.A)
+        slope = _face_products(np.atleast_2d(h), self.A)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = slack / slope
+        lo = np.max(np.where(slope < 0.0, t, -np.inf), axis=0)
+        hi = np.min(np.where(slope > 0.0, t, np.inf), axis=0)
+        missed = ~(lo < hi) | np.any((slope == 0.0) & ~(slack > 0.0), axis=0)
+        return np.where(missed, np.nan, np.stack([lo, hi]))
+
     def line_min(self, Y, h, p):
-        # About p (b = c + A v under a shift v) the gauge along y + t h is
-        # max_j (alpha_j + t beta_j), alpha_j = <a_j, y - p> / d_j, beta_j =
-        # <a_j, h> / d_j, d_j = b_j - <a_j, p>. By LP duality its minimum over
-        # faces with beta_j != 0 is the largest (beta_j alpha_k - beta_k
-        # alpha_j) / (beta_j - beta_k) of a pair beta_j > 0 > beta_k, at their
-        # crossing t = (alpha_k - alpha_j) / (beta_j - beta_k) (a face above
-        # it would make a larger pair); faces with beta_j = 0 add max alpha_j
-        # at every t, so q, the gauge there, is the minimum. (t, q) per row;
-        # None when the slopes (the same for every row) lack a sign.
-        b = self.c if self.map is None else self.c + _row_products(self.map, self.A)
-        d = b - _row_products(p, self.A)
-        beta = _row_products(h, self.A) / d
+        # About p the gauge along y + t h is max_j (alpha_j + t beta_j),
+        # alpha_j = <a_j, y - p> / d_j, beta_j = <a_j, h> / d_j (depths). By
+        # LP duality its minimum over faces with beta_j != 0 is the largest
+        # (beta_j alpha_k - beta_k alpha_j) / (beta_j - beta_k) of a pair
+        # beta_j > 0 > beta_k, at their crossing t = (alpha_k - alpha_j) /
+        # (beta_j - beta_k) (a face above it would make a larger pair); faces
+        # with beta_j = 0 add max alpha_j at every t, so q, the gauge there,
+        # is the minimum. (t, q) per row; None when the slopes (the same for
+        # every row) lack a sign.
+        d = self.depths(p)
+        beta = _face_products(h[None], self.A)[:, 0] / d
         pos, neg = np.flatnonzero(beta > 0.0), np.flatnonzero(beta < 0.0)
         if not (pos.size and neg.size):
             return None
@@ -318,11 +356,11 @@ class _Faces(NamedTuple):
         gap = beta[j] - beta[k]
 
         def ends(Y):
-            alpha = _row_products(Y - p, self.A).T / d[:, None]
+            alpha = _face_products(Y - p, self.A) / d[:, None]
             best = np.argmax((beta[j, None] * alpha[k] - beta[k, None] * alpha[j]) / gap[:, None], axis=0)
             rows = np.arange(Y.shape[0])
             t = (alpha[k[best], rows] - alpha[j[best], rows]) / gap[best]
-            return np.stack([t, np.max(_row_products(Y + t[:, None] * h - p, self.A).T / d[:, None], axis=0)])
+            return np.stack([t, self.gauge(Y + t[:, None] * h, p)])
 
         return _by_blocks(ends, Y, rows=max(1, CERTIFICATE_BLOCK_ROWS * len(d) // gap.size))
 
@@ -357,6 +395,17 @@ class _Faces(NamedTuple):
         return np.stack(
             [_half_line_ends(D + KSU, sigma * VA + KSV, D - KSU, sigma * VA - KSV, off) for sigma in (1.0, -1.0)]
         )
+
+
+def _face_products(X, A) -> np.ndarray:
+    """<a_j, x> for faces j (rows of A) along the first axis and points x
+    (rows of X), summed coordinate by coordinate: elementwise operations
+    round each entry alike in a batch of any size, where a matrix product
+    rounds a row by its place in its batch (_row_products)."""
+    P = A[:, :1] * X[:, 0]
+    for i in range(1, A.shape[1]):
+        P = P + A[:, i : i + 1] * X[:, i]
+    return P
 
 
 def _by_blocks(ends, *arrays, rows=CERTIFICATE_BLOCK_ROWS, **fixed):
@@ -507,26 +556,106 @@ def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
     return cert.missed(U, G, WU, WG, extra)
 
 
-def _line_minimum(body: ConvexBody, Y, h):
-    """_Faces.line_min about the centre c on a bounded body whose faces have
-    no map or a shift, else None. One `contains` call checks each row at x =
-    y + t h: c + (x - c) / (q (1 +- 1e-9)) inside (+) and outside (-), and
-    minkowski_functional's certified-ball point inside; else OracleIntegrityError."""
-    cert, c = body.certificate, body.centre
-    if not (body.bounded and isinstance(cert, _Faces) and (cert.map is None or cert.map.ndim == 1)):
+def _exact_faces(body: ConvexBody) -> Optional[_Faces]:
+    """The face certificate whose closed forms give the body's gauge, line
+    sections and line minima in place of every search: that of a bounded
+    body whose faces have no map or a shift. None for every other body."""
+    cert = body.certificate
+    if body.bounded and isinstance(cert, _Faces) and (cert.map is None or cert.map.ndim == 1):
+        return cert
+    return None
+
+
+def _check_rim(body: ConvexBody, cert: _Faces, D, q, w: float, inner: int) -> None:
+    """Check a face closed form against `contains` in one call: a point x =
+    c + D (rows of D) whose gauge about the centre c the form puts at q,
+    pushed out to c + D / (q (1 - e)), must be outside, and, for the first
+    `inner` rows, pulled in to c + D / (q (1 + e)), inside; else
+    OracleIntegrityError.
+
+    w bounds |x| + |c| plus the length of the step the form took to x (|t|
+    on a line) over the batch. By the comment above UNIT_ROUNDOFF, with unit
+    normals and |v| the shift's length, the oracle's face values at the
+    scaled points and the form's, relative to q, are within band (|c| + |v|
+    + w / q) / min_j d_j of exact (depths d_j), and e is that bound, at
+    least CHECK_MARGIN. Rows with q <= 0 (x = c), or a bound of 1/2 or more
+    (where rounding hides a point from its scaled copies), are not checked."""
+    c = body.centre
+    v = 0.0 if cert.map is None else float(np.linalg.norm(cert.map))
+    with np.errstate(divide="ignore"):
+        e = cert.band(body.dim + 4) * (np.linalg.norm(c) + v + w / q) / np.min(cert.depths(c))
+    act = (q > 0.0) & (e < 0.5)
+    if not act.all():
+        inner = int(np.count_nonzero(act[:inner]))
+        D, q, e = D[act], q[act], e[act]
+    e = np.maximum(e, CHECK_MARGIN)
+    P = np.empty((inner + len(q), D.shape[1]))
+    np.divide(D[:inner], (q[:inner] * (1.0 + e[:inner]))[:, None], out=P[:inner])
+    np.divide(D, (q * (1.0 - e))[:, None], out=P[inner:])
+    if c.any():
+        P += c
+    inside = body.contains(P)
+    if not inside[:inner].all() or inside[inner:].any():
+        raise OracleIntegrityError("membership oracle disagrees with the faces' closed form")
+
+
+def _bound(X) -> float:
+    """An upper bound on the length of every row of X (or of X, one row)."""
+    return math.sqrt(X.shape[-1]) * float(np.max(np.abs(X), initial=0.0))
+
+
+def _exact_gauge(body: ConvexBody, X):
+    """_Faces.gauge about the centre on a body with exact faces
+    (_exact_faces), else None; each block of CERTIFICATE_BLOCK_ROWS rows
+    checked by one _check_rim call."""
+    cert, c = _exact_faces(body), body.centre
+    if cert is None:
         return None
-    found = cert.line_min(Y, h, c)
+
+    def checked(X):
+        q = cert.gauge(X, c)
+        _check_rim(body, cert, X - c, q, _bound(X) + _bound(c), len(q))
+        return q
+
+    return _by_blocks(checked, X)
+
+
+def _line_section(body: ConvexBody, Y, h):
+    """(lo, hi), _Faces.line_section of the lines y + t h (h one direction
+    or one per row) on a body with exact faces (_exact_faces), else None.
+    One _check_rim call checks each block of CERTIFICATE_BLOCK_ROWS rows:
+    both ends of a section lie at gauge 1, and every point of a missed
+    line, y among them, at gauge 1 or more, so y pushed out must be
+    outside."""
+    cert, c = _exact_faces(body), body.centre
+    if cert is None:
+        return None
+
+    def checked(Y, h):
+        lo, hi = cert.line_section(Y, h)
+        met = np.isfinite(lo)
+        D = Y - c
+        Dm, H = D[met], (h if h.ndim == 1 else h[met])
+        ends = np.concatenate([Dm + lo[met, None] * H, Dm + hi[met, None] * H, D[~met]])
+        step = float(np.max(np.abs(np.concatenate([lo[met], hi[met]])), initial=0.0))
+        w = _bound(Y) + step * _bound(H) + _bound(c)
+        _check_rim(body, cert, ends, np.ones(len(ends)), w, 2 * len(Dm))
+        return np.stack([lo, hi])
+
+    return tuple(_by_blocks(checked, Y, h))
+
+
+def _line_minimum(body: ConvexBody, Y, h):
+    """(t, q), _Faces.line_min about the centre on a body with exact faces
+    (_exact_faces), else None, as it is when the slopes lack a sign; the
+    minima checked by one _check_rim call at y + t h."""
+    cert, c = _exact_faces(body), body.centre
+    found = None if cert is None else cert.line_min(Y, h, c)
     if found is None:
         return None
     t, q = found
-    D = Y + t[:, None] * h - c
-    norms = np.linalg.norm(D, axis=1)
-    act = (norms > 0.0) & (q > 0.0)
-    D, qa = D[act], q[act, None]
-    scale = np.concatenate([qa * (1.0 + 1e-9), qa * (1.0 - 1e-9), norms[act, None] / (0.9 * body.centre_margin)])
-    inside = body.contains(c + np.concatenate([D] * 3) / scale).reshape(3, -1)
-    if not (inside[0].all() and inside[2].all()) or inside[1].any():
-        raise OracleIntegrityError("membership oracle disagrees with the faces' minimum gauge along a line")
+    w = _bound(Y) + float(np.max(np.abs(t), initial=0.0)) * _bound(h) + _bound(c)
+    _check_rim(body, cert, Y - c + t[:, None] * h, q, w, len(q))
     return t, q
 
 
@@ -675,56 +804,64 @@ def _normalize_faces(faces, dim=None):
 
 
 def _row_products(x, M) -> np.ndarray:
-    """x @ M.T for points x of shape (..., n), with a lone point computed as
-    a two-row product: numpy sends one row to a matrix-vector routine that
-    rounds unlike the matrix product of a batch, so without this a point's
-    membership could depend on how many points share its call."""
+    """x @ M.T for points x of shape (..., n) and M of shape (k, n) or (n,),
+    with a lone point computed as a two-row product: numpy sends one row to
+    a matrix-vector routine that rounds unlike the product of a batch, so
+    without this a point's membership could depend on how many points share
+    its call."""
     x = np.asarray(x, float)
     if x.size != x.shape[-1]:
         return x @ M.T
-    return (np.concatenate([x.reshape(1, -1)] * 2) @ M.T)[0].reshape(x.shape[:-1] + (len(M),))
+    return (np.concatenate([x.reshape(1, -1)] * 2) @ M.T)[0].reshape(x.shape[:-1] + M.shape[:-1])
 
 
 def polytope(faces) -> ConvexBody:
     """Open intersection of halfspaces <a_i, x> < c_i.
 
-    Per-axis extent LPs decide boundedness and give the outer radius of a
-    bounded polytope. The interior point and margin come from the
-    Chebyshev-center LP, except for a polytope with every offset positive
-    that is unbounded (a slab, say) or whose Chebyshev ball leaves the origin
-    no margin: it keeps the origin, with margin min(c_i), so a body that
-    holds the origin has its centre there.
+    The 2n per-axis extent LPs, run as the blocks of one block-diagonal LP,
+    decide boundedness and give the outer radius of a bounded polytope.
+    HiGHS solves that LP with presolve off: its presolve calls the block LP
+    of a tilted slab infeasible instead of unbounded, while without it the
+    block LP agreed with 2n separate LPs on the boundedness of 200 random
+    polytopes, and on their extents within 1e-13 relative. The interior
+    point and margin come from the Chebyshev-center LP, except for a
+    polytope with every offset positive that is unbounded (a slab, say) or
+    whose Chebyshev ball leaves the origin no margin: it keeps the origin,
+    with margin min(c_i), so a body that holds the origin has its centre
+    there.
 
     Its distance oracle runs Dykstra's alternating projections onto the
     faces, each row until a sweep moves it by less than 1e-13 or for
     DYKSTRA_SWEEPS sweeps, on compact arrays of the rows still moving.
 
-    The LPs use scipy.optimize.linprog, imported here on the first build
-    (of a slab or random polytope too), so a process that builds no
-    polytope never loads scipy.optimize.
+    The LPs use scipy.optimize.linprog and scipy.sparse.block_diag,
+    imported here on the first build (of a slab or random polytope too), so
+    a process that builds no polytope never loads scipy.optimize.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import block_diag
 
     if not faces:
         raise BodySpecError(f"polytope: face list is empty: {faces!r}")
     A, c = _normalize_faces(faces)
     dim = A.shape[1]
 
-    # Per-axis extents decide boundedness and give an outer radius.
+    # Per-axis extents decide boundedness and give an outer radius: block k
+    # = 2 i + s of one block-diagonal LP maximizes (-1)^s x_i over a copy of
+    # the faces, so the blocks are solved at once and the LP is unbounded
+    # exactly when one of them is.
+    k = 2 * dim
+    axes = np.repeat(np.arange(dim), 2)
+    obj = np.zeros((k, dim))
+    obj[np.arange(k), axes] = np.tile([-1.0, 1.0], dim)
+    ext = linprog(
+        obj.ravel(), A_ub=block_diag([A] * k, format="csr"), b_ub=np.tile(c, k),
+        bounds=(None, None), method="highs", options={"presolve": False},
+    )
+    unbounded = ext.status == 3
     box = np.zeros(dim)
-    unbounded = False
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            obj = np.zeros(dim)
-            obj[i] = -sign
-            ext = linprog(obj, A_ub=A, b_ub=c, bounds=[(None, None)] * dim, method="highs")
-            if ext.status == 3:
-                unbounded = True
-                break
-            if ext.success:
-                box[i] = max(box[i], abs(ext.x[i]))
-        if unbounded:
-            break
+    if ext.success:
+        box = np.max(np.abs(ext.x.reshape(k, dim)[np.arange(k), axes]).reshape(dim, 2), axis=1)
     outer = None if unbounded else float(np.linalg.norm(box)) * (1 + 1e-9)
 
     if unbounded and np.all(c > 0):
@@ -1257,16 +1394,18 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
 
 def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge p(x) = inf{lam > 0 : x - c in lam * (body - c)} with respect to
-    the body's centre c (ConvexBody.centre), by bisection on lam.
+    the body's centre c (ConvexBody.centre): the faces' closed form on a
+    bounded face body (_exact_gauge, which leaves `tol` unused), else by
+    bisection on lam.
 
     Accepts a single point (n,) or a batch (N, n); p(c) = 0 exactly.
     The bracket [|x - c| (1 - 1e-12) / (outer_radius + |c|),
     |x - c| / (0.9 centre_margin)] comes from the certified radii (its lower
     end is 0 on an unbounded body); a membership failure at its upper end,
     c + (x - c) / hi, whose point the certified interior ball contains,
-    raises OracleIntegrityError. The bisection asks membership through
-    _membership_along, so a body's certificate answers every step it can
-    place and `contains` sees only the rest.
+    raises OracleIntegrityError, on every body. The bisection asks
+    membership through _membership_along, so a body's certificate answers
+    every step it can place and `contains` sees only the rest.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -1287,6 +1426,10 @@ def minkowski_functional(body: ConvexBody, x, tol: float = DEFAULT_GAUGE_TOL):
             raise OracleIntegrityError(
                 "membership oracle rejects points inside the certified interior ball"
             )
+        exact = _exact_gauge(body, X[act])
+        if exact is not None:
+            p[act] = exact
+            return float(p[0]) if scalar else p
         if body.bounded:
             lo = norms[act] / (body.outer_radius + float(np.linalg.norm(c))) * (1.0 - 1e-12)
         else:

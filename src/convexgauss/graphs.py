@@ -21,7 +21,9 @@ from .bodies import (
     DEFAULT_GAUGE_TOL,
     ConvexBody,
     _line_minimum,
+    _line_section,
     _membership_along,
+    _row_products,
     _sections_missed,
     bisect,
     minkowski_functional,
@@ -229,14 +231,19 @@ def _section_endpoints(
     """Locate (g(y), f(y)) for a batch of y orthogonal to h.
 
     Returns (lower, upper, nonempty). Empty sections give (nan, nan, False).
-    The inside parameter of each section comes from _inside_points (the
-    hint, a 33-point probe of 0 and 32 points across the reach, then the
-    gauge's line minimum, so thin sections near the projected rim are still
+    A bounded body with faces, unmapped or shifted, gives the faces' exact
+    ends (bodies._line_section), with no search. On every other body the
+    inside parameter of each section comes from _inside_points (the hint,
+    a 33-point probe of 0 and 32 points across the reach, then the gauge's
+    line minimum, so thin sections near the projected rim are still
     resolved); each end is bisected from it on its own. An end that the
     body's case along h (classify_case) marks infinite is +/-inf on every
     nonempty section with no search: a recession direction of a convex body
     is a recession direction of each of its nonempty sections.
     """
+    exact = _line_section(body, Y, h)
+    if exact is not None:
+        return exact[0], exact[1], np.isfinite(exact[0])
     lower, upper = np.full((2, Y.shape[0]), np.nan)
     t_in = _inside_points(body, Y, h[None], None if t_hint is None else t_hint[:, None])[:, 0]
     nonempty = np.isfinite(t_in)
@@ -490,8 +497,9 @@ def _stencil_gradient(pair, Y, steps, t_hint=None):
         step[todo] /= 8.0
         if float(step[todo].max(initial=0.0)) < 1e-10:
             break
-    # ambient gradients, orthogonal to h
-    return {w: (grads @ basis, ~todo) for w, grads in zip(which, grads_c)}
+    # ambient gradients, orthogonal to h; a lone row as a two-row product,
+    # which rounds it as every batch does (_row_products)
+    return {w: (_row_products(grads, basis.T), ~todo) for w, grads in zip(which, grads_c)}
 
 
 def _pair_body(pair: GraphPair) -> ConvexBody:
@@ -513,7 +521,7 @@ def _classify(pair: GraphPair, X: np.ndarray):
     if off.any():
         raise DomainError(f"x is not near the boundary: gauge(x) = {float(p[off][0])}")
     h = pair.direction
-    t = X @ h
+    t = _row_products(X, h)  # a lone point rounded as in a batch
     lower, upper = pair.ends(X - np.outer(t, h))
     # empty sections give nan endpoints and missing graphs +/-inf: neither is near
     near = lambda end: np.abs(t - end) <= 100.0 * tol

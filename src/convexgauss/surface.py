@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _membership_along, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _line_section, _membership_along, bisect
 from .errors import (
     CaseError,
     DirectionError,
@@ -339,7 +339,13 @@ def _inner_center(body, F, Ys, z0, reach):
 
 
 def _section_dir_bisect(body, X, u, reach):
-    """Distance from inside points X to the boundary along +u (clipped)."""
+    """Distance from inside points X to the boundary along +u (one direction
+    or one per row), clipped to [0, reach]: the faces' exact exit on a
+    bounded body with faces, unmapped or shifted (bodies._line_section),
+    else 60 bisection steps."""
+    exact = _line_section(body, X, u)
+    if exact is not None:
+        return np.clip(exact[1], 0.0, reach)
     hi = np.full(X.shape[0], reach)
     far_inside = body.contains(X + hi[:, None] * u)
     lo, hi = bisect(_membership_along(body, u, X), np.zeros(X.shape[0]), hi, steps=60)

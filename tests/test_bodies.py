@@ -616,8 +616,14 @@ def test_polytope_contains_equals_all_reduction(n_faces, dim, shape, seed):
             {"normal": [0.0, 1.0, 0.0], "offset": 2.0},
             {"normal": [-1.0, -1.0, 0.0], "offset": 0.5},
         ],
+        # HiGHS's presolve calls this slab's block-diagonal extent LP
+        # infeasible, not unbounded: polytope() turns presolve off
+        [
+            {"normal": [0.48, -0.6, 0.64], "offset": 0.9},
+            {"normal": [-0.48, 0.6, -0.64], "offset": 0.9},
+        ],
     ],
-    ids=["slab", "three_faces"],
+    ids=["slab", "three_faces", "tilted_slab"],
 )
 def test_unbounded_polytope_keeps_origin_with_smallest_offset(faces):
     body = cg.polytope(faces)

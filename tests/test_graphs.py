@@ -199,6 +199,23 @@ def test_graph_gauge_consistency():
     assert np.allclose(pg, 1.0, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "body", [cg.ellipsoid([1.2, 0.9, 0.8, 0.7]), cg.random_polytope(4, 10, 0)], ids=["ellipsoid", "polytope"]
+)
+def test_graph_gradient_of_a_point_is_its_batchs(body):
+    # numpy rounds a lone row's matrix product unlike a batch's; the stencil
+    # maps a lone row's gradient as a two-row product, so a point alone
+    # gets the bits it gets in its batch
+    h = np.array([0.3, -0.5, 0.8, 0.2]) / math.sqrt(1.02)
+    pair = cg.decompose(body, h)
+    Y = 0.2 * np.random.default_rng(0).standard_normal((40, 4))
+    Y -= np.outer(Y @ h, h)
+    values, grads = cg.graph_value_and_gradient(pair, "upper", Y)
+    for y, value, grad in zip(Y, values, grads):
+        v, g = cg.graph_value_and_gradient(pair, "upper", y)
+        assert v == value and np.array_equal(g, grad)
+
+
 def test_graph_concavity_convexity_midpoints():
     body = cg.random_polytope(3, 8, seed=31)
     pair = cg.decompose(body, E3_3)

@@ -25,19 +25,19 @@ CLI calls:
   origin, whose margin at the origin is below its semiaxes, and an
   unbounded cylinder over an ellipse;
 * two fixed calls on a random polytope along a tilted direction: a
-  ``gradcheck`` call whose section searches reach the line minimization
-  of thin sections, and a ``perimeter`` call whose projected-rim search
-  runs 40 directions; both take the faces' exact line minimum, not the
-  golden search, whose two-step lookahead ``perimeter_ball4d`` (72
-  directions) covers;
+  ``gradcheck`` call, whose section ends, gauges and their gradients all
+  come from the faces' closed forms, and a ``perimeter`` call whose
+  projected-rim search runs 40 directions, on the faces' exact line
+  minimum, not the golden search, whose two-step lookahead
+  ``perimeter_ball4d`` (72 directions) covers;
 * one fixed ``perimeter`` call on an ellipsoid in dimension 12, on the
   Monte Carlo graph route, whose gauge and section bisections decide most
   rows from the ellipsoid's certificate at the largest dimension any
   compared call has;
 * one fixed ``surface`` call on a random polytope through ``[0]`` and
-  ``[0, 1]``, whose line sections the faces' closed form proves empty and
+  ``[0, 1]``, whose line sections the faces' closed form proves empty,
   whose plane sections, which it leaves undecided, the sweeps of exact
-  line minima search;
+  line minima search, and whose rays exit at the faces' exact ends;
 * one fixed ``surface`` call on an unbounded cylinder through ``[0]`` and
   ``[0, 2]``, whose plane sections are strips: their rays along the axis
   reach the search radius and contribute 0;
@@ -65,9 +65,16 @@ its two values (``lhs`` and ``rhs``):
 * a Monte Carlo value by its change in combined standard errors,
   (this - parent) / sqrt(se_parent^2 + se_this^2).
 
+A value with an exact reference also gets its error on both trees, as the
+benchmark scores it: |value - reference| / |reference|, or |value| for a
+reference of 0. The references are the workloads' ``Reference`` values,
+and 0 for the ``lhs`` of every ``gradient_formula_median`` record, which is
+itself a relative error.
+
 It ends with the number of differing hashes and the counts that break the
 rule for value-changing changes: a verdict that changed, a deterministic
-value that moved by more than 1e-6 relative, a Monte Carlo value that moved
+value that moved by more than 1e-6 relative, unless its error against an
+exact reference shrank or is at most 1e-9, a Monte Carlo value that moved
 by more than 3 combined standard errors, and a call whose records could not
 be compared (it raised, or its records differ in number or name).
 
@@ -92,6 +99,7 @@ WORKLOADS = ("boundary", "ibp_volume")
 IBP_THREADS = (1, 2)
 MAX_REL_CHANGE = 1e-6  # largest relative move of a deterministic value
 MAX_SE_CHANGE = 3.0  # largest move of a Monte Carlo value, in combined errors
+REFERENCE_FLOOR = 1e-9  # an error against an exact reference this small may move
 VALUES = (("lhs", "se_l"), ("rhs", "se_r"))
 # shipped demo configs and the subcommand each one is run with
 DEMOS = {
@@ -148,9 +156,9 @@ MONTE_CARLO = {
 # density call, and two perimeter calls whose content route screens draws
 # on bodies unlike the benchmark's: a translated ellipsoid, whose origin
 # margin is below its semiaxes, and an unbounded cylinder; and two calls on
-# a polytope along a tilted direction: a gradcheck whose line searches
-# reach the line minimization, and a perimeter whose projected-rim search
-# takes 40 directions, both exact on a polytope; a perimeter on
+# a polytope along a tilted direction: a gradcheck on the faces' exact
+# sections and gauges, and a perimeter whose projected-rim search takes 40
+# directions, exact on a polytope; a perimeter on
 # a 12-d ellipsoid, whose certificate's band grows with the dimension; a
 # surface call on a polytope, whose empty line sections the faces' closed
 # form decides and whose plane sections all take the line sweeps; and a
@@ -326,8 +334,10 @@ FIXED = {
 }
 
 
-def jobs() -> list:
-    """Every call to compare, as (label, subcommand, config, threads)."""
+def jobs(references: dict = None) -> list:
+    """Every call to compare, as (label, subcommand, config, threads). The
+    workloads' exact references are put in `references`, when given, as
+    label -> {(record, field): value}."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -337,11 +347,14 @@ def jobs() -> list:
             for call in workloads.generate(name, seed).calls:
                 label = f"{name}/seed{seed}/{call.name}"
                 if call.subcommand == "ibp":
-                    out += [
-                        (f"{label}@{t}t", call.subcommand, call.config, t) for t in IBP_THREADS
-                    ]
+                    labels = [f"{label}@{t}t" for t in IBP_THREADS]
+                    out += [(lab, call.subcommand, call.config, t) for lab, t in zip(labels, IBP_THREADS)]
                 else:
+                    labels = [label]
                     out.append((label, call.subcommand, call.config, call.threads))
+                if references is not None:
+                    for lab in labels:
+                        references[lab] = {(r.record, r.field): r.value for r in call.references}
     for name, subcommand in DEMOS.items():
         config = json.loads((ROOT / "demos" / "configs" / f"{name}.json").read_text())
         out.append((f"demo/{name}", subcommand, config, None))
@@ -402,27 +415,53 @@ def value_change(old: dict, new: dict, value: str, se: str):
     return "deterministic", abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
-def compare_records(old, new, broken: dict, worst: dict) -> list:
+def reference_error(value: float, reference: float) -> float:
+    """A value's error against an exact reference, as the benchmark scores
+    it: relative, or absolute for a reference of 0, which marks a value
+    that is itself a relative error."""
+    return abs(value) if reference == 0.0 else abs(value - reference) / abs(reference)
+
+
+def compare_records(old, new, broken: dict, worst: dict, references: dict = None, excused: list = None) -> list:
     """Report lines for one call's records, counting rule breaks in broken
-    and the largest changes in worst."""
+    and the largest changes that break no rule in worst. references maps
+    (record, field) to an exact reference of that value; every
+    gradient_formula_median lhs has the reference 0. A deterministic value
+    that moves more than MAX_REL_CHANGE breaks the rule unless its error
+    against its reference shrank or is at most REFERENCE_FLOOR; such a
+    value is appended to excused (when given) as (name, field, parent
+    error, this error) and left out of worst."""
     if old is None or new is None or [r["name"] for r in old] != [r["name"] for r in new]:
         broken["uncomparable"] += 1
         return ["  records cannot be compared"]
+    references = dict(references or {})
+    for i, record in enumerate(old):
+        if record["name"] == "gradient_formula_median":
+            references.setdefault((i, "lhs"), 0.0)
     lines = []
-    for a, b in zip(old, new):
+    for i, (a, b) in enumerate(zip(old, new)):
         same = a["verdict"] == b["verdict"]
         broken["verdicts"] += not same
         parts = [f"verdict {a['verdict']}/{b['verdict']}{'' if same else ' CHANGED'}"]
         for value, se in VALUES:
             kind, change = value_change(a, b, value, se)
+            ref, errors = references.get((i, value)), ""
+            if ref is not None:
+                err_a, err_b = reference_error(a[value], ref), reference_error(b[value], ref)
+                errors = f" (error {err_a:.3g} -> {err_b:.3g})"
             if kind == "deterministic":
                 over, shown = change > MAX_REL_CHANGE, f"rel {change:.3g}"
+                if over and ref is not None and (err_b < err_a or err_b <= REFERENCE_FLOOR):
+                    over, shown = None, shown + " towards reference"
+                    if excused is not None:
+                        excused.append((a["name"], value, err_a, err_b))
             else:
                 over, shown = abs(change) > MAX_SE_CHANGE, f"{change:+.3g} SE"
             flag = " OVER" if over else ""
-            parts.append(f"{value} {a[value]:.16g} -> {b[value]:.16g} {shown}{flag}")
-            broken[kind] += over
-            worst[kind] = max(worst[kind], abs(change))
+            parts.append(f"{value} {a[value]:.16g} -> {b[value]:.16g} {shown}{errors}{flag}")
+            if over is not None:
+                broken[kind] += over
+                worst[kind] = max(worst[kind], abs(change))
         lines.append(f"  {a['name']}: " + "; ".join(parts))
     return lines
 
@@ -438,12 +477,14 @@ def main(argv=None) -> int:
     if not (args.parent_root / "src" / "convexgauss").is_dir():
         print(f"error: no convexgauss sources under {args.parent_root / 'src'}", file=sys.stderr)
         return 2
-    calls = jobs()
+    references = {}
+    calls = jobs(references)
     parent = run_tree(args.parent_root, calls)
     this = run_tree(ROOT, calls)
     differ = 0
     broken = {"verdicts": 0, "deterministic": 0, "monte_carlo": 0, "uncomparable": 0}
     worst = {"deterministic": 0.0, "monte_carlo": 0.0}
+    excused = []
     for label, *_ in calls:
         old, new = parent[label], this[label]
         same = old["hash"] == new["hash"]
@@ -451,13 +492,14 @@ def main(argv=None) -> int:
         print(f"{label}: {'same' if same else 'DIFFERS'}")
         print(f"  parent {old['hash']}")
         print(f"  this   {new['hash']}")
-        for line in compare_records(old["results"], new["results"], broken, worst):
+        for line in compare_records(old["results"], new["results"], broken, worst, references.get(label), excused):
             print(line)
     print(f"{differ} of {len(calls)} determinism hashes differ")
     print(
         f"rule: {broken['verdicts']} verdicts changed, "
         f"{broken['deterministic']} deterministic values moved more than {MAX_REL_CHANGE:g} "
-        f"relative (largest {worst['deterministic']:.3g}), "
+        f"relative (largest other move {worst['deterministic']:.3g}; {len(excused)} moved further "
+        f"with their error against an exact reference shrinking or at most {REFERENCE_FLOOR:g}), "
         f"{broken['monte_carlo']} Monte Carlo values moved more than {MAX_SE_CHANGE:g} "
         f"combined standard errors (largest {worst['monte_carlo']:.3g}), "
         f"{broken['uncomparable']} calls not comparable"
