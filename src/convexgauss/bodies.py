@@ -70,9 +70,12 @@ class ConvexBody:
     certificate  -- optional closed form of `contains` (_Quadratic or
                     _Faces) from the arrays it reads, through the map of a
                     translate or cylinder; from_oracle bodies and wrappers
-                    of wrappers have none. The bisections (_membership_along)
-                    send `contains` only the rows it leaves undecided, also
-                    when dataclasses.replace swaps `contains`: a substitute
+                    of wrappers have none. Its oracle and map round each
+                    row alike in any batch (_face_products, _row_sum), so a
+                    row gets its batch's answer in any subset, and the
+                    bisections (_membership_along) send `contains` only the
+                    rows the certificate leaves undecided, also when
+                    dataclasses.replace swaps `contains`: a substitute
                     oracle that must see every row belongs on from_oracle.
                     On a bounded body with faces, unmapped or shifted
                     (_exact_faces), the faces give the gauge, section ends,
@@ -193,12 +196,6 @@ def _ray_rule(WV, lam_in, lam_out):
     return decide
 
 
-def _gathers(M) -> bool:
-    """Whether the map M rounds each row alike in a batch of any size: not a
-    one-row projection, which numpy sends to a matrix-vector routine."""
-    return M is None or M.ndim == 1 or len(M) > 1
-
-
 class _Quadratic(NamedTuple):
     """Certificate of sum_i inv2_i x_i^2 < 1: the ellipsoid's own test, and
     the ball's |x| < radius with inv2_i = 1 / radius^2 (the square root and
@@ -206,8 +203,6 @@ class _Quadratic(NamedTuple):
 
     inv2: np.ndarray
     map: Optional[np.ndarray] = None  # a shift v or a projection B (_lift)
-
-    gathers = property(lambda self: _gathers(self.map))  # the form itself is elementwise
 
     def band(self, n: int) -> float:
         return CERTIFICATE_BAND * (n + 8) * UNIT_ROUNDOFF
@@ -266,16 +261,13 @@ class _Faces(NamedTuple):
     step of a bisection compares its parameter with per-row ends. gauge,
     line_section and line_min are values, the gauge, a line's section and
     the gauge's minimum along a line, which a bounded body takes in place
-    of its searches (_exact_faces); they read each row's face products
-    elementwise (_face_products), so a row's value never depends on its
-    batch."""
+    of its searches (_exact_faces); they take each row's face products by
+    the oracle's own rule (_face_products), so a row's value never depends
+    on its batch."""
 
     A: np.ndarray
     c: np.ndarray
     map: Optional[np.ndarray] = None  # a shift v or a projection B (_lift)
-
-    # numpy sends one face's matrix product to a matrix-vector routine (_gathers)
-    gathers = property(lambda self: len(self.c) > 1 and _gathers(self.map))
 
     def band(self, n: int) -> float:
         return CERTIFICATE_BAND * (n + 3) * UNIT_ROUNDOFF
@@ -313,8 +305,8 @@ class _Faces(NamedTuple):
     def depths(self, p):
         """d_j = b_j - <a_j, p>, the offset of face j from p (b = c + A v
         under a shift v)."""
-        b = self.c if self.map is None else self.c + _face_products(self.map[None], self.A)[:, 0]
-        return b - _face_products(p[None], self.A)[:, 0]
+        b = self.c if self.map is None else self.c + _face_products(self.map, self.A)
+        return b - _face_products(p, self.A)
 
     def gauge(self, X, p):
         # about p the gauge is max_j <a_j, x - p> / d_j: x is inside exactly
@@ -348,7 +340,7 @@ class _Faces(NamedTuple):
         # is the minimum. (t, q) per row; None when the slopes (the same for
         # every row) lack a sign.
         d = self.depths(p)
-        beta = _face_products(h[None], self.A)[:, 0] / d
+        beta = _face_products(h, self.A) / d
         pos, neg = np.flatnonzero(beta > 0.0), np.flatnonzero(beta < 0.0)
         if not (pos.size and neg.size):
             return None
@@ -398,13 +390,21 @@ class _Faces(NamedTuple):
 
 
 def _face_products(X, A) -> np.ndarray:
-    """<a_j, x> for faces j (rows of A) along the first axis and points x
-    (rows of X), summed coordinate by coordinate: elementwise operations
-    round each entry alike in a batch of any size, where a matrix product
-    rounds a row by its place in its batch (_row_products)."""
-    P = A[:, :1] * X[:, 0]
-    for i in range(1, A.shape[1]):
-        P = P + A[:, i : i + 1] * X[:, i]
+    """<a_j, x> for faces j (rows of A, or A itself when 1-d) along the
+    first axis and points x of any leading shape (..., n), summed
+    coordinate by coordinate: shape A.shape[:-1] + X.shape[:-1].
+
+    Every per-row product that decides an answer (an oracle, a map, a
+    closed-form value, a graph point) takes this rule. Elementwise
+    operations round each entry alike in a batch of any size, so a point
+    gets the same bits alone, as a vector or in any subset of a batch,
+    where a matrix product rounds a row by its place in its batch.
+    """
+    X = np.asarray(X, dtype=float)
+    A = np.reshape(A, A.shape[:-1] + (1,) * (X.ndim - 1) + A.shape[-1:])
+    P = A[..., 0] * X[..., 0]
+    for i in range(1, A.shape[-1]):
+        P += A[..., i] * X[..., i]
     return P
 
 
@@ -492,14 +492,14 @@ def _membership_along(body: ConvexBody, V, U=None):
 
     Returns inside_at(t), which maps a parameter per row to body.contains
     of those points. The certificate (_decider) decides the rows it can;
-    the rest go to `contains` in one call, as a subset only when the
-    certificate gathers and the whole batch otherwise. A point is formed
+    the rest go to `contains` in one call, as a subset. A point is formed
     by the same elementwise expression on a subset as on the whole batch,
-    so every answer is the one the whole batch gets, and a bisection takes
-    the same steps with or without the certificate. Once a step leaves
-    more than a quarter of the rows undecided, most brackets lie within
-    the band about their crossing, where later steps keep them: that step
-    and every later one go to `contains` whole.
+    and every certified oracle rounds a row alike in any batch
+    (_face_products, _row_sum), so every answer is the one the whole batch gets, and
+    a bisection takes the same steps with or without the certificate. Once
+    a step leaves more than a quarter of the rows undecided, most brackets
+    lie within the band about their crossing, where later steps keep them:
+    that step and every later one go to `contains` whole.
     """
     V = np.asarray(V, dtype=float)
     c = body.centre
@@ -513,7 +513,6 @@ def _membership_along(body: ConvexBody, V, U=None):
     if body.certificate is None:
         return lambda t: body.contains(points(t))
     decide = _decider(body.certificate, V, c if U is None else U, U is None)
-    gathers = body.certificate.gathers
 
     def inside_at(t):
         nonlocal decide
@@ -525,7 +524,7 @@ def _membership_along(body: ConvexBody, V, U=None):
         rows = np.flatnonzero(undecided)
         if 4 * rows.size > t.size:
             decide = None
-        if decide is None or not gathers:
+        if decide is None:
             return body.contains(points(t))
         inside[rows] = body.contains(points(t, rows))
         return inside
@@ -539,13 +538,13 @@ def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
     clears 1 + SECTION_MISS_MARGIN by more than the band. A quadratic
     decides sections of any dimension, faces lines only; a shift keeps F,
     and a projection lines alone, as unit lines of the base whose image
-    clears its rounding (above UNIT_ROUNDOFF). Every other row is False,
-    and so is every row when the certificate does not gather: a search
-    drops the decided rows from its batch.
+    clears its rounding (above UNIT_ROUNDOFF). Every other row is False. A
+    search drops the decided rows from its batch, which leaves every other
+    row its answer, since the oracle rounds a row alike in any batch.
     """
     none = np.zeros(U.shape[0], dtype=bool)
     cert = body.certificate
-    if cert is None or not cert.gathers:
+    if cert is None:
         return none
     U, G, WU, WG, extra = _lift(cert, U, F)
     if cert.map is not None and cert.map.ndim == 2:
@@ -770,7 +769,7 @@ def halfspace(normal, offset: float) -> ConvexBody:
     a = a / nrm
     c = float(offset) / nrm
     dim = a.shape[0]
-    contains = lambda x: np.asarray(x, float) @ a < c
+    contains = lambda x: _face_products(x, a) < c
     distance = lambda x: np.maximum(0.0, np.asarray(x, float) @ a - c)
     x0 = np.zeros(dim) if c > 0 else (c - 1.0) * a
     r0 = c if c > 0 else 1.0
@@ -801,18 +800,6 @@ def _normalize_faces(faces, dim=None):
         normals.append(a / nrm)
         offsets.append(float(face["offset"]) / nrm)
     return np.asarray(normals), np.asarray(offsets)
-
-
-def _row_products(x, M) -> np.ndarray:
-    """x @ M.T for points x of shape (..., n) and M of shape (k, n) or (n,),
-    with a lone point computed as a two-row product: numpy sends one row to
-    a matrix-vector routine that rounds unlike the product of a batch, so
-    without this a point's membership could depend on how many points share
-    its call."""
-    x = np.asarray(x, float)
-    if x.size != x.shape[-1]:
-        return x @ M.T
-    return (np.concatenate([x.reshape(1, -1)] * 2) @ M.T)[0].reshape(x.shape[:-1] + M.shape[:-1])
 
 
 def polytope(faces) -> ConvexBody:
@@ -891,12 +878,11 @@ def polytope(faces) -> ConvexBody:
             x0, r0 = np.zeros(dim), float(np.min(c))
 
     def contains(x):
-        # one comparison per face, ANDed column by column: the same booleans
-        # as np.all(y < c, axis=-1), without a reduction over the short axis
-        y = _row_products(x, A)
-        ok = y[..., 0] < c[0]
-        for i in range(1, len(c)):
-            ok &= y[..., i] < c[i]
+        # one face at a time, ANDed: the booleans of np.all(y < c, axis=-1)
+        # without an array of every face's products
+        ok = _face_products(x, A[0]) < c[0]
+        for a, b in zip(A[1:], c[1:]):
+            ok &= _face_products(x, a) < b
         return ok
 
     def distance(x0):
@@ -1005,8 +991,14 @@ def translate(body: ConvexBody, v) -> ConvexBody:
 
 def _mapped(base: ConvexBody, M, x0, outer, tag, spec) -> ConvexBody:
     """The base read at x - v (M = v, translate) or x B^T (M = B, cylinder),
-    with its certificate under M; a wrapper of a wrapper keeps none."""
-    to_base = (lambda x: np.asarray(x, float) - M) if M.ndim == 1 else (lambda x: _row_products(x, M))
+    with its certificate under M; a wrapper of a wrapper keeps none. The
+    projection lays each row's base coordinates out together, as a lone
+    point's are, since a sum over them (the ellipsoid's, from 8 terms)
+    rounds by their layout."""
+    if M.ndim == 1:
+        to_base = lambda x: np.asarray(x, float) - M
+    else:
+        to_base = lambda x: np.ascontiguousarray(np.moveaxis(_face_products(x, M), 0, -1))
     inner, dist, cert = base.contains, base.distance_outside, base.certificate
     return ConvexBody(
         lambda x: inner(to_base(x)), x0, base.interior_margin, outer, tag, x0.shape[0],

@@ -20,10 +20,10 @@ import numpy as np
 from .bodies import (
     DEFAULT_GAUGE_TOL,
     ConvexBody,
+    _face_products,
     _line_minimum,
     _line_section,
     _membership_along,
-    _row_products,
     _sections_missed,
     bisect,
     minkowski_functional,
@@ -497,9 +497,11 @@ def _stencil_gradient(pair, Y, steps, t_hint=None):
         step[todo] /= 8.0
         if float(step[todo].max(initial=0.0)) < 1e-10:
             break
-    # ambient gradients, orthogonal to h; a lone row as a two-row product,
-    # which rounds it as every batch does (_row_products)
-    return {w: (_row_products(grads, basis.T), ~todo) for w, grads in zip(which, grads_c)}
+    # ambient gradients, orthogonal to h, row by row (_face_products), so a
+    # point's gradient is the one its batch gives it; laid out row by row,
+    # as a lone row is, since a sum along a row rounds by its layout
+    ambient = lambda grads: np.ascontiguousarray(_face_products(grads, basis.T).T)
+    return {w: (ambient(grads), ~todo) for w, grads in zip(which, grads_c)}
 
 
 def _pair_body(pair: GraphPair) -> ConvexBody:
@@ -521,7 +523,7 @@ def _classify(pair: GraphPair, X: np.ndarray):
     if off.any():
         raise DomainError(f"x is not near the boundary: gauge(x) = {float(p[off][0])}")
     h = pair.direction
-    t = _row_products(X, h)  # a lone point rounded as in a batch
+    t = _face_products(X, h)
     lower, upper = pair.ends(X - np.outer(t, h))
     # empty sections give nan endpoints and missing graphs +/-inf: neither is near
     near = lambda end: np.abs(t - end) <= 100.0 * tol

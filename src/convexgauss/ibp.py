@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _row_products, minkowski_gradient_fd
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _face_products, minkowski_gradient_fd
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -378,7 +378,7 @@ def gradient_formula_check(pair: GraphPair, x):
         raise DomainError("boundary point is vertical: no graph gradient applies")
     h = pair.direction
     c = pair.body.centre
-    Y = X - np.outer(_row_products(X, h), h)  # a lone point rounded as in a batch
+    Y = X - np.outer(_face_products(X, h), h)
     on_graph = np.flatnonzero(labels != "vertical")
     stencils = _stencil_gradient(pair, Y[on_graph], DEFAULT_FD_STEP)
     formula = np.full(X.shape, np.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,28 +288,52 @@ def test_loader_rejects_unknown_shape_and_bad_fields():
         cg.load_body_spec({"shape": "ellipsoid", "semiaxes": [1.0, -2.0]}, dim=2)
 
 
-@pytest.mark.parametrize("kind", ["polytope", "cylinder"])
+def _face_body(kind, s, rng):
+    """A body with faces of each kind, drawn from seed s and rng."""
+    if kind == "polytope":
+        return cg.random_polytope(3, 8, s)
+    if kind == "cylinder":
+        return cg.cylinder(cg.random_polytope(2, 6, s), [0.0, 0.6, 0.8])
+    if kind == "halfspace":
+        return cg.halfspace(rng.standard_normal(10), rng.uniform(0.1, 2.0))
+    if kind == "one_face_polytope":
+        return cg.polytope([{"normal": rng.standard_normal(10), "offset": rng.uniform(0.1, 2.0)}])
+    # a strip: a 2-d cylinder over an interval, read through a one-row projection
+    base = cg.polytope([{"normal": [1.0], "offset": rng.uniform(0.1, 2.0)},
+                        {"normal": [-1.0], "offset": rng.uniform(0.1, 2.0)}])
+    return cg.cylinder(base, rng.standard_normal(2))
+
+
+@pytest.mark.parametrize("kind", ["polytope", "cylinder", "halfspace", "one_face_polytope", "strip_cylinder"])
 def test_membership_of_one_point_matches_its_batch(kind):
     # points on a face, where the last bit of <a, x> decides membership: a
     # point alone, as one row or as a vector, gets its answer in the batch
     rng = np.random.default_rng(1)
     for s in range(20):
-        if kind == "polytope":
-            body = cg.random_polytope(3, 8, s)
-            faces = body.spec["faces"]
-        else:
-            base = cg.random_polytope(2, 6, s)
-            body = cg.cylinder(base, [0.0, 0.6, 0.8])
-            B = orthonormal_complement(np.array([0.0, 0.6, 0.8]))
-            faces = [{"normal": B.T @ f["normal"], "offset": f["offset"]} for f in base.spec["faces"]]
-        X = rng.uniform(-2.0, 2.0, (500, 3))
+        body = _face_body(kind, s, rng)
+        cert = body.certificate
+        normals = cert.A if cert.map is None else cert.A @ cert.map  # the faces in the body's coordinates
+        X = rng.uniform(-2.0, 2.0, (500, body.dim))
         for i, x in enumerate(X):
-            face = faces[i % len(faces)]
-            a = np.asarray(face["normal"])
-            X[i] = x - (x @ a - face["offset"]) * a
+            a, c = normals[i % len(normals)], cert.c[i % len(normals)]
+            X[i] = x - (x @ a - c) * a
         batch = body.contains(X)
         assert [bool(body.contains(X[i : i + 1])[0]) for i in range(len(X))] == batch.tolist()
         assert [bool(body.contains(x)) for x in X] == batch.tolist()
+
+
+def test_membership_of_one_point_matches_its_batch_on_a_wide_cylinder():
+    # a cylinder over a 10-d ellipsoid, at points on its boundary: the
+    # base's sum of 10 squares rounds by the layout of its coordinates, so
+    # the map lays a batch's out as a lone point's
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        base = cg.ellipsoid(rng.uniform(0.5, 2.0, 10))
+        body = cg.cylinder(base, rng.standard_normal(11))
+        Y = rng.standard_normal((500, 10))
+        Y /= np.sqrt(np.sum(Y * Y * base.certificate.inv2, axis=1))[:, None]
+        X = Y @ body.certificate.map
+        assert [bool(body.contains(x)) for x in X] == body.contains(X).tolist()
 
 
 def test_orthonormal_complement_is_scipy_null_space():
@@ -764,6 +789,40 @@ def test_certificate_decides_only_what_the_oracle_answers(kind, wrap, n, mode, s
         U = xb - t_star[:, None] * V
         pts = U + t[:, None] * V
     _decided_rows_equal_the_oracle(body, V, U, t, body.contains(pts), rows)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [cg.halfspace(np.linspace(-1.0, 1.0, 10) + 0.05, 0.7), cg.cylinder(cg.slab([1.0], 0.6), [0.6, 0.8])],
+    ids=["halfspace", "strip_cylinder"],
+)
+def test_a_step_sends_contains_only_its_undecided_rows(body):
+    # lines through boundary points x_b, crossing at t_star; a tenth of the
+    # rows sit 1e-16 relative from the crossing, where the certificate
+    # cannot tell, and the rest far from it: one `contains` call gets the
+    # undecided rows alone, and every answer is the whole batch's
+    from convexgauss.bodies import _decider, _membership_along
+
+    cert = body.certificate
+    a = cert.A[0] if cert.map is None else cert.A[0] @ cert.map  # the face's normal
+    rng = np.random.default_rng(3)
+    rows = 200
+    W = rng.standard_normal((rows, body.dim))
+    xb = W - (W @ a - cert.c[0])[:, None] * a
+    V = rng.standard_normal(body.dim)
+    V /= np.linalg.norm(V)
+    t_star = rng.uniform(-5.0, 5.0, rows)
+    U = xb - t_star[:, None] * V
+    near = np.arange(rows) % 10 == 0
+    t = t_star + np.where(near, 1e-16 * np.abs(t_star), rng.choice([-1.0, 1.0], rows) * rng.uniform(0.1, 1.0, rows))
+    seen = []
+    counted = dataclasses.replace(body, contains=lambda x: seen.append(len(x)) or body.contains(x))
+    seen.clear()
+    inside = _membership_along(counted, V, U)(t)
+    undecided = _decider(cert, V, U, ray=False)(t)[1]
+    assert 0 < undecided.sum() <= rows // 4
+    assert seen == [int(undecided.sum())]
+    assert np.array_equal(inside, body.contains(U + t[:, None] * V))
 
 
 _NEG = np.array([0.6, 0.0, 0.8])

@@ -204,8 +204,8 @@ def test_graph_gauge_consistency():
 )
 def test_graph_gradient_of_a_point_is_its_batchs(body):
     # numpy rounds a lone row's matrix product unlike a batch's; the stencil
-    # maps a lone row's gradient as a two-row product, so a point alone
-    # gets the bits it gets in its batch
+    # maps each row's gradient by sums taken coordinate by coordinate, so a
+    # point alone gets the bits it gets in its batch
     h = np.array([0.3, -0.5, 0.8, 0.2]) / math.sqrt(1.02)
     pair = cg.decompose(body, h)
     Y = 0.2 * np.random.default_rng(0).standard_normal((40, 4))

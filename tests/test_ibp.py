@@ -331,6 +331,22 @@ def test_gradient_formula_batch_matches_single_points():
                 assert err == pytest.approx(single, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_gradient_formula_of_a_point_is_its_batchs_in_high_dimension(n):
+    # from dimension 8 numpy's matrix-vector routine rounds a row by its
+    # place in its batch; <x, h> is summed coordinate by coordinate, so a
+    # point alone gets the label and the bits it gets in its batch
+    body = cg.ellipsoid(np.linspace(0.8, 1.6, n))
+    pair = cg.decompose(body, np.ones(n) / math.sqrt(n))
+    pts, _, _ = ray_cast_boundary(body, 40, 3)
+    labels = cg.boundary_classify(pair, pts)
+    errs = cg.gradient_formula_check(pair, pts)
+    assert "vertical" not in labels
+    for x, label, err in zip(pts, labels, errs):
+        assert cg.boundary_classify(pair, x) == label
+        assert np.float64(cg.gradient_formula_check(pair, x)).tobytes() == err.tobytes()
+
+
 def test_gradient_formula_batch_gives_nan_at_vertical_point(cyl3):
     # along e1 the cylinder's boundary points (0, +-1, z) are vertical
     pair = cg.decompose(cyl3, np.array([1.0, 0.0, 0.0]))

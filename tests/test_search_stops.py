@@ -520,7 +520,9 @@ def _line_misses(A, c, u, v, level):
 def _audit_rows(rng, F, min_gauge, rows=8):
     """Rows u (general, with components along F) scaled so the section u +
     span(F) has each drawn minimum gauge; min_gauge maps rows to their
-    double-precision minimum gauges, which scale linearly with the row."""
+    double-precision minimum gauges, which scale linearly with the row. A
+    row whose section reaches gauge 0 (it meets the body, or runs off into
+    an unbounded one) keeps its place, with target 0."""
     n = F.shape[1]
     U = rng.standard_normal((3 * rows, n))
     U += 10.0 ** rng.uniform(-1.0, 3.0, (3 * rows, 1)) * (rng.standard_normal((3 * rows, F.shape[0])) @ F)
@@ -531,7 +533,9 @@ def _audit_rows(rng, F, min_gauge, rows=8):
     ])
     mu = min_gauge(U)
     keep = mu > 0.0
-    return U[keep] * (target[keep] / mu[keep])[:, None], target[keep]
+    U[keep] *= (target[keep] / mu[keep])[:, None]
+    target[~keep] = 0.0
+    return U, target
 
 
 def _cylinder_of(base, rng):
@@ -544,14 +548,16 @@ def _cylinder_of(base, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 3), ball=st.booleans(),
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 3), ball=st.booleans(),
     wrap=st.sampled_from([None, "shift", "cylinder"]),
 )
 def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, wrap):
     # with "shift", on the ellipsoid translated by v, whose sections U + v +
     # span(F) are checked at the exact U + v - v; with "cylinder", on a
-    # cylinder over it, whose lines U + s F are checked at their exact
-    # image U B^T + s F B^T, and whose planes stay undecided
+    # cylinder over it (a 2-d strip over an interval at n = 1), whose lines
+    # U + s F are checked at their exact image U B^T + s F B^T, and whose
+    # planes stay undecided
+    n = n if wrap == "cylinder" else max(n, 2)
     m = 1 if wrap == "cylinder" else min(m, n - 1)
     rng = np.random.default_rng(seed)
     if ball:
@@ -571,8 +577,12 @@ def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, wrap):
     D = np.sqrt(np.asarray(inv2, dtype=float))
 
     def min_gauge(U):
-        # the least-squares minimum of |D (u + z F)| over z, in the base
+        # the least-squares minimum of |D (u + z F)| over z, in the base; 0
+        # where F's image spans the base, as every line of a strip off its
+        # axis meets it
         G, Ub = F @ B.T, U @ B.T
+        if np.linalg.matrix_rank(G) == G.shape[1]:
+            return np.zeros(len(U))
         z = np.linalg.lstsq((D * G).T, -(D * Ub).T, rcond=None)[0]
         return np.linalg.norm(D * (Ub + z.T @ G), axis=1)
 
@@ -612,10 +622,12 @@ def _faces_min_gauge(A, c, V, U):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), n_faces=st.integers(2, 12), cylinder=st.booleans())
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), n_faces=st.integers(1, 12), cylinder=st.booleans())
 def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces, cylinder):
-    # with `cylinder`, on a cylinder over the polytope (a polygon at n = 2),
-    # whose lines are checked at their exact image U B^T + s F B^T
+    # one face makes a halfspace; with `cylinder`, on a cylinder over the
+    # polytope (a polygon at n = 2, a strip over an interval or a half-line
+    # at n = 1), whose lines are checked at their exact image U B^T + s F B^T
+    n = n if cylinder else max(n, 2)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_faces, n))
     body = cg.polytope([{"normal": a, "offset": c} for a, c in zip(A, rng.uniform(0.3, 1.5, n_faces))])
@@ -638,9 +650,9 @@ def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces, cylinder):
 
 
 def test_halfspace_sections_are_never_decided():
-    # a halfspace's oracle rounds a row by its place in the batch, so a
-    # search must keep its batch whole: lines parallel to its face, far
-    # outside, stay undecided
+    # lines parallel to a halfspace's face, far outside, stay undecided:
+    # their slope along the face's normal is 0 but for its rounding bound,
+    # which leaves every half-line a stretch where the face could hold
     body = cg.halfspace([0.6, 0.8, 0.0], 0.5)
     U = np.outer(np.linspace(1.0, 40.0, 30), [0.6, 0.8, 0.0])
     assert not _sections_missed(body, U, np.array([[0.8, -0.6, 0.0]])).any()

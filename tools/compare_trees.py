@@ -49,8 +49,7 @@ CLI calls:
 * two fixed ``perimeter`` calls on wrappers whose certificate reads the
   base's closed form through a map: a random polytope translated off its
   place (faces under a shift), and a 2-d cylinder over an interval (a
-  one-row projection, which numpy sends to its matrix-vector routine, so
-  the certificate does not gather).
+  one-row projection, the narrowest map a certificate reads).
 
 That is 60 calls in all.
 
