@@ -1308,28 +1308,27 @@ def random_polytope(dim: int, n_faces: int, seed: int) -> ConvexBody:
     return polytope(faces)
 
 
-def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+def bisect(inside_at, t_in, t_out, tol, relative=False):
     """Vectorized bisection of per-row brackets whose t_in end passes the
     membership test inside_at (parameters (N,) -> bools (N,)) and whose t_out
     end fails it. Returns the shrunken (t_in, t_out).
 
-    With `tol`, a row stops once |t_out - t_in| <= tol (times max(1, t_in)
-    when `relative`), and the loop runs at most
-    min(130, max(10, ceil(log2(widest gap / tol)) + 2)) steps; without it,
-    exactly `steps` steps. Only `active` rows move (default: rows not yet
-    within tolerance); the others are probed at their midpoint and left
-    unchanged. In both modes a row also stops after a step whose midpoint
-    equalled one of its ends: after that step's update its midpoint is one
-    of its ends again, so for a predicate that gives the same answer at the
-    same point, further steps cannot move it and the result equals running
-    every step.
+    A row stops once |t_out - t_in| <= tol (times max(1, t_in) when
+    `relative`), or after a step whose midpoint equalled one of its ends:
+    after that step's update its midpoint is one of its ends again, so for
+    a predicate that gives the same answer at the same point, further steps
+    cannot move it and the result equals running every step. Tolerance 0
+    leaves only the second rule, which stops a row at adjacent floats. The
+    loop runs at most min(130, max(10, ceil(log2(widest gap / tol)) + 2))
+    steps, 130 at tolerance 0. Every row is probed at each step's midpoint;
+    a stopped row keeps its ends.
 
     The first steps skip the stop tests while a bound proves that no row can
-    stop in them. With g the narrowest active gap, M the largest active |t|
-    and e = 2^-53 M, after j steps every active gap is at least
-    g 2^-j - 2 j e; while that exceeds twice both stop levels (the tolerance
-    and 4e), step j stops no row. The results are those of testing every
-    step, whatever the predicate.
+    stop in them. With g the narrowest unresolved gap, M the largest
+    unresolved |t| and e = 2^-53 M, after j steps every unresolved gap is at
+    least g 2^-j - 2 j e; while that exceeds twice both stop levels (the
+    tolerance and 4e), step j stops no row. The results are those of testing
+    every step, whatever the predicate.
     """
     t_in = np.asarray(t_in, dtype=float)
     t_out = np.asarray(t_out, dtype=float)
@@ -1337,13 +1336,11 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
     def unresolved(a, b):
         return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
 
-    if tol is not None:
+    steps = 130
+    if tol > 0:
         gap0 = float(np.max(np.abs(t_out - t_in))) if t_in.size else 0.0
-        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
-        if active is None:
-            active = unresolved(t_in, t_out)
-    if active is None:
-        active = np.ones(t_in.shape, dtype=bool)
+        steps = min(steps, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
+    active = unresolved(t_in, t_out)
     partial = not active.all()
     # Why free steps stop no row: a computed midpoint lies between its ends
     # and within e of the exact one (e's smallest-normal term covers
@@ -1360,7 +1357,7 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
         M = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
         g = float(np.min(np.abs(hi - lo)))
         e = 2.0**-53 * M + 2.0**-1022
-        level = 2.0 * max(4.0 * e, 0.0 if tol is None else tol * max(1.0, M) if relative else tol)
+        level = 2.0 * max(4.0 * e, tol * max(1.0, M) if relative else tol)
         while free < steps and g * 0.5 ** (free + 1) - 2 * (free + 1) * e > level:
             free += 1
     for step in range(steps):
@@ -1378,9 +1375,7 @@ def bisect(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=
         t_in = np.where(active & inside, mid, t_in)
         t_out = np.where(active & ~inside, mid, t_out)
         if stops:
-            active = active & ~fixed
-            if tol is not None:
-                active = active & unresolved(t_in, t_out)
+            active = active & ~fixed & unresolved(t_in, t_out)
     return t_in, t_out
 
 

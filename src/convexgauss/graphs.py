@@ -139,29 +139,23 @@ def _probe_tree(a, b, depth):
     return out
 
 
-def _bisect_endpoint(body, Y, h, t_in, direction):
-    """Bisect from an inside parameter t_in outward along +/-h, to
-    DEFAULT_SECTION_TOL.
-
-    Returns endpoint values with +/-inf where the reach bound is still inside
-    (possible only for unbounded bodies).
+def _bisect_endpoint(body, Y, h, t_in, far, tol):
+    """Bisect each line Y + t h (h one direction or one per row) from an
+    inside parameter t_in toward its far parameter `far` (one per row, or
+    one value), until bodies.bisect's stop rule at `tol` (0: adjacent
+    floats). Returns each end as the middle of its last bracket, or as
+    +/-inf, by the sign of far, where the far point is inside; a bounded
+    body must reject every far point, else OracleIntegrityError.
     """
-    T = body.reach * (1.0 + 1e-9)
-    far = np.full(Y.shape[0], direction * T)
+    far = np.broadcast_to(far, t_in.shape)
     inside_far = body.contains(Y + far[:, None] * h)
     if inside_far.any() and body.bounded:
         raise OracleIntegrityError(
             "membership oracle reports an inside point beyond the certified outer radius"
         )
-    lo, hi = bisect(
-        _membership_along(body, h, Y),
-        t_in,
-        far,
-        tol=DEFAULT_SECTION_TOL,
-        active=~inside_far,
-    )
+    lo, hi = bisect(_membership_along(body, h, Y), t_in, far, tol)
     out = 0.5 * (hi + lo)
-    out[inside_far] = direction * np.inf
+    out[inside_far] = np.copysign(np.inf, far[inside_far])
     return out
 
 
@@ -249,14 +243,15 @@ def _section_endpoints(
     nonempty = np.isfinite(t_in)
     if nonempty.any():
         Yn, tn = Y[nonempty], t_in[nonempty]
+        T = body.reach * (1.0 + 1e-9)
         if case in (CASE_G_FINITE_ONLY, CASE_BOTH_INFINITE):
             upper[nonempty] = np.inf
         else:
-            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, +1.0)
+            upper[nonempty] = _bisect_endpoint(body, Yn, h, tn, T, DEFAULT_SECTION_TOL)
         if case in (CASE_F_FINITE_ONLY, CASE_BOTH_INFINITE):
             lower[nonempty] = -np.inf
         else:
-            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -1.0)
+            lower[nonempty] = _bisect_endpoint(body, Yn, h, tn, -T, DEFAULT_SECTION_TOL)
     return lower, upper, nonempty
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _line_section, _membership_along, bisect
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _line_section
 from .errors import (
     CaseError,
     DirectionError,
@@ -43,6 +43,7 @@ from .errors import (
 # recorder of ROADMAP item 7 replaces that tracer
 from .graphs import (  # noqa: F401
     GraphPair,
+    _bisect_endpoint,
     _direction_vertical_mass,
     _golden_min_gauge,
     _inside_points,
@@ -339,19 +340,17 @@ def _inner_center(body, F, Ys, z0, reach):
 
 
 def _section_dir_bisect(body, X, u, reach):
-    """Distance from inside points X to the boundary along +u (one direction
-    or one per row), clipped to [0, reach]: the faces' exact exit on a
-    bounded body with faces, unmapped or shifted (bodies._line_section),
-    else 60 bisection steps."""
+    """Distance from inside points X to the boundary along +u (one unit
+    direction or one per row), clipped to [0, reach]: the faces' exact exit
+    on a bounded body with faces, unmapped or shifted (bodies._line_section),
+    else graphs._bisect_endpoint to adjacent floats toward the far point at
+    |X| + reach (1 + 1e-9), which a bounded body (within reach of the
+    origin) must reject."""
     exact = _line_section(body, X, u)
     if exact is not None:
         return np.clip(exact[1], 0.0, reach)
-    hi = np.full(X.shape[0], reach)
-    far_inside = body.contains(X + hi[:, None] * u)
-    lo, hi = bisect(_membership_along(body, u, X), np.zeros(X.shape[0]), hi, steps=60)
-    out = 0.5 * (lo + hi)
-    out[far_inside] = reach
-    return out
+    far = np.linalg.norm(X, axis=1) + reach * (1.0 + 1e-9)
+    return np.minimum(_bisect_endpoint(body, X, u, np.zeros(X.shape[0]), far, 0.0), reach)
 
 
 def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> EstimateWithError:

@@ -440,7 +440,15 @@ def test_cylinder_membership_and_distance():
     assert d[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def _bisect_every_step(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+def _bisect_steps(t_in, t_out, tol):
+    """bisect's step cap: 130 at tolerance 0, else from the widest gap."""
+    if tol == 0:
+        return 130
+    gap0 = float(np.max(np.abs(t_out - t_in))) if t_in.size else 0.0
+    return min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
+
+
+def _bisect_every_step(inside_at, t_in, t_out, tol, relative=False):
     """bisect without the fixed-point stop: every step of the step count."""
     t_in = np.asarray(t_in, dtype=float)
     t_out = np.asarray(t_out, dtype=float)
@@ -448,20 +456,13 @@ def _bisect_every_step(inside_at, t_in, t_out, tol=None, relative=False, steps=N
     def unresolved(a, b):
         return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
 
-    if tol is not None:
-        gap0 = float(np.max(np.abs(t_out - t_in)))
-        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
-        if active is None:
-            active = unresolved(t_in, t_out)
-    if active is None:
-        active = np.ones(t_in.shape, dtype=bool)
-    for _ in range(steps):
+    active = unresolved(t_in, t_out)
+    for _ in range(_bisect_steps(t_in, t_out, tol)):
         mid = 0.5 * (t_in + t_out)
         inside = inside_at(mid)
         t_in = np.where(active & inside, mid, t_in)
         t_out = np.where(active & ~inside, mid, t_out)
-        if tol is not None:
-            active = active & unresolved(t_in, t_out)
+        active = active & unresolved(t_in, t_out)
     return t_in, t_out
 
 
@@ -479,7 +480,6 @@ _BRACKET = st.tuples(
     st.floats(-8.0, 8.0),
     st.one_of(st.floats(-8.0, 8.0), st.tuples(st.just("ulps"), st.integers(-3, 3))),
     st.floats(-8.0, 8.0),
-    st.booleans(),
 )
 
 
@@ -487,12 +487,10 @@ _BRACKET = st.tuples(
 @given(
     rows=st.lists(_BRACKET, min_size=1, max_size=6),
     predicate=st.sampled_from(["below", "never", "always", "wiggle"]),
-    mode=st.sampled_from(["steps", "absolute", "relative"]),
-    steps=st.integers(0, 140),
-    tol=st.sampled_from([1e-2, 1e-9, 1e-15, 1e-300]),
-    masked=st.booleans(),
+    relative=st.booleans(),
+    tol=st.sampled_from([1e-2, 1e-9, 1e-15, 1e-300, 0.0]),
 )
-def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, mode, steps, tol, masked):
+def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, relative, tol):
     t_in = np.array([r[0] for r in rows])
     t_out = np.array([_far_end(r[0], r[1]) for r in rows])
     cut = np.array([r[2] for r in rows])
@@ -502,15 +500,12 @@ def test_bisect_fixed_point_stop_matches_every_step(rows, predicate, mode, steps
         "always": lambda t: np.ones(t.shape, dtype=bool),
         "wiggle": lambda t: np.sin(37.0 * t + cut) > 0.0,
     }[predicate]
-    kwargs = {"steps": steps} if mode == "steps" else {"tol": tol, "relative": mode == "relative"}
-    if masked:
-        kwargs["active"] = np.array([r[3] for r in rows])
-    got = bisect(inside_at, t_in, t_out, **kwargs)
-    want = _bisect_every_step(inside_at, t_in, t_out, **kwargs)
+    got = bisect(inside_at, t_in, t_out, tol, relative)
+    want = _bisect_every_step(inside_at, t_in, t_out, tol, relative)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def _bisect_testing_every_step(inside_at, t_in, t_out, tol=None, relative=False, steps=None, active=None):
+def _bisect_testing_every_step(inside_at, t_in, t_out, tol, relative=False):
     """bisect with both stop tests in every step, no free steps."""
     t_in = np.asarray(t_in, dtype=float)
     t_out = np.asarray(t_out, dtype=float)
@@ -518,14 +513,8 @@ def _bisect_testing_every_step(inside_at, t_in, t_out, tol=None, relative=False,
     def unresolved(a, b):
         return np.abs(b - a) > (tol * np.maximum(1.0, a) if relative else tol)
 
-    if tol is not None:
-        gap0 = float(np.max(np.abs(t_out - t_in))) if t_in.size else 0.0
-        steps = min(130, max(10, int(math.ceil(math.log2(max(gap0 / tol, 2.0)))) + 2))
-        if active is None:
-            active = unresolved(t_in, t_out)
-    if active is None:
-        active = np.ones(t_in.shape, dtype=bool)
-    for _ in range(steps):
+    active = unresolved(t_in, t_out)
+    for _ in range(_bisect_steps(t_in, t_out, tol)):
         if not active.any():
             break
         mid = 0.5 * (t_in + t_out)
@@ -533,9 +522,7 @@ def _bisect_testing_every_step(inside_at, t_in, t_out, tol=None, relative=False,
         fixed = (mid == t_in) | (mid == t_out)
         t_in = np.where(active & inside, mid, t_in)
         t_out = np.where(active & ~inside, mid, t_out)
-        active = active & ~fixed
-        if tol is not None:
-            active = active & unresolved(t_in, t_out)
+        active = active & ~fixed & unresolved(t_in, t_out)
     return t_in, t_out
 
 
@@ -563,42 +550,36 @@ _FREE_BRACKET = st.tuples(
         st.tuples(st.just("above"), st.sampled_from([-2.0, -1.5, 1.0 + 2.0**-40, 1.01, 2.0 + 2.0**-10, 2.5, 5.0])),
         st.tuples(st.just("zero"), st.just(0.0)),
     ),
-    st.booleans(),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(_FREE_BRACKET, min_size=1, max_size=6),
-    mode=st.sampled_from(["steps", "absolute", "relative"]),
-    steps=st.integers(0, 80),
-    tol=st.sampled_from([1e-2, 1e-9, 1e-12, 1e-15]),
-    masked=st.booleans(),
+    relative=st.booleans(),
+    tol=st.sampled_from([1e-2, 1e-9, 1e-12, 1e-15, 0.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 # a gap just over twice the tolerance at |t| ~ 2e6: its first midpoint
 # rounds the gap to within the tolerance, which a bound without both its
 # rounding term and its factor 2 misses
 @example(
-    rows=[(1.7061724122748778, 1e6, ("above", 2.0 + 2.0**-10), False)],
-    mode="absolute", steps=0, tol=1e-9, masked=False, seed=2,
+    rows=[(1.7061724122748778, 1e6, ("above", 2.0 + 2.0**-10))],
+    relative=False, tol=1e-9, seed=2,
 )
-def test_bisect_free_steps_equal_testing_every_step(rows, mode, steps, tol, masked, seed):
+def test_bisect_free_steps_equal_testing_every_step(rows, relative, tol, seed):
     # brackets of mixed widths at |t| up to 8 or 8e6 (where an ulp exceeds
     # the smaller tolerances), some a few ulps wide, some just wider than
     # the stop level, some ending at 0; the predicate answers at random, so
     # a row that moves in a step it should have stopped before changes the
     # result whatever its midpoint
     t_in = np.array([r[0] * r[1] for r in rows])
-    level = tol * np.maximum(1.0, t_in) if mode == "relative" else np.full(len(rows), tol)
+    level = tol * np.maximum(1.0, t_in) if relative else np.full(len(rows), tol)
     t_out = np.array([_bracket_end(t, r[2], lv) for t, r, lv in zip(t_in, rows, level)])
-    kwargs = {"steps": steps} if mode == "steps" else {"tol": tol, "relative": mode == "relative"}
-    if masked:
-        kwargs["active"] = np.array([r[3] for r in rows])
     runs = []
     for run in (bisect, _bisect_testing_every_step):
         rng = np.random.default_rng(seed)
-        runs.append(run(lambda t: rng.random(t.shape) < 0.5, t_in, t_out, **kwargs))
+        runs.append(run(lambda t: rng.random(t.shape) < 0.5, t_in, t_out, tol, relative))
     (got_in, got_out), (want_in, want_out) = runs
     assert np.array_equal(got_in, want_in) and np.array_equal(got_out, want_out)
 

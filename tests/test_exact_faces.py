@@ -160,7 +160,7 @@ def test_bounded_polytope_cli_calls_run_no_search(tmp_path, monkeypatch, subcomm
     def counting(name, fn):
         return lambda *a, **k: counts.__setitem__(name, counts[name] + 1) or fn(*a, **k)
 
-    for module in (bodies, graphs, surface):
+    for module in (bodies, graphs):
         monkeypatch.setattr(module, "bisect", counting("bisect", bodies.bisect))
     monkeypatch.setattr(graphs, "_probe_tree", counting("golden", graphs._probe_tree))
     for translate in (None, [0.2, -0.1, 0.15]):

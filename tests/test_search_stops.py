@@ -6,8 +6,8 @@ stacked gauge call, the ellipsoid distance solves its secular equation by
 Newton's method, and Dykstra's polytope projection gathers its active rows
 once per sweep. The references below are the loops each of these replaced:
 the golden search on every row, one gauge call a step, for every one of its
-GOLDEN_STEPS steps, the ellipsoid distance by doubling and 200 bisection
-steps, and Dykstra's sweep gathering its rows once per face. The
+GOLDEN_STEPS steps, the ellipsoid distance by doubling and bisection to
+adjacent floats, and Dykstra's sweep gathering its rows once per face. The
 certificates' section test is audited against exact references.
 """
 
@@ -60,7 +60,7 @@ def _golden_reference(body, Y, h):
 
 def _ellipsoid_distance_reference(s, x):
     """Distance outside the ellipsoid with semiaxes s: the secular root by
-    doubling its bracket, then 200 bisection steps."""
+    doubling its bracket, then bisection to adjacent floats."""
     inv2 = 1.0 / (s * s)
     out = np.zeros(x.shape[0])
     outside = np.sum(np.square(x) * inv2, axis=-1) > 1.0
@@ -71,7 +71,7 @@ def _ellipsoid_distance_reference(s, x):
         fx = lambda lam: np.sum((s * s * xo) ** 2 / (s * s + lam[:, None]) ** 2 * inv2, axis=-1) - 1.0
         while np.any(fx(hi) > 0):
             hi = np.where(fx(hi) > 0, hi * 2.0, hi)
-        lo, hi = bisect(lambda lam: fx(lam) > 0, lo, hi, steps=200)
+        lo, hi = bisect(lambda lam: fx(lam) > 0, lo, hi, tol=0.0)
         lam = 0.5 * (lo + hi)
         w = s * s * xo / (s * s + lam[:, None])
         out[outside] = np.linalg.norm(xo - w, axis=-1)

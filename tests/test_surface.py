@@ -8,7 +8,7 @@ from scipy import integrate
 import convexgauss as cg
 import convexgauss.graphs as graphs
 import convexgauss.surface as surface
-from convexgauss.errors import CaseError, DirectionError, ParameterError, UnsupportedOrderError
+from convexgauss.errors import CaseError, DirectionError, OracleIntegrityError, ParameterError, UnsupportedOrderError
 from convexgauss.graphs import _stencil_gradient
 from convexgauss.surface import Budget, _NodeSet
 
@@ -167,6 +167,25 @@ def test_subspace_halfspace_single_axis():
     hs = cg.halfspace([1.0, 0.0, 0.0], 1.0)
     est = cg.subspace_hausdorff(hs, [E1_3], budget={"subspace_samples": 2000}, seed=1)
     assert est.value == pytest.approx(G1_AT_1, abs=3 * est.std_error + 1e-9)
+
+
+def test_subspace_rays_refuse_an_oracle_beyond_its_outer_radius():
+    # the oracle accepts the ball of radius 3 but claims radius 1.5, so the
+    # search radius is 2.5: a ray from an inside point X near the origin
+    # reaches its far point at |X| + 2.5 inside the ball of radius 3
+    contains = lambda x: np.sum(np.square(x), axis=-1) < 9.0
+    body = cg.from_oracle(contains, np.zeros(3), 1.0, outer_radius=1.5)
+    with pytest.raises(OracleIntegrityError):
+        cg.subspace_hausdorff(body, [E1_3])
+
+
+def test_subspace_slab_takes_the_bisection_path_exactly():
+    # the slab is unbounded, so its rays are bisected; every line across
+    # it has the ends +-0.7, and every line along it meets the search radius
+    body = cg.slab([1.0, 0.0], 0.7)
+    across = cg.subspace_hausdorff(body, [[1.0, 0.0]])
+    assert across.value == pytest.approx(2.0 * INV_SQRT_2PI * math.exp(-0.245), rel=1e-12)
+    assert cg.subspace_hausdorff(body, [[0.0, 1.0]]).value == 0.0
 
 
 def test_subspace_full_space_disk(disk):
