@@ -158,18 +158,19 @@ def _off_centre(x0, r0) -> bool:
 # |s| (plus CERTIFICATE_FLOOR on lines, which covers underflow): the band is
 # more than 30 times the sum of both errors, which leaves room for the
 # rounding of the band and of the test themselves, so a decided row gets the
-# oracle's answer. On a ray the value and its bound scale alike with 1/lam,
-# so the test becomes two ends on lam per row; on a line a face's value and
-# bound are affine in |s| on each side of 0, so its decided sets have ends on
-# s. Each end a division gives is moved one float outward (_round_out). A
-# certificate needs its thresholds and weights within CERTIFIED_RANGE and
+# oracle's answer. On a line both families take the value and its band at
+# the step (_line_rule); on a ray the two scale alike with 1/lam, so the test
+# becomes two ends on lam per row, each moved one float outward (_round_out).
+# A certificate needs its thresholds and weights within CERTIFIED_RANGE and
 # leaves undecided every row whose weights lie outside it, so no product of
-# the argument above overflows or underflows unseen.
+# the argument above overflows or underflows unseen. A ray off the origin is
+# decided at s = 1/t up to 1e250 (_decider), where a quadratic's value may
+# overflow: outside while its band is finite, as the oracle's sum, else nan.
 UNIT_ROUNDOFF = 2.0**-53
 CERTIFICATE_BAND = 64.0
 CERTIFICATE_FLOOR = 1e-300
 CERTIFIED_RANGE = (1e-50, 1e50)
-CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's arrays and oracle checks
+CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's ray ends, line minima and oracle checks
 SECTION_MISS_MARGIN = 1e-9  # a section misses once its minimum gauge clears 1 by this
 CHECK_MARGIN = 1e-9  # least relative gauge margin of a closed form's oracle check (_check_rim)
 
@@ -222,15 +223,7 @@ class _Quadratic(NamedTuple):
         Kc0 = K * (np.square(WU) @ self.inv2) + CERTIFICATE_FLOOR
         Kc0[~(_rows_certified(WU, ray=False) & _rows_certified(WV, ray=False))] = np.inf
         Ka1, Kc2 = 2.0 * K * ((WU * WV) @ self.inv2), K * (np.square(WV) @ self.inv2)
-
-        def decide(s):
-            a = np.abs(s)
-            value = c0 + s * (c1 + s * c2)
-            band = Kc0 + a * (Ka1 + a * Kc2)
-            inside = value + band < 1.0
-            return inside, ~(inside | (value - band > 1.0))
-
-        return decide
+        return _line_rule(lambda s, a: (c0 + s * (c1 + s * c2), Kc0 + a * (Ka1 + a * Kc2)), 1.0)
 
     def missed(self, U, F, WU, WF, extra):
         # The least-squares minimum of q over x = U + z F sits at z* =
@@ -257,13 +250,13 @@ class _Faces(NamedTuple):
     """Certificate of <a_j, x> < c_j for every face j (unit rows a_j of A):
     polytope, slab and halfspace. Its arrays run face by face along their
     first axis, so each reduction over the faces runs across the rows, not
-    along a short last axis; it happens once per ray or line set, and each
-    step of a bisection compares its parameter with per-row ends. gauge,
-    line_section and line_min are values, the gauge, a line's section and
-    the gauge's minimum along a line, which a bounded body takes in place
-    of its searches (_exact_faces); they take each row's face products by
-    the oracle's own rule (_face_products), so a row's value never depends
-    on its batch."""
+    along a short last axis: once per ray set, which gives per-row ends on
+    lam, and at each step of a line, as the quadratic's value is taken
+    there. gauge, line_section and line_min are values, the gauge, a line's
+    section and the gauge's minimum along a line, which a bounded body
+    takes in place of its searches (_exact_faces); they take each row's
+    face products by the oracle's own rule (_face_products), so a row's
+    value never depends on its batch."""
 
     A: np.ndarray
     c: np.ndarray
@@ -273,34 +266,16 @@ class _Faces(NamedTuple):
         return CERTIFICATE_BAND * (n + 3) * UNIT_ROUNDOFF
 
     def ray(self, V, WV, extra):
-        lam_in, lam_out = _by_blocks(self._ray_ends, V, WV, extra=extra)
-        return _ray_rule(WV, lam_in, lam_out)
+        return _ray_rule(WV, *_by_blocks(self._ray_ends, V, WV, extra=extra))
 
     def line(self, U, V, WU, WV, extra):
-        ends = _by_blocks(self._line_ends, U, V, WU, WV, extra=extra)
-        (lo_p, hi_p, above_p, below_p), (lo_n, hi_n, above_n, below_n) = ends
-
-        def decide(s):
-            pos = s >= 0.0
-            r = np.abs(s)
-            inside = (r > np.where(pos, lo_p, lo_n)) & (r < np.where(pos, hi_p, hi_n))
-            outside = (r > np.where(pos, above_p, above_n)) | (r < np.where(pos, below_p, below_n))
-            return inside, ~(inside | outside)
-
-        return decide
-
-    def missed(self, U, F, WU, WF, extra):
-        # On a line (m = 1) the gauge max_j <a_j, x> / c_j is above level
-        # wherever some face j fails <a_j, x> < level c_j by more than its
-        # band: the outside sets of _line_ends at level. A half-line lies
-        # wholly outside when that set, r > above or r < below, covers every
-        # r >= 0. Sections of two or more dimensions stay undecided.
-        if F.shape[0] > 1:
-            return np.zeros(U.shape[0], dtype=bool)
-        level = 1.0 + SECTION_MISS_MARGIN
-        ends = _by_blocks(self._line_ends, U, F[0], WU, WF[0], extra=extra, level=level)
-        (_, _, above_p, below_p), (_, _, above_n, below_n) = ends
-        return ((above_p < 0.0) | (below_p > above_p)) & ((above_n < 0.0) | (below_n > above_n))
+        # face j's closed form less c_j, D_j + s <a_j, V>, and its bound K (S_j(WU)
+        # + |s| S_j(WV)), S_j(W) = sum_i |a_ji| W_i; V is one direction or one a row
+        K, absA = self.band(U.shape[-1] + extra), np.abs(self.A)
+        D, KSU = self.A @ U.T - self.c[:, None], K * (absA @ WU.T) + CERTIFICATE_FLOOR
+        KSU[:, ~(_rows_certified(WU, ray=False) & _rows_certified(WV, ray=False))] = np.inf
+        VA, KSV = self.A @ np.atleast_2d(V).T, K * (absA @ np.atleast_2d(WV).T)
+        return _line_rule(lambda s, a: (D + s * VA, KSU + a * KSV), 0.0)
 
     def depths(self, p):
         """d_j = b_j - <a_j, p>, the offset of face j from p (b = c + A v
@@ -367,27 +342,6 @@ class _Faces(NamedTuple):
         lam_in, lam_out = np.max((VA + KS) / c, axis=0), np.max((VA - KS) / c, axis=0)
         return np.stack([_round_out(lam_in, +1.0), _round_out(lam_out, -1.0)])
 
-    def _line_ends(self, U, V, WU, WV, extra, level=1.0):
-        # On each half-line s = sigma r, r >= 0, face j's closed form less
-        # level c_j, D_j + s <a_j, V>, and its bound K (S_j(WU) + r S_j(WV))
-        # are affine in r, so the r where every face holds with the bound to
-        # spare is an interval, and the r where one fails by more than its
-        # bound is a union of two half-lines
-        K = self.band(U.shape[-1] + extra)
-        absA = np.abs(self.A)
-        # <a_j, U> - level c_j; a face through or behind the origin keeps
-        # its offset, which level would move inside the body
-        D = self.A @ U.T - np.maximum(level * self.c, self.c)[:, None]
-        KSU = K * (absA @ WU.T) + CERTIFICATE_FLOOR
-        VA = self.A @ V.T
-        KSV = K * (absA @ WV.T)
-        if V.ndim == 1:  # one direction for every row
-            VA, KSV = VA[:, None], KSV[:, None]
-        off = ~(_rows_certified(WU, ray=False) & _rows_certified(WV, ray=False))
-        return np.stack(
-            [_half_line_ends(D + KSU, sigma * VA + KSV, D - KSU, sigma * VA - KSV, off) for sigma in (1.0, -1.0)]
-        )
-
 
 def _face_products(X, A) -> np.ndarray:
     """<a_j, x> for faces j (rows of A, or A itself when 1-d) along the
@@ -431,27 +385,21 @@ def _round_out(x, direction: float) -> np.ndarray:
     return np.nextafter(x, direction * np.inf)
 
 
-def _half_line_ends(alpha, b, alpha_out, b_out, off):
-    """Per row, for r >= 0 and faces j along the first axis: (lo, hi), the
-    interval where alpha_j + r b_j < 0 for every j, and (above, below), where
-    alpha_out_j + r b_out_j > 0 for some j exactly when r > above or
-    r < below. Ends are rounded inward (_round_out); rows in `off` get an
-    empty interval and no outside."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho, rho_out = -alpha / b, -alpha_out / b_out
-    # a face with slope 0 bounds no r: it holds everywhere or nowhere
-    hi = np.min(np.where(b > 0.0, rho, np.where((b == 0.0) & (alpha >= 0.0), -np.inf, np.inf)), axis=0)
-    lo = np.max(np.where(b < 0.0, rho, -np.inf), axis=0)
-    above = np.min(
-        np.where(b_out > 0.0, rho_out, np.where((b_out == 0.0) & (alpha_out > 0.0), -np.inf, np.inf)),
-        axis=0,
-    )
-    below = np.max(np.where(b_out < 0.0, rho_out, -np.inf), axis=0)
-    lo, hi, above, below = (
-        _round_out(lo, +1.0), _round_out(hi, -1.0), _round_out(above, +1.0), _round_out(below, -1.0)
-    )
-    lo[off], hi[off], above[off], below[off] = np.inf, -np.inf, np.inf, -np.inf
-    return np.stack([lo, hi, above, below])
+def _line_rule(terms, level):
+    """decide(s) -> (inside, undecided) on a line from terms(s, |s|) =
+    (value, band), per row or per face along the first axis: inside where
+    value + band is below level on every face, outside where value - band
+    is above it on one; an infinite band decides nothing."""
+
+    def decide(s):
+        value, band = terms(s, np.abs(s))
+        high, low = value + band, value - band
+        if high.ndim > 1:
+            high, low = np.max(high, axis=0), np.max(low, axis=0)
+        inside = high < level
+        return inside, ~(inside | (low > level))
+
+    return decide
 
 
 def _certificate(kind, *arrays):
@@ -482,7 +430,7 @@ def _decider(cert, V, U, ray: bool):
     if not WU.any():
         return cert.ray(V, WV, extra)
     decide = cert.line(*np.broadcast_arrays(U, V, WU, WV), extra + 2)
-    return lambda t: decide(1.0 / t)
+    return np.errstate(over="ignore", invalid="ignore")(lambda t: decide(1.0 / t))
 
 
 def _membership_along(body: ConvexBody, V, U=None):
@@ -533,18 +481,18 @@ def _membership_along(body: ConvexBody, V, U=None):
 
 
 def _sections_missed(body: ConvexBody, U, F) -> np.ndarray:
-    """Rows (N,) whose section U + span(F) the body's certificate proves
+    """Rows (N,) whose section U + span(F) a quadratic certificate proves
     misses the body, F holding 1 to 3 orthonormal rows: its minimum gauge
-    clears 1 + SECTION_MISS_MARGIN by more than the band. A quadratic
-    decides sections of any dimension, faces lines only; a shift keeps F,
-    and a projection lines alone, as unit lines of the base whose image
-    clears its rounding (above UNIT_ROUNDOFF). Every other row is False. A
-    search drops the decided rows from its batch, which leaves every other
-    row its answer, since the oracle rounds a row alike in any batch.
+    clears 1 + SECTION_MISS_MARGIN by more than the band. A shift keeps F,
+    and a projection proves lines alone, as unit lines of the base whose
+    image clears its rounding (above UNIT_ROUNDOFF). Every other row, and
+    every section of a body with faces, is False. A search drops the decided
+    rows, which leaves every other row its answer: the oracle rounds a row
+    alike in any batch.
     """
     none = np.zeros(U.shape[0], dtype=bool)
     cert = body.certificate
-    if cert is None:
+    if not isinstance(cert, _Quadratic):
         return none
     U, G, WU, WG, extra = _lift(cert, U, F)
     if cert.map is not None and cert.map.ndim == 2:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -742,7 +743,9 @@ def test_certificate_decides_only_what_the_oracle_answers(kind, wrap, n, mode, s
     # (centred off the origin when the shift leaves the origin outside) or
     # a cylinder over it (a 1-d base at n = 2): rays from the body's centre
     # c through a boundary point x_b at t_star, c + V / t with V = t_star
-    # (x_b - c), and lines through x_b crossing it at t_star
+    # (x_b - c), and lines through x_b crossing it at t_star. Rays from the
+    # origin take the ray rule's ends on t; lines, and rays from a centre off
+    # the origin, take both families' value and band at the step
     rng = np.random.default_rng(seed)
     n = min(n, 5) if kind == "polytope" else n
     base, gauge = _certified_body(kind, n - (wrap == "cylinder"), rng)
@@ -884,6 +887,32 @@ def test_certificate_leaves_rows_out_of_range_to_the_oracle():
     assert undecided.all()
 
 
+def test_steps_whose_value_overflows_get_the_oracles_answer_and_warn_nothing():
+    # a ray c + V / t from a centre off the origin is decided as the line
+    # from c at s = 1/t: at s = 2e154 the disk's value overflows while its
+    # band does not, which decides the row outside, and at s = 1e250 both
+    # overflow, which leaves it undecided; a face's value overflows at s =
+    # 1e300. Every decided row gets the oracle's answer, and no step warns
+    from convexgauss.bodies import _decider
+
+    disk = cg.translate(cg.ball(1.0, 2), [3.0, 0.0])
+    cases = [
+        (disk, np.eye(2), 5e-155, [False, False]),
+        (disk, np.eye(2), 1e-250, [True, True]),
+        # the second ray runs along the face: its value stays finite
+        (cg.halfspace([0.6, 0.8], -0.5), np.array([[6e9, 8e9], [-8e9, 6e9]]), 1e-300, [False, True]),
+    ]
+    for body, V, t, left in cases:
+        assert body.centre.any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            truth = body.contains(body.centre + V / t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside, undecided = _decider(body.certificate, V, body.centre, True)(np.full(len(V), t))
+        assert np.array_equal(inside[~undecided], truth[~undecided]) and not inside[undecided].any()
+        assert undecided.tolist() == left
+
+
 # ------------------------------------------- polytopes that hold the origin
 
 def _box(widths):
@@ -953,8 +982,9 @@ def test_random_polytopes_are_never_moved():
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_face_certificate_blocks_join_to_one_block(monkeypatch, shared):
-    # a face certificate builds its per-row ends in blocks of rows; the
-    # blocks must join to what one block over every row gives
+    # a face certificate builds its per-row ray ends in blocks of rows; the
+    # blocks must join to what one block over every row gives, and a line's
+    # steps, which take no blocks, must not depend on them
     from convexgauss import bodies
 
     body = cg.random_polytope(3, 12, 5)

@@ -4,7 +4,10 @@ A bounded polytope, or a translate of one, takes its gauge, section ends,
 ray exits and line minima from its faces (bodies._exact_faces), each block
 of rows checked by one membership call. The twin dataclasses.replace(body,
 certificate=None) is the same set with no closed form, whose searches
-bisect; the values agree within those searches' tolerances.
+bisect; the values agree within those searches' tolerances. Every other
+face body (a halfspace, a slab, an unbounded polytope, a cylinder) still
+bisects, and its certificate only decides steps: its searches equal its
+twin's bit for bit.
 """
 
 import dataclasses
@@ -141,6 +144,58 @@ def test_closed_forms_check_the_oracle(s, scale):
         search(body)
         with pytest.raises(OracleIntegrityError):
             search(other)
+
+
+def _unbounded_polytope(rng, n):
+    """3 to 6 faces whose normals all have a last coordinate below 0, so
+    that e_n is a recession direction."""
+    A = rng.standard_normal((int(rng.integers(3, 7)), n))
+    A[:, -1] = -np.abs(A[:, -1])
+    return cg.polytope([{"normal": a, "offset": c} for a, c in zip(A, rng.uniform(0.5, 1.5, len(A)))])
+
+
+_BAND_BODIES = {
+    "halfspace": lambda rng: cg.halfspace(rng.standard_normal(3), rng.uniform(0.2, 2.0)),
+    # its certified ball leaves the origin no margin: gauges are taken about
+    # a centre off the origin
+    "off_centre_halfspace": lambda rng: cg.halfspace(rng.standard_normal(3), -rng.uniform(0.2, 2.0)),
+    "slab": lambda rng: cg.slab(rng.standard_normal(3), rng.uniform(0.2, 2.0)),
+    "unbounded_polytope": lambda rng: _unbounded_polytope(rng, 3),
+    "translated_slab": lambda rng: cg.translate(cg.slab(rng.standard_normal(3), 0.8), rng.uniform(-1.5, 1.5, 3)),
+    "polygon_cylinder": lambda rng: cg.cylinder(
+        cg.random_polytope(2, int(rng.integers(3, 9)), int(rng.integers(1000))), rng.standard_normal(3)
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(_BAND_BODIES))
+def test_face_bodies_on_the_band_search_like_their_twins(kind, seed):
+    # the certificate decides a step's rows only where the oracle would
+    # answer alike, so section ends, ray exits, gauges and a subspace
+    # measure equal those of the membership-only twin bit for bit
+    rng = np.random.default_rng(seed)
+    body = _BAND_BODIES[kind](rng)
+    assert body.certificate is not None and bodies._exact_faces(body) is None
+    assert kind != "off_centre_halfspace" or body.centre.any()
+    twin = _membership_only(body)
+    h = rng.standard_normal(3)
+    h /= np.linalg.norm(h)
+    Y = body.centre + 2.0 * rng.standard_normal((60, 3))
+    Y -= np.outer((Y - body.centre) @ h, h)
+    ends, ends_t = cg.decompose(body, h).ends(Y), cg.decompose(twin, h).ends(Y)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(ends, ends_t))
+    # one direction a row: the subspace route's exits from inside points
+    U = rng.standard_normal((60, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    C = body.centre + 0.5 * body.centre_margin * U[::-1]
+    reach = body.reach * (1.0 + 1e-9) + 1.0
+    assert np.array_equal(surface._section_dir_bisect(body, C, U, reach), surface._section_dir_bisect(twin, C, U, reach))
+    X = body.centre + 3.0 * rng.standard_normal((60, 3))
+    assert np.array_equal(minkowski_functional(body, X), minkowski_functional(twin, X))
+    budget = {"subspace_samples": 40, "inner_angles": 64}
+    est, est_t = (cg.subspace_hausdorff(b, np.eye(3)[[0]], budget=budget, seed=seed) for b in (body, twin))
+    assert (est.value, est.std_error) == (est_t.value, est_t.std_error)
 
 
 @pytest.mark.parametrize(

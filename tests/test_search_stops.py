@@ -1,6 +1,6 @@
 """Early exits of the boundary searches against the loops they replace.
 
-A section search skips the rows whose section the body's certificate
+A section search skips the rows whose section a quadratic certificate
 proves misses the body, the golden search serves several steps from one
 stacked gauge call, the ellipsoid distance solves its secular equation by
 Newton's method, and Dykstra's polytope projection gathers its active rows
@@ -8,7 +8,7 @@ once per sweep. The references below are the loops each of these replaced:
 the golden search on every row, one gauge call a step, for every one of its
 GOLDEN_STEPS steps, the ellipsoid distance by doubling and bisection to
 adjacent floats, and Dykstra's sweep gathering its rows once per face. The
-certificates' section test is audited against exact references.
+quadratic's section test is audited against exact references.
 """
 
 import dataclasses
@@ -156,10 +156,10 @@ def test_section_search_keeps_every_found_row(kind, seed, rows):
 
 
 def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
-    # one line through the body among lines far outside it: the certificate
-    # decides those, so the search gauges one row, which a polytope's oracle
-    # must round as it does in the full batch (searched on the oracle twin,
-    # as the polytope's own line minimum is exact)
+    # one line through the body searched alone, against the search of it
+    # among lines far outside it: a polytope's oracle must round the lone
+    # row as it does in the full batch (searched on the oracle twin, as the
+    # polytope's own line minimum is exact)
     rng = np.random.default_rng(0)
     for seed in range(40):
         body = cg.random_polytope(3, 9, seed)
@@ -168,7 +168,6 @@ def test_golden_lone_searching_row_keeps_its_full_batch_gauge():
         Y = rng.standard_normal((6, 3))
         Y -= np.outer(Y @ h, h)
         Y *= (np.r_[0.2, np.full(5, 3.0 * body.outer_radius)] / np.linalg.norm(Y, axis=1))[:, None]
-        assert _sections_missed(body, Y, h[None]).tolist() == [False] + [True] * 5
         t, q = graphs._golden_min_gauge(_oracle_twin(body), Y[:1], h)
         t_ref, q_ref = _golden_reference(_oracle_twin(body), Y, h)
         assert (t[0], q[0]) == (t_ref[0], q_ref[0])
@@ -462,14 +461,13 @@ def test_line_sections_match_the_graph_routes_ends(body, k):
     assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-# The audit of the certificates' section test against exact references, in
-# rational arithmetic on the same floats: the quadratic's least-squares
-# minimum from its normal equations, and a line's section of the polytope
-# at the test's level by the ratio test. Double precision (lstsq, the
-# ratio test's crossing pair) only sizes the rows: near the level it cannot
-# tell a decision a few units in the last place wrong. Each example draws rows
-# whose minimum gauge is spread over (0.5, 3), near-tangent rows at 1 +/-
-# 10^(-12 .. -6), and rows within 8 units in the last place of the level.
+# The audit of the quadratic's section test against an exact reference, in
+# rational arithmetic on the same floats: its least-squares minimum from
+# its normal equations. Double precision (lstsq) only sizes the rows: near
+# the level it cannot tell a decision a few units in the last place wrong.
+# Each example draws rows whose minimum gauge is spread over (0.5, 3),
+# near-tangent rows at 1 +/- 10^(-12 .. -6), and rows within 8 units in the
+# last place of the level.
 LEVEL = Fraction(1.0 + SECTION_MISS_MARGIN)
 ULP = 2.0**-52
 
@@ -497,24 +495,6 @@ def _form_minimum(inv2, F, u):
     b = [sum(inv2[i] * fk[i] * u[i] for i in range(n)) for fk in f]
     z = _solve_exact(C, [-v for v in b])
     return sum(inv2[i] * u[i] * u[i] for i in range(n)) + sum(bk * zk for bk, zk in zip(b, z))
-
-
-def _line_misses(A, c, u, v, level):
-    """Whether the closed section {s : <a_j, u + s v> <= level c_j for all
-    j} is empty, in rationals: the gauge max_j <a_j, x> / c_j exceeds
-    level on the whole line."""
-    lo, hi = None, None
-    for a, cj in zip(A, c):
-        alpha = sum(Fraction(x) * Fraction(y) for x, y in zip(a, u)) - level * Fraction(cj)
-        beta = sum(Fraction(x) * Fraction(y) for x, y in zip(a, v))
-        if beta == 0:
-            if alpha > 0:
-                return True
-        elif beta > 0:
-            hi = -alpha / beta if hi is None else min(hi, -alpha / beta)
-        else:
-            lo = -alpha / beta if lo is None else max(lo, -alpha / beta)
-    return lo is not None and hi is not None and lo > hi
 
 
 def _audit_rows(rng, F, min_gauge, rows=8):
@@ -596,66 +576,27 @@ def test_empty_section_proof_holds_on_ellipsoids(seed, n, m, ball, wrap):
         assert not _sections_missed(body, U, _orthonormal_rows(2, n + 1, 0)).any()
 
 
-def _faces_min_gauge(A, c, V, U):
-    """Minimum over each line u + s V of the gauge max_j <a_j, x> / c_j,
-    0 where it is unbounded below: the ratio test in doubles picks each
-    row's pair of crossing faces, and rationals give the gauge where that
-    pair crosses, which sizes a row to within a few units in the last place
-    of its own magnitude."""
-    beta = (A @ V) / c
-    if not ((beta > 0.0).any() and (beta < 0.0).any()):
-        return np.zeros(len(U))
-    alpha = (U @ A.T) / c
-    j, k = np.triu_indices(len(c), 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (alpha[:, k] - alpha[:, j]) / (beta[j] - beta[k])
-    s = np.where(np.isfinite(s), s, 0.0)
-    best = np.argmin(np.max(alpha[:, :, None] + beta[None, :, None] * s[:, None, :], axis=1), axis=1)
-    out = []
-    for u, pair in zip(U, best):
-        a = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, u)) / Fraction(cj) for row, cj in zip(A, c)]
-        b = [sum(Fraction(x) * Fraction(y) for x, y in zip(row, V)) / Fraction(cj) for row, cj in zip(A, c)]
-        jj, kk = j[pair], k[pair]
-        t = (a[kk] - a[jj]) / (b[jj] - b[kk]) if b[jj] != b[kk] else Fraction(0)
-        out.append(float(max(0, max(ai + t * bi for ai, bi in zip(a, b)))))
-    return np.array(out)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), n_faces=st.integers(1, 12), cylinder=st.booleans())
-def test_empty_section_proof_holds_on_polytopes(seed, n, n_faces, cylinder):
+def test_halfspace_sections_are_never_decided(seed, n, n_faces, cylinder):
     # one face makes a halfspace; with `cylinder`, on a cylinder over the
     # polytope (a polygon at n = 2, a strip over an interval or a half-line
-    # at n = 1), whose lines are checked at their exact image U B^T + s F B^T
+    # at n = 1). No line or plane section is proved empty, near or far:
+    # faces decide bisection steps, not sections
     n = n if cylinder else max(n, 2)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_faces, n))
     body = cg.polytope([{"normal": a, "offset": c} for a, c in zip(A, rng.uniform(0.3, 1.5, n_faces))])
-    assert body.certificate is not None
-    A, c = body.certificate.A, body.certificate.c
-    B, image = np.eye(n), lambda x: x
     if cylinder:
-        body, B, image = _cylinder_of(body, rng)
-    dim = B.shape[1]
-    F = _orthonormal_rows(1, dim, int(rng.integers(0, 1000)))
-    U, target = _audit_rows(rng, F, lambda U: _faces_min_gauge(A, c, (F @ B.T)[0], U @ B.T))
-    missed = _sections_missed(body, U, F)
-    for u, decided in zip(U, missed):
-        if decided:
-            assert _line_misses(A, c, image(u), image(F[0]), LEVEL)
-    assert missed[target > 1.01].all()
-    # sections of two dimensions are left to the search
-    if dim > 2:
-        assert not _sections_missed(body, U, _orthonormal_rows(2, dim, 0)).any()
-
-
-def test_halfspace_sections_are_never_decided():
-    # lines parallel to a halfspace's face, far outside, stay undecided:
-    # their slope along the face's normal is 0 but for its rounding bound,
-    # which leaves every half-line a stretch where the face could hold
-    body = cg.halfspace([0.6, 0.8, 0.0], 0.5)
+        body = _cylinder_of(body, rng)[0]
+    assert body.certificate is not None
+    U = rng.standard_normal((40, body.dim)) * 10.0 ** rng.uniform(-1.0, 3.0, (40, 1))
+    for m in range(1, min(body.dim, 3)):
+        assert not _sections_missed(body, U, _orthonormal_rows(m, body.dim, int(rng.integers(0, 1000)))).any()
+    # lines parallel to a halfspace's face, far outside it
+    halfspace = cg.halfspace([0.6, 0.8, 0.0], 0.5)
     U = np.outer(np.linspace(1.0, 40.0, 30), [0.6, 0.8, 0.0])
-    assert not _sections_missed(body, U, np.array([[0.8, -0.6, 0.0]])).any()
+    assert not _sections_missed(halfspace, U, np.array([[0.8, -0.6, 0.0]])).any()
 
 
 def test_empty_sections_near_the_support_are_proved(monkeypatch):

@@ -35,8 +35,7 @@ CLI calls:
   rows from the ellipsoid's certificate at the largest dimension any
   compared call has;
 * one fixed ``surface`` call on a random polytope through ``[0]`` and
-  ``[0, 1]``, whose line sections the faces' closed form proves empty,
-  whose plane sections, which it leaves undecided, the sweeps of exact
+  ``[0, 1]``, whose missing line and plane sections the sweeps of exact
   line minima search, and whose rays exit at the faces' exact ends;
 * one fixed ``surface`` call on an unbounded cylinder through ``[0]`` and
   ``[0, 2]``, whose plane sections are strips: their rays along the axis
