@@ -641,6 +641,16 @@ def test_unbounded_polytope_keeps_origin_with_smallest_offset(faces):
     assert body.interior_margin == pytest.approx(smallest, rel=1e-15)
 
 
+@pytest.mark.parametrize("dim, faces, seed", [(2, 5, 521), (3, 4, 903), (3, 5, 386)])
+def test_random_polytope_whose_block_extent_lp_ends_unsolved_gets_its_box(dim, faces, seed):
+    # HiGHS ends the block extent LP of these random faces with no answer
+    # (status 4); the separate per-axis LPs find them unbounded, so
+    # random_polytope adds its box at 3.2
+    body = cg.random_polytope(dim, faces, seed)
+    assert len(body.spec["faces"]) == faces + 2 * dim
+    assert 3.2 < body.outer_radius < 3.2 * math.sqrt(dim) * 1.001
+
+
 def test_slab_keeps_origin_and_half_width_margin():
     body = cg.slab([1.0, 2.0, 3.0], 1.010956)
     assert not body.centre.any()
@@ -743,9 +753,9 @@ def test_certificate_decides_only_what_the_oracle_answers(kind, wrap, n, mode, s
     # (centred off the origin when the shift leaves the origin outside) or
     # a cylinder over it (a 1-d base at n = 2): rays from the body's centre
     # c through a boundary point x_b at t_star, c + V / t with V = t_star
-    # (x_b - c), and lines through x_b crossing it at t_star. Rays from the
-    # origin take the ray rule's ends on t; lines, and rays from a centre off
-    # the origin, take both families' value and band at the step
+    # (x_b - c), and lines through x_b crossing it at t_star. A quadratic's
+    # rays from the origin take the ray rule's ends on t; lines, and every
+    # other ray, take both families' value and band at the step
     rng = np.random.default_rng(seed)
     n = min(n, 5) if kind == "polytope" else n
     base, gauge = _certified_body(kind, n - (wrap == "cylinder"), rng)
@@ -982,9 +992,11 @@ def test_random_polytopes_are_never_moved():
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_face_certificate_blocks_join_to_one_block(monkeypatch, shared):
-    # a face certificate builds its per-row ray ends in blocks of rows; the
-    # blocks must join to what one block over every row gives, and a line's
-    # steps, which take no blocks, must not depend on them
+    # a face certificate takes its exact gauges, line sections and line
+    # minima (one direction for every row) in blocks of rows, each checked
+    # by one membership call; the blocks must join to what one block over
+    # every row gives, and a line's steps, which take no blocks, must not
+    # depend on them
     from convexgauss import bodies
 
     body = cg.random_polytope(3, 12, 5)
@@ -994,13 +1006,16 @@ def test_face_certificate_blocks_join_to_one_block(monkeypatch, shared):
     V = rng.standard_normal(3 if shared else (rows, 3))
     t = rng.uniform(-3.0, 3.0, rows)
 
-    def decisions():
-        return [bodies._decider(body.certificate, V, U, False)(t),
-                bodies._decider(body.certificate, U, np.zeros(3), True)(np.abs(t) + 0.1)]
+    def values():
+        found = [bodies._decider(body.certificate, V, U, False)(t), [bodies._exact_gauge(body, U)],
+                 bodies._line_section(body, U, V)]
+        return found + [bodies._line_minimum(body, U, V)] if shared else found
 
-    blocked = decisions()
-    monkeypatch.setattr(bodies, "CERTIFICATE_BLOCK_ROWS", rows)
-    whole = decisions()
+    blocked = values()
+    # line minima take blocks of rows times faces over face pairs: 64 times
+    # the rows makes one block of each
+    monkeypatch.setattr(bodies, "CERTIFICATE_BLOCK_ROWS", 64 * rows)
+    whole = values()
     for got, want in zip(blocked, whole):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert not blocked[0][1].all() and not blocked[1][1].all()
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+    assert not blocked[0][1].all() and np.isfinite(blocked[2][0]).any()

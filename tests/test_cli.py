@@ -108,6 +108,8 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0, 2.0]}}, "config.model.spectral_profile"),
         ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0]}}, "config.model.spectral_profile"),
         ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0, 0.0]}}, "config.model.spectral_profile"),
+        # a valid profile list is refused too: no route reads one
+        ("perimeter", {"model": {"dim": 2, "spectral_profile": [1.0, 0.5]}}, "config.model.spectral_profile"),
         ("perimeter", {"budgets": {"epsilons": [0.5, 0.2, 0.1]}}, "budget.epsilons"),
         ("surface", {"budgets": {"epsilons": [0.05, 0.03]}}, "budget.epsilons"),
         ("ibp", {"psi": {"name": "coordinate", "index": "a"}}, "psi.index"),
@@ -195,6 +197,7 @@ def test_malformed_body_spec_names_faces(tmp_path, capsys):
         "spectral_profile_increasing",
         "spectral_profile_length",
         "spectral_profile_zero",
+        "spectral_profile_list",
         "budget_epsilons_range",
         "budget_epsilons_count",
         "psi_index_string",
