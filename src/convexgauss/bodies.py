@@ -197,12 +197,13 @@ class _Quadratic(NamedTuple):
     def ray(self, V, WV, extra):
         # q(V / lam) = c2 / lam^2 with the bound K a2 / lam^2, a2 = sum_i
         # inv2_i WV_i^2: inside for lam^2 > c2 + K a2, outside below c2 - K a2;
-        # each rounded root moved one float outward is past the exact one, so
-        # a decided set only shrinks, and rows out of range are never decided
+        # each rounded root moved one float outward is past the exact one, so a
+        # decided set only shrinks; rows whose WV leaves the range stay undecided
         c2, Ka2 = np.square(V) @ self.inv2, self.band(V.shape[-1] + extra) * (np.square(WV) @ self.inv2)
         lam_in = np.nextafter(np.sqrt(c2 + Ka2), np.inf)
         lam_out = np.nextafter(np.sqrt(np.maximum(c2 - Ka2, 0.0)), -np.inf)
-        off = ~(_rows_certified(WV) & (np.max(WV, axis=-1) >= CERTIFIED_RANGE[0]))  # V / lam scales by V alone
+        top = np.max(WV, axis=-1)  # V / lam scales by V alone, so WV needs the floor too
+        off = ~((top >= CERTIFIED_RANGE[0]) & (top <= CERTIFIED_RANGE[1]))  # True on nan
         lam_in[off], lam_out[off] = np.inf, -np.inf
 
         def decide(lam):
@@ -395,9 +396,8 @@ def _line_rule(terms, level):
 def _certificate(kind, *arrays):
     """kind(*arrays) when every threshold and weight lies in CERTIFIED_RANGE
     (the last array: inv2, or the face offsets), else None."""
-    weights = np.abs(arrays[-1])
-    in_range = (weights >= CERTIFIED_RANGE[0]) & (weights <= CERTIFIED_RANGE[1])
-    return kind(*arrays) if in_range.all() else None
+    w = np.abs(arrays[-1])
+    return kind(*arrays) if np.all((w >= CERTIFIED_RANGE[0]) & (w <= CERTIFIED_RANGE[1])) else None
 
 
 def _lift(cert, U, V):
@@ -413,8 +413,8 @@ def _lift(cert, U, V):
 
 def _decider(cert, V, U, ray: bool):
     """decide(t) -> (inside, undecided) at U + t V on a line, or U + V / t on
-    a ray: a quadratic's ray rule when U lifts to its base's origin with
-    weight 0, else the line from U at s = 1/t."""
+    a ray (only quadratics ask rays: every face gauge is exact): the ray rule
+    when U lifts to the base's origin with weight 0, else the line at s = 1/t."""
     U, V, WU, WV, extra = _lift(cert, U, V)
     if not ray:
         return cert.line(U, V, WU, WV, extra)

@@ -224,6 +224,7 @@ def test_face_bodies_on_the_band_search_like_their_twins(kind, seed):
     budget = {"subspace_samples": 40, "inner_angles": 64}
     est, est_t = (cg.subspace_hausdorff(b, np.eye(3)[[0]], budget=budget, seed=seed) for b in (body, twin))
     assert est.value == pytest.approx(est_t.value, rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(est_t.std_error, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(_BAND_BODIES))
