@@ -13,7 +13,8 @@ lhs_volume_integral take one direction k or a stack of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -252,11 +253,13 @@ def lhs_volume_integral(
     k,
     budget=None,
     seed: int = 0,
+    pool: Optional[Executor] = None,
 ):
     """Monte Carlo estimate of the volume integral of the adjoint derivative
     of psi along k over the body, against the ambient Gaussian, from
-    budget.samples draws on budget.threads workers (central differences of
-    step DEFAULT_FD_STEP when psi has no analytic gradient).
+    budget.samples draws on budget.threads workers, or on pool's workers
+    when a pool is given (central differences of step DEFAULT_FD_STEP when
+    psi has no analytic gradient).
 
     Uses the indicator estimator E[1_body * (d_k psi - psi <k, x>)]; the
     acceptance rate is pre-flighted and MassError raised below 1e-3.
@@ -285,7 +288,7 @@ def lhs_volume_integral(
         vals = np.where(body.contains(x), vals, 0.0)
         return [np.array([np.sum(v), np.sum(v * v), size]) for v in vals]
 
-    chunks = map_chunks(chunk, budget.samples, threads=budget.threads)
+    chunks = map_chunks(chunk, budget.samples, threads=budget.threads if pool is None else pool)
     estimates = []
     for j in range(len(ks)):
         total, total_sq, n = np.sum([stats[j] for stats in chunks], axis=0)
@@ -328,14 +331,34 @@ def verify_ibp(
     giving a list of K. A stack checks the vertical mass once, shares one
     pass over the draws on the left side and one set of graph nodes on the
     right; each report equals the one-direction call bit for bit.
+
+    At budget.threads = 1 the left side runs first, then the right. From 2
+    threads on, both sides share one pool of budget.threads workers: the
+    whole right side, every k in order, is one task on it, submitted
+    first, and the left side's chunks take the other workers, then all of
+    them once the right side is done; the right side's own Monte Carlo
+    draws run at one thread inside its task. The reports are those of one
+    thread bit for bit, and an error of the left side is the one raised
+    when both sides fail, as at one thread.
     """
     body = _pair_body(pair)
     budget = Budget.from_any(budget)
     ks, single = _direction_stack(k, body.dim)
-    lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
+    if budget.threads <= 1:
+        lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
+        rhs = [rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed) for kj in ks]
+    else:
+        # at one thread the right side's own draws run inside its task, so
+        # no more than budget.threads workers run at once
+        serial = replace(budget, threads=1)
+        with ThreadPoolExecutor(max_workers=budget.threads) as shared:
+            surface = shared.submit(
+                lambda: [rhs_surface_integral(pair, psi, kj, budget=serial, seed=seed) for kj in ks]
+            )
+            lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed, pool=shared)
+            rhs = surface.result()
     reports = []
-    for kj, lhs_j in zip(ks, lhs):
-        rhs = rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed)
+    for kj, lhs_j, rhs_j in zip(ks, lhs, rhs):
         metadata = {
             "body": body.spec or {"shape": body.shape_tag},
             "psi": psi.name,
@@ -349,7 +372,7 @@ def verify_ibp(
             "vertical_mass": pair._vertical_mass.value,
         }
         reports.append(
-            VerificationReport.from_estimates(lhs_j, rhs, configured_tol=tol, metadata=metadata)
+            VerificationReport.from_estimates(lhs_j, rhs_j, configured_tol=tol, metadata=metadata)
         )
     return reports[0] if single else reports
 

@@ -9,7 +9,7 @@ that produced those coordinates; it is used only to build demo bodies.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -200,13 +200,21 @@ def _chunk_sizes(count: int) -> list:
     return sizes
 
 
-def map_chunks(fn: Callable[[int, int], object], count: int, threads: int = 1) -> list:
+def map_chunks(fn: Callable[[int, int], object], count: int, threads=1) -> list:
     """Apply fn(chunk_index, chunk_size) over fixed-size chunks.
 
+    threads: a worker count, the chunks running on a pool of that many
+    threads of their own (in the caller at 1), or an Executor whose
+    workers the chunks share with its other tasks. verify_ibp passes one:
+    at budget.threads >= 2 its surface side is one task on the workers
+    that draw the volume side's chunks. A task on that Executor must not
+    map chunks on it: it would wait on the workers it holds.
     Chunk boundaries depend only on count, and results are combined in chunk
-    order, so the output is invariant under the worker count.
+    order, so the output is invariant under the workers that run it.
     """
     sizes = _chunk_sizes(count)
+    if isinstance(threads, Executor):
+        return list(threads.map(fn, range(len(sizes)), sizes))
     if threads <= 1 or len(sizes) <= 1:
         return [fn(i, s) for i, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

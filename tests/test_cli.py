@@ -317,6 +317,36 @@ def test_determinism_across_thread_counts(tmp_path):
     assert hashes[1] == hashes[4]
 
 
+IBP_SLAB_TANH = {
+    "model": {"dim": 3},
+    "body": {"shape": "slab", "normal": [0.6, 0.0, 0.8], "half_width": 0.9},
+    "psi": {"name": "tanh", "weights": [0.5, -1.0, 0.3], "offset": 0.2},
+    "directions": {"k": [[0.6, 0.0, 0.8], [1.0, 0.0, 0.0]], "h": [0.6, 0.0, 0.8]},
+    "budgets": {"samples": 200000, "quadrature_order": 16},
+    "seed": 31,
+    "outputs": {"report": "ibp_slab_report.json"},
+}
+
+
+@pytest.mark.parametrize("name", ["ibp_halfspace", "ibp_slab_tanh"])
+def test_ibp_determinism_across_thread_counts(tmp_path, name):
+    # from two threads on, the surface side is one task on the workers that
+    # draw the volume side's chunks; the reports must not notice
+    if name == "ibp_halfspace":
+        cfg_path, report_name = CONFIG_DIR / "ibp_halfspace.json", "ibp_halfspace_report.json"
+    else:
+        cfg_path, report_name = tmp_path / "ibp_slab.json", IBP_SLAB_TANH["outputs"]["report"]
+        cfg_path.write_text(json.dumps(IBP_SLAB_TANH))
+    hashes = {}
+    for threads in (1, 2, 4):
+        out = tmp_path / f"t{threads}"
+        code = main(["ibp", "--config", str(cfg_path), "--out", str(out), "--threads", str(threads)])
+        assert code == 0
+        report = json.loads((out / report_name).read_text())
+        hashes[threads] = (report["determinism_hash"], report["config_hash"])
+    assert hashes[1] == hashes[2] == hashes[4]
+
+
 def test_seed_override_changes_hash(tmp_path):
     cfg_path = CONFIG_DIR / "perimeter_ball.json"
     old = None

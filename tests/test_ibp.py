@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 import convexgauss as cg
 from convexgauss.errors import (
     DegeneracyError,
+    DirectionError,
     DomainError,
     MassError,
     OracleIntegrityError,
@@ -258,6 +260,59 @@ def test_verify_stack_equals_one_call_per_k(body, psi, ks, h, budget, threads):
         assert a.tolerance == b.tolerance
         assert a.verdict == b.verdict
         assert a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verify_runs_the_surface_side_as_one_task_beside_the_volume_side(
+    halfspace3, monkeypatch, threads
+):
+    # at two threads the whole right side, every k in order, is one task on
+    # the pool that draws the volume chunks, so it runs off the caller's
+    # thread; at one thread it runs in the caller, after the volume side
+    seen = []
+    original = cg.ibp.rhs_surface_integral
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cg.ibp, "rhs_surface_integral", recording)
+    ks = np.stack([E1_3, cg.normalize_direction([1.0, 1.0, 0.0])])
+    budget = {"samples": 140_000, "quadrature_order": 16, "threads": threads}
+    pair = cg.decompose(halfspace3, E1_3, seed=5)
+    reports = cg.verify_ibp(pair, cg.constant(1.0), ks, budget=budget, seed=5)
+    assert len(reports) == 2 and len(seen) == 2 and seen[0] == seen[1]
+    assert (seen[0] == threading.get_ident()) == (threads == 1)
+
+
+def _unbounded_square_prism():
+    # |x1| < 1, |x2| < 1 in R^3: graphed along e1, its vertical faces carry
+    # half of its surface measure
+    faces = [{"normal": v, "offset": 1.0} for v in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])]
+    return cg.polytope(faces)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verify_raises_the_one_thread_error_and_leaves_no_thread(monkeypatch, threads):
+    budget = {"samples": 140_000, "threads": threads}
+    before = threading.active_count()
+    tiny = cg.decompose(cg.ball(0.02, 2), E2_2, seed=4)
+    with pytest.raises(MassError):
+        cg.verify_ibp(tiny, cg.constant(1.0), E1_2, budget=budget, seed=4)
+    assert threading.active_count() == before
+    prism = cg.decompose(_unbounded_square_prism(), E1_3, seed=0)
+    with pytest.raises(DirectionError, match="vertical boundary mass"):
+        cg.verify_ibp(prism, cg.constant(1.0), E1_3, budget=budget, seed=0)
+    assert threading.active_count() == before
+
+    # when both sides fail, the volume side's error is the one raised
+    def failing(*args, **kwargs):
+        raise DirectionError("surface side failed")
+
+    monkeypatch.setattr(cg.ibp, "rhs_surface_integral", failing)
+    with pytest.raises(MassError):
+        cg.verify_ibp(tiny, cg.constant(1.0), E1_2, budget=budget, seed=4)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------- gradient formula
