@@ -344,17 +344,18 @@ def verify_ibp(
     body = _pair_body(pair)
     budget = Budget.from_any(budget)
     ks, single = _direction_stack(k, body.dim)
+
+    def surface_side(budget):
+        return [rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed) for kj in ks]
+
     if budget.threads <= 1:
         lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
-        rhs = [rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed) for kj in ks]
+        rhs = surface_side(budget)
     else:
-        # at one thread the right side's own draws run inside its task, so
-        # no more than budget.threads workers run at once
-        serial = replace(budget, threads=1)
         with ThreadPoolExecutor(max_workers=budget.threads) as shared:
-            surface = shared.submit(
-                lambda: [rhs_surface_integral(pair, psi, kj, budget=serial, seed=seed) for kj in ks]
-            )
+            # at one thread the right side's own draws run inside its task,
+            # so no more than budget.threads workers run at once
+            surface = shared.submit(surface_side, replace(budget, threads=1))
             lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed, pool=shared)
             rhs = surface.result()
     reports = []

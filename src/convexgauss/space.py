@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -200,7 +200,7 @@ def _chunk_sizes(count: int) -> list:
     return sizes
 
 
-def map_chunks(fn: Callable[[int, int], object], count: int, threads=1) -> list:
+def map_chunks(fn: Callable[[int, int], object], count: int, threads: Union[int, Executor] = 1) -> list:
     """Apply fn(chunk_index, chunk_size) over fixed-size chunks.
 
     threads: a worker count, the chunks running on a pool of that many
