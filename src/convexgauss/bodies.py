@@ -61,7 +61,7 @@ class ConvexBody:
     contains   -- vectorized predicate on arrays of shape (..., dim)
     interior_point / interior_margin -- certified open ball inside the body,
                     about whose centre the gauge is taken when it leaves
-                    the origin no margin (centre)
+                    the origin no margin (centre); its length is dim
     outer_radius -- None marks an unbounded body; reach (UNBOUNDED_REACH)
                     bounds every line search instead, at negligible Gaussian
                     mass cost
@@ -71,7 +71,7 @@ class ConvexBody:
                     _Faces) from the arrays it reads, through the map of a
                     translate or cylinder; from_oracle bodies and wrappers
                     of wrappers have none. Its oracle and map round each
-                    row alike in any batch (_face_products, _row_sum), so a
+                    row alike in any batch (_face_products), so a
                     row gets its batch's answer in any subset, and the
                     bisections (_membership_along) send `contains` only the
                     rows the certificate leaves undecided, also when
@@ -90,10 +90,13 @@ class ConvexBody:
     interior_margin: float
     outer_radius: Optional[float]
     shape_tag: str
-    dim: int
     distance_outside: Optional[Callable[[np.ndarray], np.ndarray]] = None
     spec: Optional[dict] = None
     certificate: Optional[_Quadratic | _Faces] = None
+
+    @property
+    def dim(self) -> int:
+        return self.interior_point.shape[0]
 
     @property
     def bounded(self) -> bool:
@@ -238,7 +241,7 @@ class _Quadratic(NamedTuple):
         w = WU + np.abs(z) @ WF
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.linalg.norm(x @ FW.T, axis=1) + K * np.linalg.norm(w @ (WF * self.inv2).T, axis=1)
-            low = _row_sum(np.square(x) * self.inv2) - K * (np.square(w) @ self.inv2)
+            low = _face_products(np.square(x), self.inv2) - K * (np.square(w) @ self.inv2)
             low -= 4.0 * g * g / np.min(self.inv2)
         return _rows_certified(WU) & np.isfinite(low) & (low > (1.0 + SECTION_MISS_MARGIN) ** 2)
 
@@ -340,7 +343,10 @@ def _face_products(X, A) -> np.ndarray:
     coordinate by coordinate: shape A.shape[:-1] + X.shape[:-1].
 
     Every per-row product that decides an answer (an oracle, a map, a
-    closed-form value, a graph point) takes this rule. Elementwise
+    closed-form value, a graph point) takes this rule, and so does every
+    quadratic's sum of squares, with weights inv2 (ones on a ball, where
+    1 x_i^2 is exact): below 8 terms those bits are np.sum's, which adds
+    fewer than 8 terms in order and more pairwise. Elementwise
     operations round each entry alike in a batch of any size, so a point
     gets the same bits alone, as a vector or in any subset of a batch,
     where a matrix product rounds a row by its place in its batch.
@@ -434,7 +440,7 @@ def _membership_along(body: ConvexBody, V, U=None):
     the rest go to `contains` in one call, as a subset. A point is formed
     by the same elementwise expression on a subset as on the whole batch,
     and every certified oracle rounds a row alike in any batch
-    (_face_products, _row_sum), so every answer is the one the whole batch gets, and
+    (_face_products), so every answer is the one the whole batch gets, and
     a bisection takes the same steps with or without the certificate. Once
     a step leaves more than a quarter of the rows undecided, most brackets
     lie within the band about their crossing, where later steps keep them:
@@ -602,29 +608,13 @@ def _line_minimum(body: ConvexBody, Y, h):
     return t, q
 
 
-def _row_sum(q) -> np.ndarray:
-    """np.sum(q, axis=-1), bit for bit, without a reduction over a short
-    last axis.
-
-    numpy adds fewer than eight terms in order, so one to seven columns are
-    added column by column; from eight on numpy sums pairwise, and np.sum
-    itself is the only bit-equal route (as it is for an empty axis).
-    """
-    n = q.shape[-1]
-    if not 0 < n < 8:
-        return np.sum(q, axis=-1)
-    s = q[..., 0]
-    for i in range(1, n):
-        s = s + q[..., i]
-    return s
-
-
 def ball(radius: float, dim: int) -> ConvexBody:
     """Open Euclidean ball of given radius centred at the origin (translate
     shifts it)."""
     if radius <= 0:
         raise BodySpecError("ball: radius must be positive")
-    contains = lambda x: np.sqrt(_row_sum(np.square(np.asarray(x, float)))) < radius
+    ones = np.ones(dim)
+    contains = lambda x: np.sqrt(_face_products(np.square(np.asarray(x, float)), ones)) < radius
     distance = lambda x: np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
     return ConvexBody(
         contains,
@@ -632,7 +622,6 @@ def ball(radius: float, dim: int) -> ConvexBody:
         radius,
         radius,
         "ball",
-        dim,
         distance_outside=distance,
         spec={"shape": "ball", "radius": radius},
         certificate=_certificate(_Quadratic, np.full(dim, 1.0 / (radius * radius))),
@@ -651,12 +640,12 @@ def ellipsoid(semiaxes) -> ConvexBody:
         raise BodySpecError("ellipsoid: semiaxes must be a vector of positives")
     dim = s.shape[0]
     inv2 = 1.0 / (s * s)
-    contains = lambda x: _row_sum(np.square(np.asarray(x, float)) * inv2) < 1.0
+    contains = lambda x: _face_products(np.square(np.asarray(x, float)), inv2) < 1.0
 
     def distance(x0):
         x = np.atleast_2d(np.asarray(x0, dtype=float))
         out = np.zeros(x.shape[0])
-        outside = np.sum(np.square(x) * inv2, axis=-1) > 1.0
+        outside = ~contains(x)
         if outside.any():
             xo = x[outside]
             # nearest boundary point w_i = s_i^2 x_i / (s_i^2 + lam)
@@ -671,7 +660,6 @@ def ellipsoid(semiaxes) -> ConvexBody:
         float(np.min(s)),
         float(np.max(s)),
         "ellipsoid",
-        dim,
         distance_outside=distance,
         spec={"shape": "ellipsoid", "semiaxes": list(map(float, s))},
         certificate=_certificate(_Quadratic, inv2),
@@ -723,7 +711,6 @@ def halfspace(normal, offset: float) -> ConvexBody:
         r0,
         None,
         "halfspace",
-        dim,
         distance_outside=distance,
         spec={"shape": "halfspace", "normal": list(map(float, a)), "offset": c},
         certificate=_certificate(_Faces, a[None], np.array([c])),
@@ -842,7 +829,7 @@ def polytope(faces) -> ConvexBody:
         # compact arrays; a row at rest is written back once.
         x = np.atleast_2d(np.asarray(x0, dtype=float))
         z = x.copy()
-        idx = np.flatnonzero(np.any(x @ A.T >= c, axis=-1))
+        idx = np.flatnonzero(~contains(x))
         zi = z[idx]
         corr = np.zeros((len(c),) + zi.shape)
         for _ in range(DYKSTRA_SWEEPS):
@@ -859,8 +846,7 @@ def polytope(faces) -> ConvexBody:
                 z[idx[rest]] = zi[rest]
                 idx, zi, corr = idx[~rest], zi[~rest], corr[:, ~rest]
         z[idx] = zi  # rows still moving after DYKSTRA_SWEEPS sweeps
-        out = np.linalg.norm(x - z, axis=-1)
-        out[contains(x)] = 0.0
+        out = np.linalg.norm(x - z, axis=-1)  # 0 on rows inside, which never move
         return out if np.ndim(x0) > 1 else float(out[0])
 
     spec = {
@@ -870,7 +856,7 @@ def polytope(faces) -> ConvexBody:
         ],
     }
     return ConvexBody(
-        contains, x0, r0, outer, "polytope", dim, distance_outside=distance, spec=spec,
+        contains, x0, r0, outer, "polytope", distance_outside=distance, spec=spec,
         certificate=_certificate(_Faces, A, c),
     )
 
@@ -949,7 +935,7 @@ def _mapped(base: ConvexBody, M, x0, outer, tag, spec) -> ConvexBody:
         to_base = lambda x: _project(x, M)
     inner, dist, cert = base.contains, base.distance_outside, base.certificate
     return ConvexBody(
-        lambda x: inner(to_base(x)), x0, base.interior_margin, outer, tag, x0.shape[0],
+        lambda x: inner(to_base(x)), x0, base.interior_margin, outer, tag,
         distance_outside=None if dist is None else lambda x: dist(to_base(x)), spec=spec,
         certificate=None if cert is None or cert.map is not None else cert._replace(map=M),
     )
@@ -958,8 +944,7 @@ def _mapped(base: ConvexBody, M, x0, outer, tag, spec) -> ConvexBody:
 def from_oracle(contains, interior_point, interior_margin, outer_radius=None) -> ConvexBody:
     """Wrap a user membership oracle (e.g. a level set {G < 0}) as a body
     tagged "custom"."""
-    x0 = np.asarray(interior_point, dtype=float)
-    return ConvexBody(contains, x0, interior_margin, outer_radius, "custom", x0.shape[0])
+    return ConvexBody(contains, interior_point, interior_margin, outer_radius, "custom")
 
 
 class _Kind(NamedTuple):

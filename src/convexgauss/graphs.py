@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -280,8 +281,9 @@ class GraphPair:
     with +/-inf for a missing graph and nan outside the projected domain
     (its domain test); t_hint, per-row section parameters that may lie
     inside the body, only speeds up the search. basis rows span that
-    hyperplane. body is the body decompose was given, which every route
-    that needs a body reads; a function_graph pair has none.
+    hyperplane (orthonormal_complement of h). body is the body decompose
+    was given, which every route that needs a body reads; a function_graph
+    pair has none.
     analytic_f_gradient is set by function_graph, whose only finite graph
     is f. _nodes holds one surface-integral node set per (budget, seed)
     (surface._NodeSet), shared by both graphs and every integrand.
@@ -292,13 +294,16 @@ class GraphPair:
     """
 
     direction: np.ndarray
-    basis: np.ndarray
     case_tag: str
     ends: Callable[..., tuple]
     body: Optional[ConvexBody] = None
     analytic_f_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _nodes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _vertical_mass: Optional[EstimateWithError] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return orthonormal_complement(self.direction)
 
     @property
     def f_finite(self) -> bool:
@@ -370,7 +375,6 @@ def decompose(
     instead of ray-casting the boundary again."""
     h = as_direction(h, dim=body.dim)
     tag = classify_case(body, h, seed=seed)
-    basis = orthonormal_complement(h)
 
     def ends(Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -378,7 +382,6 @@ def decompose(
 
     return GraphPair(
         direction=h,
-        basis=basis,
         case_tag=tag,
         ends=ends,
         body=body,
@@ -399,7 +402,6 @@ def function_graph(
     the gradient must be tangent to it.
     """
     h = as_direction(h)
-    basis = orthonormal_complement(h)
 
     def ends(Y, t_hint=None):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -410,7 +412,6 @@ def function_graph(
 
     return GraphPair(
         direction=h,
-        basis=basis,
         case_tag=CASE_F_FINITE_ONLY,
         ends=ends,
         body=None,

@@ -332,14 +332,14 @@ def verify_ibp(
     pass over the draws on the left side and one set of graph nodes on the
     right; each report equals the one-direction call bit for bit.
 
-    At budget.threads = 1 the left side runs first, then the right. From 2
-    threads on, both sides share one pool of budget.threads workers: the
-    whole right side, every k in order, is one task on it, submitted
-    first, and the left side's chunks take the other workers, then all of
-    them once the right side is done; the right side's own Monte Carlo
-    draws run at one thread inside its task. The reports are those of one
-    thread bit for bit, and an error of the left side is the one raised
-    when both sides fail, as at one thread.
+    Both sides share one pool of budget.threads workers, at every thread
+    count: the whole right side, every k in order, is one task on it,
+    submitted first, and the left side's chunks take the other workers,
+    then all of them once the right side is done (at one thread they queue
+    behind it); the right side's own Monte Carlo draws run at one thread
+    inside its task. The reports are the same bit for bit at every thread
+    count, and an error of the left side is the one raised when both sides
+    fail.
     """
     body = _pair_body(pair)
     budget = Budget.from_any(budget)
@@ -348,16 +348,12 @@ def verify_ibp(
     def surface_side(budget):
         return [rhs_surface_integral(pair, psi, kj, budget=budget, seed=seed) for kj in ks]
 
-    if budget.threads <= 1:
-        lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed)
-        rhs = surface_side(budget)
-    else:
-        with ThreadPoolExecutor(max_workers=budget.threads) as shared:
-            # at one thread the right side's own draws run inside its task,
-            # so no more than budget.threads workers run at once
-            surface = shared.submit(surface_side, replace(budget, threads=1))
-            lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed, pool=shared)
-            rhs = surface.result()
+    with ThreadPoolExecutor(max_workers=budget.threads) as shared:
+        # at one thread the right side's own draws run inside its task,
+        # so no more than budget.threads workers run at once
+        surface = shared.submit(surface_side, replace(budget, threads=1))
+        lhs = lhs_volume_integral(body, psi, np.stack(ks), budget=budget, seed=seed, pool=shared)
+        rhs = surface.result()
     reports = []
     for kj, lhs_j, rhs_j in zip(ks, lhs, rhs):
         metadata = {

@@ -206,8 +206,8 @@ def map_chunks(fn: Callable[[int, int], object], count: int, threads: Union[int,
     threads: a worker count, the chunks running on a pool of that many
     threads of their own (in the caller at 1), or an Executor whose
     workers the chunks share with its other tasks. verify_ibp passes one:
-    at budget.threads >= 2 its surface side is one task on the workers
-    that draw the volume side's chunks. A task on that Executor must not
+    its surface side is one task on the workers that draw the volume
+    side's chunks. A task on that Executor must not
     map chunks on it: it would wait on the workers it holds.
     Chunk boundaries depend only on count, and results are combined in chunk
     order, so the output is invariant under the workers that run it.

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from scipy.linalg import null_space
 from scipy.optimize import minimize
 
 import convexgauss as cg
-from convexgauss.bodies import _row_sum, bisect, orthonormal_complement
+from convexgauss.bodies import _face_products, bisect, orthonormal_complement
 from convexgauss.errors import BodySpecError, DomainError, OracleIntegrityError
 
 TOL = 1e-10
@@ -352,6 +353,9 @@ def test_orthonormal_complement_is_scipy_null_space():
 
 
 def test_ball_and_ellipsoid_sums_keep_numpy_bits():
+    # both oracles sum their squares in order (_face_products); below 8
+    # terms numpy adds in order too, so those bits are np.sum's
+    in_order = lambda q: functools.reduce(np.add, np.moveaxis(q, -1, 0))
     rng = np.random.default_rng(15)
     for n in range(1, 17):
         semi = rng.uniform(0.3, 2.0, n)
@@ -359,13 +363,16 @@ def test_ball_and_ellipsoid_sums_keep_numpy_bits():
         for shape in [(), (5,), (4, 3)]:
             x = rng.standard_normal(shape + (n,)) * 10.0 ** rng.uniform(-3, 3, shape + (1,))
             q = np.square(x) * inv2
-            assert np.array_equal(_row_sum(q), np.sum(q, axis=-1))
-            assert np.array_equal(np.sqrt(_row_sum(np.square(x))), np.linalg.norm(x, axis=-1))
+            assert np.array_equal(_face_products(np.square(x), inv2), in_order(q))
+            assert np.array_equal(_face_products(np.square(x), np.ones(n)), in_order(np.square(x)))
+            if n < 8:
+                assert np.array_equal(in_order(q), np.sum(q, axis=-1))
+                assert np.array_equal(np.sqrt(in_order(np.square(x))), np.linalg.norm(x, axis=-1))
             # points at the boundary to rounding, where a last bit decides
             y = x / np.linalg.norm(x, axis=-1, keepdims=True)
-            assert np.array_equal(cg.ball(1.0, n).contains(y), np.linalg.norm(y, axis=-1) < 1.0)
+            assert np.array_equal(cg.ball(1.0, n).contains(y), np.sqrt(in_order(np.square(y))) < 1.0)
             z = y / np.sqrt(np.sum(np.square(y) * inv2, axis=-1, keepdims=True))
-            assert np.array_equal(cg.ellipsoid(semi).contains(z), np.sum(np.square(z) * inv2, axis=-1) < 1.0)
+            assert np.array_equal(cg.ellipsoid(semi).contains(z), in_order(np.square(z) * inv2) < 1.0)
 
 
 def test_distance_oracles_keep_batch_shape_for_one_row():

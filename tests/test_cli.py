@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -58,6 +59,27 @@ def test_perimeter_subcommand_ball(tmp_path):
     assert rec["lhs"] == pytest.approx(DISK_PERIM, rel=0.01)
     assert rec["rhs"] == pytest.approx(DISK_PERIM, rel=0.02)
     assert rec["methods"] == ["polar", "monte_carlo"]
+
+
+def test_perimeter_fails_on_a_steep_halfspace(tmp_path):
+    # <a, x> < 1, a = (1, 0.1)/|(1, 0.1)|, graphed along e2 (<a, h> = 0.0995):
+    # the Gauss-Hermite graph route reads 0.375384 (+55% against phi(1)),
+    # and at seed 5 the content route 0.2343 +- 0.0114 with tolerance
+    # 0.0342, so the two routes disagree and the verdict must say so
+    cfg = {
+        "model": {"dim": 2},
+        "body": {"shape": "halfspace", "normal": [1.0, 0.1], "offset": math.hypot(1.0, 0.1)},
+        "directions": {"h": [0.0, 1.0]},
+        "seed": 5,
+        "outputs": {"report": "steep_report.json"},
+    }
+    cfg_path = tmp_path / "steep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["perimeter", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    rec = json.loads((tmp_path / "steep_report.json").read_text())["results"][0]
+    assert rec["verdict"] == "fail"
+    assert rec["methods"] == ["gauss_hermite", "monte_carlo"]
+    assert rec["diff"] > rec["tol"]
 
 
 def test_malformed_body_spec_names_faces(tmp_path, capsys):

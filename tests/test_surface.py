@@ -564,6 +564,17 @@ def test_polar_route_polygon_error_is_within_four_per_mille(h):
     assert abs(est.value - exact) <= 4e-3 * exact
 
 
+def test_gauss_hermite_route_tilted_halfspace_error_is_within_fifteen_per_mille():
+    # the halfspace <a, x> < 1, a = (1, 0.2)/|(1, 0.2)|, graphed along e2
+    # (<a, h> = 0.196) reads 0.245413 against phi(1) = 0.241971 (+1.42e-2
+    # relative) at the default Gauss-Hermite order, with a stated error of
+    # 0: the route's error on a steep graph (ROADMAP item 3), pinned here
+    a = np.array([1.0, 0.2]) / math.hypot(1.0, 0.2)
+    est = cg.total_boundary_measure(cg.decompose(cg.halfspace(a, 1.0), np.array([0.0, 1.0])))
+    assert est.method == "gauss_hermite" and est.std_error == 0.0
+    assert abs(est.value - G1_AT_1) <= 1.5e-2 * G1_AT_1
+
+
 def test_minkowski_content_validates_epsilons(disk):
     with pytest.raises(ParameterError):
         cg.minkowski_content_perimeter(disk, budget={"epsilons": (0.5, 0.2, 0.1)})
