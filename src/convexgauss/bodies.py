@@ -178,6 +178,7 @@ CERTIFIED_RANGE = (1e-50, 1e50)
 CERTIFICATE_BLOCK_ROWS = 2048  # rows of each block of a face certificate's values and their oracle checks
 SECTION_MISS_MARGIN = 1e-9  # a section misses once its minimum gauge clears 1 by this
 CHECK_MARGIN = 1e-9  # least relative gauge margin of a closed form's oracle check (_check_rim)
+SNAP_FLOATS = 8  # most floats a quadratic's ray exit walks from its root (_quadratic_exit)
 
 
 def _rows_certified(W) -> np.ndarray:
@@ -594,6 +595,59 @@ def _line_section(body: ConvexBody, Y, h):
     return tuple(_by_blocks(checked, Y, h))
 
 
+def _quadratic_exit(body: ConvexBody, X, u, far):
+    """Exit t > 0 of each ray X + t u from an inside point (u one direction
+    or one per row) on a bounded quadratic, unmapped or shifted, as the
+    midpoint 0.5 (lo + hi) of a float pair lo < hi = nextafter(lo) that
+    `contains` splits into inside and outside, as a bisection to adjacent
+    floats toward `far` (one per row) ends; None on every other body.
+
+    The pair is found from the stable larger root of q(P + t u) = 1, P = X
+    less the shift, whose coefficients _face_products takes, so a row's
+    root does not depend on its batch: from the root, the walk steps one
+    float at a time, outward while `contains` accepts and inward while it
+    rejects, to the first point that flips its answer, at most SNAP_FLOATS
+    times. Where `contains` is monotone along the ray this is the
+    bisection's pair; where it flips more than once, it may be another.
+    The far point of every walked row is checked in the walk's first
+    `contains` call (OracleIntegrityError if inside). A row is nan, for
+    the bisection, where its root is not finite, no more than far 2^-70
+    (too short for 130 steps from 0 to reach adjacent floats) or at least
+    far, or where the walk finds no flip.
+    """
+    cert = body.certificate
+    if not (body.bounded and isinstance(cert, _Quadratic) and (cert.map is None or cert.map.ndim == 1)):
+        return None
+    P = X if cert.map is None else X - cert.map
+    # q(P + t u) - 1 = c2 t^2 + 2 c1 t - (1 - c0) has roots of product
+    # -(1 - c0) / c2: the larger one by the form that does not cancel
+    c0, c1, c2 = (_face_products(w, cert.inv2) for w in (np.square(P), P * u, np.square(u)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.sqrt(c1 * c1 + c2 * (1.0 - c0))
+        root = np.where(c1 > 0.0, (1.0 - c0) / (c1 + d), (d - c1) / c2)
+    out = np.full(X.shape[0], np.nan)
+    rows = np.flatnonzero(np.isfinite(root) & (root > far * 2.0**-70) & (root < far))
+    a = root[rows]
+
+    def points(t, rows):
+        return X[rows] + t[:, None] * (u if u.ndim == 1 else u[rows])
+
+    first = body.contains(np.concatenate([points(a, rows), points(far[rows], rows)]))
+    if first[rows.size :].any():
+        raise OracleIntegrityError(
+            "membership oracle reports an inside point beyond the certified outer radius"
+        )
+    inside = first[: rows.size]
+    for _ in range(SNAP_FLOATS):
+        if not rows.size:
+            break
+        b = np.nextafter(a, np.where(inside, np.inf, -np.inf))
+        flip = body.contains(points(b, rows)) != inside
+        out[rows[flip]] = 0.5 * (a[flip] + b[flip])
+        rows, a, inside = rows[~flip], b[~flip], inside[~flip]
+    return out
+
+
 def _line_minimum(body: ConvexBody, Y, h):
     """(t, q), _Faces.line_min about the centre on a body with exact faces
     (_exact_faces), else None, as it is when the slopes lack a sign; the
@@ -615,7 +669,9 @@ def ball(radius: float, dim: int) -> ConvexBody:
         raise BodySpecError("ball: radius must be positive")
     ones = np.ones(dim)
     contains = lambda x: np.sqrt(_face_products(np.square(np.asarray(x, float)), ones)) < radius
-    distance = lambda x: np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
+    distance = lambda x: np.where(
+        contains(x), 0.0, np.maximum(0.0, np.linalg.norm(np.asarray(x, float), axis=-1) - radius)
+    )
     return ConvexBody(
         contains,
         np.zeros(dim),
@@ -702,7 +758,7 @@ def halfspace(normal, offset: float) -> ConvexBody:
     c = float(offset) / nrm
     dim = a.shape[0]
     contains = lambda x: _face_products(x, a) < c
-    distance = lambda x: np.maximum(0.0, np.asarray(x, float) @ a - c)
+    distance = lambda x: np.where(contains(x), 0.0, np.maximum(0.0, np.asarray(x, float) @ a - c))
     x0 = np.zeros(dim) if c > 0 else (c - 1.0) * a
     r0 = c if c > 0 else 1.0
     return ConvexBody(
@@ -872,7 +928,9 @@ def slab(normal, half_width: float) -> ConvexBody:
     body = polytope(
         [{"normal": a, "offset": w}, {"normal": -a, "offset": w}]
     )
-    distance = lambda x: np.maximum(0.0, np.abs(np.asarray(x, float) @ a) - w)
+    distance = lambda x: np.where(
+        body.contains(x), 0.0, np.maximum(0.0, np.abs(np.asarray(x, float) @ a) - w)
+    )
     return replace(
         body,
         shape_tag="slab",

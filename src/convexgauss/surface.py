@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import space
-from .bodies import _SCHEMA, ConvexBody, _check_fields, _line_section
+from .bodies import _SCHEMA, ConvexBody, _check_fields, _line_section, _quadratic_exit
 from .errors import (
     CaseError,
     DirectionError,
@@ -342,15 +342,25 @@ def _inner_center(body, F, Ys, z0, reach):
 def _section_dir_bisect(body, X, u, reach):
     """Distance from inside points X to the boundary along +u (one unit
     direction or one per row), clipped to [0, reach]: the faces' exact exit
-    on a bounded body with faces, unmapped or shifted (bodies._line_section),
-    else graphs._bisect_endpoint to adjacent floats toward the far point at
-    |X| + reach (1 + 1e-9), which a bounded body (within reach of the
-    origin) must reject."""
+    on a bounded body with faces, unmapped or shifted (bodies._line_section);
+    on a bounded quadratic, unmapped or shifted, its root snapped to the
+    float pair where `contains` flips (bodies._quadratic_exit); else, and on
+    the rows the snap leaves, graphs._bisect_endpoint to adjacent floats
+    toward the far point at |X| + reach (1 + 1e-9), which a bounded body
+    (within reach of the origin) must reject."""
     exact = _line_section(body, X, u)
     if exact is not None:
         return np.clip(exact[1], 0.0, reach)
     far = np.linalg.norm(X, axis=1) + reach * (1.0 + 1e-9)
-    return np.minimum(_bisect_endpoint(body, X, u, np.zeros(X.shape[0]), far, 0.0), reach)
+    t = _quadratic_exit(body, X, u, far)
+    if t is None:
+        t = np.full(X.shape[0], np.nan)
+    rest = np.flatnonzero(np.isnan(t))
+    if rest.size:
+        t[rest] = _bisect_endpoint(
+            body, X[rest], u if u.ndim == 1 else u[rest], np.zeros(rest.size), far[rest], 0.0
+        )
+    return np.minimum(t, reach)
 
 
 def subspace_hausdorff(body: ConvexBody, F, budget=None, seed: int = 0) -> EstimateWithError:

@@ -396,6 +396,32 @@ def test_distance_oracles_keep_batch_shape_for_one_row():
         assert np.ndim(body.distance_outside(far[0])) == 0
 
 
+def test_distances_read_zero_wherever_contains_accepts():
+    # points put on the boundary to rounding, which the last bit of
+    # `contains` splits into inside and outside: every shipped distance
+    # oracle reads 0 on the rows `contains` accepts, and at least 0 on the
+    # others
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((20_000, 3))
+    a = np.array([0.48, -0.6, 0.64])
+    semi = np.array([1.2, 1.0, 0.9])
+    on_boundary = {
+        "ball": (cg.ball(1.1, 3), 1.1 * x / np.linalg.norm(x, axis=1, keepdims=True)),
+        "ellipsoid": (cg.ellipsoid(semi), x / np.sqrt(np.sum(np.square(x / semi), axis=1, keepdims=True))),
+        "halfspace": (cg.halfspace(a, 0.7), x - np.outer(x @ a - 0.7, a)),
+        "slab": (cg.slab(a, 0.7), x - np.outer(x @ a - np.copysign(0.7, x @ a), a)),
+        "polytope": (cg.random_polytope(3, 8, 0), None),
+    }
+    body = on_boundary["polytope"][0]
+    A, c = body.certificate.A, body.certificate.c
+    face = rng.integers(0, len(c), x.shape[0])
+    on_boundary["polytope"] = (body, 0.1 * x - (np.sum(0.1 * x * A[face], axis=1) - c[face])[:, None] * A[face])
+    for kind, (body, y) in on_boundary.items():
+        inside, d = body.contains(y), body.distance_outside(y)
+        assert 0 < np.count_nonzero(inside) < len(y), kind
+        assert np.all(d[inside] == 0.0) and np.all(d >= 0.0), kind
+
+
 def test_distance_oracles_match_projection():
     rng = np.random.default_rng(21)
     x = rng.uniform(-3, 3, size=(40, 2))

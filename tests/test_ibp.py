@@ -71,6 +71,24 @@ def test_lhs_se_scaling(halfspace3):
     assert ses[2] == pytest.approx(ses[0] / 4.0, rel=0.2)
 
 
+def test_lhs_standard_errors_are_honest_across_seeds():
+    # psi = 1 along the unit normal k = a of <a, x> < c: the integrand is
+    # -<a, x> on the body, whose mean is -int_{-inf}^c s phi(s) ds = phi(c);
+    # over 200 seeds, |error| <= 3 SE holds for at least 97% and z^2
+    # averages near 1 (a standard error 10 times too large reads 0.01)
+    a, c = np.array([0.6, 0.0, 0.8]), 0.7
+    body, exact = cg.halfspace(a, c), stats.norm.pdf(c)
+    z = np.array([
+        (est.value - exact) / est.std_error
+        for est in (
+            cg.lhs_volume_integral(body, cg.constant(1.0), a, budget={"samples": 20_000}, seed=seed)
+            for seed in range(200)
+        )
+    ])
+    assert np.mean(np.abs(z) <= 3.0) >= 0.97
+    assert 0.5 <= np.mean(z * z) <= 2.0
+
+
 # ----------------------------------------------------------- surface integral
 
 

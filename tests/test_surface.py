@@ -456,6 +456,18 @@ def test_total_boundary_rejects_vertical_faces_of_unbounded_prism():
         cg.rhs_surface_integral(pair, cg.constant(1.0), E1_3, seed=0)
 
 
+def test_total_boundary_rejects_a_flat_box_graphed_across_its_thin_side():
+    # the box |x1| < 2.5, |x2| < 2.5, |x3| < 0.5 along e3: its four side
+    # faces are vertical and carry 4 phi(2.5) (2 Phi(2.5) - 1) (2 Phi(0.5) - 1)
+    # = 0.0265 of its Gaussian perimeter 0.713, a share of 0.037, which the
+    # ray cast reads as 0.037 +/- 0.0032: above MAX_VERTICAL_MASS by more
+    # than three standard errors
+    faces = [{"normal": s * e, "offset": w} for e, w in zip(np.eye(3), (2.5, 2.5, 0.5)) for s in (1.0, -1.0)]
+    pair = cg.decompose(cg.polytope(faces), np.eye(3)[2])
+    with pytest.raises(DirectionError, match="vertical boundary mass 0.03"):
+        cg.total_boundary_measure(pair)
+
+
 def test_total_boundary_halfspace():
     hs = cg.halfspace([1.0, 0.0], 1.0)
     pair = cg.decompose(hs, E1_2)
